@@ -374,7 +374,14 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 		active[i] = i
 	}
 	g := c.Graph()
+	// The link index was built by PathCongestion above; it is read without
+	// locking from here on.
+	x := c.Index()
 	worms := make([]sim.Worm, 0, c.Size()) // reused across rounds
+	var residual *congestionScratch
+	if cfg.TrackCongestion {
+		residual = newCongestionScratch(c.Size())
+	}
 
 	// Degraded mode: protocol time elapsed before the current round, used
 	// to anchor the fault plan, plus a per-round down-link lookup.
@@ -398,7 +405,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 			ResidualCongestion: -1,
 		}
 		if cfg.TrackCongestion {
-			stats.ResidualCongestion = residualCongestion(c, active)
+			stats.ResidualCongestion = residual.congestion(x, active)
 		}
 		if cfg.Probe != nil {
 			cfg.Probe.RoundStarted(t, delta, len(active))
@@ -435,7 +442,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 				length = cfg.Lengths[idx]
 			}
 			path := c.Path(idx)
-			if degraded && pathHitsDownLink(c, idx, blocked) {
+			if degraded && pathHitsDownLink(x, idx, blocked) {
 				// Deterministic detour; an unreachable destination keeps
 				// the original path (the attempt dies at the outage and
 				// retries next round, by which time a repair may land).
@@ -528,8 +535,8 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 
 // pathHitsDownLink reports whether worm idx's original path crosses a
 // link marked down in the blocked lookup.
-func pathHitsDownLink(c *paths.Collection, idx int, blocked []bool) bool {
-	for _, id := range c.PathLinks(idx) {
+func pathHitsDownLink(x *paths.LinkIndex, idx int, blocked []bool) bool {
+	for _, id := range x.PathLinks(idx) {
 		if blocked[id] {
 			return true
 		}
@@ -544,29 +551,43 @@ func scheduleOf(cfg Config) DelaySchedule {
 	return HalvingSchedule{}
 }
 
-// residualCongestion computes the path congestion (paper's C-tilde,
-// counting the path itself) restricted to the still-active worms.
-func residualCongestion(c *paths.Collection, active []int) int {
-	isActive := make(map[int]bool, len(active))
+// congestionScratch holds the generation-stamped marks of the residual
+// congestion pass, reused across the rounds of one run.
+type congestionScratch struct {
+	active    []int32 // active[j] == activeGen while worm j is active
+	seen      []int32 // seen[j] == seenGen once j is counted for the current path
+	activeGen int32
+	seenGen   int32
+}
+
+func newCongestionScratch(n int) *congestionScratch {
+	return &congestionScratch{active: make([]int32, n), seen: make([]int32, n)}
+}
+
+// congestion computes the path congestion (paper's C-tilde, counting the
+// path itself) restricted to the still-active worms.
+func (s *congestionScratch) congestion(x *paths.LinkIndex, active []int) int {
+	s.activeGen++
 	for _, idx := range active {
-		isActive[idx] = true
+		s.active[idx] = s.activeGen
 	}
 	best := 0
-	seen := make(map[int]bool)
 	for _, idx := range active {
-		clear(seen)
+		if s.seenGen == math.MaxInt32 { // stamp wrap: invalidate stale stamps once
+			clear(s.seen)
+			s.seenGen = 0
+		}
+		s.seenGen++
 		count := 0
-		for _, id := range c.PathLinks(idx) {
-			for _, j := range c.LinkUsers(graph.LinkID(id)) {
-				if isActive[j] && !seen[j] {
-					seen[j] = true
+		for _, id := range x.PathLinks(idx) {
+			for _, j := range x.Users(id) {
+				if s.active[j] == s.activeGen && s.seen[j] != s.seenGen {
+					s.seen[j] = s.seenGen
 					count++
 				}
 			}
 		}
-		if count > best {
-			best = count
-		}
+		best = max(best, count)
 	}
 	return best
 }

@@ -203,6 +203,22 @@ func TestTrackCongestionHalves(t *testing.T) {
 	}
 }
 
+// TestResidualCongestionMatchesSubset checks the stamped residual pass, with
+// its scratch reused across shrinking active sets as in a run, against the
+// path congestion of the active sub-collection computed from scratch.
+func TestResidualCongestionMatchesSubset(t *testing.T) {
+	c := torusPermCollection(t, 6, 4)
+	src := rng.New(9)
+	s := newCongestionScratch(c.Size())
+	active := src.Perm(c.Size())
+	for len(active) > 0 {
+		if got, want := s.congestion(c.Index(), active), c.Subset(active).PathCongestion(); got != want {
+			t.Fatalf("%d active: residual congestion %d, want %d", len(active), got, want)
+		}
+		active = active[:len(active)*2/3]
+	}
+}
+
 func TestRecordCollisionsTraces(t *testing.T) {
 	c := torusPermCollection(t, 5, 8)
 	res, err := Run(c, Config{

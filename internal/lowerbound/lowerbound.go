@@ -57,20 +57,74 @@ func (b *builder) node() int {
 
 func (b *builder) edge(u, v int) { b.edges = append(b.edges, [2]int{u, v}) }
 
+// finish lays the union graph out in one graph.Builder pass. Gadgets record
+// a shared edge once per path through it, so repeats are dropped first,
+// keeping first occurrences in order: the link IDs and per-node orders are
+// then exactly those of per-edge Graph.AddEdge calls, which drop repeats
+// the same way.
 func (b *builder) finish() *Build {
 	if b.n == 0 {
 		b.n = 1
 	}
-	g := graph.New(b.n)
-	for _, e := range b.edges {
-		g.AddEdge(e[0], e[1])
+	gb := graph.NewBuilder(b.n)
+	edges := uniqueEdges(b.n, b.edges)
+	gb.Grow(len(edges))
+	for _, e := range edges {
+		gb.AddEdge(e[0], e[1])
 	}
+	g := gb.Finalize()
 	return &Build{
 		Graph:      g,
 		Collection: paths.MustCollection(g, b.paths),
 		Structures: b.structs,
 		Ranks:      b.ranks,
 	}
+}
+
+// uniqueEdges returns the edges with every repeat of an undirected edge
+// (in either orientation) removed, first occurrences kept in order. Edges
+// are bucketed by their smaller endpoint with a counting sort, and a
+// per-node stamp spots a repeated larger endpoint within a bucket: linear
+// time, no map.
+func uniqueEdges(n int, edges [][2]int) [][2]int {
+	off := make([]int, n+1)
+	for _, e := range edges {
+		off[min(e[0], e[1])+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	byLow := make([]int, len(edges)) // edge indices, bucketed, ascending within a bucket
+	next := append([]int(nil), off[:n]...)
+	for k, e := range edges {
+		lo := min(e[0], e[1])
+		byLow[next[lo]] = k
+		next[lo]++
+	}
+	stamp := make([]int, n) // stamp[v] == u+1: edge {u, v} already kept
+	repeat := make([]bool, len(edges))
+	dups := 0
+	for u := 0; u < n; u++ {
+		for _, k := range byLow[off[u]:off[u+1]] {
+			hi := max(edges[k][0], edges[k][1])
+			if stamp[hi] == u+1 {
+				repeat[k] = true
+				dups++
+			} else {
+				stamp[hi] = u + 1
+			}
+		}
+	}
+	if dups == 0 {
+		return edges
+	}
+	out := make([][2]int, 0, len(edges)-dups)
+	for k, e := range edges {
+		if !repeat[k] {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Staggered builds `structures` copies of the Figure 5 gadget, each with

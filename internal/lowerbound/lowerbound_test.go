@@ -1,6 +1,8 @@
 package lowerbound
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -272,5 +274,52 @@ func TestGeneratorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestFinishMatchesAddEdgeGraph pins the one-pass graph build against the
+// per-edge Graph.AddEdge build it replaced. Every generator records its
+// edges as the consecutive node pairs of its paths, in path order, so
+// re-adding those pairs one by one (AddEdge drops the repeats) reproduces
+// the old graph: link IDs, per-node orders and lookups must all agree.
+func TestFinishMatchesAddEdgeGraph(t *testing.T) {
+	builds := map[string]*Build{}
+	for _, L := range []int{2, 3, 4, 7} {
+		d := (L-1)/2 + 1
+		builds[fmt.Sprintf("staggered-L%d", L)] = Staggered(3, 4, 3*d+4, L)
+		builds[fmt.Sprintf("cyclic-L%d", L)] = Cyclic(3, L/2+3, L)
+		builds[fmt.Sprintf("mixed-staggered-L%d", L)] = Mixed("staggered", 2, 3, 2, 4, 3*d+4, L)
+		builds[fmt.Sprintf("mixed-cyclic-L%d", L)] = Mixed("cyclic", 2, 3, 2, 4, L/2+3, L)
+	}
+	builds["identical"] = Identical(3, 5, 6)
+	for name, b := range builds {
+		got := b.Graph
+		want := graph.New(got.NumNodes())
+		for _, p := range b.Collection.Paths() {
+			for k := 0; k+1 < len(p); k++ {
+				want.AddEdge(p[k], p[k+1])
+			}
+		}
+		if got.NumLinks() != want.NumLinks() {
+			t.Fatalf("%s: %d links, AddEdge build has %d", name, got.NumLinks(), want.NumLinks())
+		}
+		for id := 0; id < got.NumLinks(); id++ {
+			if got.Link(id) != want.Link(id) {
+				t.Fatalf("%s: link %d = %v, AddEdge build has %v", name, id, got.Link(id), want.Link(id))
+			}
+		}
+		for u := 0; u < got.NumNodes(); u++ {
+			if !slices.Equal(got.Out(u), want.Out(u)) || !slices.Equal(got.In(u), want.In(u)) {
+				t.Fatalf("%s: node %d out/in = %v/%v, AddEdge build has %v/%v",
+					name, u, got.Out(u), got.In(u), want.Out(u), want.In(u))
+			}
+			for v := 0; v < got.NumNodes(); v++ {
+				gid, gok := got.LinkBetween(u, v)
+				wid, wok := want.LinkBetween(u, v)
+				if gid != wid || gok != wok {
+					t.Fatalf("%s: LinkBetween(%d, %d) = %d,%t, AddEdge build has %d,%t", name, u, v, gid, gok, wid, wok)
+				}
+			}
+		}
 	}
 }

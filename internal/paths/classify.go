@@ -1,10 +1,6 @@
 package paths
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // LevelAssignment attempts to assign a level to every node used by the
 // collection such that every directed link of every path leads from a node
@@ -20,21 +16,18 @@ func (c *Collection) LevelAssignment() (levels []int, ok bool) {
 
 	// Constraint adjacency: for each link u->v used by some path,
 	// level(v) = level(u)+1. Build from the collection's links only.
-	c.ensureLinkUsers()
+	x := c.Index()
 	type constraint struct {
 		to    graph.NodeID
 		delta int
 	}
-	// Iterate links in sorted ID order (the map's random order would vary
-	// the BFS visit order below; the levels are forced either way, but the
-	// traversal should be deterministic by construction).
-	ids := make([]graph.LinkID, 0, len(c.linkUsers))
-	for id := range c.linkUsers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	// Visit the used links in ascending ID order, so the BFS below is
+	// deterministic by construction (the levels are forced either way).
 	adj := make(map[graph.NodeID][]constraint)
-	for _, id := range ids {
+	for id := 0; id < g.NumLinks(); id++ {
+		if len(x.Users(id)) == 0 {
+			continue
+		}
 		l := g.Link(id)
 		adj[l.From] = append(adj[l.From], constraint{to: l.To, delta: 1})
 		adj[l.To] = append(adj[l.To], constraint{to: l.From, delta: -1})

@@ -13,21 +13,32 @@ package paths
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
 )
 
-// Collection is a multiset of validated paths in one network. The lazy
-// metric caches are guarded, so a Collection may be shared by concurrent
-// readers (e.g. parallel Monte-Carlo trials).
+// Collection is a multiset of validated paths in one network. Its conflict
+// structure (per-path links, the link-user index, the congestion metrics)
+// is computed at most once, under mu, and is immutable afterwards, so a
+// Collection may be shared by concurrent readers (e.g. parallel
+// Monte-Carlo trials): the first reader computes, the others wait for it.
 type Collection struct {
-	g     *graph.Graph
-	paths []graph.Path
+	g        *graph.Graph
+	paths    []graph.Path
+	dilation int // D, computed at construction
 
-	mu        sync.Mutex
-	linkUsers map[graph.LinkID][]int // lazy: link -> indices of paths using it
-	links     [][]graph.LinkID       // lazy: per-path link IDs
+	mu sync.Mutex
+	// Built on first use: the per-path link IDs, the link-user index with
+	// the edge congestion, and PathCongestions with its maximum C-tilde.
+	links    [][]graph.LinkID //optlint:guardedby mu
+	index    *LinkIndex       //optlint:guardedby mu
+	edgeCong int              //optlint:guardedby mu
+	cong     []int            //optlint:guardedby mu
+	pathCong int              //optlint:guardedby mu
+	// congBuilds counts congestion computations; a test pins it to 1.
+	congBuilds int //optlint:guardedby mu
 }
 
 // NewCollection validates every path against g and returns the collection.
@@ -42,7 +53,16 @@ func NewCollection(g *graph.Graph, ps []graph.Path) (*Collection, error) {
 			return nil, fmt.Errorf("paths: path %d has zero length", i)
 		}
 	}
-	return &Collection{g: g, paths: ps}, nil
+	return newCollection(g, ps), nil
+}
+
+// newCollection wraps already-validated paths.
+func newCollection(g *graph.Graph, ps []graph.Path) *Collection {
+	d := 0
+	for _, p := range ps {
+		d = max(d, p.Len())
+	}
+	return &Collection{g: g, paths: ps, dilation: d}
 }
 
 // MustCollection is NewCollection that panics on error; intended for
@@ -67,68 +87,111 @@ func (c *Collection) Path(i int) graph.Path { return c.paths[i] }
 // Paths returns the backing slice. The caller must not modify it.
 func (c *Collection) Paths() []graph.Path { return c.paths }
 
-// PathLinks returns the directed link IDs of path i (cached).
+// PathLinks returns the directed link IDs of path i (cached). The caller
+// must not modify the result.
 func (c *Collection) PathLinks(i int) []graph.LinkID {
-	c.ensureLinks()
-	return c.links[i]
-}
-
-func (c *Collection) ensureLinks() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ensureLinksLocked()
+	return c.linksLocked()[i]
 }
 
-func (c *Collection) ensureLinksLocked() {
+// linksLocked resolves every path to its link IDs once, into one shared
+// backing array. c.mu must be held.
+//
+//optlint:locked mu
+func (c *Collection) linksLocked() [][]graph.LinkID {
 	if c.links != nil {
-		return
+		return c.links
 	}
+	total := 0
+	for _, p := range c.paths {
+		total += p.Len()
+	}
+	flat := make([]graph.LinkID, 0, total)
 	c.links = make([][]graph.LinkID, len(c.paths))
 	for i, p := range c.paths {
-		c.links[i] = p.Links(c.g)
+		lo := len(flat)
+		for k := 0; k+1 < len(p); k++ {
+			id, _ := c.g.LinkBetween(p[k], p[k+1]) // validated at construction
+			flat = append(flat, id)
+		}
+		c.links[i] = flat[lo:len(flat):len(flat)]
 	}
+	return c.links
 }
 
-func (c *Collection) ensureLinkUsers() {
+// LinkIndex is a collection's dense link-user index in compressed sparse
+// row form: the paths using directed link l are users[userOff[l]:
+// userOff[l+1]], in ascending path order (a path crossing l twice is listed
+// twice). It is built once and never modified, so any number of goroutines
+// may read it without locking.
+type LinkIndex struct {
+	links   [][]graph.LinkID
+	userOff []int32 // NumLinks()+1 offsets into users
+	users   []int32
+}
+
+// PathLinks returns the directed link IDs of path i. The caller must not
+// modify the result.
+func (x *LinkIndex) PathLinks(i int) []graph.LinkID { return x.links[i] }
+
+// Users returns the indices of the paths using directed link id. The caller
+// must not modify the result.
+func (x *LinkIndex) Users(id graph.LinkID) []int32 {
+	return x.users[x.userOff[id]:x.userOff[id+1]]
+}
+
+// Index returns the collection's link-user index, building it on first use.
+func (c *Collection) Index() *LinkIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.linkUsers != nil {
-		return
+	return c.indexLocked()
+}
+
+// indexLocked builds the link-user index by one counting sort over the
+// path links, and the edge congestion with it. c.mu must be held.
+//
+//optlint:locked mu
+func (c *Collection) indexLocked() *LinkIndex {
+	if c.index != nil {
+		return c.index
 	}
-	c.ensureLinksLocked()
-	c.linkUsers = make(map[graph.LinkID][]int)
-	for i, ids := range c.links {
+	links := c.linksLocked()
+	off := make([]int32, c.g.NumLinks()+1)
+	for _, ids := range links {
 		for _, id := range ids {
-			c.linkUsers[id] = append(c.linkUsers[id], i)
+			off[id+1]++
 		}
 	}
+	for l := 0; l < c.g.NumLinks(); l++ {
+		c.edgeCong = max(c.edgeCong, int(off[l+1]))
+		off[l+1] += off[l]
+	}
+	users := make([]int32, off[c.g.NumLinks()])
+	next := make([]int32, c.g.NumLinks())
+	copy(next, off)
+	for i, ids := range links {
+		for _, id := range ids {
+			users[next[id]] = int32(i)
+			next[id]++
+		}
+	}
+	c.index = &LinkIndex{links: links, userOff: off, users: users}
+	return c.index
 }
 
 // Dilation returns D, the number of links of the longest path (0 for an
 // empty collection).
-func (c *Collection) Dilation() int {
-	d := 0
-	for _, p := range c.paths {
-		if l := p.Len(); l > d {
-			d = l
-		}
-	}
-	return d
-}
+func (c *Collection) Dilation() int { return c.dilation }
 
 // EdgeCongestion returns the commonly used congestion: the maximum, over
 // all directed links, of the number of paths using that link. (The paper
 // points out this is *not* its C-tilde; see PathCongestion.)
 func (c *Collection) EdgeCongestion() int {
-	c.ensureLinkUsers()
-	max := 0
-	//optlint:allow mapiter order-independent max-reduction
-	for _, users := range c.linkUsers {
-		if len(users) > max {
-			max = len(users)
-		}
-	}
-	return max
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.indexLocked()
+	return c.edgeCong
 }
 
 // PathCongestion returns C-tilde, the paper's path congestion: the maximum
@@ -138,42 +201,136 @@ func (c *Collection) EdgeCongestion() int {
 // type-2 lower-bound structures.) A collection of pairwise link-disjoint
 // paths has path congestion 1.
 func (c *Collection) PathCongestion() int {
-	cong := c.PathCongestions()
-	max := 0
-	for _, k := range cong {
-		if k > max {
-			max = k
-		}
-	}
-	return max
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.congestionLocked()
+	return c.pathCong
 }
 
 // PathCongestions returns, for every path p, the number of paths sharing a
-// directed link with p (including p itself).
+// directed link with p (including p itself). The slice is computed once and
+// shared by every caller: it is read-only.
 func (c *Collection) PathCongestions() []int {
-	c.ensureLinkUsers()
-	out := make([]int, len(c.paths))
-	mark := make([]int, len(c.paths)) // mark[j] = i+1 when j already counted for path i
-	for i := range c.paths {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.congestionLocked()
+}
+
+// congestionLocked computes the per-path congestions and their maximum
+// once. c.mu must be held.
+//
+//optlint:locked mu
+func (c *Collection) congestionLocked() []int {
+	if c.cong != nil {
+		return c.cong
+	}
+	x := c.indexLocked()
+	if x.bitsCheaper() {
+		c.cong = x.congestionsByBits()
+	} else {
+		c.cong = x.congestionsByStamps()
+	}
+	for _, k := range c.cong {
+		c.pathCong = max(c.pathCong, k)
+	}
+	c.congBuilds++
+	return c.cong
+}
+
+// maxCongestionBitWords caps the per-link bitsets at 32 MiB.
+const maxCongestionBitWords = 1 << 22
+
+// bitsCheaper picks between the two exact per-path congestion methods by
+// their cost on this index. Stamping visits every user of every link of
+// every path: the sum over links of users^2 steps, which dominates when
+// many long paths overlap (a random function on a chain). Bitsets over the
+// n paths cost n/64 words per path crossing plus n/64 words of memory per
+// used link, so they win only there, and only while they stay small.
+func (x *LinkIndex) bitsCheaper() bool {
+	words := (len(x.links) + 63) / 64
+	stampCost, used := 0, 0
+	for l := 0; l+1 < len(x.userOff); l++ {
+		u := int(x.userOff[l+1] - x.userOff[l])
+		stampCost += u * u
+		if u > 0 {
+			used++
+		}
+	}
+	return used*words <= maxCongestionBitWords && (len(x.users)+used)*words < stampCost
+}
+
+// congestionsByStamps counts each path's distinct co-users with a
+// generation-stamped mark (stamp i+1 for path i).
+func (x *LinkIndex) congestionsByStamps() []int {
+	cong := make([]int, len(x.links))
+	mark := make([]int32, len(x.links))
+	for i, ids := range x.links {
+		stamp := int32(i + 1)
 		count := 0
-		for _, id := range c.links[i] {
-			for _, j := range c.linkUsers[id] {
-				if mark[j] != i+1 {
-					mark[j] = i + 1
+		for _, id := range ids {
+			for _, j := range x.Users(id) {
+				if mark[j] != stamp {
+					mark[j] = stamp
 					count++
 				}
 			}
 		}
-		out[i] = count
+		cong[i] = count
 	}
-	return out
+	return cong
 }
 
-// LinkUsers returns the indices of paths using the given directed link.
-// The caller must not modify the result.
+// congestionsByBits gives every used link a bitset of its users and counts
+// each path's co-users as the population of the union of its links' sets.
+func (x *LinkIndex) congestionsByBits() []int {
+	n := len(x.links)
+	words := (n + 63) / 64
+	row := make([]int32, len(x.userOff)-1) // link -> bitset row, used links only
+	used := int32(0)
+	for l := range row {
+		if x.userOff[l+1] > x.userOff[l] {
+			row[l] = used
+			used++
+		}
+	}
+	sets := make([]uint64, int(used)*words)
+	for l := range row {
+		set := sets[int(row[l])*words:]
+		for _, j := range x.Users(l) {
+			set[j>>6] |= 1 << (j & 63)
+		}
+	}
+	cong := make([]int, n)
+	acc := make([]uint64, words)
+	for i, ids := range x.links {
+		clear(acc)
+		for _, id := range ids {
+			set := sets[int(row[id])*words:][:words]
+			for w, b := range set {
+				acc[w] |= b
+			}
+		}
+		count := 0
+		for _, b := range acc {
+			count += bits.OnesCount64(b)
+		}
+		cong[i] = count
+	}
+	return cong
+}
+
+// LinkUsers returns the indices of paths using the given directed link, in
+// ascending order, as a fresh slice. Hot loops should read Index instead.
 func (c *Collection) LinkUsers(id graph.LinkID) []int {
-	c.ensureLinkUsers()
-	return c.linkUsers[id]
+	us := c.Index().Users(id)
+	if len(us) == 0 {
+		return nil
+	}
+	out := make([]int, len(us))
+	for k, j := range us {
+		out[k] = int(j)
+	}
+	return out
 }
 
 // SharePairs calls fn for every unordered pair (i, j), i < j, of distinct
@@ -181,18 +338,15 @@ func (c *Collection) LinkUsers(id graph.LinkID) []int {
 // in a deterministic order: ascending i, then the order in which j's
 // shared links appear along path i.
 func (c *Collection) SharePairs(fn func(i, j int)) {
-	c.ensureLinkUsers()
-	seen := make(map[uint64]bool)
-	for i := range c.paths {
-		for _, id := range c.links[i] {
-			for _, j := range c.linkUsers[id] {
-				if j <= i {
-					continue
-				}
-				key := uint64(i)<<32 | uint64(uint32(j))
-				if !seen[key] {
-					seen[key] = true
-					fn(i, j)
+	x := c.Index()
+	mark := make([]int32, len(c.paths)) // mark[j] = i+1 once pair (i, j) is reported
+	for i, ids := range x.links {
+		stamp := int32(i + 1)
+		for _, id := range ids {
+			for _, j := range x.Users(id) {
+				if int(j) > i && mark[j] != stamp {
+					mark[j] = stamp
+					fn(i, int(j))
 				}
 			}
 		}
@@ -237,5 +391,5 @@ func (c *Collection) Subset(indices []int) *Collection {
 	for i, idx := range indices {
 		ps[i] = c.paths[idx]
 	}
-	return &Collection{g: c.g, paths: ps}
+	return newCollection(c.g, ps)
 }

@@ -2,9 +2,11 @@ package paths
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -208,5 +210,40 @@ func TestSubset(t *testing.T) {
 	// Subset metrics are independent of the parent.
 	if sub.PathCongestion() != 2 { // the two paths share link 0->1
 		t.Errorf("subset path congestion = %d, want 2", sub.PathCongestion())
+	}
+}
+
+// TestPathCongestionConcurrentOnce starts concurrent readers on a fresh
+// collection: they must all agree, share one memoised slice, and the
+// congestion pass must run exactly once.
+func TestPathCongestionConcurrentOnce(t *testing.T) {
+	tor := topology.NewTorus(2, 8)
+	c, err := Build(tor.Graph(), RandomFunction(64, rng.New(3)), DimOrderTorus(tor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([]int, readers)
+	firsts := make([]*int, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r] = c.PathCongestion()
+			firsts[r] = &c.PathCongestions()[0]
+		}(r)
+	}
+	wg.Wait()
+	for r := 1; r < readers; r++ {
+		if got[r] != got[0] || firsts[r] != firsts[0] {
+			t.Fatalf("reader %d saw C~=%d (slice %p), reader 0 saw %d (slice %p)", r, got[r], firsts[r], got[0], firsts[0])
+		}
+	}
+	c.mu.Lock()
+	builds := c.congBuilds
+	c.mu.Unlock()
+	if builds != 1 {
+		t.Errorf("congestion computed %d times, want 1", builds)
 	}
 }

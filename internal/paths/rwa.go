@@ -37,20 +37,22 @@ func (c *Collection) GreedyWavelengthAssignment() (colors []int, used int) {
 		}
 		return order[a] < order[b]
 	})
-	c.ensureLinkUsers()
-	taken := make(map[int]bool)
+	x := c.Index()
+	// taken[col] == i+1 marks col as used by a path conflicting with path i;
+	// a path has fewer than n conflicts, so colors stay below n.
+	taken := make([]int32, n+1)
 	for _, i := range order {
 		// Collect colors taken by conflicting, already-colored paths.
-		clear(taken)
-		for _, id := range c.links[i] {
-			for _, j := range c.linkUsers[id] {
-				if j != i && colors[j] >= 0 {
-					taken[colors[j]] = true
+		stamp := int32(i + 1)
+		for _, id := range x.PathLinks(i) {
+			for _, j := range x.Users(id) {
+				if int(j) != i && colors[j] >= 0 {
+					taken[colors[j]] = stamp
 				}
 			}
 		}
 		col := 0
-		for taken[col] {
+		for taken[col] == stamp {
 			col++
 		}
 		colors[i] = col

@@ -441,7 +441,11 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		tr.outIdx = i
 		// The validator resolved every path hop once for its revisit check;
 		// reuse those link IDs instead of resolving the path a second time.
-		for _, id := range e.val.links(i) {
+		links := e.val.links(i)
+		if cap(tr.links) < len(links) {
+			tr.links = make([]int32, 0, len(links)) // one exact allocation on a fresh arena slot
+		}
+		for _, id := range links {
 			tr.links = append(tr.links, int32(id))
 		}
 		tr.start = w.Delay

@@ -282,6 +282,18 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 		v.mark = make([]int32, g.NumLinks())
 		v.gen = 0
 	}
+	// Size the resolved-link buffers once for the whole batch, so a fresh
+	// validator allocates each of them once instead of growing per worm.
+	total := 0
+	for i := range worms {
+		total += max(len(worms[i].Path)-1, 0)
+	}
+	if cap(v.linkBuf) < total {
+		v.linkBuf = make([]graph.LinkID, 0, total)
+	}
+	if cap(v.off) < len(worms)+1 {
+		v.off = make([]int, 0, len(worms)+1)
+	}
 	v.linkBuf = v.linkBuf[:0]
 	v.off = append(v.off[:0], 0)
 	for i := range worms {
@@ -344,11 +356,13 @@ const idStampCap = 1 << 20
 
 // markID records worm ID id in the duplicate set and reports whether it
 // was already present. Small IDs use a generation-stamped array (no map
-// work in steady state); huge IDs use the overflow map.
+// work in steady state); huge IDs use the overflow map. The array grows
+// geometrically, so a fresh validator meeting n ascending IDs reallocates
+// O(log n) times rather than once per ID.
 func (v *validator) markID(id int) (dup bool) {
 	if id < idStampCap {
 		if id >= len(v.ids) {
-			next := make([]int32, id+1)
+			next := make([]int32, min(max(id+1, 2*len(v.ids)), idStampCap))
 			copy(next, v.ids)
 			v.ids = next
 		}

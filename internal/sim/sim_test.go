@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -428,5 +430,63 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 	if res.Utilization(0, 1) != 0 || res.Utilization(1, 0) != 0 {
 		t.Error("zero capacity should give 0")
+	}
+}
+
+// TestValidatorStampGrowth pins the duplicate-ID stamp array's geometric
+// growth: a fresh engine's first Run over n ascending IDs reallocates the
+// array O(log n) times, not once per ID. The duplicate and huge-ID checks
+// stay exactly as strict.
+func TestValidatorStampGrowth(t *testing.T) {
+	const n = 8192
+	g := chain(3)
+	worms := make([]Worm, n)
+	for i := range worms {
+		worms[i] = Worm{ID: i, Path: graph.Path{0, 1, 2}, Length: 1}
+	}
+	stamps := testing.AllocsPerRun(3, func() {
+		var v validator
+		v.idGen = 1
+		for i := range worms {
+			if v.markID(worms[i].ID) {
+				t.Fatalf("fresh ID %d reported as duplicate", worms[i].ID)
+			}
+		}
+	})
+	if limit := 2 * float64(bits.Len(n)); stamps > limit {
+		t.Errorf("%d ascending IDs: %.0f stamp allocations, want <= %.0f", n, stamps, limit)
+	}
+	// The validation a fresh engine's first Run performs: every scratch
+	// buffer (ID stamps, link stamps, resolved links, offsets) grows
+	// geometrically or is sized once.
+	checks := testing.AllocsPerRun(3, func() {
+		var v validator
+		if err := v.check(g, worms, cfg(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 6 * float64(bits.Len(n)); checks > limit {
+		t.Errorf("fresh validator over %d worms: %.0f allocations, want <= %.0f", n, checks, limit)
+	}
+	t.Logf("%d ascending IDs: %.0f stamp allocations, %.0f for the whole fresh check", n, stamps, checks)
+
+	dup := append(append([]Worm(nil), worms...), Worm{ID: n / 2, Path: graph.Path{0, 1}, Length: 1})
+	if _, err := NewEngine().Run(g, dup, cfg(1)); err == nil || !strings.Contains(err.Error(), "duplicate worm ID") {
+		t.Errorf("duplicate ID after growth: err = %v", err)
+	}
+	big := []Worm{
+		{ID: idStampCap - 1, Path: graph.Path{0, 1}, Length: 1},
+		{ID: idStampCap, Path: graph.Path{1, 2}, Length: 1},
+		{ID: 1 << 40, Path: graph.Path{2, 1}, Length: 1},
+	}
+	eng := NewEngine()
+	if _, err := eng.Run(g, big, cfg(1)); err != nil {
+		t.Fatalf("IDs around idStampCap: %v", err)
+	}
+	if _, err := eng.Run(g, append(big, Worm{ID: 1 << 40, Path: graph.Path{1, 0}, Length: 1}), cfg(1)); err == nil || !strings.Contains(err.Error(), "duplicate worm ID") {
+		t.Errorf("duplicate huge ID: err = %v", err)
+	}
+	if _, err := eng.Run(g, big, cfg(1)); err != nil {
+		t.Errorf("huge IDs must not leak into the next run's duplicate set: %v", err)
 	}
 }
