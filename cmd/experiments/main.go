@@ -43,14 +43,8 @@ func main() {
 		asJSON   = flag.Bool("json", false, "emit tables as JSON instead of text")
 		maddr    = flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics and /snapshot)")
 		storeDir = flag.String("store", "", "memoize tables in this optnetd result-store directory")
-		shards   = flag.Int("shards", 1, "lockstep engine shards per trial (1 = single engine; results are identical)")
 	)
 	flag.Parse()
-
-	if *shards < 1 {
-		fatal(fmt.Errorf("experiments: -shards %d < 1", *shards))
-	}
-	experiments.SetShards(*shards)
 
 	if *maddr != "" {
 		live := telemetry.NewLive()

@@ -38,7 +38,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
-	"repro/internal/shardsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -48,7 +47,6 @@ func main() {
 		addr    = flag.String("addr", ":9090", "HTTP listen address")
 		dir     = flag.String("store", "", "result-store directory (empty = no persistence)")
 		workers = flag.Int("workers", 1, "worker goroutines, one reused engine each")
-		shards  = flag.Int("shards", 1, "lockstep engine shards per simulation (1 = single engine; results are identical)")
 		queue   = flag.Int("queue", 64, "bound on queued jobs before 429")
 		retry   = flag.Duration("retry-after", time.Second, "Retry-After hint for 429 responses")
 		once    = flag.String("once", "", "run the job spec in this file, print the result, exit")
@@ -77,12 +75,8 @@ func main() {
 			}
 		}()
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("optnetd: -shards %d < 1", *shards))
-	}
 	live := telemetry.NewLive()
 	experiments.SetLive(live) // experiment jobs report through the same aggregate
-	experiments.SetShards(*shards)
 	exec := &jobs.Executor{
 		Store:       store,
 		Experiments: experiments.JobRunner(),
@@ -90,7 +84,7 @@ func main() {
 	}
 
 	if *once != "" {
-		if err := runOnce(exec, *once, *shards); err != nil {
+		if err := runOnce(exec, *once); err != nil {
 			fatal(err)
 		}
 		return
@@ -119,7 +113,6 @@ func main() {
 
 	sched := jobs.NewScheduler(exec, jobs.Options{
 		Workers:    *workers,
-		Shards:     *shards,
 		QueueSize:  *queue,
 		RetryAfter: *retry,
 		Now:        time.Now,
@@ -162,7 +155,7 @@ func parsePeers(s string) ([]cluster.Peer, error) {
 // runOnce executes one job spec file inline — no scheduler, no HTTP —
 // and prints the result JSON. With -store it still reads and writes the
 // cache, so a repeated -once invocation is a cache hit.
-func runOnce(exec *jobs.Executor, path string, shards int) error {
+func runOnce(exec *jobs.Executor, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -171,11 +164,7 @@ func runOnce(exec *jobs.Executor, path string, shards int) error {
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return fmt.Errorf("optnetd: bad spec %s: %w", path, err)
 	}
-	var eng jobs.Simulator = sim.NewEngine()
-	if shards > 1 {
-		eng = shardsim.New(shards)
-	}
-	res, fromCache, err := exec.Run(spec, eng, nil, nil)
+	res, fromCache, err := exec.Run(spec, sim.NewEngine(), nil, nil)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ var ErrSink = &Analyzer{
 	Doc:  "no discarded errors from Close/Sync/Flush/Write or fmt.Fprint* to abstract writers",
 	Packages: []string{
 		"internal/jobs",
-		"internal/shardsim",
 		"internal/telemetry",
 		"internal/workload",
 		"internal/cluster",

@@ -10,7 +10,6 @@ import (
 // any map-iteration-order dependence there is a latent nondeterminism bug.
 var deterministicPackages = []string{
 	"internal/sim",
-	"internal/shardsim",
 	"internal/core",
 	"internal/witness",
 	"internal/paths",

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -281,5 +283,46 @@ func TestForwardedSubmitReachesOwner(t *testing.T) {
 	}
 	if st2.State != jobs.StateDone {
 		t.Fatalf("second submit state %s, want done", st2.State)
+	}
+}
+
+// TestBodyBounds: a clustered submit one byte over jobs.MaxSubmitBytes
+// and a steal request one byte over maxStealBytes are both refused with
+// 413, and a normal steal request on an idle node still gets 204.
+func TestBodyBounds(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	nodes := startCluster(t, []string{"a"}, func(c *Config) { c.StealInterval = -1 })
+	url := nodes[0].srv.URL
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := nodes[0].srv.Client().Post(url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	steal, err := json.Marshal(StealRequest{Worker: "b", Max: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path  string
+		limit int
+	}{
+		{"/jobs", jobs.MaxSubmitBytes},
+		{"/internal/steal", maxStealBytes},
+	} {
+		// Leading whitespace is valid JSON, so only the size can fail.
+		over := append(bytes.Repeat([]byte(" "), tc.limit+1-len(steal)), steal...)
+		if code := post(tc.path, over); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", tc.path, len(over), code)
+		}
+	}
+	if m := nodes[0].sched.Metrics(); m.QueueDepth != 0 || m.Running != 0 || m.JobsDone != 0 {
+		t.Fatalf("oversized submit reached the scheduler: %+v", m)
+	}
+	if code := post("/internal/steal", steal); code != http.StatusNoContent {
+		t.Fatalf("normal steal request: status %d, want 204", code)
 	}
 }

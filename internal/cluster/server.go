@@ -56,9 +56,9 @@ type errorBody struct {
 // budget allows, execute locally otherwise (including when the owner is
 // unreachable — placement is best effort, availability is not).
 func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, jobs.MaxSubmitBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	var req jobs.SubmitRequest
@@ -175,11 +175,15 @@ func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxStealBytes bounds a POST /internal/steal body. A StealRequest is a
+// thief name and a batch size, so a megabyte is already generous.
+const maxStealBytes = 1 << 20
+
 // handleSteal handles POST /internal/steal: grant a trial lease or 204.
 func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	var req StealRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxStealBytes)).Decode(&req); err != nil {
+		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: err.Error()})
 		return
 	}
 	work, ok := n.steal.steal(req)

@@ -298,29 +298,22 @@ type Result struct {
 // Run executes the Trial-and-Failure protocol on the collection. The
 // caller's rng source drives all randomness, making runs reproducible.
 func Run(c *paths.Collection, cfg Config, src *rng.Source) (*Result, error) {
-	return RunWithEngine(c, cfg, src, sim.NewEngine())
+	return RunWithSimulator(c, cfg, src, sim.NewEngine())
 }
 
-// RunWithEngine is Run with a caller-provided simulator engine. The engine
-// is reused for every round, and callers that execute many protocol runs
-// (Monte-Carlo trial loops, parameter ladders) should hold one engine per
-// goroutine and pass it here so the simulator's scratch memory is recycled
-// across runs. The engine must not be shared between goroutines.
-func RunWithEngine(c *paths.Collection, cfg Config, src *rng.Source, eng *sim.Engine) (*Result, error) {
-	return RunWithSimulator(c, cfg, src, eng)
-}
-
-// Simulator abstracts the per-round worm executor so the protocol loop
-// can run on either a plain engine or a sharded cluster simulator
-// (shardsim.ClusterSimulator). Implementations own the returned Result
-// until the next Run call, exactly like sim.Engine.
+// Simulator is the per-round worm executor the protocol loop drives:
+// *sim.Engine, or a wrapper around one (the benchmark times rounds
+// through this seam). Implementations own the returned Result until the
+// next Run call, exactly like sim.Engine.
 type Simulator interface {
 	Run(g *graph.Graph, worms []sim.Worm, cfg sim.Config) (*sim.Result, error)
 }
 
-// RunWithSimulator is RunWithEngine generalized over the Simulator
-// interface. Round structure, randomness, and results are identical
-// whichever implementation executes the rounds.
+// RunWithSimulator is Run with a caller-provided simulator, reused for
+// every round. Callers that execute many protocol runs (Monte-Carlo trial
+// loops, parameter ladders) should hold one sim.Engine per goroutine and
+// pass it here so the simulator's scratch memory is recycled across runs.
+// The simulator must not be shared between goroutines.
 func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simulator) (*Result, error) {
 	if c.Size() == 0 {
 		return &Result{AllDelivered: true, ScheduleName: scheduleOf(cfg).Name()}, nil

@@ -36,7 +36,7 @@ const (
 // the optional compiled schedule.
 func runDynamicRow(g *graph.Graph, sel paths.Selector, tr *workload.Trace, sched *faults.Schedule, src *rng.Source) (reqs []sim.Request, res *sim.DynamicResult, delivered int, snap telemetry.HistogramSnapshot, err error) {
 	reqs = tr.Requests(sel, dynL)
-	res, err = sim.RunDynamic(g, reqs, sim.DynamicConfig{
+	res, err = sim.NewEngine().RunDynamic(g, reqs, sim.DynamicConfig{
 		Sim:         sim.Config{Bandwidth: dynB, Rule: optical.ServeFirst, AckLength: 1, Faults: sched},
 		Retry:       sim.ExponentialBackoff{Base: 2 * dynL},
 		MaxAttempts: dynMaxAttempts,

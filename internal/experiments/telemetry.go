@@ -15,18 +15,3 @@ var liveTelemetry *telemetry.Live
 // the trial harness publishes into. Call it before running experiments;
 // it must not be called while experiments are in flight.
 func SetLive(l *telemetry.Live) { liveTelemetry = l }
-
-// trialShards, when > 1, makes every runTrials worker execute its
-// protocol rounds on a sharded cluster simulator instead of a plain
-// engine. Results are byte-identical either way (the sharded runner is
-// differentially pinned against the single-engine reference), so tables
-// produced at any shard count agree bit for bit.
-var trialShards int
-
-// SetShards installs the shard count for subsequent experiment trials
-// (0 or 1 restores the plain engine). Like SetLive, it must not be
-// called while experiments are in flight.
-func SetShards(n int) { trialShards = n }
-
-// Shards reports the currently installed shard count.
-func Shards() int { return trialShards }

@@ -162,15 +162,3 @@ func TestBuilderAddEdgeAfterFinalize(t *testing.T) {
 	want := rebuildIncremental(g)
 	checkSameGraph(t, g, want)
 }
-
-func TestGeometryRoundTrip(t *testing.T) {
-	g := New(4)
-	if geo := g.Geometry(); geo.Kind != "" {
-		t.Fatalf("fresh graph has geometry %+v", geo)
-	}
-	g.SetGeometry(Geometry{Kind: "torus", Dims: []int{2, 2}})
-	geo := g.Geometry()
-	if geo.Kind != "torus" || len(geo.Dims) != 2 {
-		t.Fatalf("geometry round trip: %+v", geo)
-	}
-}

@@ -43,7 +43,6 @@ type Graph struct {
 	adj   [][]adjEntry   // adj[u] = (neighbor, link) pairs, scan-friendly
 	index map[uint64]int // packed (from,to) -> LinkID; nil on sparse CSR graphs
 	label func(NodeID) string
-	geo   Geometry
 }
 
 // New returns an empty graph on n nodes. It panics if n <= 0.

@@ -13,7 +13,7 @@ import (
 )
 
 // DynamicSpec declares an open-loop trace-replay job: the network, the
-// workload trace driven through sim.RunDynamic, the retry-protocol
+// workload trace driven through sim.Engine.RunDynamic, the retry-protocol
 // parameters, an optional fault plan, and the master seed and trial
 // count. The trace carries the arrivals verbatim (it is the
 // content-addressed unit); Seed drives only the protocol's randomness

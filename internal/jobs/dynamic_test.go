@@ -128,7 +128,7 @@ func TestDynamicReplayByteIdentical(t *testing.T) {
 		col := telemetry.NewCollector()
 		cfg := setup.cfg
 		cfg.Sim.Probe = col
-		res, err := sim.RunDynamic(setup.g, setup.reqs, cfg, setup.trialSrcs[0])
+		res, err := sim.NewEngine().RunDynamic(setup.g, setup.reqs, cfg, setup.trialSrcs[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,6 +61,45 @@ func TestRunCacheHit(t *testing.T) {
 	if !bytes.Equal(resultBytes(t, first), resultBytes(t, third)) {
 		t.Error("cache round trip changed the result")
 	}
+
+	// A daemon that ran sharded simulations (-shards 4, since removed)
+	// stored its telemetry with two extra counters. Such a record must
+	// still load and be served from the cache; the counters are dropped.
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(resultBytes(t, first), &rec); err != nil {
+		t.Fatal(err)
+	}
+	var tel map[string]json.RawMessage
+	if err := json.Unmarshal(rec["telemetry"], &tel); err != nil {
+		t.Fatal(err)
+	}
+	tel["boundary_handoffs"], tel["boundary_words"] = json.RawMessage("1234"), json.RawMessage("56")
+	if rec["telemetry"], err = canon.Marshal(tel); err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := canon.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := old.PutRaw(ResultKey(key), sharded); err != nil {
+		t.Fatal(err)
+	}
+	fourth, fromCache, err := (&Executor{Store: old}).Run(spec, nil, nil, nil)
+	if err != nil || !fromCache {
+		t.Fatalf("sharded-era record not served from cache: fromCache=%v err=%v", fromCache, err)
+	}
+	if !bytes.Equal(resultBytes(t, first), resultBytes(t, fourth)) {
+		t.Error("sharded-era record loaded as a different result")
+	}
 }
 
 // TestRunResumeByteIdentical is the PR's core promise: a sweep killed at

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/shardsim"
 	"repro/internal/sim"
 )
 
@@ -130,12 +129,6 @@ type Options struct {
 	// Workers is the worker-goroutine count (default 1). Each worker owns
 	// one reused sim.Engine, preserving the allocation-free steady state.
 	Workers int
-	// Shards splits every eligible simulation across this many lockstep
-	// engine shards (shardsim.ClusterSimulator). 0 or 1 keeps the plain
-	// per-worker engine. Sharding never changes results or job keys:
-	// sharded runs are byte-identical to single-engine runs, so caches
-	// and checkpoints written at one shard count resume at another.
-	Shards int
 	// QueueSize bounds the number of queued jobs (default 64); further
 	// submissions get ErrBusy.
 	QueueSize int
@@ -276,10 +269,7 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 // worker executes queued jobs on a goroutine-owned engine until Close.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	var eng Simulator = sim.NewEngine() // reused across all of this worker's jobs
-	if s.opts.Shards > 1 {
-		eng = shardsim.New(s.opts.Shards)
-	}
+	eng := sim.NewEngine() // reused across all of this worker's jobs
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {

@@ -32,6 +32,13 @@ type Server struct {
 	Live *telemetry.Live
 }
 
+// MaxSubmitBytes bounds a POST /jobs body, on a single node and on a
+// cluster node alike: the server reads at most this many bytes and
+// answers 413 when the request needs more. The largest legitimate
+// submissions are trace-replay specs, which carry their whole arrival
+// trace inline.
+const MaxSubmitBytes = 16 << 20
+
 // SubmitRequest is the POST /jobs body.
 type SubmitRequest struct {
 	// Spec is the job to run.
@@ -67,11 +74,22 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// BodyErrorStatus is the status for a request body that failed to read or
+// decode: 413 when it overran its http.MaxBytesReader bound, 400
+// otherwise.
+func BodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // submit handles POST /jobs.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes)).Decode(&req); err != nil {
+		writeJSON(w, BodyErrorStatus(err), errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	st, err := s.Sched.Submit(req.Spec, req.Priority)

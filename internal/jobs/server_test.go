@@ -132,6 +132,48 @@ func TestServerBackpressure429(t *testing.T) {
 	}
 }
 
+// TestServerSubmitBodyBound: a POST /jobs body one byte over
+// MaxSubmitBytes is refused with 413 and queues nothing, while the same
+// spec in a normal-sized body is still accepted.
+func TestServerSubmitBodyBound(t *testing.T) {
+	srv, _, sched := newTestServer(t, Options{})
+	spec := testSpec(77, 1)
+	body, err := json.Marshal(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(b []byte) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Pad inside the object, so the decoder has to read past the bound
+	// to reach the closing brace.
+	over := append(bytes.Clone(body[:len(body)-1]), bytes.Repeat([]byte(" "), MaxSubmitBytes-len(body)+1)...)
+	over = append(over, '}')
+	if len(over) != MaxSubmitBytes+1 {
+		t.Fatalf("padded body is %d bytes, want %d", len(over), MaxSubmitBytes+1)
+	}
+	if code := post(over); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", code)
+	}
+	if m := sched.Metrics(); m.QueueDepth != 0 || m.Running != 0 || m.JobsDone != 0 {
+		t.Fatalf("oversized submit reached the scheduler: %+v", m)
+	}
+	if _, err := sched.Status(mustKey(t, spec)); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("oversized submit registered its job: %v", err)
+	}
+
+	if code := post(body); code != http.StatusAccepted {
+		t.Fatalf("normal submit: status %d, want 202", code)
+	}
+}
+
 // TestServerStream: the NDJSON stream ends with a settled state.
 func TestServerStream(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{})

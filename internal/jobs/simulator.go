@@ -6,11 +6,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Simulator is the per-worker executor a Scheduler hands its jobs: a
-// plain *sim.Engine by default, or a *shardsim.ClusterSimulator when
-// Options.Shards > 1. Both produce byte-identical results for the same
-// spec, so sharding never rekeys a job — content addresses, checkpoints,
-// and cached results carry over unchanged between shard counts.
+// Simulator is the per-worker executor a Scheduler hands its jobs: the
+// batch (Run) and dynamic (RunDynamic) entry points of *sim.Engine, which
+// is what every worker holds. The interface exists so a caller can wrap
+// an engine (the benchmark times runs through it) without the executor
+// knowing.
 //
 // Implementations own the returned results until the next call and are
 // not safe for concurrent use, matching sim.Engine; the scheduler gives

@@ -38,9 +38,10 @@ type Spec struct {
 	// R1, ...) through the injected ExperimentRunner.
 	Experiment *ExperimentSpec `json:"experiment,omitempty"`
 	// Dynamic replays an open-loop workload trace (internal/workload)
-	// through sim.RunDynamic on a declared network. The full trace is part
-	// of the spec, so the job key content-addresses the exact arrivals:
-	// identical workloads dedupe in the store however they were generated.
+	// through sim.Engine.RunDynamic on a declared network. The full trace
+	// is part of the spec, so the job key content-addresses the exact
+	// arrivals: identical workloads dedupe in the store however they were
+	// generated.
 	Dynamic *DynamicSpec `json:"dynamic,omitempty"`
 }
 

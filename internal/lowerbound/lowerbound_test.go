@@ -115,7 +115,7 @@ func TestStaggeredChainElimination(t *testing.T) {
 	for i := 0; i < m; i++ {
 		worms[i] = sim.Worm{ID: i, Path: c.Path(i), Length: L, Delay: 5, Wavelength: 0}
 	}
-	res, err := sim.Run(g, worms, sim.Config{
+	res, err := sim.NewEngine().Run(g, worms, sim.Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: sim.Drain,
 		RecordCollisions: true, CheckInvariants: true,
 	})
@@ -177,7 +177,7 @@ func TestCyclicMutualElimination(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			worms[i] = sim.Worm{ID: i, Path: c.Path(i), Length: L, Delay: 3, Wavelength: 0, Rank: i}
 		}
-		resSF, err := sim.Run(g, worms, sim.Config{
+		resSF, err := sim.NewEngine().Run(g, worms, sim.Config{
 			Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: sim.Drain,
 			RecordCollisions: true, CheckInvariants: true,
 		})
@@ -188,7 +188,7 @@ func TestCyclicMutualElimination(t *testing.T) {
 			t.Errorf("L=%d serve-first: %d delivered, want 0 (mutual elimination)",
 				L, resSF.DeliveredCount)
 		}
-		resPrio, err := sim.Run(g, worms, sim.Config{
+		resPrio, err := sim.NewEngine().Run(g, worms, sim.Config{
 			Bandwidth: 1, Rule: optical.Priority, Wreckage: sim.Drain,
 			RecordCollisions: true, CheckInvariants: true,
 		})

@@ -39,7 +39,7 @@ func TestPairwiseCollisionProbabilityBound(t *testing.T) {
 			{ID: 1, Path: graph.Path{1, 2, 3}, Length: L,
 				Delay: src.Intn(Delta), Wavelength: src.Intn(B)},
 		}
-		res, err := Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
+		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestLemma28ChainProbability(t *testing.T) {
 			{ID: 1, Path: p1, Length: L, Delay: src.Intn(Delta), Wavelength: 0},
 			{ID: 2, Path: p2, Length: L, Delay: src.Intn(Delta), Wavelength: 0},
 		}
-		res, err := Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
+		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestCongestionHalvingStatistics(t *testing.T) {
 			worms[i] = Worm{ID: i, Path: p, Length: L,
 				Delay: src.Intn(delta), Wavelength: src.Intn(B)}
 		}
-		res, err := Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
+		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestWavelengthUniformityMatters(t *testing.T) {
 				{ID: 0, Path: graph.Path{0, 2, 3}, Length: 2, Delay: 0, Wavelength: src.Intn(B)},
 				{ID: 1, Path: graph.Path{1, 2, 3}, Length: 2, Delay: 0, Wavelength: src.Intn(B)},
 			}
-			res, err := Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
+			res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 			if err != nil {
 				t.Fatal(err)
 			}

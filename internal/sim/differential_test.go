@@ -148,7 +148,7 @@ func TestPriorityDrainPreemption(t *testing.T) {
 		Bandwidth: 1, Rule: optical.Priority, Wreckage: Drain,
 		AckLength: 1, RecordCollisions: true, CheckInvariants: true,
 	}
-	fast, err := Run(g, worms, cfg)
+	fast, err := NewEngine().Run(g, worms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestEngineReuseDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scenario %d: %v", si, err)
 		}
-		fresh, err := Run(sc.g, worms, cfg)
+		fresh, err := NewEngine().Run(sc.g, worms, cfg)
 		if err != nil {
 			t.Fatalf("scenario %d (fresh): %v", si, err)
 		}
@@ -246,7 +246,7 @@ func TestAckCutRecorded(t *testing.T) {
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 		AckLength: 3, RecordCollisions: true, CheckInvariants: true,
 	}
-	res, err := Run(g, worms, cfg)
+	res, err := NewEngine().Run(g, worms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,24 +136,12 @@ type DynamicResult struct {
 // RunDynamic simulates continuous operation: every request launches at
 // its arrival and retries with randomized backoff until acknowledged or
 // out of attempts. All randomness (wavelengths, ranks, backoff draws)
-// comes from src, so runs are reproducible.
-func RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, src *rng.Source) (*DynamicResult, error) {
-	return RunDynamicWithEngine(NewEngine(), g, reqs, cfg, src)
-}
-
-// RunDynamic is RunDynamicWithEngine on this engine, in method form so
-// *Engine satisfies the job layer's Simulator interface alongside the
-// sharded cluster simulator.
+// comes from src, so runs are reproducible. It is the dynamic
+// counterpart of Run and reuses the engine's arenas and scratch the same
+// way: the engine is reset at entry, so results are independent of prior
+// use, and callers that execute many runs (trace-backed jobs,
+// benchmarks) should hold one engine per goroutine.
 func (e *Engine) RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, src *rng.Source) (*DynamicResult, error) {
-	return RunDynamicWithEngine(e, g, reqs, cfg, src)
-}
-
-// RunDynamicWithEngine is RunDynamic on a caller-owned engine, reusing
-// its arenas and scratch across runs — the dynamic counterpart of
-// core.RunWithEngine for callers (trace-backed jobs, benchmarks) that
-// execute many runs. The engine is reset at entry; results are
-// independent of prior use.
-func RunDynamicWithEngine(e *Engine, g *graph.Graph, reqs []Request, cfg DynamicConfig, src *rng.Source) (*DynamicResult, error) {
 	if cfg.Sim.Bandwidth < 1 {
 		return nil, fmt.Errorf("sim: bandwidth %d < 1", cfg.Sim.Bandwidth)
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestDynamicSingleRequest(t *testing.T) {
 	g := chain(5)
-	res, err := RunDynamic(g, []Request{
+	res, err := NewEngine().RunDynamic(g, []Request{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Arrival: 2},
 	}, DynamicConfig{
 		Sim: Config{Bandwidth: 1, Rule: optical.ServeFirst, CheckInvariants: true},
@@ -36,7 +36,7 @@ func TestDynamicRetryAfterConflict(t *testing.T) {
 	// A long-lived blocker occupies the link when the request first
 	// arrives; the retry succeeds once the blocker has passed.
 	g := chain(4)
-	res, err := RunDynamic(g, []Request{
+	res, err := NewEngine().RunDynamic(g, []Request{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 20, Arrival: 0},
 		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Arrival: 3},
 	}, DynamicConfig{
@@ -67,7 +67,7 @@ func TestDynamicRetryAfterConflict(t *testing.T) {
 func TestDynamicGiveUp(t *testing.T) {
 	// Permanent blocker: a worm so long it outlasts every retry window.
 	g := chain(4)
-	res, err := RunDynamic(g, []Request{
+	res, err := NewEngine().RunDynamic(g, []Request{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 4000, Arrival: 0},
 		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Arrival: 5},
 	}, DynamicConfig{
@@ -89,7 +89,7 @@ func TestDynamicGiveUp(t *testing.T) {
 
 func TestDynamicWithAcks(t *testing.T) {
 	g := chain(4)
-	res, err := RunDynamic(g, []Request{
+	res, err := NewEngine().RunDynamic(g, []Request{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Arrival: 0},
 		{ID: 1, Path: graph.Path{3, 2, 1, 0}, Length: 2, Arrival: 0},
 	}, DynamicConfig{
@@ -123,7 +123,7 @@ func TestDynamicDeterministic(t *testing.T) {
 		return reqs
 	}
 	run := func() *DynamicResult {
-		res, err := RunDynamic(g, build(), DynamicConfig{
+		res, err := NewEngine().RunDynamic(g, build(), DynamicConfig{
 			Sim: Config{Bandwidth: 2, Rule: optical.ServeFirst, AckLength: 1},
 		}, rng.New(42))
 		if err != nil {
@@ -160,7 +160,7 @@ func TestDynamicLoadAllDelivered(t *testing.T) {
 			ID: id, Path: g.ShortestPath(s, d), Length: 4, Arrival: tArr,
 		})
 	}
-	res, err := RunDynamic(g, reqs, DynamicConfig{
+	res, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{
 		Sim: Config{Bandwidth: 2, Rule: optical.ServeFirst, AckLength: 1},
 	}, rng.New(13))
 	if err != nil {
@@ -207,7 +207,7 @@ func TestDynamicValidation(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		if _, err := RunDynamic(g, tc.reqs, tc.cfg, rng.New(1)); err == nil {
+		if _, err := NewEngine().RunDynamic(g, tc.reqs, tc.cfg, rng.New(1)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -263,7 +263,7 @@ func TestDynamicMaxAttemptsBoundary(t *testing.T) {
 			// Permanent blocker: a worm so long it outlasts every retry
 			// window of the blocked request.
 			g := chain(4)
-			res, err := RunDynamic(g, []Request{
+			res, err := NewEngine().RunDynamic(g, []Request{
 				{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 4000, Arrival: 0},
 				{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Arrival: 5},
 			}, DynamicConfig{
@@ -299,9 +299,9 @@ func TestDynamicMaxAttemptsBoundary(t *testing.T) {
 	}
 }
 
-// TestRunDynamicWithEngineReuse pins engine reuse: back-to-back runs on
+// TestEngineRunDynamicReuse pins engine reuse: back-to-back runs on
 // one engine match fresh-engine runs exactly.
-func TestRunDynamicWithEngineReuse(t *testing.T) {
+func TestEngineRunDynamicReuse(t *testing.T) {
 	tor := topology.NewTorus(2, 5)
 	g := tor.Graph()
 	build := func() []Request {
@@ -322,11 +322,11 @@ func TestRunDynamicWithEngineReuse(t *testing.T) {
 	}
 	e := NewEngine()
 	for round := 0; round < 3; round++ {
-		reused, err := RunDynamicWithEngine(e, g, build(), cfg, rng.New(123))
+		reused, err := e.RunDynamic(g, build(), cfg, rng.New(123))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := RunDynamic(g, build(), cfg, rng.New(123))
+		fresh, err := NewEngine().RunDynamic(g, build(), cfg, rng.New(123))
 		if err != nil {
 			t.Fatal(err)
 		}

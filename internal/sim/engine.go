@@ -512,12 +512,6 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 	return &e.res, nil
 }
 
-// Run simulates one round with a fresh engine; the result is independent
-// of any pooled state. Loops should prefer NewEngine plus Engine.Run.
-func Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
-	return NewEngine().Run(g, worms, cfg)
-}
-
 //optlint:hotpath
 func (e *Engine) addTrain(tr *train) {
 	tr.waves = tr.waves[:0]

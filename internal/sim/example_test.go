@@ -13,13 +13,13 @@ import (
 
 // A single round on a chain: one worm sails through, a later one is
 // eliminated on the shared link under the serve-first rule.
-func ExampleRun() {
+func ExampleEngine_Run() {
 	g := topology.NewChain(4).Graph()
 	worms := []sim.Worm{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
 		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Delay: 1, Wavelength: 0},
 	}
-	res, err := sim.Run(g, worms, sim.Config{
+	res, err := sim.NewEngine().Run(g, worms, sim.Config{
 		Bandwidth: 1,
 		Rule:      optical.ServeFirst,
 	})
@@ -54,12 +54,12 @@ func ExampleTrace() {
 }
 
 // RunDynamic drives continuous operation with retries.
-func ExampleRunDynamic() {
+func ExampleEngine_RunDynamic() {
 	g := topology.NewChain(4).Graph()
 	reqs := []sim.Request{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Arrival: 0},
 	}
-	res, err := sim.RunDynamic(g, reqs, sim.DynamicConfig{
+	res, err := sim.NewEngine().RunDynamic(g, reqs, sim.DynamicConfig{
 		Sim: sim.Config{Bandwidth: 1, Rule: optical.ServeFirst},
 	}, rng.New(1))
 	if err != nil {

@@ -258,7 +258,7 @@ func TestDynamicFaultRelaunch(t *testing.T) {
 	// fault, the exact ack deadline passes, and the source relaunches
 	// with backoff until an attempt crosses the repaired link.
 	c.Sim.Faults = sched(t, g, 1, faults.Fault{Kind: faults.LinkOutage, Link: 2, Start: 0, End: 40})
-	res, err := RunDynamic(g, reqs, c, rng.New(5))
+	res, err := NewEngine().RunDynamic(g, reqs, c, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,16 +283,16 @@ func TestFaultScheduleGeometryMismatch(t *testing.T) {
 	worms := []Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1, Wavelength: 0}}
 	c := cfg(1)
 	c.Faults = s
-	if _, err := Run(g5, worms, c); err == nil {
+	if _, err := NewEngine().Run(g5, worms, c); err == nil {
 		t.Error("Run accepted a schedule compiled for a different graph")
 	}
 	c2 := cfg(2)
 	c2.Faults = s
 	worms[0].Wavelength = 1
-	if _, err := Run(g4, worms, c2); err == nil {
+	if _, err := NewEngine().Run(g4, worms, c2); err == nil {
 		t.Error("Run accepted a schedule compiled for a different bandwidth")
 	}
-	if _, err := RunDynamic(g5, []Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1}},
+	if _, err := NewEngine().RunDynamic(g5, []Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1}},
 		DynamicConfig{Sim: c}, rng.New(1)); err == nil {
 		t.Error("RunDynamic accepted a mismatched schedule")
 	}

@@ -48,9 +48,9 @@ func FuzzEngineVsReference(f *testing.F) {
 			return
 		}
 		cfg.CheckInvariants = true
-		fast, errF := Run(g, worms, cfg)
+		fast, errF := NewEngine().Run(g, worms, cfg)
 		cfg.ForceFlat = true
-		flat, errFl := Run(g, worms, cfg)
+		flat, errFl := NewEngine().Run(g, worms, cfg)
 		cfg.ForceFlat = false
 		cfg.CheckInvariants = false
 		ref, errR := RunReference(g, worms, cfg)

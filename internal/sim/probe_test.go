@@ -128,7 +128,7 @@ func TestProbeNilSafety(t *testing.T) {
 	src := rng.New(42)
 	worms := randomWorms(g, src, 12, 3, 6, 2)
 	cfg := Config{Bandwidth: 2, Rule: optical.Priority, Wreckage: Drain, AckLength: 1}
-	if _, err := Run(g, worms, cfg); err != nil {
+	if _, err := NewEngine().Run(g, worms, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

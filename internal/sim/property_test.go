@@ -99,11 +99,11 @@ func TestDeterminism(t *testing.T) {
 	w1 := randomWorms(g, src1, 25, 3, 6, 2)
 	w2 := randomWorms(g, src2, 25, 3, 6, 2)
 	c := Config{Bandwidth: 2, Rule: optical.Priority, Wreckage: Drain, AckLength: 1, RecordCollisions: true}
-	r1, err := Run(g, w1, c)
+	r1, err := NewEngine().Run(g, w1, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(g, w2, c)
+	r2, err := NewEngine().Run(g, w2, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestNoContentionAllDelivered(t *testing.T) {
 				Length: 1 + s.Intn(3), Delay: s.Intn(4), Wavelength: id,
 			})
 		}
-		res, err := Run(g, worms, Config{
+		res, err := NewEngine().Run(g, worms, Config{
 			Bandwidth: 8, Rule: optical.ServeFirst, AckLength: 1, CheckInvariants: true,
 		})
 		if err != nil {
@@ -170,7 +170,7 @@ func TestServeFirstIncumbentNeverLoses(t *testing.T) {
 		for _, w := range worms {
 			byID[w.ID] = w
 		}
-		res, err := Run(g, worms, Config{
+		res, err := NewEngine().Run(g, worms, Config{
 			Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 			RecordCollisions: true, CheckInvariants: true,
 		})

@@ -9,12 +9,12 @@ import (
 	"repro/internal/optical"
 )
 
-// RunReference simulates the same semantics as Run with an independent,
+// RunReference simulates the same semantics as Engine.Run with an independent,
 // deliberately naive per-flit implementation: every flit is tracked
 // individually, occupancy is recomputed from flit positions every step,
 // and contention is resolved from set differences of per-step presence.
 // It is O(steps * flits) and exists to cross-validate the fragment engine
-// (the property tests assert Run and RunReference agree on outcomes).
+// (the property tests assert Engine.Run and RunReference agree on outcomes).
 //
 // Semantics recap: flit j of a train with start s and path links
 // e_0..e_{k-1} traverses e_i during step s+i+j. A worm "enters" a link at

@@ -14,7 +14,7 @@ import (
 func compareEngines(t *testing.T, g *graph.Graph, worms []Worm, cfg Config, label string) {
 	t.Helper()
 	cfg.CheckInvariants = true
-	fast, err := Run(g, worms, cfg)
+	fast, err := NewEngine().Run(g, worms, cfg)
 	if err != nil {
 		t.Fatalf("%s: engine: %v", label, err)
 	}
@@ -156,7 +156,7 @@ func BenchmarkEngine(b *testing.B) {
 	cfg := Config{Bandwidth: 2, Rule: optical.ServeFirst, AckLength: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, worms, cfg); err != nil {
+		if _, err := NewEngine().Run(g, worms, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

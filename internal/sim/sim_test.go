@@ -29,7 +29,7 @@ func cfg(b int) Config {
 
 func mustRun(t *testing.T, g *graph.Graph, worms []Worm, c Config) *Result {
 	t.Helper()
-	res, err := Run(g, worms, c)
+	res, err := NewEngine().Run(g, worms, c)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -365,7 +365,7 @@ func TestValidationErrors(t *testing.T) {
 		"bad wavelength": {[]Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1, Wavelength: 5}}, Config{Bandwidth: 1}},
 	}
 	for name, tc := range cases {
-		if _, err := Run(g, tc.worms, tc.c); err == nil {
+		if _, err := NewEngine().Run(g, tc.worms, tc.c); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
@@ -393,7 +393,7 @@ func TestMaxStepsGuard(t *testing.T) {
 	worms := []Worm{{ID: 0, Path: graph.Path{0, 1, 2, 3, 4, 5, 6, 7}, Length: 4, Delay: 0, Wavelength: 0}}
 	c := cfg(1)
 	c.MaxSteps = 2 // far too small
-	if _, err := Run(g, worms, c); err == nil {
+	if _, err := NewEngine().Run(g, worms, c); err == nil {
 		t.Error("engine MaxSteps guard did not fire")
 	}
 	if _, err := RunReference(g, worms, c); err == nil {
@@ -404,7 +404,7 @@ func TestMaxStepsGuard(t *testing.T) {
 func TestDynamicMaxStepsGuard(t *testing.T) {
 	g := chain(8)
 	reqs := []Request{{ID: 0, Path: graph.Path{0, 1, 2, 3, 4, 5, 6, 7}, Length: 4}}
-	_, err := RunDynamic(g, reqs, DynamicConfig{
+	_, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{
 		Sim: Config{Bandwidth: 1, MaxSteps: 2},
 	}, rng.New(1))
 	if err == nil {

@@ -128,7 +128,7 @@ func TestTraceMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(g, worms, cfg)
+	res2, err := NewEngine().Run(g, worms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,6 @@ type Collector struct {
 	faultsEnded    uint64
 	faultKills     [NumBands]uint64
 
-	// boundaryHandoffs counts worm heads crossing a shard boundary and
-	// boundaryWords the packed occupancy words exchanged between shards;
-	// both are fed by the sharded runner via AddBoundaryTraffic and stay
-	// zero on single-engine runs.
-	boundaryHandoffs uint64
-	boundaryWords    uint64
-
 	// collisions is the cut heatmap, indexed (band*links + link)*B + wave.
 	collisions []uint64
 	// linkBusy integrates per-(band, link) busy-slot time from the
@@ -88,21 +81,6 @@ func (c *Collector) BeginRun(meta RunMeta) {
 	c.runs++
 	c.wormsLaunched += uint64(meta.Worms)
 	c.provision(meta.Links, meta.Bandwidth)
-}
-
-// Provision grows the per-slot and per-link tables to cover at least the
-// given geometry without recording a run. The sharded runner uses it to
-// pre-size per-shard collectors that observe slot events for a run whose
-// BeginRun is delivered to the primary probe only.
-func (c *Collector) Provision(links, bandwidth int) { c.provision(links, bandwidth) }
-
-// AddBoundaryTraffic accounts one run's cross-shard exchange volume:
-// handoffs counts worm heads that crossed a shard boundary, words the
-// packed occupancy words shipped between shards. Single-engine runs never
-// call this.
-func (c *Collector) AddBoundaryTraffic(handoffs, words uint64) {
-	c.boundaryHandoffs += handoffs
-	c.boundaryWords += words
 }
 
 // provision grows the per-slot and per-link tables to cover at least the
@@ -229,8 +207,6 @@ func (c *Collector) Merge(o *Collector) {
 	for b := range c.faultKills {
 		c.faultKills[b] += o.faultKills[b]
 	}
-	c.boundaryHandoffs += o.boundaryHandoffs
-	c.boundaryWords += o.boundaryWords
 	if o.links > 0 && c.bandwidth == o.bandwidth {
 		for band := 0; band < NumBands; band++ {
 			for l := 0; l < o.links; l++ {
@@ -266,7 +242,6 @@ func (c *Collector) Reset() {
 	c.wormsLaunched, c.roundsObserved = 0, 0
 	c.faultsStarted, c.faultsEnded = 0, 0
 	c.faultKills = [NumBands]uint64{}
-	c.boundaryHandoffs, c.boundaryWords = 0, 0
 	for i := range c.collisions {
 		c.collisions[i] = 0
 	}
@@ -347,11 +322,6 @@ type Snapshot struct {
 	MessageFaultKills uint64 `json:"message_fault_kills"`
 	// AckFaultKills is the ack-band fault-kill total.
 	AckFaultKills uint64 `json:"ack_fault_kills"`
-	// BoundaryHandoffs counts worm heads that crossed a shard boundary in
-	// sharded runs; zero for single-engine runs.
-	BoundaryHandoffs uint64 `json:"boundary_handoffs,omitempty"`
-	// BoundaryWords counts packed occupancy words exchanged between shards.
-	BoundaryWords uint64 `json:"boundary_words,omitempty"`
 	// Collisions lists the nonzero cut-heatmap cells.
 	Collisions []SlotCount `json:"collisions,omitempty"`
 	// LinkBusySteps lists the nonzero per-link busy integrals.
@@ -394,8 +364,6 @@ func (c *Collector) Snapshot() *Snapshot {
 		FaultsEnded:          c.faultsEnded,
 		MessageFaultKills:    c.faultKills[MessageBand],
 		AckFaultKills:        c.faultKills[AckBand],
-		BoundaryHandoffs:     c.boundaryHandoffs,
-		BoundaryWords:        c.boundaryWords,
 		Retries:              c.retries.Snapshot(),
 		RoundsToAck:          c.roundsToAck.Snapshot(),
 		StepsToDelivery:      c.delivery.Snapshot(),

@@ -58,9 +58,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(bw, "optnet_fault_kills_total{band=\"message\"} %d\n", s.MessageFaultKills)
 	fmt.Fprintf(bw, "optnet_fault_kills_total{band=\"ack\"} %d\n", s.AckFaultKills)
 
-	counter("optnet_boundary_handoffs_total", "Worm heads crossing shard boundaries (sharded runs).", s.BoundaryHandoffs)
-	counter("optnet_boundary_words_total", "Packed occupancy words exchanged between shards.", s.BoundaryWords)
-
 	if len(s.Collisions) > 0 {
 		fmt.Fprintf(bw, "# HELP optnet_link_cuts_total Cut heatmap by band, link and wavelength.\n")
 		fmt.Fprintf(bw, "# TYPE optnet_link_cuts_total counter\n")

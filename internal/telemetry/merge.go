@@ -39,8 +39,6 @@ func (s *Snapshot) Add(o *Snapshot) error {
 	s.FaultsEnded += o.FaultsEnded
 	s.MessageFaultKills += o.MessageFaultKills
 	s.AckFaultKills += o.AckFaultKills
-	s.BoundaryHandoffs += o.BoundaryHandoffs
-	s.BoundaryWords += o.BoundaryWords
 	s.Collisions = mergeSlotCounts(s.Collisions, o.Collisions)
 	s.LinkBusySteps = mergeLinkBusy(s.LinkBusySteps, o.LinkBusySteps)
 	if err := s.Retries.add(&o.Retries); err != nil {

@@ -76,7 +76,7 @@ type RoundInfo struct {
 //
 // Engine-level hooks fire for every simulated round (including rounds
 // driven by the dynamic-operation loop); protocol-level hooks fire only
-// when a protocol (core.RunWithEngine) drives the engine. Hooks are never
+// when a protocol (core.RunWithSimulator) drives the engine. Hooks are never
 // invoked concurrently for one probe instance.
 type Probe interface {
 	// BeginRun announces a new simulation run; collectors size their

@@ -67,7 +67,6 @@ func newButterfly(k int, wrapped bool) *Butterfly {
 		}
 	}
 	g := bld.Finalize()
-	g.SetGeometry(graph.Geometry{Kind: "butterfly", Levels: levels, Rows: rows, Wrapped: wrapped})
 	name := fmt.Sprintf("butterfly(%d)", k)
 	if wrapped {
 		name = fmt.Sprintf("wrapped-butterfly(%d)", k)

@@ -62,27 +62,6 @@ func TestCSRConstructorsMatchIncremental(t *testing.T) {
 	}
 }
 
-func TestCSRGeometryRecorded(t *testing.T) {
-	if geo := NewTorus(2, 5).Graph().Geometry(); geo.Kind != "torus" ||
-		len(geo.Dims) != 2 || geo.Dims[0] != 5 || geo.Dims[1] != 5 {
-		t.Fatalf("torus geometry: %+v", geo)
-	}
-	if geo := NewMesh(3, 4).Graph().Geometry(); geo.Kind != "mesh" || len(geo.Dims) != 3 {
-		t.Fatalf("mesh geometry: %+v", geo)
-	}
-	if geo := NewHypercube(6).Graph().Geometry(); geo.Kind != "mesh" ||
-		len(geo.Dims) != 6 || geo.Dims[0] != 2 {
-		t.Fatalf("hypercube geometry: %+v", geo)
-	}
-	geo := NewWrappedButterfly(4).Graph().Geometry()
-	if geo.Kind != "butterfly" || geo.Levels != 4 || geo.Rows != 16 || !geo.Wrapped {
-		t.Fatalf("wrapped butterfly geometry: %+v", geo)
-	}
-	if geo := NewButterfly(3).Graph().Geometry(); geo.Levels != 4 || geo.Wrapped {
-		t.Fatalf("butterfly geometry: %+v", geo)
-	}
-}
-
 // Building a million-node torus must stay within a flat-CSR-sized memory
 // budget and a constant-ish allocation count. Before the builder
 // conversion this build cost >600 MB (pair-index map, three growing

@@ -38,7 +38,6 @@ func NewMesh(dims, side int) *Mesh {
 		incCoord(c, side)
 	}
 	g := b.Finalize()
-	g.SetGeometry(graph.Geometry{Kind: "mesh", Dims: boxDims(dims, side)})
 	g.SetLabeler(func(u graph.NodeID) string { return fmt.Sprint(m.coordOf(u)) })
 	m.base = base{g: g, name: fmt.Sprintf("mesh(%d,%d)", dims, side)}
 	return m
@@ -53,15 +52,6 @@ func incCoord(c []int, side int) {
 		}
 		c[d] = 0
 	}
-}
-
-// boxDims returns the per-dimension extent vector [side]*dims.
-func boxDims(dims, side int) []int {
-	ds := make([]int, dims)
-	for d := range ds {
-		ds[d] = side
-	}
-	return ds
 }
 
 // Torus is the d-dimensional torus (mesh with wrap-around); it is
@@ -99,7 +89,6 @@ func NewTorus(dims, side int) *Torus {
 		incCoord(c, side)
 	}
 	g := b.Finalize()
-	g.SetGeometry(graph.Geometry{Kind: "torus", Dims: boxDims(dims, side)})
 	g.SetLabeler(func(u graph.NodeID) string { return fmt.Sprint(t.coordOf(u)) })
 	t.base = base{g: g, name: fmt.Sprintf("torus(%d,%d)", dims, side)}
 	return t
@@ -228,9 +217,6 @@ func NewHypercube(dim int) *Hypercube {
 		}
 	}
 	g := b.Finalize()
-	// A dim-cube is the side-2 mesh on [2]^dim; registering it that way
-	// lets the box partitioner split it without a special case.
-	g.SetGeometry(graph.Geometry{Kind: "mesh", Dims: boxDims(dim, 2)})
 	g.SetLabeler(func(u graph.NodeID) string { return fmt.Sprintf("%0*b", dim, u) })
 	return &Hypercube{base: base{g: g, name: fmt.Sprintf("hypercube(%d)", dim)}, dim: dim}
 }

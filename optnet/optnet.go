@@ -353,8 +353,8 @@ type DynamicResult = sim.DynamicResult
 
 // RouteDynamic runs the network in continuous operation: requests arrive
 // over time and every source retries its message independently with
-// randomized backoff until acknowledged (see sim.RunDynamic). Paths are
-// selected with the network's selector at arrival time.
+// randomized backoff until acknowledged (see sim.Engine.RunDynamic).
+// Paths are selected with the network's selector at arrival time.
 func RouteDynamic(n *Network, arrivals []Arrival, p DynamicParams) (*DynamicResult, error) {
 	reqs := make([]sim.Request, 0, len(arrivals))
 	for i, a := range arrivals {
@@ -381,7 +381,7 @@ func RouteDynamic(n *Network, arrivals []Arrival, p DynamicParams) (*DynamicResu
 		}
 		scfg.Faults = sched
 	}
-	return sim.RunDynamic(n.Graph(), reqs, sim.DynamicConfig{
+	return sim.NewEngine().RunDynamic(n.Graph(), reqs, sim.DynamicConfig{
 		Sim:         scfg,
 		Retry:       p.Retry,
 		MaxAttempts: p.MaxAttempts,
