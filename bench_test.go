@@ -22,6 +22,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/workload"
 	"repro/optnet"
 )
 
@@ -200,6 +201,54 @@ func sparseWorkload(tb testing.TB, side, worms int) (*graph.Graph, []sim.Worm, s
 func BenchmarkEngineSparse(b *testing.B) {
 	g, worms, cfg := sparseWorkload(b, 512, 2048)
 	steadyRounds(b, g, worms, cfg)
+}
+
+// e15TopTrace materializes E15's top-load row: Poisson arrivals at 32
+// requests per step for 2000 steps on an 8x8 torus, routed on shortest
+// paths — about 64k requests that the retry protocol turns into about
+// 600k attempts.
+func e15TopTrace(tb testing.TB) (*graph.Graph, []sim.Request) {
+	tb.Helper()
+	g := topology.NewTorus(2, 8).Graph()
+	spec := workload.Spec{
+		Nodes:   g.NumNodes(),
+		Horizon: 2000,
+		Seed:    1 ^ 0x15,
+		Cohorts: []workload.Cohort{{
+			Name:     "poisson",
+			Arrivals: workload.ArrivalSpec{Kind: workload.KindPoisson, Rate: 32},
+		}},
+	}
+	tr, err := spec.Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, tr.Requests(g.ShortestPath, 4)
+}
+
+// BenchmarkEngineDynamic measures continuous operation on a reused Engine:
+// one RunDynamic call replays E15's top-load trace under E15's protocol
+// (B=2, L=4, one-flit acks, exponential backoff, 40 attempts). A warm
+// engine reuses its routes, outcome slots, agendas and arena, so
+// allocs/op is a small constant however long the trace.
+func BenchmarkEngineDynamic(b *testing.B) {
+	g, reqs := e15TopTrace(b)
+	cfg := sim.DynamicConfig{
+		Sim:         sim.Config{Bandwidth: 2, Rule: optical.ServeFirst, AckLength: 1},
+		Retry:       sim.ExponentialBackoff{Base: 8},
+		MaxAttempts: 40,
+	}
+	eng := sim.NewEngine()
+	if _, err := eng.RunDynamic(g, reqs, cfg, rng.New(0x15)); err != nil { // warm the pools
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunDynamic(g, reqs, cfg, rng.New(0x15)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkEngineFresh measures the same round with a cold Engine per

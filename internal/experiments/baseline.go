@@ -123,10 +123,12 @@ func A7Synchronization(o Options) (*Table, error) {
 		for i := range reqs {
 			reqs[i] = sim.Request{ID: i, Path: c.Path(i), Length: L}
 		}
-		async, err := sim.NewEngine().RunDynamic(c.Graph(), reqs, sim.DynamicConfig{
+		eng := engines.Get().(*sim.Engine)
+		async, err := eng.RunDynamic(c.Graph(), reqs, sim.DynamicConfig{
 			Sim:   sim.Config{Bandwidth: B, Rule: optical.ServeFirst, AckLength: 1},
 			Retry: sim.ExponentialBackoff{Base: 2 * L},
 		}, src.Split())
+		engines.Put(eng)
 		if err != nil {
 			return nil, err
 		}

@@ -33,10 +33,16 @@ type trialStats struct {
 // reproducible regardless of worker scheduling.
 type trialPrep func(trial int, cfg *core.Config, src *rng.Source)
 
+// engines pools simulator engines across the harness: trial workers,
+// dynamic rows and the A7 async runs draw a warm engine instead of growing
+// a fresh one per table row. An engine is reset at the start of every run,
+// so which one a caller gets never changes a result.
+var engines = sync.Pool{New: func() any { return sim.NewEngine() }}
+
 // runTrials executes the protocol `trials` times with independent rng
 // streams split from src and aggregates the results. Trials are striped
-// over a fixed pool of workers (one per core), each holding its own pooled
-// simulator engine so the hot path allocates nothing in steady state;
+// over a fixed pool of workers (one per core), each holding an engine from
+// the shared pool so the hot path allocates nothing in steady state;
 // determinism is preserved because every stream is split from src before
 // any goroutine starts and results are collected by index.
 func runTrials(c *paths.Collection, cfg core.Config, trials int, src *rng.Source) (*trialStats, error) {
@@ -59,7 +65,8 @@ func runTrialsPrep(c *paths.Collection, cfg core.Config, trials int, src *rng.So
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := sim.NewEngine() // goroutine-local; never shared
+			eng := engines.Get().(*sim.Engine) // goroutine-local until returned
+			defer engines.Put(eng)
 			wcfg := cfg
 			var col *telemetry.Collector
 			if live != nil {

@@ -1,11 +1,5 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
-
 // arenaChunk is the slab size of the train and fragment pools; a power of
 // two so the index split below is a shift and a mask.
 const (
@@ -13,82 +7,108 @@ const (
 	arenaChunk      = 1 << arenaChunkShift
 )
 
-// arena pools trains and fragments across runs of one Engine. Objects are
-// bump-allocated per run and recycled wholesale on the next reset, so a
-// steady-state round allocates nothing. Objects live in fixed-size slabs:
-// a handed-out pointer stays valid for the Engine's lifetime (slabs are
-// appended, never reallocated), and consecutive allocations are adjacent
-// in memory — the per-step walk over the active list visits fragments in
-// roughly allocation order, so slab locality turns the walk's pointer
-// chasing into a mostly-sequential stream. Link and wavelength slices
-// keep their capacity across recycles.
+// arena pools trains and fragments within and across runs of one Engine,
+// so the slots a run touches follow its live work, not its total work.
+// A fragment returns to the free list when the active-list walk drops it
+// (or, for wreckage that never activates, when split discards it), and a
+// train returns when its last fragment does; allocation pops the free
+// list before bumping into fresh slots. This is one allocator for batch
+// and dynamic runs alike: a round's completed messages make room for its
+// acks, and a dynamic run that launches 600k attempts cycles through a few
+// tens of thousands of slots. reset drops the free lists and rewinds the
+// bump cursors, so a steady-state round allocates nothing.
+//
+// Objects live in fixed-size slabs: a handed-out pointer stays valid for
+// the Engine's lifetime (slabs are appended, never reallocated), and a
+// fragment's slab index is its identity in the occupancy table. Link,
+// wavelength and key slices keep their capacity across recycles.
 type arena struct {
 	trainSlabs [][]train
-	nextTrain  int
+	nextTrain  int // trains ever bumped since reset: the high-water mark
+	freeTrains []*train
 	fragSlabs  [][]fragment
-	nextFrag   int
+	nextFrag   int // fragments ever bumped since reset: the high-water mark
+	freeFrags  []int32
 }
 
 // reset recycles every object handed out since the previous reset.
 func (a *arena) reset() {
 	a.nextTrain = 0
 	a.nextFrag = 0
+	a.freeTrains = a.freeTrains[:0]
+	a.freeFrags = a.freeFrags[:0]
 }
 
 // newTrain returns a recycled train whose links/waves/keys buffers keep
 // their previously grown capacity. Scalar fields are NOT zeroed: every
-// spawn site (the Run worm loop, spawnAck, the dynamic launcher) assigns
-// all of them before addTrain, and addTrain reslices waves and sizes
-// keys. Only the two flags no site writes unconditionally are reset.
+// spawn site (the Run worm loop, the ack spawn in complete, the dynamic
+// launcher) assigns all of them before addTrain, and addTrain reslices
+// waves and sizes keys. Only the fields no site writes unconditionally
+// are reset.
 //
 //optlint:hotpath
 func (a *arena) newTrain() *train {
-	ci, si := a.nextTrain>>arenaChunkShift, a.nextTrain&(arenaChunk-1)
-	if ci == len(a.trainSlabs) {
-		//optlint:allow hotpath slab growth: amortized over arenaChunk allocations, none in steady state
-		a.trainSlabs = append(a.trainSlabs, make([]train, arenaChunk))
+	var tr *train
+	if n := len(a.freeTrains); n > 0 {
+		tr = a.freeTrains[n-1]
+		a.freeTrains = a.freeTrains[:n-1]
+	} else {
+		ci, si := a.nextTrain>>arenaChunkShift, a.nextTrain&(arenaChunk-1)
+		if ci == len(a.trainSlabs) {
+			//optlint:allow hotpath slab growth: amortized over arenaChunk allocations, none in steady state
+			a.trainSlabs = append(a.trainSlabs, make([]train, arenaChunk))
+		}
+		tr = &a.trainSlabs[ci][si]
+		a.nextTrain++
 	}
-	tr := &a.trainSlabs[ci][si]
-	a.nextTrain++
 	tr.links = tr.links[:0]
 	tr.isAck = false
 	tr.cut = false
+	tr.frags = 0
 	return tr
 }
 
-// newFrag returns an initialized fragment. The largest usable link index
-// is fixed here (the barrier never moves after creation), so hot loops
-// read f.lim instead of recomputing it.
+// newFrag returns an initialized fragment of train t. The largest usable
+// link index is fixed here (the barrier never moves after creation), so
+// hot loops read f.lim instead of recomputing it.
 //
 //optlint:hotpath
 func (a *arena) newFrag(t *train, jMin, jMax, barrier, relUpTo int) *fragment {
-	ci, si := a.nextFrag>>arenaChunkShift, a.nextFrag&(arenaChunk-1)
-	if ci == len(a.fragSlabs) {
-		//optlint:allow hotpath slab growth: amortized over arenaChunk allocations, none in steady state
-		a.fragSlabs = append(a.fragSlabs, make([]fragment, arenaChunk))
+	var self int32
+	if n := len(a.freeFrags); n > 0 {
+		self = a.freeFrags[n-1]
+		a.freeFrags = a.freeFrags[:n-1]
+	} else {
+		ci := a.nextFrag >> arenaChunkShift
+		if ci == len(a.fragSlabs) {
+			//optlint:allow hotpath slab growth: amortized over arenaChunk allocations, none in steady state
+			a.fragSlabs = append(a.fragSlabs, make([]fragment, arenaChunk))
+		}
+		self = int32(a.nextFrag)
+		a.nextFrag++
 	}
-	f := &a.fragSlabs[ci][si]
-	self := int32(a.nextFrag)
-	a.nextFrag++
+	f := &a.fragSlabs[self>>arenaChunkShift][self&(arenaChunk-1)]
 	lim := len(t.links) - 1
 	if barrier < len(t.links) {
 		lim = barrier - 1
 	}
 	*f = fragment{t: t, start: int32(t.start), jMin: int32(jMin), jMax: int32(jMax),
 		barrier: int32(barrier), relUpTo: int32(relUpTo), lim: int32(lim), self: self}
+	t.frags++
 	return f
 }
 
-// appendPathLinks appends p's directed link IDs to dst, reusing dst's
-// capacity (the allocating equivalent is graph.Path.Links). Link IDs are
-// stored narrowed, matching train.links.
-func appendPathLinks(dst []int32, g *graph.Graph, p graph.Path) []int32 {
-	for i := 0; i+1 < len(p); i++ {
-		id, ok := g.LinkBetween(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("sim: path uses missing link %d->%d", p[i], p[i+1]))
-		}
-		dst = append(dst, int32(id))
+// retire returns fragment f to the free list, and its train with it when f
+// was the train's last fragment. The caller guarantees nothing refers to f
+// any more: it is gone (or never activated), owns no occupancy bit, and
+// no pending entry or conversion attempt of this step names it.
+//
+//optlint:hotpath
+func (a *arena) retire(f *fragment) {
+	tr := f.t
+	tr.frags--
+	if tr.frags == 0 {
+		a.freeTrains = append(a.freeTrains, tr)
 	}
-	return dst
+	a.freeFrags = append(a.freeFrags, f.self)
 }

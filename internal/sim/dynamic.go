@@ -137,39 +137,30 @@ type DynamicResult struct {
 // its arrival and retries with randomized backoff until acknowledged or
 // out of attempts. All randomness (wavelengths, ranks, backoff draws)
 // comes from src, so runs are reproducible. It is the dynamic
-// counterpart of Run and reuses the engine's arenas and scratch the same
-// way: the engine is reset at entry, so results are independent of prior
-// use, and callers that execute many runs (trace-backed jobs,
-// benchmarks) should hold one engine per goroutine.
+// counterpart of Run and reuses the engine's memory the same way: the
+// engine is reset at entry, so results are independent of prior use, and
+// callers that execute many runs (trace-backed jobs, benchmarks) should
+// hold one engine per goroutine.
+//
+// Memory follows live work, not total work. Each request's route is
+// validated and resolved once for all of its attempts. A request has at
+// most one attempt in flight (the next launches only after the previous
+// attempt's exact ack deadline, by which all of its wreckage has
+// drained), so it keeps one engine outcome slot; the arena recycles each
+// attempt's trains and fragments as they drain, and arrivals and ack
+// deadlines wait on step-indexed agendas held on the engine. Attempt IDs
+// count up in launch order and break contention ties, as worm IDs do in
+// Run.
 func (e *Engine) RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, src *rng.Source) (*DynamicResult, error) {
-	if cfg.Sim.Bandwidth < 1 {
-		return nil, fmt.Errorf("sim: bandwidth %d < 1", cfg.Sim.Bandwidth)
+	if err := e.val.checkRequests(g, reqs, cfg.Sim); err != nil {
+		return nil, err
 	}
-	if cfg.Sim.Faults != nil && !cfg.Sim.Faults.Matches(g.NumLinks(), g.NumNodes(), cfg.Sim.Bandwidth) {
-		return nil, fmt.Errorf("sim: fault schedule compiled for a different graph or bandwidth")
-	}
-	seen := make(map[int]bool, len(reqs))
 	maxArrival, maxPath, maxLen := 0, 0, 1
-	for i, r := range reqs {
-		if r.ID < 0 || seen[r.ID] {
-			return nil, fmt.Errorf("sim: request %d has invalid or duplicate ID %d", i, r.ID)
-		}
-		seen[r.ID] = true
-		if err := r.Path.Validate(g); err != nil {
-			return nil, fmt.Errorf("sim: request %d: %w", r.ID, err)
-		}
-		if r.Path.Len() == 0 || r.Length < 1 || r.Arrival < 0 {
-			return nil, fmt.Errorf("sim: request %d has invalid parameters", r.ID)
-		}
-		if r.Arrival > maxArrival {
-			maxArrival = r.Arrival
-		}
-		if r.Path.Len() > maxPath {
-			maxPath = r.Path.Len()
-		}
-		if r.Length > maxLen {
-			maxLen = r.Length
-		}
+	for i := range reqs {
+		r := &reqs[i]
+		maxArrival = max(maxArrival, r.Arrival)
+		maxPath = max(maxPath, r.Path.Len())
+		maxLen = max(maxLen, r.Length)
 	}
 	maxAttempts := cfg.MaxAttempts
 	if maxAttempts == 0 {
@@ -180,53 +171,20 @@ func (e *Engine) RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, s
 		retry = ExponentialBackoff{Base: 2 * maxLen}
 	}
 
+	// begin announces no batch worms to the probe: attempts launch over
+	// time. Each request then gets its one outcome slot.
 	e.begin(g, cfg.Sim, 0)
-	dres := &DynamicResult{Outcomes: make([]DynamicOutcome, len(reqs))}
-	for i := range dres.Outcomes {
-		dres.Outcomes[i] = DynamicOutcome{DeliveredAt: -1, Latency: -1}
-	}
-
-	// attempt bookkeeping: outcome slot index -> request index.
-	type attemptInfo struct {
-		req     int
-		attempt int
-	}
-	var attempts []attemptInfo
-	launches := make(map[int][]int) // step -> request indices to launch
-	deadlines := make(map[int][]int)
-	pendingChecks := 0
-
-	// launch schedules attempt a of request ri at step t.
-	launch := func(ri, a, t int) {
-		r := &reqs[ri]
-		dres.Outcomes[ri].Attempts = a
-		outIdx := len(e.res.Outcomes)
+	for range reqs {
 		e.res.Outcomes = append(e.res.Outcomes, newOutcome())
-		attempts = append(attempts, attemptInfo{req: ri, attempt: a})
-		tr := e.arena.newTrain()
-		tr.id = outIdx // unique per attempt
-		tr.outIdx = outIdx
-		tr.links = appendPathLinks(tr.links, g, r.Path)
-		tr.start = t
-		tr.length = r.Length
-		tr.wavelength = src.Intn(cfg.Sim.Bandwidth)
-		tr.rank = src.Intn(1 << 30)
-		tr.band = MessageBand
-		e.addTrain(tr)
-		dres.TotalAttempts++
-		// Exact ack deadline: message done by t+k+L-2; ack (if any) by
-		// +1+k+ackLen-2. One extra step of slack.
-		k := r.Path.Len()
-		deadline := t + k + r.Length
-		if cfg.Sim.AckLength > 0 {
-			deadline += 1 + k + cfg.Sim.AckLength
-		}
-		deadlines[deadline] = append(deadlines[deadline], outIdx)
-		pendingChecks++
 	}
-
-	for i, r := range reqs {
-		launches[r.Arrival] = append(launches[r.Arrival], i)
+	e.arrivals.reset()
+	e.deadlines.reset()
+	for i := range reqs {
+		e.arrivals.add(reqs[i].Arrival, int32(i))
+	}
+	d := dynamicRun{e: e, reqs: reqs, src: src, out: make([]DynamicOutcome, len(reqs))}
+	for i := range d.out {
+		d.out[i] = DynamicOutcome{DeliveredAt: -1, Latency: -1}
 	}
 
 	maxSteps := cfg.Sim.MaxSteps
@@ -236,71 +194,94 @@ func (e *Engine) RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, s
 	}
 
 	t := 0
-	for steps := 0; len(launches) > 0 || pendingChecks > 0 || e.cal.pending > 0 || len(e.active) > 0; steps++ {
+	for steps := 0; e.arrivals.pending > 0 || e.deadlines.pending > 0 || e.cal.pending > 0 || len(e.active) > 0; steps++ {
 		if steps > maxSteps {
+			e.occClean = 0
 			return nil, fmt.Errorf("sim: dynamic run exceeded %d steps (raise Sim.MaxSteps or lower load)", maxSteps)
 		}
 		if len(e.active) == 0 {
-			// Jump over idle time to the next event.
-			next := -1
-			consider := func(s int) {
-				if s >= t && (next < 0 || s < next) {
-					next = s
-				}
-			}
-			//optlint:allow mapiter order-independent min-reduction over pending launch steps
-			for s := range launches {
-				consider(s)
-			}
-			//optlint:allow mapiter order-independent min-reduction over pending deadline steps
-			for s := range deadlines {
-				consider(s)
-			}
-			if s, ok := e.cal.next(t); ok {
-				consider(s)
-			}
-			if next > t {
-				t = next
+			// Jump over idle time to the next arrival, deadline or spawn. A
+			// corrupted agenda leaves t at the end, where the step guard fires.
+			end := max(len(e.arrivals.buckets), len(e.deadlines.buckets), len(e.cal.buckets))
+			for t < end && !e.arrivals.due(t) && !e.deadlines.due(t) && !e.cal.due(t) {
+				t++
 			}
 		}
-		if ls, ok := launches[t]; ok {
-			for _, ri := range ls {
-				launch(ri, 1, t)
-			}
-			delete(launches, t)
+		e.dueReqs = e.arrivals.takeInto(t, e.dueReqs[:0])
+		for _, ri := range e.dueReqs {
+			d.launch(int(ri), 1, t)
 		}
 		e.step(t)
 		if cfg.Sim.CheckInvariants {
 			if err := e.checkInvariants(t); err != nil {
+				e.occClean = 0
 				return nil, err
 			}
 		}
-		if ds, ok := deadlines[t]; ok {
-			for _, outIdx := range ds {
-				pendingChecks--
-				ai := attempts[outIdx]
-				o := e.res.Outcomes[outIdx]
-				ro := &dres.Outcomes[ai.req]
-				if o.Acked {
-					if !ro.Delivered {
-						ro.Delivered = true
-						ro.DeliveredAt = o.DeliveredAt
-						ro.Latency = o.DeliveredAt - reqs[ai.req].Arrival
-					}
-					continue
-				}
-				if ai.attempt >= maxAttempts {
-					ro.GaveUp = true
-					continue
-				}
-				next := t + 1 + src.Intn(retry.Backoff(ai.attempt))
-				launch(ai.req, ai.attempt+1, next)
+		e.dueReqs = e.deadlines.takeInto(t, e.dueReqs[:0])
+		for _, ri := range e.dueReqs {
+			ro := &d.out[ri]
+			if o := &e.res.Outcomes[ri]; o.Acked {
+				ro.Delivered = true
+				ro.DeliveredAt = o.DeliveredAt
+				ro.Latency = o.DeliveredAt - reqs[ri].Arrival
+				continue
 			}
-			delete(deadlines, t)
+			if ro.Attempts >= maxAttempts {
+				ro.GaveUp = true
+				continue
+			}
+			next := t + 1 + src.Intn(retry.Backoff(ro.Attempts))
+			d.launch(int(ri), ro.Attempts+1, next)
 		}
 		t++
 	}
-	dres.Makespan = e.res.Makespan
-	dres.FaultKills = e.res.FaultKillCount
-	return dres, nil
+	e.markClean()
+	return &DynamicResult{
+		Outcomes:      d.out,
+		TotalAttempts: d.launched,
+		Makespan:      e.res.Makespan,
+		FaultKills:    e.res.FaultKillCount,
+	}, nil
+}
+
+// dynamicRun is the per-call state of one RunDynamic.
+type dynamicRun struct {
+	e        *Engine
+	reqs     []Request
+	out      []DynamicOutcome
+	src      *rng.Source
+	launched int // attempts launched so far: the next attempt's ID
+}
+
+// launch starts attempt a of request ri at step t: it resets the
+// request's outcome slot, builds the message train from the links
+// resolved at validation with a fresh random wavelength and rank (drawn
+// in that order), and files the attempt's exact ack deadline: the message
+// is done by t+k+L-2 and its ack (if any) by +1+k+ackLen-2, plus one step
+// of slack.
+//
+//optlint:hotpath
+func (d *dynamicRun) launch(ri, a, t int) {
+	e := d.e
+	r := &d.reqs[ri]
+	d.out[ri].Attempts = a
+	e.res.Outcomes[ri] = newOutcome()
+	tr := e.arena.newTrain()
+	tr.id = d.launched
+	tr.outIdx = ri
+	tr.links = append(tr.links, e.val.links(ri)...)
+	tr.start = t
+	tr.length = r.Length
+	tr.wavelength = d.src.Intn(e.cfg.Bandwidth)
+	tr.rank = d.src.Intn(1 << 30)
+	tr.band = MessageBand
+	e.addTrain(tr)
+	d.launched++
+	k := len(tr.links)
+	deadline := t + k + r.Length
+	if e.cfg.AckLength > 0 {
+		deadline += 1 + k + e.cfg.AckLength
+	}
+	e.deadlines.add(deadline, int32(ri))
 }

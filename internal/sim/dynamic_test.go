@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -205,11 +206,28 @@ func TestDynamicValidation(t *testing.T) {
 			[]Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1, Arrival: -1}},
 			DynamicConfig{Sim: Config{Bandwidth: 1}},
 		},
+		// Engine.Run rejects a worm that revisits a directed link (it
+		// would collide with itself on every attempt); so must RunDynamic.
+		"revisited link": {
+			[]Request{{ID: 0, Path: graph.Path{0, 1, 0, 1, 2}, Length: 2}},
+			DynamicConfig{Sim: Config{Bandwidth: 1}},
+		},
+		"negative ack length": {
+			[]Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1}},
+			DynamicConfig{Sim: Config{Bandwidth: 1, AckLength: -1}},
+		},
 	}
 	for name, tc := range cases {
 		if _, err := NewEngine().RunDynamic(g, tc.reqs, tc.cfg, rng.New(1)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	revisit := graph.Path{0, 1, 0, 1, 2}
+	_, runErr := NewEngine().Run(g, []Worm{{ID: 0, Path: revisit, Length: 2}}, Config{Bandwidth: 1})
+	_, dynErr := NewEngine().RunDynamic(g, []Request{{ID: 0, Path: revisit, Length: 2}}, DynamicConfig{Sim: Config{Bandwidth: 1}}, rng.New(1))
+	if runErr == nil || dynErr == nil || !strings.Contains(runErr.Error(), "revisits a directed link") ||
+		!strings.Contains(dynErr.Error(), "revisits a directed link") {
+		t.Errorf("revisited link: Run error %v, RunDynamic error %v; want both to reject the revisit", runErr, dynErr)
 	}
 }
 
@@ -340,6 +358,44 @@ func TestEngineRunDynamicReuse(t *testing.T) {
 		}
 		if reused.TotalAttempts != fresh.TotalAttempts || reused.Makespan != fresh.Makespan || reused.FaultKills != fresh.FaultKills {
 			t.Fatalf("round %d: aggregates differ: %+v vs %+v", round, reused, fresh)
+		}
+	}
+
+	// An engine that ran a faulted, converting dynamic run must then run a
+	// batch on a different graph exactly like a fresh engine, and the next
+	// dynamic run exactly like a fresh one too: recycled trains carry
+	// conversion tables, keys and links of another geometry.
+	faulted := dynamicGoldenCases[len(dynamicGoldenCases)-1]
+	if !faulted.conv || !faulted.faults {
+		t.Fatal("the last golden case must convert and carry faults")
+	}
+	if got := dynamicDigest(goldenDynamicRun(t, e, faulted)); got != faulted.digest {
+		t.Fatalf("faulted converting run on a reused engine: digest %s, want %s", got, faulted.digest)
+	}
+	bg := topology.NewTorus(2, 7).Graph()
+	worms := randomWorms(bg, rng.New(31), 120, 6, 20, 2)
+	bcfg := Config{Bandwidth: 2, Rule: optical.Priority, AckLength: 2, CheckInvariants: true}
+	want, err := NewEngine().Run(bg, worms, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut := append([]Outcome(nil), want.Outcomes...)
+	got, err := e.Run(bg, worms, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantOut {
+		if got.Outcomes[i] != wantOut[i] {
+			t.Fatalf("batch after a dynamic run, worm %d: reused %+v fresh %+v", i, got.Outcomes[i], wantOut[i])
+		}
+	}
+	if got.CollisionCount != want.CollisionCount || got.Makespan != want.Makespan ||
+		got.BusySlotSteps != want.BusySlotSteps || got.AckedCount != want.AckedCount {
+		t.Fatalf("batch after a dynamic run: aggregates differ: reused %+v fresh %+v", got, want)
+	}
+	for _, tc := range dynamicGoldenCases[:2] {
+		if got := dynamicDigest(goldenDynamicRun(t, e, tc)); got != tc.digest {
+			t.Fatalf("%s after a batch on another graph: digest %s, want %s", tc.name, got, tc.digest)
 		}
 	}
 }

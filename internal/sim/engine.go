@@ -12,12 +12,13 @@ import (
 
 // train is one flit train: a message worm or an acknowledgement.
 type train struct {
-	id     int  // worm ID (acks share their parent's ID)
-	outIdx int  // index into Result.Outcomes
-	isAck  bool //
+	id     int   // worm ID (acks share their parent's ID)
+	outIdx int   // index into Result.Outcomes
+	isAck  bool  //
+	frags  int32 // unretired fragments; the train is pooled when this drops to 0
 	// links holds the directed link ID of every path hop, narrowed to
 	// int32: the occupancy key space is validated to fit an int32 (see
-	// validator.check), so link IDs trivially do, and the walk touches
+	// validator.begin), so link IDs trivially do, and the walk touches
 	// half the memory of a []graph.LinkID.
 	links      []int32
 	start      int // step the head enters links[0]
@@ -32,7 +33,7 @@ type train struct {
 	// conversion moves the train to a new wavelength at that link). Entries
 	// at indices the head has not reached yet are garbage; release only
 	// walks indices strictly behind the head, so it never reads one.
-	// int32 is safe: validator.check bounds the whole key space to int32.
+	// int32 is safe: validator.begin bounds the whole key space to int32.
 	keys []int32
 }
 
@@ -122,6 +123,12 @@ type Engine struct {
 	// bucket machinery; a second same-step entrant revokes and defers.
 	fastClaim bool
 	cal       calendar
+	// arrivals and deadlines are RunDynamic's agendas of request indices:
+	// first launches by arrival step, and each in-flight attempt by its
+	// ack deadline. dueReqs is the scratch a step's entries are taken into.
+	arrivals  agenda[int32]
+	deadlines agenda[int32]
+	dueReqs   []int32
 	active    []*fragment
 	res       Result
 	nLinks    int
@@ -389,7 +396,7 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 	e.occMsg = 0
 	e.now = 0
 	e.probe = cfg.Probe
-	// Keys always fit an int32 bucket slot (validator.check bounds the
+	// Keys always fit an int32 bucket slot (validator.begin bounds the
 	// key space), so only faults and probes force the deferred path.
 	e.fastClaim = cfg.Faults == nil && cfg.Probe == nil
 	if cfg.Faults != nil {
@@ -445,9 +452,7 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		if cap(tr.links) < len(links) {
 			tr.links = make([]int32, 0, len(links)) // one exact allocation on a fresh arena slot
 		}
-		for _, id := range links {
-			tr.links = append(tr.links, int32(id))
-		}
+		tr.links = append(tr.links, links...)
 		tr.start = w.Delay
 		tr.length = w.Length
 		tr.wavelength = w.Wavelength
@@ -493,11 +498,7 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		}
 		t++
 	}
-	// Everything drained, so every slot was released: remember how much of
-	// the table is zero so the next begin can skip the clear.
-	if e.occCount == 0 && len(e.occ) > e.occClean {
-		e.occClean = len(e.occ)
-	}
+	e.markClean()
 	for _, o := range e.res.Outcomes {
 		if o.Delivered {
 			e.res.DeliveredCount++
@@ -510,6 +511,15 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		e.probe.EndRun(e.res.Makespan)
 	}
 	return &e.res, nil
+}
+
+// markClean runs after a run that drained normally: every slot was
+// released, so it records how much of the table is zero and the next
+// begin can skip the clear.
+func (e *Engine) markClean() {
+	if e.occCount == 0 && len(e.occ) > e.occClean {
+		e.occClean = len(e.occ)
+	}
 }
 
 //optlint:hotpath
@@ -596,24 +606,20 @@ func (e *Engine) stepPacked(t int) {
 		}
 		e.resolveBuckets(t)
 		e.convertPacked(t)
-		liveActive := e.active[:0]
-		for _, f := range e.active {
-			if !f.gone {
-				liveActive = append(liveActive, f)
-			}
-		}
-		e.active = liveActive
+		e.compactActive()
 	} else {
 		// Fault-free fast path: one walk releases, compacts, and collects.
 		// Nothing appends to e.active during the walk (completions spawn
 		// acks via the calendar; cuts only happen later, in resolution),
 		// so in-place compaction is safe. Fragments cut during resolution
-		// stay in the list until the next step's walk drops them.
+		// stay in the list until the next step's walk drops them; the
+		// walk retires every fragment it drops.
 		act := e.active
 		dst := 0
 		did := false // saw a fragment alive at the start of this step
 		for _, f := range act {
 			if f.gone {
+				e.arena.retire(f)
 				continue
 			}
 			did = true
@@ -633,6 +639,7 @@ func (e *Engine) stepPacked(t int) {
 				f.relUpTo = lo
 			}
 			if f.gone {
+				e.arena.retire(f)
 				continue
 			}
 			act[dst] = f
@@ -990,13 +997,7 @@ func (e *Engine) stepFlat(t int) {
 	e.pendConv = e.pendConv[:0]
 
 	// 5. Compact the active list.
-	liveActive := e.active[:0]
-	for _, f := range e.active {
-		if !f.gone {
-			liveActive = append(liveActive, f)
-		}
-	}
-	e.active = liveActive
+	e.compactActive()
 	e.res.BusySlotSteps += e.occCount
 	e.res.MessageBusySlotSteps += e.occMsg
 	e.res.AckBusySlotSteps += e.occCount - e.occMsg
@@ -1006,6 +1007,23 @@ func (e *Engine) stepFlat(t int) {
 	// Every executed step either activated or advanced a fragment (the run
 	// loop jumps over idle gaps), so t is the last meaningful step so far.
 	e.res.Makespan = t
+}
+
+// compactActive drops gone fragments from the active list, retiring each
+// to the arena. It runs once the step's entries and conversion attempts
+// are consumed, so nothing still refers to a dropped fragment.
+//
+//optlint:hotpath
+func (e *Engine) compactActive() {
+	live := e.active[:0]
+	for _, f := range e.active {
+		if f.gone {
+			e.arena.retire(f)
+			continue
+		}
+		live = append(live, f)
+	}
+	e.active = live
 }
 
 // resolveGroups resolves every conflict group in list, which must be
@@ -1318,6 +1336,7 @@ func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 			ghost.gone = true
 			e.complete(ghost, t)
 			f.headChild = nil
+			e.arena.retire(ghost) // never activated: nothing refers to it
 		}
 	} else {
 		f.headChild = nil
@@ -1380,8 +1399,14 @@ func maxInt(a, b int) int {
 // with matching cached claim key and a filled conversion entry — is
 // checked as well; the old table walk could not see a claim the engine
 // lost track of (a tr.keys/occupant disagreement reads as a free slot
-// there), which let key-mismatch bugs pass silently.
+// there), which let key-mismatch bugs pass silently. The arena's free
+// lists are checked too: a pooled fragment must not be active or own a
+// slot, and every train's live count must match its unretired fragments.
 func (e *Engine) checkInvariants(t int) error {
+	pooled, err := e.checkPool(t)
+	if err != nil {
+		return err
+	}
 	count, msgCount := 0, 0
 	for wi, w := range e.occBits {
 		for w != 0 {
@@ -1395,6 +1420,9 @@ func (e *Engine) checkInvariants(t int) error {
 			oc := e.occ[k]
 			if oc.fi < 0 || int(oc.fi) >= e.arena.nextFrag {
 				return fmt.Errorf("sim: step %d: occupied bit for slot %d has no occupant entry", t, k)
+			}
+			if pooled[oc.fi] {
+				return fmt.Errorf("sim: step %d: pooled fragment %d owns slot %d", t, oc.fi, k)
 			}
 			f := e.fragAt(oc.fi)
 			if f.gone {
@@ -1429,6 +1457,9 @@ func (e *Engine) checkInvariants(t int) error {
 	// unreleased window, and the totals agree with the popcount above.
 	want := 0
 	for _, f := range e.active {
+		if pooled[f.self] {
+			return fmt.Errorf("sim: step %d: pooled fragment %d sits in the active list", t, f.self)
+		}
 		if f.gone {
 			continue
 		}
@@ -1490,4 +1521,66 @@ func (e *Engine) checkInvariants(t int) error {
 		}
 	}
 	return nil
+}
+
+// checkPool validates the arena's free lists against the slots handed out
+// since the last reset and returns the pooled set of fragment slots. Each
+// pooled slot appears once, a pooled train has no fragments, an unretired
+// fragment is active or scheduled and its train is not pooled, and every
+// unpooled train's live count equals its number of unretired fragments
+// (so it is pooled exactly when its last fragment retires).
+func (e *Engine) checkPool(t int) ([]bool, error) {
+	a := &e.arena
+	pooled := make([]bool, a.nextFrag)
+	for _, fi := range a.freeFrags {
+		if fi < 0 || int(fi) >= a.nextFrag || pooled[fi] {
+			return nil, fmt.Errorf("sim: step %d: fragment slot %d pooled twice or never handed out", t, fi)
+		}
+		pooled[fi] = true
+	}
+	pooledTrains := make(map[*train]bool, len(a.freeTrains))
+	for _, tr := range a.freeTrains {
+		if pooledTrains[tr] || tr.frags != 0 {
+			return nil, fmt.Errorf("sim: step %d: pooled train (worm %d) pooled twice or still has %d fragments", t, tr.id, tr.frags)
+		}
+		pooledTrains[tr] = true
+	}
+	// Every unretired fragment is accounted for: active (a gone one awaits
+	// the walk that retires it) or waiting in the calendar. Anything else
+	// leaked out of the pool.
+	held := make([]bool, a.nextFrag)
+	for _, f := range e.active {
+		held[f.self] = true
+	}
+	left := e.cal.pending
+	for s := max(t, 0); left > 0 && s < len(e.cal.buckets); s++ {
+		for _, f := range e.cal.buckets[s] {
+			held[f.self] = true
+		}
+		left -= len(e.cal.buckets[s])
+	}
+	frags := make(map[*train]int32)
+	for i := range a.nextFrag {
+		if pooled[i] {
+			continue
+		}
+		if !held[i] {
+			return nil, fmt.Errorf("sim: step %d: fragment %d is neither pooled, active nor scheduled", t, i)
+		}
+		f := e.fragAt(int32(i))
+		if pooledTrains[f.t] {
+			return nil, fmt.Errorf("sim: step %d: unretired fragment %d belongs to a pooled train (worm %d)", t, i, f.t.id)
+		}
+		frags[f.t]++
+	}
+	for i := range a.nextTrain {
+		tr := &a.trainSlabs[i>>arenaChunkShift][i&(arenaChunk-1)]
+		if pooledTrains[tr] {
+			continue
+		}
+		if n := frags[tr]; n == 0 || tr.frags != n {
+			return nil, fmt.Errorf("sim: step %d: train (worm %d) counts %d live fragments, has %d unretired", t, tr.id, tr.frags, n)
+		}
+	}
+	return pooled, nil
 }

@@ -231,28 +231,88 @@ func bandUtilization(busy, links, bandwidth, makespan int) float64 {
 // Delivered reports whether worm index i was fully delivered.
 func (r *Result) Delivered(i int) bool { return r.Outcomes[i].Delivered }
 
-// validator holds the scratch the worm-spec checks need. Pooling one on an
-// Engine makes steady-state validation allocation-free: the ID set keeps
-// its buckets across clear(), and the per-link stamp array replaces the
-// per-worm distinct-link map. The revisit check resolves every path hop to
-// its directed link anyway, so check also records the resolved link IDs;
-// Engine.Run consumes them via links() instead of resolving the paths a
-// second time.
+// validator holds the scratch the worm and request checks need. Pooling
+// one on an Engine makes steady-state validation allocation-free: the ID
+// set keeps its buckets across clear(), and the per-link stamp array
+// replaces the per-path distinct-link map. The revisit check resolves
+// every path hop to its directed link anyway, so the fused pass also
+// records the resolved link IDs; Engine.Run and the dynamic launcher
+// consume them via links() instead of resolving the paths again.
 type validator struct {
 	ids     []int32 // per-ID generation stamp (dense IDs); overflow in idsBig
 	idsBig  map[int]bool
 	idGen   int32
 	mark    []int32 // per-link generation stamp (int32 halves the footprint)
 	gen     int32
-	linkBuf []graph.LinkID // resolved links of all worms, concatenated
-	off     []int          // off[i]..off[i+1] bounds worm i's links
+	linkBuf []int32 // resolved links of all paths, concatenated, narrowed like train.links
+	off     []int   // off[i]..off[i+1] bounds path i's links
 }
 
-// links returns the resolved directed link IDs of worm i from the last
-// successful check call. The slice aliases validator scratch.
-func (v *validator) links(i int) []graph.LinkID { return v.linkBuf[v.off[i]:v.off[i+1]] }
+// links returns the resolved directed link IDs of path i from the last
+// successful check. The slice aliases validator scratch.
+func (v *validator) links(i int) []int32 { return v.linkBuf[v.off[i]:v.off[i+1]] }
 
+// check validates a batch of worms and resolves their paths.
 func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
+	hops := 0
+	for i := range worms {
+		hops += max(len(worms[i].Path)-1, 0)
+	}
+	if err := v.begin(g, cfg, len(worms), hops); err != nil {
+		return err
+	}
+	for i := range worms {
+		w := &worms[i]
+		if w.ID < 0 {
+			return fmt.Errorf("sim: worm %d has negative ID %d", i, w.ID)
+		}
+		if v.markID(w.ID) {
+			return fmt.Errorf("sim: duplicate worm ID %d", w.ID)
+		}
+		if err := v.addPath(g, w.Path, "worm", w.ID); err != nil {
+			return err
+		}
+		if w.Length < 1 {
+			return fmt.Errorf("sim: worm %d has length %d < 1", w.ID, w.Length)
+		}
+		if w.Delay < 0 {
+			return fmt.Errorf("sim: worm %d has negative delay %d", w.ID, w.Delay)
+		}
+		if w.Wavelength < 0 || w.Wavelength >= cfg.Bandwidth {
+			return fmt.Errorf("sim: worm %d wavelength %d out of [0,%d)", w.ID, w.Wavelength, cfg.Bandwidth)
+		}
+	}
+	return nil
+}
+
+// checkRequests validates the requests of a dynamic run and resolves
+// their routes once for all of their attempts.
+func (v *validator) checkRequests(g *graph.Graph, reqs []Request, cfg Config) error {
+	hops := 0
+	for i := range reqs {
+		hops += max(len(reqs[i].Path)-1, 0)
+	}
+	if err := v.begin(g, cfg, len(reqs), hops); err != nil {
+		return err
+	}
+	for i := range reqs {
+		r := &reqs[i]
+		if r.ID < 0 || v.markID(r.ID) {
+			return fmt.Errorf("sim: request %d has invalid or duplicate ID %d", i, r.ID)
+		}
+		if err := v.addPath(g, r.Path, "request", r.ID); err != nil {
+			return err
+		}
+		if r.Length < 1 || r.Arrival < 0 {
+			return fmt.Errorf("sim: request %d has invalid parameters", r.ID)
+		}
+	}
+	return nil
+}
+
+// begin checks the run-wide configuration and readies the stamps and the
+// resolved-link buffers for n paths of hops links in total.
+func (v *validator) begin(g *graph.Graph, cfg Config, n, hops int) error {
 	if cfg.Bandwidth < 1 {
 		return fmt.Errorf("sim: bandwidth %d < 1", cfg.Bandwidth)
 	}
@@ -262,7 +322,7 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 	// The engine caches slot keys as int32 (train.keys, the optimistic
 	// claim slot): bound the whole padded key space accordingly. Any
 	// geometry near this limit is unrunnable anyway — the occupant table
-	// alone would need tens of gigabytes.
+	// alone would need tens of gigabytes. Link IDs then fit an int32 too.
 	if shift := uint(bits.Len(uint(cfg.Bandwidth - 1))); uint64(2*g.NumLinks())<<shift > math.MaxInt32 {
 		return fmt.Errorf("sim: occupancy key space (%d links, bandwidth %d) exceeds int32",
 			g.NumLinks(), cfg.Bandwidth)
@@ -283,70 +343,51 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 		v.gen = 0
 	}
 	// Size the resolved-link buffers once for the whole batch, so a fresh
-	// validator allocates each of them once instead of growing per worm.
-	total := 0
-	for i := range worms {
-		total += max(len(worms[i].Path)-1, 0)
+	// validator allocates each of them once instead of growing per path.
+	if cap(v.linkBuf) < hops {
+		v.linkBuf = make([]int32, 0, hops)
 	}
-	if cap(v.linkBuf) < total {
-		v.linkBuf = make([]graph.LinkID, 0, total)
-	}
-	if cap(v.off) < len(worms)+1 {
-		v.off = make([]int, 0, len(worms)+1)
+	if cap(v.off) < n+1 {
+		v.off = make([]int, 0, n+1)
 	}
 	v.linkBuf = v.linkBuf[:0]
 	v.off = append(v.off[:0], 0)
-	for i := range worms {
-		w := &worms[i]
-		if w.ID < 0 {
-			return fmt.Errorf("sim: worm %d has negative ID %d", i, w.ID)
-		}
-		if v.markID(w.ID) {
-			return fmt.Errorf("sim: duplicate worm ID %d", w.ID)
-		}
-		// One fused pass does the work Path.Validate plus a revisit scan
-		// would: node bounds, link resolution, and the distinct-link check
-		// (a worm occupies a contiguous run of DISTINCT links, Section 1.1;
-		// a path revisiting a directed link would collide with itself,
-		// which the model has no physics for). Error texts match what the
-		// old wrapped Path.Validate produced.
-		p := w.Path
-		if len(p) == 0 {
-			return fmt.Errorf("sim: worm %d: graph: empty path", w.ID)
-		}
-		if p[0] < 0 || p[0] >= g.NumNodes() {
-			return fmt.Errorf("sim: worm %d: graph: path node %d out of range [0,%d)", w.ID, p[0], g.NumNodes())
-		}
-		if len(p) == 1 {
-			return fmt.Errorf("sim: worm %d has a zero-length path", w.ID)
-		}
-		v.gen++
-		for j := 0; j+1 < len(p); j++ {
-			u, x := p[j], p[j+1]
-			if x < 0 || x >= g.NumNodes() {
-				return fmt.Errorf("sim: worm %d: graph: path node %d out of range [0,%d)", w.ID, x, g.NumNodes())
-			}
-			id, ok := g.LinkBetween(u, x)
-			if !ok {
-				return fmt.Errorf("sim: worm %d: graph: path step %d: no link %d->%d", w.ID, j, u, x)
-			}
-			if v.mark[id] == v.gen {
-				return fmt.Errorf("sim: worm %d revisits a directed link", w.ID)
-			}
-			v.mark[id] = v.gen
-			v.linkBuf = append(v.linkBuf, id)
-		}
-		v.off = append(v.off, len(v.linkBuf))
-		if w.Length < 1 {
-			return fmt.Errorf("sim: worm %d has length %d < 1", w.ID, w.Length)
-		}
-		if w.Delay < 0 {
-			return fmt.Errorf("sim: worm %d has negative delay %d", w.ID, w.Delay)
-		}
-		if w.Wavelength < 0 || w.Wavelength >= cfg.Bandwidth {
-			return fmt.Errorf("sim: worm %d wavelength %d out of [0,%d)", w.ID, w.Wavelength, cfg.Bandwidth)
-		}
+	return nil
+}
+
+// addPath is the fused path pass for the worm or request (kind) id. It
+// does the work Path.Validate plus a revisit scan would: node bounds, link
+// resolution, and the distinct-link check (a worm occupies a contiguous
+// run of DISTINCT links, Section 1.1; a path revisiting a directed link
+// would collide with itself, which the model has no physics for). Error
+// texts match what the old wrapped Path.Validate produced.
+func (v *validator) addPath(g *graph.Graph, p graph.Path, kind string, id int) error {
+	if len(p) == 0 {
+		return fmt.Errorf("sim: %s %d: graph: empty path", kind, id)
 	}
+	if p[0] < 0 || p[0] >= g.NumNodes() {
+		return fmt.Errorf("sim: %s %d: graph: path node %d out of range [0,%d)", kind, id, p[0], g.NumNodes())
+	}
+	if len(p) == 1 {
+		return fmt.Errorf("sim: %s %d has a zero-length path", kind, id)
+	}
+	v.gen++
+	for j := 0; j+1 < len(p); j++ {
+		u, x := p[j], p[j+1]
+		if x < 0 || x >= g.NumNodes() {
+			return fmt.Errorf("sim: %s %d: graph: path node %d out of range [0,%d)", kind, id, x, g.NumNodes())
+		}
+		l, ok := g.LinkBetween(u, x)
+		if !ok {
+			return fmt.Errorf("sim: %s %d: graph: path step %d: no link %d->%d", kind, id, j, u, x)
+		}
+		if v.mark[l] == v.gen {
+			return fmt.Errorf("sim: %s %d revisits a directed link", kind, id)
+		}
+		v.mark[l] = v.gen
+		v.linkBuf = append(v.linkBuf, int32(l))
+	}
+	v.off = append(v.off, len(v.linkBuf))
 	return nil
 }
 

@@ -410,6 +410,37 @@ func TestDynamicMaxStepsGuard(t *testing.T) {
 	if err == nil {
 		t.Error("dynamic MaxSteps guard did not fire")
 	}
+
+	// An aborted dynamic run leaves slots claimed and agenda entries
+	// pending. The engine's next runs must not see them, even on a graph
+	// whose occupancy table an earlier run left marked clean.
+	worms := []Worm{{ID: 0, Path: reqs[0].Path, Length: 4}}
+	want, err := NewEngine().Run(g, worms, cfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut := want.Outcomes[0]
+	e := NewEngine()
+	if _, err := e.Run(g, worms, cfg(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunDynamic(g, reqs, DynamicConfig{Sim: Config{Bandwidth: 1, MaxSteps: 2}}, rng.New(1)); err == nil {
+		t.Fatal("dynamic MaxSteps guard did not fire on a reused engine")
+	}
+	got, err := e.Run(g, worms, cfg(1))
+	if err != nil {
+		t.Fatalf("run after an aborted dynamic run: %v", err)
+	}
+	if got.Outcomes[0] != wantOut {
+		t.Errorf("run after an aborted dynamic run: %+v, fresh engine %+v", got.Outcomes[0], wantOut)
+	}
+	if _, err := e.RunDynamic(g, reqs, DynamicConfig{Sim: Config{Bandwidth: 1, MaxSteps: 2}}, rng.New(1)); err == nil {
+		t.Fatal("dynamic MaxSteps guard did not fire on a reused engine")
+	}
+	tc := dynamicGoldenCases[0]
+	if d := dynamicDigest(goldenDynamicRun(t, e, tc)); d != tc.digest {
+		t.Errorf("%s after an aborted dynamic run: digest %s, want %s", tc.name, d, tc.digest)
+	}
 }
 
 func TestUtilizationAccounting(t *testing.T) {
