@@ -135,62 +135,74 @@ func TestDynamicGoldenDigest(t *testing.T) {
 }
 
 // TestDynamicSingleAttemptMatchesReference checks the dynamic bookkeeping
-// against the per-flit oracle. With one attempt per request, a dynamic run
-// is a batch round: the worm ID is the launch order (by arrival, then
-// request index), the delay is the arrival step, and the wavelength and
-// then the rank are drawn in launch order from the run's source. A request
-// is Delivered exactly when the reference acknowledges the worm.
+// against the per-flit oracle, with and without a fault plan. With one
+// attempt per request, a dynamic run is a batch round: the worm ID is the
+// launch order (by arrival, then request index), the delay is the arrival
+// step, and the wavelength and then the rank are drawn in launch order
+// from the run's source. A request is Delivered exactly when the reference
+// acknowledges the worm, and the run's fault kills are the reference's.
 func TestDynamicSingleAttemptMatchesReference(t *testing.T) {
 	g := topology.NewTorus(2, 5).Graph()
 	const bw = 2
 	for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
 		for _, wreck := range []WreckagePolicy{Drain, Vanish} {
 			for ack := 0; ack <= 2; ack++ {
-				name := fmt.Sprintf("%v/%v/ack%d", rule, wreck, ack)
-				seed := uint64(100*int(rule) + 10*int(wreck) + ack)
-				reqs := dynamicRequests(g, seed, 90, 4, 30)
-				cfg := Config{Bandwidth: bw, Rule: rule, Wreckage: wreck, AckLength: ack, CheckInvariants: true}
-				dres, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{Sim: cfg, MaxAttempts: 1}, rng.New(seed))
-				if err != nil {
-					t.Fatalf("%s: dynamic: %v", name, err)
-				}
-				order := make([]int, len(reqs))
-				for i := range order {
-					order[i] = i
-				}
-				slices.SortStableFunc(order, func(a, b int) int { return reqs[a].Arrival - reqs[b].Arrival })
-				src := rng.New(seed)
-				worms := make([]Worm, len(reqs))
-				for id, ri := range order {
-					r := reqs[ri]
-					wl := src.Intn(bw)
-					worms[ri] = Worm{ID: id, Path: r.Path, Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
-				}
-				cfg.CheckInvariants = false
-				ref, err := RunReference(g, worms, cfg)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", name, err)
-				}
-				acked := 0
-				for i, o := range dres.Outcomes {
-					ro := ref.Outcomes[i]
-					wantAt := -1
-					if ro.Acked {
-						wantAt = ro.DeliveredAt
-						acked++
+				for _, faulty := range []bool{false, true} {
+					name := fmt.Sprintf("%v/%v/ack%d/faults=%t", rule, wreck, ack, faulty)
+					seed := uint64(100*int(rule) + 10*int(wreck) + ack)
+					reqs := dynamicRequests(g, seed, 90, 4, 30)
+					cfg := Config{Bandwidth: bw, Rule: rule, Wreckage: wreck, AckLength: ack, CheckInvariants: true}
+					if faulty {
+						cfg.Faults = faults.MustRandom(g, bw, faults.GenConfig{
+							Horizon: 36, LinkOutages: 4, WavelengthOutages: 4, AckLosses: 3,
+							StuckCouplers: 2, MinDuration: 4, MaxDuration: 24,
+						}, rng.New(seed+1000)).MustCompile(g, bw)
 					}
-					if o.Delivered != ro.Acked || o.DeliveredAt != wantAt || o.GaveUp == ro.Acked || o.Attempts != 1 {
-						t.Fatalf("%s: request %d: dynamic %+v, reference %+v", name, i, o, ro)
+					dres, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{Sim: cfg, MaxAttempts: 1}, rng.New(seed))
+					if err != nil {
+						t.Fatalf("%s: dynamic: %v", name, err)
 					}
-					if ro.Acked && o.Latency != ro.DeliveredAt-reqs[i].Arrival {
-						t.Fatalf("%s: request %d: latency %d, want %d", name, i, o.Latency, ro.DeliveredAt-reqs[i].Arrival)
+					order := make([]int, len(reqs))
+					for i := range order {
+						order[i] = i
 					}
-				}
-				if dres.TotalAttempts != len(reqs) {
-					t.Errorf("%s: %d attempts for %d requests", name, dres.TotalAttempts, len(reqs))
-				}
-				if acked == 0 || acked == len(reqs) {
-					t.Errorf("%s: %d/%d acknowledged: the workload exercises no contention", name, acked, len(reqs))
+					slices.SortStableFunc(order, func(a, b int) int { return reqs[a].Arrival - reqs[b].Arrival })
+					src := rng.New(seed)
+					worms := make([]Worm, len(reqs))
+					for id, ri := range order {
+						r := reqs[ri]
+						wl := src.Intn(bw)
+						worms[ri] = Worm{ID: id, Path: r.Path, Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
+					}
+					cfg.CheckInvariants = false
+					ref, err := RunReference(g, worms, cfg)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					acked := 0
+					for i, o := range dres.Outcomes {
+						ro := ref.Outcomes[i]
+						wantAt := -1
+						if ro.Acked {
+							wantAt = ro.DeliveredAt
+							acked++
+						}
+						if o.Delivered != ro.Acked || o.DeliveredAt != wantAt || o.GaveUp == ro.Acked || o.Attempts != 1 {
+							t.Fatalf("%s: request %d: dynamic %+v, reference %+v", name, i, o, ro)
+						}
+						if ro.Acked && o.Latency != ro.DeliveredAt-reqs[i].Arrival {
+							t.Fatalf("%s: request %d: latency %d, want %d", name, i, o.Latency, ro.DeliveredAt-reqs[i].Arrival)
+						}
+					}
+					if dres.TotalAttempts != len(reqs) {
+						t.Errorf("%s: %d attempts for %d requests", name, dres.TotalAttempts, len(reqs))
+					}
+					if acked == 0 || acked == len(reqs) {
+						t.Errorf("%s: %d/%d acknowledged: the workload exercises no contention", name, acked, len(reqs))
+					}
+					if dres.FaultKills != ref.FaultKillCount || faulty != (dres.FaultKills > 0) {
+						t.Errorf("%s: %d fault kills, reference %d", name, dres.FaultKills, ref.FaultKillCount)
+					}
 				}
 			}
 		}

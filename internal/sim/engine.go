@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/optical"
@@ -133,14 +132,14 @@ type Engine struct {
 	res       Result
 	nLinks    int
 	pendConv  []convAttempt
-	entries   []entry // per-step conflict-group scratch, sorted by (key, id)
+	entries   []entry // per-step entrant scratch, chained into buckets by entryNext
 	live      []entry // per-group scratch after headChild chain resolution
-	// Batched grouping scratch (packed path): instead of globally sorting
-	// e.entries, each entrant is pushed onto a per-(band,link) chain and
-	// the touched band-links are visited in ascending order via the
-	// blWords bitmap, so a step costs O(entrants + touched words) instead
-	// of O(entrants log entrants). Generation stamps make bucket reuse
-	// O(1) per step with no clearing pass.
+	// Batched grouping scratch: instead of globally sorting e.entries,
+	// each entrant is pushed onto a per-(band,link) chain and the touched
+	// band-links are visited in ascending order via the blWords bitmap,
+	// so a step costs O(entrants + touched words) instead of
+	// O(entrants log entrants). Generation stamps make bucket reuse O(1)
+	// per step with no clearing pass.
 	entryNext []int32 // entryNext[i]: next entry index in i's bucket
 	// Bucket state is split by access temperature: bktGen — one byte per
 	// band-link — is the only array every entrant must LOAD, and at a
@@ -552,31 +551,18 @@ func (e *Engine) addTrain(tr *train) {
 	e.cal.add(tr.start, f)
 }
 
-// step advances the simulation by one time step, dispatching to the
-// word-packed fast path (default) or the legacy flat path (ForceFlat).
-// Both paths produce byte-identical results and probe streams; the flat
-// path keeps the original global entrant sort as a debugging reference.
-//
-//optlint:hotpath
-func (e *Engine) step(t int) {
-	if e.cfg.ForceFlat {
-		e.stepFlat(t)
-		return
-	}
-	e.stepPacked(t)
-}
-
-// stepPacked advances one step using the word-packed path. Entrants are
-// chained into per-(band,link) buckets recorded in the blWords bitmap
-// and resolved in ascending band-link order (TZCNT iteration), replacing
-// the flat path's global O(n log n) sort with O(n) bucket pushes. In the
-// fault-free case a single walk over the active list performs releases,
-// compaction, and entry collection at once; with a fault schedule
-// attached the walk splits into the flat path's phases so fault events
+// step advances the simulation by one time step. Entrants are chained
+// into per-(band,link) buckets recorded in the blWords bitmap and resolved
+// in ascending band-link order (TZCNT iteration), the same (slot key, worm
+// ID) group order the reference resolves in, at O(n) bucket pushes instead
+// of a global O(n log n) sort. In the fault-free case a single walk over
+// the active list performs releases, compaction, and entry collection at
+// once; with a fault schedule attached the walk splits into phases
+// (releases, fault events, activations, collection) so fault events
 // observe all releases and kills precede collection.
 //
 //optlint:hotpath packed
-func (e *Engine) stepPacked(t int) {
+func (e *Engine) step(t int) {
 	e.now = t
 	e.entries = e.entries[:0]
 	e.entryNext = e.entryNext[:0]
@@ -586,10 +572,13 @@ func (e *Engine) stepPacked(t int) {
 		e.gen = 2
 	}
 	if e.flt != nil {
-		// Phased layout, mirroring stepFlat phases 1-3. Splits during
-		// fault kills append to e.active mid-walk (the range snapshot
-		// keeps iteration over the original entries), so compaction stays
-		// a separate pass at the end of the step.
+		// Phased layout. Releases run before activation so an ack spawned
+		// by a delivery completing at step t-1 starts now; fault events
+		// then apply (repairs first, activations destroying the occupants
+		// of newly dark slots) so the whole step sees one fault set. Splits
+		// during fault kills append to e.active mid-walk (the range
+		// snapshot keeps iteration over the original entries), so
+		// compaction stays a separate pass at the end of the step.
 		for _, f := range e.active {
 			if f.gone {
 				continue
@@ -656,7 +645,7 @@ func (e *Engine) stepPacked(t int) {
 			// Nothing lived, activated, or drained this step: it only ran
 			// because fragments cut in the previous step's resolution
 			// were compacted lazily. Suppress the step accounting — the
-			// flat path, which compacts eagerly, never executes it.
+			// reference drops finished trains eagerly and never executes it.
 			return
 		}
 		e.resolveBuckets(t)
@@ -674,7 +663,7 @@ func (e *Engine) stepPacked(t int) {
 // collectPacked collects fragment f's head entry for step t, if any,
 // pushing it onto its (band, link) bucket chain. Heads entering a dark
 // link or slot (or an ack entering an ack-loss link) are killed here,
-// before contention, exactly as on the flat path.
+// before contention, as in the reference.
 //
 //optlint:hotpath packed
 func (e *Engine) collectPacked(f *fragment, t int) {
@@ -694,21 +683,24 @@ func (e *Engine) collectPacked(f *fragment, t int) {
 		tr.keys[i] = int32(k)
 	}
 	if fl := e.flt; fl != nil {
-		link := tr.links[i]
-		if fl.linkDark[link] > 0 || (tr.isAck && fl.ackLoss[link] > 0) ||
-			fl.slotDark[k] > 0 {
-			e.faultKillEntrant(f, i, t)
-			return
-		}
 		// A fault kill earlier this step can leave a drain remnant whose
 		// head flit steps onto a link its train still occupies (the claim
 		// moved to the remnant in reassign). Wormhole occupancy is per
 		// train, not per flit: re-entering an owned slot is a no-op, not a
-		// fresh contention — without this the remnant fights itself and is
-		// spuriously cut, or converts away and leaks its original claim.
-		// Unreachable without faults: contention cuts happen after
-		// collection, and their remnants' heads start at the barrier.
+		// fresh entry — without this the remnant fights itself and is
+		// spuriously cut, converts away and leaks its original claim, or,
+		// as an ack already on an ack-loss link, is destroyed as if it had
+		// just entered. Owned slots are never dark: the activation that
+		// darkened one destroyed its occupant. Unreachable without faults:
+		// contention cuts happen after collection, and their remnants'
+		// heads start at the barrier.
 		if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) != 0 && e.occ[k].fi == f.self {
+			return
+		}
+		link := tr.links[i]
+		if fl.linkDark[link] > 0 || (tr.isAck && fl.ackLoss[link] > 0) ||
+			fl.slotDark[k] > 0 {
+			e.faultKillEntrant(f, i, t)
 			return
 		}
 	}
@@ -831,10 +823,10 @@ func (e *Engine) resolveBuckets(t int) {
 	}
 }
 
-// convertPacked runs the step-4b wavelength-conversion pass using the
-// packed words: the free-slot search is a TZCNT over ^(occ|dark) in the
-// cyclic order (cur+1 .. B-1, then 0 .. cur-1) the flat path scans
-// linearly, so both paths pick the same wavelength or cut the same worm.
+// convertPacked runs the wavelength-conversion pass using the packed
+// words: the free-slot search is a TZCNT over ^(occ|dark) in the cyclic
+// order (cur+1 .. B-1, then 0 .. cur-1) the reference scans linearly, so
+// both pick the same wavelength or cut the same worm.
 //
 //optlint:hotpath packed
 func (e *Engine) convertPacked(t int) {
@@ -892,123 +884,6 @@ func (e *Engine) scanFreeWave(base, lo, hi int) int {
 	return -1
 }
 
-// stepFlat advances one step using the flat path: entrants are globally
-// sorted by (slot key, worm ID) and conflict groups resolved in order.
-//
-//optlint:hotpath
-func (e *Engine) stepFlat(t int) {
-	e.now = t
-	// 1. Releases: free links the tails have passed; detect completion.
-	// This runs before activation so that an acknowledgement spawned by a
-	// delivery completing at step t-1 (ack start = t) is activated below.
-	for _, f := range e.active {
-		if f.gone {
-			continue
-		}
-		e.release(f, t)
-	}
-
-	// 1b. Fault events due now (or skipped over during an idle jump) take
-	// effect: repairs first, then activations, which destroy the current
-	// occupants of newly dark slots. This runs before activation and entry
-	// collection so the whole step sees one consistent fault set, and the
-	// wreckage fragments of killed occupants join e.active in time for
-	// their own entries below.
-	if e.flt != nil {
-		e.advanceFaults(t)
-	}
-
-	// 2. Activate trains spawning now.
-	e.active = e.cal.takeInto(t, e.active)
-
-	// 3. Collect entries: each live fragment whose head enters a new link.
-	// Sorting by (slot key, worm ID) yields the conflict groups in
-	// deterministic key order with members in ID order, with no per-step
-	// map or closure allocation. Heads entering a dark link or slot (or an
-	// ack entering an ack-loss link) are killed here, before contention.
-	e.entries = e.entries[:0]
-	for _, f := range e.active {
-		if f.gone {
-			continue
-		}
-		i := f.hi(t)
-		if i < 0 || i > int(f.lim) {
-			continue
-		}
-		k := e.fragKey(f, i)
-		f.t.keys[i] = int32(k) // cache the claim key for release and cleanup
-		if fl := e.flt; fl != nil {
-			link := f.t.links[i]
-			if fl.linkDark[link] > 0 || (f.t.isAck && fl.ackLoss[link] > 0) ||
-				fl.slotDark[k] > 0 {
-				e.faultKillEntrant(f, i, t)
-				continue
-			}
-			// Same self-re-entry guard as collectPacked: a drain remnant of
-			// a fault kill re-entering a slot it already owns is continuous
-			// wormhole occupancy, not a fresh contention.
-			if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) != 0 && e.occ[k].fi == f.self {
-				continue
-			}
-		}
-		e.entries = append(e.entries, entry{key: k, f: f, idx: i})
-	}
-	slices.SortFunc(e.entries, func(a, b entry) int {
-		if a.key != b.key {
-			return a.key - b.key
-		}
-		return a.f.t.id - b.f.t.id
-	})
-
-	// 4. Resolve each group.
-	e.resolveGroups(e.entries, t)
-
-	// 4b. Wavelength conversion: deferred losers scan for a free
-	// wavelength at their entry link in deterministic order; those that
-	// find none are cut after all. The flat path keeps the linear cyclic
-	// scan; the packed path replaces it with a word scan (same order).
-	for _, ca := range e.pendConv {
-		f := ca.f
-		for f != nil && f.gone {
-			f = f.headChild
-		}
-		if f == nil || ca.idx > int(f.lim) {
-			continue
-		}
-		cur := e.waveAt(f.t, ca.idx)
-		converted := false
-		for d := 1; d < e.cfg.Bandwidth; d++ {
-			w := (cur + d) % e.cfg.Bandwidth
-			k := e.key(f.t.band, int(f.t.links[ca.idx]), w)
-			// A dark slot (wavelength outage) is free but unusable.
-			if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) == 0 &&
-				(e.flt == nil || e.flt.slotDark[k] == 0) {
-				f.t.waves[ca.idx] = w
-				f.t.keys[ca.idx] = int32(k) // the cached claim key moves with the train
-				e.setOcc(k, f, ca.idx)
-				converted = true
-				break
-			}
-		}
-		if !converted {
-			e.cutEntrant(f, ca.idx, t, ca.blocker)
-		}
-	}
-	e.pendConv = e.pendConv[:0]
-
-	// 5. Compact the active list.
-	e.compactActive()
-	e.res.BusySlotSteps += e.occCount
-	e.res.MessageBusySlotSteps += e.occMsg
-	e.res.AckBusySlotSteps += e.occCount - e.occMsg
-	if e.probe != nil {
-		e.probe.StepAdvanced(t, e.occMsg, e.occCount-e.occMsg)
-	}
-	// Every executed step either activated or advanced a fragment (the run
-	// loop jumps over idle gaps), so t is the last meaningful step so far.
-	e.res.Makespan = t
-}
-
 // compactActive drops gone fragments from the active list, retiring each
 // to the arena. It runs once the step's entries and conversion attempts
 // are consumed, so nothing still refers to a dropped fragment.
@@ -1028,10 +903,9 @@ func (e *Engine) compactActive() {
 
 // resolveGroups resolves every conflict group in list, which must be
 // sorted by (slot key, worm ID) and must contain all entrants of every
-// key it contains. Both engine paths funnel here: the flat path passes
-// the globally sorted entry slice, the packed path one per-(band,link)
-// bucket at a time, in ascending band-link order — the group order and
-// hence every cut, claim, and probe event is identical either way.
+// key it contains. resolveBuckets passes one per-(band,link) bucket at a
+// time, in ascending band-link order, so groups resolve in ascending slot
+// key order, as in the reference.
 //
 //optlint:hotpath
 func (e *Engine) resolveGroups(list []entry, t int) {

@@ -7,7 +7,9 @@ package sim
 // schedule is byte-for-byte and allocation-for-allocation identical to
 // the pre-fault engine.
 //
-// Semantics, in step order (see Engine.step):
+// Semantics, in step order (see Engine.step; RunReference models the same
+// rules per flit, from the faults active at each step, and is the oracle
+// the engine's fault handling is tested against):
 //
 //   - Fault events apply after releases and before activations/entries,
 //     so the whole step sees one consistent fault set. Repairs order
@@ -19,7 +21,7 @@ package sim
 //   - A WavelengthOutage does the same for its single (band, link,
 //     wavelength) slot, and conversion scans skip dark slots.
 //   - AckLoss destroys acknowledgement trains as they enter the link;
-//     acks already in flight past the link are unaffected.
+//     acks already on the link are unaffected.
 //   - A StuckCoupler freezes contention at links leaving the node: the
 //     current occupant always keeps the slot, a free slot goes to the
 //     lowest-ID entrant, and losers are cut without conversion rescue.

@@ -9,10 +9,10 @@ import (
 	"repro/internal/topology"
 )
 
-// FuzzEngineVsReference decodes arbitrary bytes into a routing scenario
-// and asserts the fragment engine and the per-flit reference simulator
-// produce identical results. `go test` runs the seed corpus; `go test
-// -fuzz=FuzzEngineVsReference ./internal/sim` explores further.
+// FuzzEngineVsReference decodes arbitrary bytes into a routing scenario,
+// fault plan included, and asserts the engine and the per-flit reference
+// simulator produce identical Results. `go test` runs the seed corpus; `go
+// test -fuzz=FuzzEngineVsReference ./internal/sim` explores further.
 func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 1, 0, 2, 5, 1})
 	f.Add([]byte{0, 2, 0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -24,10 +24,10 @@ func FuzzEngineVsReference(f *testing.F) {
 	// Priority + Drain with acks (bits 2 and 5).
 	f.Add([]byte{1, 0x24, 5, 1, 3, 3, 2, 2, 7, 0, 1, 6})
 	f.Add([]byte{2, 0x2c, 5, 1, 3, 3, 2, 2, 7, 0, 1, 6, 0xff, 0x10})
-	// Attached empty fault plan (bit 7): must stay byte-for-byte.
-	f.Add([]byte{1, 0x80, 3, 1, 0, 2, 5, 1})
-	f.Add([]byte{2, 0xac, 5, 1, 3, 3, 2, 2, 7, 0, 1, 6, 0xff, 0x10})
-	f.Add([]byte{0, 0xe7, 7, 2, 9, 0, 4, 4, 4, 4, 1, 2, 3, 8, 8})
+	// Attached empty fault plan (bit 7, zero faults): must stay byte-for-byte.
+	f.Add([]byte{1, 0x80, 0, 3, 1, 0, 2, 5, 1})
+	f.Add([]byte{2, 0xac, 0, 5, 1, 3, 3, 2, 2, 7, 0, 1, 6, 0xff, 0x10})
+	f.Add([]byte{0, 0xe7, 0, 7, 2, 9, 0, 4, 4, 4, 4, 1, 2, 3, 8, 8})
 	// Extended bandwidths via the graph byte's high bits: B ∈ {63, 64, 65}
 	// straddles the 64-slot occupancy word boundary (B=1 is cfg bits 0-1).
 	f.Add([]byte{0x10, 0x41, 3, 1, 0, 2, 5, 1, 9, 9, 9, 9})
@@ -39,6 +39,25 @@ func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{0, 0x00, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 0x10, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 0x41, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
+	// One fault of each kind on chain(6). A link outage on link 2 (1->2)
+	// from step 3 kills a 3-flit worm mid-body and a later entrant.
+	f.Add([]byte{0, 0xa0, 0x09, 0x00, 2, 0x03, 0, 3, 0, 1, 1, 1, 0x02, 1, 0, 1, 0x14})
+	// A dark wavelength 1 on link 0 kills a worm on it and blocks the
+	// conversion rescue of a worm losing on wavelength 0.
+	f.Add([]byte{0, 0xc1, 0x01, 0x09, 0, 0x00, 0, 1, 0, 1, 0x01, 0, 1, 0, 1, 0x05, 0, 0, 0, 0x28})
+	// An ack loss on link 3 (2->1) swallows an ack.
+	f.Add([]byte{0, 0xa0, 0x01, 0x02, 3, 0x00, 0, 2, 0, 1, 1, 0x01})
+	// A stuck coupler at node 1 keeps a low-rank incumbent under priority.
+	f.Add([]byte{0, 0x84, 0x01, 0x03, 1, 0x00, 0, 2, 0, 1, 1, 0x02, 1, 1, 1, 1, 0x09})
+	// The ack-loss pin: a 3-flit ack is already on link 3 when an ack loss
+	// starts there at step 5; the link-1 outage at step 6 kills its middle
+	// flit, and the remnant behind must survive on link 3 (1 fault kill).
+	f.Add([]byte{0, 0xa0, 0x12, 0x02, 3, 0x05, 0x00, 1, 0x06, 0, 2, 0, 1, 1, 0x00})
+	// All four kinds with windows and repairs on the 3x3 torus, B=2,
+	// priority, conversion and 2-flit acks.
+	f.Add([]byte{2, 0xe5, 0x0c, 0x00, 5, 0x62, 0x05, 7, 0x00, 0x02, 12, 0x84, 0x03, 4, 0xa1,
+		0x31, 0xc5, 0xac, 0x30, 0xa3, 0x9d, 0x5a, 0x44, 0x00, 0xa9, 0xa7, 0xee, 0x7c, 0x25, 0x31,
+		0x3d, 0x0d, 0xe0, 0x30, 0x46, 0xda, 0x7a, 0xe0, 0x4d, 0xa5, 0x5b, 0x73, 0x8b, 0xcd, 0xe9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -47,46 +66,36 @@ func FuzzEngineVsReference(f *testing.F) {
 		if len(worms) == 0 {
 			return
 		}
+		cfg.RecordCollisions = true
 		cfg.CheckInvariants = true
 		fast, errF := NewEngine().Run(g, worms, cfg)
-		cfg.ForceFlat = true
-		flat, errFl := NewEngine().Run(g, worms, cfg)
-		cfg.ForceFlat = false
 		cfg.CheckInvariants = false
 		ref, errR := RunReference(g, worms, cfg)
-		if (errF != nil) != (errR != nil) || (errFl != nil) != (errR != nil) {
-			t.Fatalf("error disagreement: packed %v, flat %v, reference %v", errF, errFl, errR)
+		if (errF != nil) != (errR != nil) {
+			t.Fatalf("error disagreement: engine %v, reference %v", errF, errR)
 		}
 		if errF != nil {
 			return
 		}
-		compareResults(t, "flat-vs-packed", flat, fast)
-		for i := range worms {
-			if fast.Outcomes[i] != ref.Outcomes[i] {
-				t.Fatalf("worm %d: engine %+v vs reference %+v (worm %+v)",
-					i, fast.Outcomes[i], ref.Outcomes[i], worms[i])
-			}
-		}
-		if fast.CollisionCount != ref.CollisionCount ||
-			fast.Makespan != ref.Makespan ||
-			fast.BusySlotSteps != ref.BusySlotSteps ||
-			fast.MessageBusySlotSteps != ref.MessageBusySlotSteps ||
-			fast.AckBusySlotSteps != ref.AckBusySlotSteps {
-			t.Fatalf("aggregate disagreement: engine coll=%d makespan=%d busy=%d vs reference coll=%d makespan=%d busy=%d",
-				fast.CollisionCount, fast.Makespan, fast.BusySlotSteps,
-				ref.CollisionCount, ref.Makespan, ref.BusySlotSteps)
-		}
+		compareResults(t, "engine-vs-reference", fast, ref)
 	})
 }
 
 // decodeScenario deterministically maps fuzz bytes to a small scenario.
 // Config byte layout: bits 0-1 bandwidth-1, bit 2 rule, bit 3 wreckage,
-// bit 4 tie, bit 5 ack length, bit 6 wavelength conversion, bit 7
-// attached empty fault plan (must not change any result byte).
+// bit 4 tie, bit 5 acknowledgements, bit 6 wavelength conversion, bit 7
+// an attached fault plan.
 // Graph byte: low bits pick the topology; bits 4-5, when nonzero,
 // override the bandwidth to 62+ext ∈ {63, 64, 65} so the packed path's
 // 64-slot word boundary is exercised (zero keeps the config-byte
-// bandwidth, so the original corpus decodes unchanged).
+// bandwidth).
+// Plan byte (present when bit 7 is set): bits 0-2 count the faults (zero
+// attaches an empty plan, which must not change any result byte), and
+// bits 3-4 lengthen acknowledgements to 1+ext flits, so fault kills can
+// split them. Three bytes per fault follow: the kind (bits 0-1) with the
+// band (bit 2) and wavelength (bits 3-7) of a wavelength outage; the link
+// or, for a stuck coupler, the node; and the window, starting at the low
+// nibble and lasting the high nibble (zero: never repaired).
 func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -118,7 +127,29 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 		cfg.Bandwidth = 62 + ext
 	}
 	if cfgByte>>7&1 == 1 {
-		cfg.Faults = (&faults.Plan{}).MustCompile(g, cfg.Bandwidth)
+		pb := next()
+		if cfg.AckLength > 0 {
+			cfg.AckLength += int(pb>>3) & 3
+		}
+		plan := &faults.Plan{}
+		for range int(pb & 7) {
+			kb, target, window := next(), int(next()), next()
+			f := faults.Fault{Kind: faults.Kind(kb & 3), Start: int(window & 15)}
+			if d := int(window >> 4); d > 0 {
+				f.End = f.Start + d
+			}
+			if f.Kind == faults.StuckCoupler {
+				f.Node = target % g.NumNodes()
+			} else {
+				f.Link = target % g.NumLinks()
+			}
+			if f.Kind == faults.WavelengthOutage {
+				f.Band = int(kb>>2) & 1
+				f.Wavelength = int(kb>>3) % cfg.Bandwidth
+			}
+			plan.Faults = append(plan.Faults, f)
+		}
+		cfg.Faults = plan.MustCompile(g, cfg.Bandwidth)
 	}
 	n := g.NumNodes()
 	var worms []Worm

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/optical"
 )
@@ -13,8 +14,9 @@ import (
 // deliberately naive per-flit implementation: every flit is tracked
 // individually, occupancy is recomputed from flit positions every step,
 // and contention is resolved from set differences of per-step presence.
-// It is O(steps * flits) and exists to cross-validate the fragment engine
-// (the property tests assert Engine.Run and RunReference agree on outcomes).
+// It is O(steps * flits) and is the oracle the engine is tested against:
+// the differential, fault-matrix and fuzz tests assert Engine.Run and
+// RunReference agree on the full Result, fault plans included.
 //
 // Semantics recap: flit j of a train with start s and path links
 // e_0..e_{k-1} traverses e_i during step s+i+j. A worm "enters" a link at
@@ -24,15 +26,12 @@ import (
 // barrier at the conflict link (they are absorbed at its coupler), the
 // flits ahead continue; under Vanish the whole contiguous fragment of
 // surviving flits around the colliding flit disappears instantly.
+//
+// A fault plan (cfg.Faults) follows the rules in faults.go, re-derived
+// every step from the faults active then, with no counters or event cursor.
 func RunReference(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
 	if err := validate(g, worms, cfg); err != nil {
 		return nil, err
-	}
-	// The reference model deliberately implements no fault physics; a
-	// compiled empty plan is fine (it changes nothing by definition) and
-	// the differential suite pins the engine to the reference under it.
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		return nil, fmt.Errorf("sim: the reference model does not support fault injection")
 	}
 	return runReference(g, worms, cfg, nil)
 }
@@ -144,6 +143,7 @@ type refEngine struct {
 	pending []*refTrain
 	live    []*refTrain
 	prev    map[int64]map[*refTrain]bool // presence at the previous step
+	faults  []faults.Fault               // faults active at the current step
 }
 
 func (r *refEngine) key(band Band, link graph.LinkID, wavelength int) int64 {
@@ -215,6 +215,27 @@ func (r *refEngine) step(t int) {
 		}
 	}
 
+	// 3b. Fault kills, against the faults active at step t: a flit on a
+	// dark link or slot dies, and so does an ack flit entering an ack-loss
+	// link (one whose train held the slot at the previous step is already
+	// on the link and is spared).
+	r.faultsAt(t)
+	for _, tr := range r.live {
+		for j := range tr.alive {
+			p := tr.pos(j, t)
+			if !tr.alive[j] || p < 0 || p >= len(tr.links) {
+				continue
+			}
+			link, w := tr.links[p], r.waveAt(tr, p)
+			if r.dark(tr.band, link, w) ||
+				tr.isAck && r.faulted(faults.AckLoss, link) && !r.prev[r.key(tr.band, link, w)][tr] {
+				tr.cut = true
+				r.res.FaultKillCount++
+				r.wreck(tr, j, p)
+			}
+		}
+	}
+
 	// 4. Presence and contention, resolved in sorted key order exactly
 	// like the engine.
 	groups := make(map[int64][]refOcc)
@@ -254,6 +275,20 @@ func (r *refEngine) step(t int) {
 			continue
 		}
 		sort.Slice(entrants, func(a, b int) bool { return entrants[a].tr.id < entrants[b].tr.id })
+		if en := entrants[0]; r.faulted(faults.StuckCoupler, r.g.Link(en.tr.links[en.tr.pos(en.j, t)]).From) {
+			// A stuck coupler keeps the incumbent, or admits the lowest-ID
+			// entrant to a free slot, and cuts the other entrants outright.
+			blocker := en.tr
+			if len(incumbents) > 0 {
+				blocker = incumbents[0].tr
+			} else {
+				entrants = entrants[1:]
+			}
+			for _, en := range entrants {
+				r.cut(en, t, blocker)
+			}
+			continue
+		}
 		switch r.cfg.Rule {
 		case optical.ServeFirst:
 			if len(incumbents) > 0 {
@@ -388,11 +423,14 @@ func (r *refEngine) lose(deferred *[]refDeferred, en refOcc, t int, blocker *ref
 	r.cut(en, t, blocker)
 }
 
-// waveBusy reports whether wavelength w on the given link carries a
-// surviving occupant at step t: any live flit of any train on that link
-// and wavelength, excluding flits whose conversion attempt is still
-// pending (the engine's occupancy map never contained those losers).
+// waveBusy reports whether wavelength w on the given link is dark or
+// carries a surviving occupant at step t: any live flit of any train on
+// that link and wavelength, excluding flits whose conversion attempt is
+// still pending (the engine's occupancy map never contained those losers).
 func (r *refEngine) waveBusy(band Band, p int, link graph.LinkID, w, t int, deferred []refDeferred) bool {
+	if r.dark(band, link, w) {
+		return true
+	}
 	for _, tr := range r.live {
 		if tr.band != band {
 			continue
@@ -497,22 +535,65 @@ func (r *refEngine) cut(en refOcc, t int, blocker *refTrain) {
 			LoserIsAck: tr.isAck,
 		})
 	}
+	r.wreck(tr, en.j, e)
+}
+
+// wreck destroys flit j of train tr on link index e and applies the
+// wreckage policy: under Drain the flits behind it drain into a barrier at
+// e, under Vanish the contiguous run of live flits around it disappears.
+func (r *refEngine) wreck(tr *refTrain, j, e int) {
+	tr.alive[j] = false
 	switch r.cfg.Wreckage {
 	case Drain:
-		tr.alive[en.j] = false
-		for j := en.j + 1; j < tr.length; j++ { // flits behind the cut
-			if tr.barrier[j] > e {
-				tr.barrier[j] = e
+		for k := j + 1; k < tr.length; k++ { // flits behind the cut
+			if tr.barrier[k] > e {
+				tr.barrier[k] = e
 			}
 		}
 	case Vanish:
-		// Kill the contiguous run of live flits around the colliding one.
-		tr.alive[en.j] = false
-		for j := en.j - 1; j >= 0 && tr.alive[j]; j-- {
-			tr.alive[j] = false
+		for k := j - 1; k >= 0 && tr.alive[k]; k-- {
+			tr.alive[k] = false
 		}
-		for j := en.j + 1; j < tr.length && tr.alive[j]; j++ {
-			tr.alive[j] = false
+		for k := j + 1; k < tr.length && tr.alive[k]; k++ {
+			tr.alive[k] = false
 		}
 	}
+}
+
+// faultsAt collects the faults active at step t by a naive scan of the
+// schedule's activation events.
+func (r *refEngine) faultsAt(t int) {
+	r.faults = r.faults[:0]
+	if r.cfg.Faults == nil {
+		return
+	}
+	for _, ev := range r.cfg.Faults.Events() {
+		if ev.Start && ev.Fault.ActiveAt(t) {
+			r.faults = append(r.faults, ev.Fault)
+		}
+	}
+}
+
+// dark reports whether a link outage or a wavelength outage covers the
+// slot (band, link, w) at the current step.
+func (r *refEngine) dark(band Band, link graph.LinkID, w int) bool {
+	for _, f := range r.faults {
+		if f.Link == link && (f.Kind == faults.LinkOutage ||
+			f.Kind == faults.WavelengthOutage && f.Band == int(band) && f.Wavelength == w) {
+			return true
+		}
+	}
+	return false
+}
+
+// faulted reports whether a fault of the given kind is active at the
+// current step on target: a link for AckLoss, a node for StuckCoupler.
+func (r *refEngine) faulted(kind faults.Kind, target int) bool {
+	for _, f := range r.faults {
+		if f.Kind == kind && (kind == faults.StuckCoupler && f.Node == target ||
+			kind != faults.StuckCoupler && f.Link == target) {
+			return true
+		}
+	}
+	return false
 }

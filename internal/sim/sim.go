@@ -100,12 +100,6 @@ type Config struct {
 	// predictable branch per hook site; attaching a probe never changes
 	// the simulation result.
 	Probe telemetry.Probe
-	// ForceFlat selects the legacy flat engine path — a global entrant
-	// sort per step and linear conversion scans — instead of the default
-	// word-packed path (per-(band,link) bitmask words with batched bucket
-	// resolution). The two paths are result- and probe-identical; the
-	// flat path exists for debugging and differential testing.
-	ForceFlat bool
 	// CheckInvariants enables per-step internal consistency checks
 	// (occupancy table vs. fragment windows). For tests; slows the run.
 	CheckInvariants bool

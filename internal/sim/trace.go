@@ -8,10 +8,11 @@ import (
 	"repro/internal/graph"
 )
 
-// Trace runs the (reference) simulator while recording a space-time
-// occupancy diagram: which worm occupied which directed link on which
-// wavelength at every step. It is intended for small scenarios — teaching,
-// debugging, and the documentation figures — and costs O(steps * flits).
+// Trace runs the reference simulator (RunReference, fault plan included)
+// while recording a space-time occupancy diagram: which worm occupied
+// which directed link on which wavelength at every step. It is intended
+// for small scenarios — teaching, debugging, and the documentation
+// figures — and costs O(steps * flits).
 func Trace(g *graph.Graph, worms []Worm, cfg Config) (*Result, *Timeline, error) {
 	if err := validate(g, worms, cfg); err != nil {
 		return nil, nil, err

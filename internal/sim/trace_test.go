@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/optical"
 )
@@ -135,6 +136,46 @@ func TestTraceMatchesEngine(t *testing.T) {
 	for i := range worms {
 		if res1.Outcomes[i] != res2.Outcomes[i] {
 			t.Errorf("worm %d: trace %+v vs engine %+v", i, res1.Outcomes[i], res2.Outcomes[i])
+		}
+	}
+}
+
+// TestTraceFaultPlan: Trace models an attached fault plan like Engine.Run.
+// Link 4 (2->3) of chain(5) is dark over steps [3, 9): the outage kills
+// worm 0 mid-body at step 3 and worm 1 as it enters at step 6, and worm 2
+// crosses after the repair. Nothing occupies the link while it is dark.
+func TestTraceFaultPlan(t *testing.T) {
+	g := chain(5)
+	worms := []Worm{
+		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Delay: 0, Wavelength: 0},
+		{ID: 1, Path: graph.Path{1, 2, 3, 4}, Length: 2, Delay: 5, Wavelength: 0},
+		{ID: 2, Path: graph.Path{2, 3, 4}, Length: 2, Delay: 9, Wavelength: 0},
+	}
+	cfg := Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 1, RecordCollisions: true}
+	cfg.Faults = sched(t, g, 1, faults.Fault{Kind: faults.LinkOutage, Link: 4, Start: 3, End: 9})
+	res, tl, err := Trace(g, worms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := NewEngine().Run(g, worms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "trace", fast, res)
+	if res.FaultKillCount != 2 || res.Outcomes[0].Delivered || res.Outcomes[1].Delivered || !res.Outcomes[2].Acked {
+		t.Fatalf("fault plan not modelled: kills %d, outcomes %+v", res.FaultKillCount, res.Outcomes)
+	}
+	for step := 0; step <= tl.Steps(); step++ {
+		for _, band := range []Band{MessageBand, AckBand} {
+			worm, ok := tl.Occupant(step, band, 4, 0)
+			if dark := step >= 3 && step < 9; ok && dark {
+				t.Errorf("step %d: worm %d occupies the dark link in band %d", step, worm, band)
+			}
+		}
+	}
+	for _, step := range []int{2, 9} { // before the outage, and after the repair
+		if _, ok := tl.Occupant(step, MessageBand, 4, 0); !ok {
+			t.Errorf("step %d: link 4 unoccupied outside the outage", step)
 		}
 	}
 }
