@@ -22,8 +22,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -57,7 +60,6 @@ func main() {
 		}()
 	}
 
-	// emit renders one experiment, optionally through the result store.
 	var exec *jobs.Executor
 	if *storeDir != "" {
 		store, err := jobs.Open(*storeDir)
@@ -68,35 +70,6 @@ func main() {
 		exec = &jobs.Executor{Store: store, Experiments: experiments.JobRunner()}
 	}
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Trials: *trials}
-	emit := func(id string) error {
-		if exec != nil {
-			spec := jobs.Spec{Experiment: &jobs.ExperimentSpec{
-				ID: id, Seed: *seed, Trials: *trials, Quick: *quick,
-			}}
-			res, fromCache, err := exec.Run(spec, nil, nil, nil)
-			if err != nil {
-				return err
-			}
-			if fromCache {
-				log.Printf("experiments: %s replayed from store (key %s)", id, res.Key)
-			}
-			if *asJSON {
-				_, err = os.Stdout.Write(append([]byte(nil), res.Table...))
-				return err
-			}
-			_, err = os.Stdout.WriteString(res.Text)
-			return err
-		}
-		tbl, err := experiments.Run(id, opts)
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			return tbl.WriteJSON(os.Stdout)
-		}
-		tbl.Fprint(os.Stdout)
-		return nil
-	}
 
 	switch {
 	case *list:
@@ -105,12 +78,12 @@ func main() {
 		}
 	case *all:
 		for _, id := range experiments.IDs() {
-			if err := emit(id); err != nil {
+			if err := emit(os.Stdout, exec, id, opts, *asJSON); err != nil {
 				fatal(fmt.Errorf("%s: %w", id, err))
 			}
 		}
 	case *run != "":
-		if err := emit(*run); err != nil {
+		if err := emit(os.Stdout, exec, *run, opts, *asJSON); err != nil {
 			fatal(err)
 		}
 	default:
@@ -122,4 +95,43 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
+}
+
+// emit renders one experiment to w, through the result store when exec
+// is set. A stored table is compact, so -json indents it back into the
+// layout Table.WriteJSON prints: a replay prints the same bytes as a run
+// without a store.
+func emit(w io.Writer, exec *jobs.Executor, id string, opts experiments.Options, asJSON bool) error {
+	if exec == nil {
+		tbl, err := experiments.Run(id, opts)
+		if err != nil {
+			return err
+		}
+		if asJSON {
+			return tbl.WriteJSON(w)
+		}
+		tbl.Fprint(w)
+		return nil
+	}
+	spec := jobs.Spec{Experiment: &jobs.ExperimentSpec{
+		ID: id, Seed: opts.Seed, Trials: opts.Trials, Quick: opts.Quick,
+	}}
+	res, fromCache, err := exec.Run(spec, nil, nil, nil)
+	if err != nil {
+		return err
+	}
+	if fromCache {
+		log.Printf("experiments: %s replayed from store (key %s)", id, res.Key)
+	}
+	if !asJSON {
+		_, err = io.WriteString(w, res.Text)
+		return err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, res.Table, "", "  "); err != nil {
+		return fmt.Errorf("%s: stored table: %w", id, err)
+	}
+	out.WriteByte('\n')
+	_, err = w.Write(out.Bytes())
+	return err
 }

@@ -16,7 +16,11 @@
 //   - floats use the shortest representation that round-trips (NaN and
 //     the infinities are encoding errors);
 //   - strings are escaped minimally and identically on every platform
-//     (no HTML escaping).
+//     (no HTML escaping);
+//   - a json.RawMessage embeds as given, compacted in the compact
+//     encoding; invalid JSON in one is an encoding error.
+//
+// Each struct type's field names and order are read once and cached.
 //
 // The byte output of this package is a compatibility promise: job keys
 // are hashes of it, so any change to the encoding invalidates every
@@ -24,6 +28,7 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -34,11 +39,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
 // rawMessageType matches json.RawMessage values, which are passed through
-// verbatim (the caller vouches for their stability).
+// (the caller vouches for their stability).
 var rawMessageType = reflect.TypeOf(json.RawMessage(nil))
 
 // Marshal returns the canonical compact encoding of v.
@@ -76,6 +82,65 @@ func Hash(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// field is one encoded struct field: its index in the struct and its
+// JSON name, quoted, escaped and followed by the colon.
+type field struct {
+	index int
+	name  []byte
+}
+
+// plan is a struct type's encoding plan, built once per type: the
+// encoded fields in declaration order, or the error every value of the
+// type fails with.
+type plan struct {
+	fields []field
+	err    error
+}
+
+// plans caches each struct type's plan (reflect.Type -> *plan), so field
+// tags are parsed once per type rather than once per value.
+var plans sync.Map
+
+// planFor returns t's plan, building it on first use.
+func planFor(t reflect.Type) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
+	}
+	p, _ := plans.LoadOrStore(t, buildPlan(t))
+	return p.(*plan)
+}
+
+// buildPlan reads t's exported fields: named by their json tag when it
+// names them, skipped when the tag is "-".
+func buildPlan(t reflect.Type) *plan {
+	p := &plan{}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name := f.Name
+		tag, tagged := f.Tag.Lookup("json")
+		if tagged {
+			base, _, _ := strings.Cut(tag, ",")
+			if base == "-" {
+				continue
+			}
+			if base != "" {
+				name = base
+			}
+		}
+		if f.Anonymous && f.Type.Kind() == reflect.Struct && !tagged {
+			// Embedded structs without an explicit tag would flatten like
+			// encoding/json's; with a tag they nest under the name.
+			p.err = fmt.Errorf("canon: untagged embedded struct %s (flattening is ambiguous; add a json tag)", f.Name)
+			return p
+		}
+		p.fields = append(p.fields, field{index: i, name: append(AppendString(nil, name), ':')})
+	}
+	return p
+}
+
 // encoder accumulates the canonical encoding; pretty selects the
 // indented layout.
 type encoder struct {
@@ -102,15 +167,6 @@ func (e *encoder) value(v reflect.Value) error {
 		e.buf = append(e.buf, "null"...)
 		return nil
 	}
-	if v.Type() == rawMessageType {
-		raw := v.Bytes()
-		if len(raw) == 0 {
-			e.buf = append(e.buf, "null"...)
-			return nil
-		}
-		e.buf = append(e.buf, raw...)
-		return nil
-	}
 	switch v.Kind() {
 	case reflect.Bool:
 		e.buf = strconv.AppendBool(e.buf, v.Bool())
@@ -125,7 +181,7 @@ func (e *encoder) value(v reflect.Value) error {
 		}
 		e.buf = strconv.AppendFloat(e.buf, f, 'g', -1, 64)
 	case reflect.String:
-		e.appendString(v.String())
+		e.buf = AppendString(e.buf, v.String())
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
 			e.buf = append(e.buf, "null"...)
@@ -133,9 +189,12 @@ func (e *encoder) value(v reflect.Value) error {
 		}
 		return e.value(v.Elem())
 	case reflect.Slice:
+		if v.Type() == rawMessageType {
+			return e.raw(v.Bytes())
+		}
 		if v.Type().Elem().Kind() == reflect.Uint8 {
 			// []byte encodes as base64, like encoding/json.
-			e.appendString(base64.StdEncoding.EncodeToString(v.Bytes()))
+			e.buf = AppendString(e.buf, base64.StdEncoding.EncodeToString(v.Bytes()))
 			return nil
 		}
 		return e.array(v)
@@ -144,10 +203,33 @@ func (e *encoder) value(v reflect.Value) error {
 	case reflect.Map:
 		return e.mapValue(v)
 	case reflect.Struct:
-		return e.structValue(v)
+		return e.structValue(v, planFor(v.Type()))
 	default:
 		return fmt.Errorf("canon: unsupported kind %s", v.Kind())
 	}
+	return nil
+}
+
+// raw embeds a json.RawMessage. It must hold valid JSON; the compact
+// encoding also compacts it, so a compact encoding is always one line.
+// Nothing is HTML-escaped.
+func (e *encoder) raw(b []byte) error {
+	if len(b) == 0 {
+		e.buf = append(e.buf, "null"...)
+		return nil
+	}
+	if e.pretty {
+		if !json.Valid(b) {
+			return fmt.Errorf("canon: json.RawMessage is not valid JSON")
+		}
+		e.buf = append(e.buf, b...)
+		return nil
+	}
+	out := bytes.NewBuffer(e.buf)
+	if err := json.Compact(out, b); err != nil {
+		return fmt.Errorf("canon: json.RawMessage: %w", err)
+	}
+	e.buf = out.Bytes()
 	return nil
 }
 
@@ -157,6 +239,11 @@ func (e *encoder) array(v reflect.Value) error {
 		e.buf = append(e.buf, "[]"...)
 		return nil
 	}
+	// Elements of a struct type share one plan, looked up once.
+	var p *plan
+	if t := v.Type().Elem(); t.Kind() == reflect.Struct {
+		p = planFor(t)
+	}
 	e.buf = append(e.buf, '[')
 	e.depth++
 	for i := 0; i < n; i++ {
@@ -164,7 +251,13 @@ func (e *encoder) array(v reflect.Value) error {
 			e.buf = append(e.buf, ',')
 		}
 		e.newline()
-		if err := e.value(v.Index(i)); err != nil {
+		var err error
+		if p != nil {
+			err = e.structValue(v.Index(i), p)
+		} else {
+			err = e.value(v.Index(i))
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -212,7 +305,7 @@ func (e *encoder) mapValue(v reflect.Value) error {
 			e.buf = append(e.buf, ',')
 		}
 		e.newline()
-		e.appendString(p.name)
+		e.buf = AppendString(e.buf, p.name)
 		e.colon()
 		if err := e.value(p.val); err != nil {
 			return err
@@ -231,49 +324,31 @@ func (e *encoder) colon() {
 	}
 }
 
-func (e *encoder) structValue(v reflect.Value) error {
-	t := v.Type()
+// structValue encodes a struct by its type's plan.
+func (e *encoder) structValue(v reflect.Value, p *plan) error {
+	if p.err != nil {
+		return p.err
+	}
+	if len(p.fields) == 0 {
+		e.buf = append(e.buf, "{}"...)
+		return nil
+	}
 	e.buf = append(e.buf, '{')
 	e.depth++
-	first := true
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name := f.Name
-		if tag, ok := f.Tag.Lookup("json"); ok {
-			base, _, _ := strings.Cut(tag, ",")
-			if base == "-" {
-				continue
-			}
-			if base != "" {
-				name = base
-			}
-		}
-		if f.Anonymous && f.Type.Kind() == reflect.Struct {
-			// Embedded structs without an explicit tag flatten like
-			// encoding/json would; with a tag they nest under the name.
-			if _, ok := f.Tag.Lookup("json"); !ok {
-				return fmt.Errorf("canon: untagged embedded struct %s (flattening is ambiguous; add a json tag)", f.Name)
-			}
-		}
-		if !first {
+	for i, f := range p.fields {
+		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		first = false
 		e.newline()
-		e.appendString(name)
-		e.colon()
-		if err := e.value(v.Field(i)); err != nil {
+		e.buf = append(e.buf, f.name...)
+		if e.pretty {
+			e.buf = append(e.buf, ' ')
+		}
+		if err := e.value(v.Field(f.index)); err != nil {
 			return err
 		}
 	}
 	e.depth--
-	if first {
-		e.buf = append(e.buf, '}')
-		return nil
-	}
 	e.newline()
 	e.buf = append(e.buf, '}')
 	return nil
@@ -281,41 +356,47 @@ func (e *encoder) structValue(v reflect.Value) error {
 
 const hexDigits = "0123456789abcdef"
 
-// appendString writes a JSON string with minimal, platform-independent
-// escaping: quote, backslash, control characters, and invalid UTF-8
-// (replaced, as encoding/json does).
-func (e *encoder) appendString(s string) {
-	e.buf = append(e.buf, '"')
+// AppendString appends s to dst as a JSON string with canon's minimal,
+// platform-independent escaping: quote, backslash and control characters
+// are escaped and invalid UTF-8 is replaced, as encoding/json does;
+// nothing else is (no HTML escaping).
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is pending, copied verbatim
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			switch {
-			case c == '"':
-				e.buf = append(e.buf, '\\', '"')
-			case c == '\\':
-				e.buf = append(e.buf, '\\', '\\')
-			case c == '\n':
-				e.buf = append(e.buf, '\\', 'n')
-			case c == '\r':
-				e.buf = append(e.buf, '\\', 'r')
-			case c == '\t':
-				e.buf = append(e.buf, '\\', 't')
-			case c < 0x20:
-				e.buf = append(e.buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
 			default:
-				e.buf = append(e.buf, c)
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
 			}
 			i++
+			start = i
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if r == utf8.RuneError && size == 1 {
-			e.buf = append(e.buf, "�"...)
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, "\uFFFD"...)
 			i++
+			start = i
 			continue
 		}
-		e.buf = append(e.buf, s[i:i+size]...)
 		i += size
 	}
-	e.buf = append(e.buf, '"')
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 type golden struct {
@@ -196,4 +198,106 @@ func TestByteSlices(t *testing.T) {
 	if string(got) != `"aGk="` {
 		t.Errorf("[]byte = %s", got)
 	}
+}
+
+// TestRawMessageCompactedAndValidated: the compact encoding compacts a
+// RawMessage, so it is always one line, without HTML-escaping it; the
+// pretty encoding keeps it as given. Invalid JSON fails in both.
+func TestRawMessageCompactedAndValidated(t *testing.T) {
+	v := struct {
+		Table json.RawMessage `json:"table"`
+	}{Table: json.RawMessage("{\n  \"note\": \"depth >= t\",\n  \"cols\": [ \"T&F\", \"a<b\" ]\n}\n")}
+	got, err := Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"table":{"note":"depth >= t","cols":["T&F","a<b"]}}`; string(got) != want {
+		t.Errorf("compact form:\n got %s\nwant %s", got, want)
+	}
+	pretty, err := MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"table\": " + string(v.Table) + "\n}"; string(pretty) != want {
+		t.Errorf("pretty form:\n got %q\nwant %q", pretty, want)
+	}
+	v.Table = json.RawMessage(`{"a":`)
+	if _, err := Marshal(v); err == nil {
+		t.Error("Marshal accepted an invalid RawMessage")
+	}
+	if _, err := MarshalIndent(v, "", "  "); err == nil {
+		t.Error("MarshalIndent accepted an invalid RawMessage")
+	}
+}
+
+// TestAppendString pins the string escaper the store also writes its
+// keys with: quote, backslash and control characters are escaped,
+// invalid UTF-8 is replaced, and nothing else is touched.
+func TestAppendString(t *testing.T) {
+	cases := map[string]string{
+		"plain":          `"plain"`,
+		`q"b\`:           `"q\"b\\"`,
+		"\n\r\t\x00\x1f": `"\n\r\t\u0000\u001f"`,
+		"<>&\x7f":        "\"<>&\x7f\"",
+		"\u2028\u2029é世": "\"\u2028\u2029é世\"",
+		"bad\xffutf8":    "\"bad\uFFFDutf8\"",
+	}
+	for in, want := range cases {
+		got := AppendString([]byte("x"), in)
+		if string(got) != "x"+want {
+			t.Errorf("AppendString(%q) = %q, want %q", in, got[1:], want)
+		}
+		var back string
+		if err := json.Unmarshal(got[1:], &back); err != nil || (utf8.ValidString(in) && back != in) {
+			t.Errorf("AppendString(%q) does not decode back: %q, %v", in, back, err)
+		}
+	}
+}
+
+// TestUntaggedEmbeddedStruct: flattening an untagged embedded struct is
+// ambiguous, so every value of such a type fails; a tag nests it.
+func TestUntaggedEmbeddedStruct(t *testing.T) {
+	type Inner struct{ A int }
+	type flat struct {
+		B int
+		Inner
+	}
+	type nested struct {
+		Inner `json:"inner"`
+	}
+	for i := 0; i < 2; i++ { // the second pass reads the cached plan
+		if _, err := Marshal(flat{}); err == nil || !strings.Contains(err.Error(), "untagged embedded struct Inner") {
+			t.Errorf("untagged embedded struct: err %v", err)
+		}
+		got, err := Marshal(nested{Inner{A: 1}})
+		if err != nil || string(got) != `{"inner":{"A":1}}` {
+			t.Errorf("tagged embedded struct: %s, %v", got, err)
+		}
+	}
+}
+
+// TestPlansConcurrent: goroutines encoding values of a type nobody has
+// encoded yet agree byte for byte; under -race this pins the plan
+// cache's concurrency.
+func TestPlansConcurrent(t *testing.T) {
+	type row struct {
+		Band int    `json:"band"`
+		Name string `json:"name,omitempty"`
+		Skip int    `json:"-"`
+		Open bool
+	}
+	v := []row{{Band: 1, Name: "a"}, {Band: 2, Open: true}}
+	const want = `[{"band":1,"name":"a","Open":false},{"band":2,"name":"","Open":true}]`
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := Marshal(v)
+			if err != nil || string(got) != want {
+				t.Errorf("concurrent Marshal = %s, %v; want %s", got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

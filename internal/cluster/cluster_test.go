@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +47,7 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // testNode is one in-process cluster member with all its handles.
 type testNode struct {
 	name  string
+	dir   string // store directory
 	store *jobs.Store
 	live  *telemetry.Live
 	exec  *jobs.Executor
@@ -93,7 +97,8 @@ func startCluster(t *testing.T, names []string, tweak func(*Config)) []*testNode
 		peers = append(peers, Peer{Name: name, URL: srv.URL})
 	}
 	for i, name := range names {
-		store, err := jobs.Open(t.TempDir())
+		dir := t.TempDir()
+		store, err := jobs.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +117,7 @@ func startCluster(t *testing.T, names []string, tweak func(*Config)) []*testNode
 		node.Start(sched, live)
 		handlers[i].set(node.Handler())
 		tn := nodes[i]
-		tn.store, tn.live, tn.exec, tn.node, tn.sched = store, live, exec, node, sched
+		tn.dir, tn.store, tn.live, tn.exec, tn.node, tn.sched = dir, store, live, exec, node, sched
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
@@ -293,14 +298,25 @@ func TestBodyBounds(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	nodes := startCluster(t, []string{"a"}, func(c *Config) { c.StealInterval = -1 })
 	url := nodes[0].srv.URL
-	post := func(path string, body []byte) int {
+	// send posts body to path; size is its declared Content-Length, or -1
+	// to stream it chunked with no declared length.
+	send := func(path string, body io.Reader, size int64) int {
 		t.Helper()
-		resp, err := nodes[0].srv.Client().Post(url+path, "application/json", bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, url+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = size
+		resp, err := nodes[0].srv.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		return resp.StatusCode
+	}
+	post := func(path string, body []byte) int {
+		t.Helper()
+		return send(path, bytes.NewReader(body), int64(len(body)))
 	}
 	steal, err := json.Marshal(StealRequest{Worker: "b", Max: 1})
 	if err != nil {
@@ -319,10 +335,73 @@ func TestBodyBounds(t *testing.T) {
 			t.Errorf("POST %s with %d bytes: status %d, want 413", tc.path, len(over), code)
 		}
 	}
+	if code := send("/internal/steal", padded(maxStealBytes+1, string(steal)), -1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked POST /internal/steal over its bound: status %d, want 413", code)
+	}
 	if m := nodes[0].sched.Metrics(); m.QueueDepth != 0 || m.Running != 0 || m.JobsDone != 0 {
 		t.Fatalf("oversized submit reached the scheduler: %+v", m)
 	}
 	if code := post("/internal/steal", steal); code != http.StatusNoContent {
 		t.Fatalf("normal steal request: status %d, want 204", code)
 	}
+
+	// The routes that carry results are bounded too. Each oversized body
+	// is streamed, never held in memory, and would be valid if complete:
+	// truncating it instead of refusing it would import a prefix.
+	record := `{"key":"result/oversized","value":{"a":1}}`
+	line := `{"k":"result/oversized","v":1}` + "\n"
+	for _, tc := range []struct {
+		path  string
+		body  io.Reader
+		limit int64
+	}{
+		{"/internal/steal/complete", padded(maxStealCompleteBytes+1, `{"key":"k","lease":1,"worker":"b","outcomes":[]}`), maxStealCompleteBytes},
+		{"/internal/store", padded(maxStoreRecordBytes+1, record), maxStoreRecordBytes},
+		{"/internal/segments/seg-000001.jsonl?origin=b", &repeated{unit: []byte(line), n: maxSegmentBytes + 1}, maxSegmentBytes},
+	} {
+		if code := send(tc.path, tc.body, tc.limit+1); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", tc.path, tc.limit+1, code)
+		}
+	}
+	if n := nodes[0].store.Len(); n != 0 {
+		t.Errorf("oversized bodies landed %d records", n)
+	}
+	if reps, err := filepath.Glob(filepath.Join(nodes[0].dir, "rep-*")); err != nil || len(reps) != 0 {
+		t.Errorf("oversized segment landed: %v %v", reps, err)
+	}
+	if code := post("/internal/store", []byte(record)); code != http.StatusOK {
+		t.Fatalf("normal store record: status %d, want 200", code)
+	}
+	if code := post("/internal/segments/seg-000001.jsonl?origin=b", []byte(line)); code != http.StatusOK {
+		t.Fatalf("normal segment: status %d, want 200", code)
+	}
+}
+
+// padded streams n bytes: leading spaces, then tail.
+func padded(n int64, tail string) io.Reader {
+	return io.MultiReader(&repeated{unit: []byte(" "), n: n - int64(len(tail))}, strings.NewReader(tail))
+}
+
+// repeated streams unit over and over, n bytes in all, without holding
+// more than one unit in memory.
+type repeated struct {
+	unit []byte
+	off  int
+	n    int64
+}
+
+// Read implements io.Reader.
+func (r *repeated) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.unit[r.off]
+		r.off = (r.off + 1) % len(r.unit)
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
 }

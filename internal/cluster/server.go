@@ -194,11 +194,41 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, work)
 }
 
+// The bounds of the peer routes that carry results. A steal batch holds
+// a telemetry snapshot per trial, which grows with the network's link
+// count; a replicated record is one stored value; a shipped segment rolls
+// at jobs.DefaultSegmentBytes unless a single record outgrows that.
+const (
+	// maxStealCompleteBytes bounds a POST /internal/steal/complete body.
+	maxStealCompleteBytes = 256 << 20
+	// maxStoreRecordBytes bounds a POST /internal/store body.
+	maxStoreRecordBytes = 64 << 20
+	// maxSegmentBytes bounds a POST /internal/segments/{name} body.
+	maxSegmentBytes = 256 << 20
+)
+
+// boundedBody returns r's body bounded at limit bytes: a read past the
+// limit fails with *http.MaxBytesError, which jobs.BodyErrorStatus maps
+// to 413. A body that declares a larger Content-Length fails its first
+// read, so the route refuses it without reading or buffering any of it.
+func boundedBody(w http.ResponseWriter, r *http.Request, limit int64) io.Reader {
+	if r.ContentLength > limit {
+		return errReader{&http.MaxBytesError{Limit: limit}}
+	}
+	return http.MaxBytesReader(w, r.Body, limit)
+}
+
+// errReader is a reader whose every read fails with err.
+type errReader struct{ err error }
+
+// Read implements io.Reader.
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
 // handleStealComplete handles POST /internal/steal/complete.
 func (n *Node) handleStealComplete(w http.ResponseWriter, r *http.Request) {
 	var sc StealComplete
-	if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&sc); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if err := json.NewDecoder(boundedBody(w, r, maxStealCompleteBytes)).Decode(&sc); err != nil {
+		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: err.Error()})
 		return
 	}
 	if err := n.steal.complete(sc); err != nil {
@@ -218,8 +248,8 @@ func (n *Node) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var it replItem
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&it); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if err := json.NewDecoder(boundedBody(w, r, maxStoreRecordBytes)).Decode(&it); err != nil {
+		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: err.Error()})
 		return
 	}
 	if it.Key == "" || len(it.Value) == 0 {
@@ -291,9 +321,9 @@ func (n *Node) handleSegmentPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	origin := r.URL.Query().Get("origin")
-	data, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
+	data, err := io.ReadAll(boundedBody(w, r, maxSegmentBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: err.Error()})
 		return
 	}
 	added, err := n.store.ImportSegment(origin, r.PathValue("name"), data)

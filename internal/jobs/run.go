@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -101,7 +102,8 @@ type Result struct {
 	// Telemetry is the fold of the per-trial snapshots (route and dynamic
 	// jobs).
 	Telemetry *telemetry.Snapshot `json:"telemetry"`
-	// Table is the experiment table's canonical JSON (experiment jobs).
+	// Table is the experiment table's canonical JSON, compacted
+	// (experiment jobs).
 	Table json.RawMessage `json:"table,omitempty"`
 	// Text is the experiment's rendered report (experiment jobs).
 	Text string `json:"text,omitempty"`
@@ -290,7 +292,9 @@ func (e *Executor) Run(spec Spec, eng Simulator, progress func(done, total int),
 	return res, false, nil
 }
 
-// runExperiment delegates to the injected experiment harness.
+// runExperiment delegates to the injected experiment harness. The
+// runner's table is validated and compacted, so a fresh Result and one
+// read back from the store encode to the same bytes.
 func (e *Executor) runExperiment(key string, norm Spec) (*Result, error) {
 	if e.Experiments == nil {
 		return nil, fmt.Errorf("jobs: no experiment runner configured")
@@ -300,7 +304,11 @@ func (e *Executor) runExperiment(key string, norm Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Key: key, Spec: norm, Table: table, Text: text}, nil
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, table); err != nil {
+		return nil, fmt.Errorf("jobs: experiment %s table: %w", x.ID, err)
+	}
+	return &Result{Key: key, Spec: norm, Table: compact.Bytes(), Text: text}, nil
 }
 
 // routeTrial executes one trial of a materialized route sweep on eng.

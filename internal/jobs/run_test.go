@@ -281,6 +281,46 @@ func TestRunExperimentDelegation(t *testing.T) {
 	}
 }
 
+// TestRunExperimentReplayByteIdentical: a runner's indented table (as
+// Table.WriteJSON prints it, HTML characters included) is stored in one
+// form, so the fresh Result, a hit in the same process and a hit after a
+// reopen encode to the same canonical bytes.
+func TestRunExperimentReplayByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	runner := func(id string, seed uint64, trials int, quick bool) (json.RawMessage, string, error) {
+		table := "{\n  \"id\": \"" + id + "\",\n  \"notes\": [\n    \"depth >= t\"\n  ],\n  \"columns\": [\n    \"T&F\",\n    \"a<b\"\n  ]\n}\n"
+		return json.RawMessage(table), "depth >= t\n", nil
+	}
+	spec := Spec{Experiment: &ExperimentSpec{ID: "F5", Seed: 1, Quick: true}}
+	run := func() []byte {
+		t.Helper()
+		store, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		res, _, err := (&Executor{Store: store, Experiments: runner}).Run(spec, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, fromCache, err := (&Executor{Store: store}).Run(spec, nil, nil, nil)
+		if err != nil || !fromCache {
+			t.Fatalf("same-process hit: fromCache=%v err=%v", fromCache, err)
+		}
+		if a, b := resultBytes(t, res), resultBytes(t, hit); !bytes.Equal(a, b) {
+			t.Fatalf("hit differs from its source:\n got %s\nwant %s", b, a)
+		}
+		return resultBytes(t, res)
+	}
+	fresh := run()
+	if !bytes.Contains(fresh, []byte(`"table":{"id":"F5","notes":["depth >= t"],"columns":["T&F","a<b"]}`)) {
+		t.Errorf("table not stored compact and unescaped: %s", fresh)
+	}
+	if reopened := run(); !bytes.Equal(reopened, fresh) {
+		t.Errorf("hit after reopen differs from the fresh result:\n got %s\nwant %s", reopened, fresh)
+	}
+}
+
 // mustKey returns the spec key or fails the test.
 func mustKey(t *testing.T, s Spec) string {
 	t.Helper()

@@ -197,15 +197,22 @@ func NewScheduler(exec *Executor, opts Options) *Scheduler {
 func (s *Scheduler) RetryAfter() time.Duration { return s.opts.RetryAfter }
 
 // Submit enqueues the spec and returns its status. An identical job
-// already queued or running is joined, not duplicated (singleflight); a
-// stored result makes the job done immediately without consuming a
-// queue slot or waking a worker — the pure-cache-hit path matters after
-// a restart, when the singleflight map is cold but the store is warm; a
-// full queue returns ErrBusy.
+// already queued, running or done is joined, not duplicated
+// (singleflight), before the store is probed; a stored result makes the
+// job done immediately without consuming a queue slot or waking a worker
+// — the pure-cache-hit path matters after a restart, when the
+// singleflight map is cold but the store is warm; a full queue returns
+// ErrBusy.
 func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 	key, err := spec.Key()
 	if err != nil {
 		return JobStatus{}, err
+	}
+	s.mu.Lock()
+	st, joined, err := s.joinLocked(key)
+	s.mu.Unlock()
+	if joined {
+		return st, err
 	}
 	norm := spec.Normalized()
 	totalTrials := 0
@@ -213,7 +220,7 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 		totalTrials = norm.Route.Trials
 	}
 
-	// Probe the local store before taking the scheduler mutex: decoding a
+	// Probe the local store without the scheduler mutex: decoding a
 	// cached result can be megabytes of JSON, and holding the lock across
 	// it would stall every worker's state transition on a pure cache hit.
 	// Only the local index is consulted here — a remote read-repair probe
@@ -230,12 +237,9 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return JobStatus{}, fmt.Errorf("jobs: scheduler closed")
-	}
-	if j, ok := s.jobs[key]; ok && j.state != StateFailed && j.state != StateCanceled {
-		// Singleflight: queued, running and completed jobs are shared.
-		return s.statusLocked(j), nil
+	// Another submit may have created the job while the store was probed.
+	if st, joined, err := s.joinLocked(key); joined {
+		return st, err
 	}
 	if cached != nil {
 		j := &job{
@@ -264,6 +268,21 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 	heap.Push(&s.queue, j)
 	s.cond.Signal()
 	return s.statusLocked(j), nil
+}
+
+// joinLocked returns the status of key's live job — queued, running and
+// completed jobs are shared (singleflight) — or the error of a closed
+// scheduler. joined is false when the caller must create the job.
+//
+//optlint:locked mu
+func (s *Scheduler) joinLocked(key string) (st JobStatus, joined bool, err error) {
+	if s.closed {
+		return JobStatus{}, true, fmt.Errorf("jobs: scheduler closed")
+	}
+	if j, ok := s.jobs[key]; ok && j.state != StateFailed && j.state != StateCanceled {
+		return s.statusLocked(j), true, nil
+	}
+	return JobStatus{}, false, nil
 }
 
 // worker executes queued jobs on a goroutine-owned engine until Close.

@@ -83,6 +83,39 @@ func TestSchedulerCacheHit(t *testing.T) {
 	}
 }
 
+// TestSubmitDoneJobSkipsStore: a repeat submit of a finished job joins it
+// through the singleflight map before the store is probed, so it costs
+// about what keying the spec costs — it does not decode the stored
+// result and throw it away.
+func TestSubmitDoneJobSkipsStore(t *testing.T) {
+	s := newTestScheduler(t, Options{})
+	spec := testSpec(23, 2)
+	st, err := s.Submit(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, s, st.Key); st.State != StateDone {
+		t.Fatalf("job did not finish: %+v", st)
+	}
+	if _, ok := s.exec.Store.Get(resultKey(st.Key)); !ok {
+		t.Fatal("finished job's result is not stored")
+	}
+	key := testing.AllocsPerRun(20, func() {
+		if _, err := spec.Key(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	submit := testing.AllocsPerRun(20, func() {
+		if st, err := s.Submit(spec, 0); err != nil || st.State != StateDone {
+			t.Fatalf("repeat submit: %+v, %v", st, err)
+		}
+	})
+	t.Logf("repeat submit of a done job: %v allocs; keying alone: %v", submit, key)
+	if submit > key+2 {
+		t.Errorf("repeat submit of a done job allocates %v times, keying alone %v", submit, key)
+	}
+}
+
 // TestSchedulerSingleflight: concurrent submissions of one job share a
 // single execution.
 func TestSchedulerSingleflight(t *testing.T) {

@@ -54,7 +54,8 @@ type Store struct {
 	OnSeal func(name string)
 }
 
-// storeRecord is one JSONL line: the key and its (raw) value.
+// storeRecord is one JSONL line as replay decodes it: the key and its
+// (raw) value. recordLine writes the lines.
 type storeRecord struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v"`
@@ -160,7 +161,7 @@ func (s *Store) replay(path string) error {
 			s.skippedTail++
 			return nil
 		}
-		s.apply(rec)
+		s.apply(rec.K, rec.V)
 	}
 	if err := sc.Err(); err != nil {
 		// An over-long or unreadable tail is the same case as a torn one.
@@ -172,12 +173,12 @@ func (s *Store) replay(path string) error {
 // apply folds one record into the index (null value = tombstone).
 //
 //optlint:locked mu
-func (s *Store) apply(rec storeRecord) {
-	if len(rec.V) == 0 || string(rec.V) == "null" {
-		delete(s.index, rec.K)
+func (s *Store) apply(key string, value json.RawMessage) {
+	if len(value) == 0 || string(value) == "null" {
+		delete(s.index, key)
 		return
 	}
-	s.index[rec.K] = rec.V
+	s.index[key] = value
 }
 
 // Get returns the latest value stored for key. The returned bytes are
@@ -203,47 +204,70 @@ func (s *Store) GetJSON(key string, out any) (bool, error) {
 }
 
 // Put appends key -> v (canonically encoded) and updates the index. The
-// Observer, if set, sees the append: Put is the locally originated write
-// path, the one replication must fan out.
+// stored value is exactly canon's encoding of v. The Observer, if set,
+// sees the append: Put is the locally originated write path, the one
+// replication must fan out.
 func (s *Store) Put(key string, v any) error {
-	if key == "" {
-		return fmt.Errorf("jobs: empty store key")
-	}
-	raw, err := canon.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return s.append(storeRecord{K: key, V: raw}, true)
+	return s.append(key, func(line []byte) ([]byte, error) { return canon.Append(line, v) }, true)
 }
 
 // PutRaw appends an already-encoded value for key without notifying the
 // Observer. It is the replication ingest path: the value was canonically
 // encoded (and observed) at its origin, so re-marshaling could only
 // corrupt it and re-observing it would ping-pong records between
-// replicas forever.
+// replicas forever. The bytes come from a peer, so they are checked:
+// empty or invalid JSON is an error, as is a tombstone, and whitespace
+// is compacted away so the record stays one line.
 func (s *Store) PutRaw(key string, raw json.RawMessage) error {
-	if key == "" {
-		return fmt.Errorf("jobs: empty store key")
-	}
-	if len(raw) == 0 || string(raw) == "null" {
-		return fmt.Errorf("jobs: PutRaw of a tombstone for %s", key)
-	}
-	return s.append(storeRecord{K: key, V: raw}, false)
+	return s.append(key, func(line []byte) ([]byte, error) {
+		n := len(line)
+		out := bytes.NewBuffer(line)
+		if err := json.Compact(out, raw); err != nil {
+			return nil, fmt.Errorf("jobs: PutRaw for %s: %w", key, err)
+		}
+		if string(out.Bytes()[n:]) == "null" {
+			return nil, fmt.Errorf("jobs: PutRaw of a tombstone for %s", key)
+		}
+		return out.Bytes(), nil
+	}, false)
 }
 
 // Delete appends a tombstone for key.
 func (s *Store) Delete(key string) error {
-	return s.append(storeRecord{K: key}, false)
+	return s.append(key, nil, false)
+}
+
+// recordLine builds one segment line, {"k":<key>,"v":<value>}\n, for
+// Put, PutRaw and Delete alike. The key goes through canon's string
+// escaper; appendValue appends the value's JSON, which must be one line,
+// and a nil appendValue writes the tombstone null. The returned value is
+// the value's bytes inside the line: the index, the segment and the
+// Observer share that one copy.
+func recordLine(key string, appendValue func(line []byte) ([]byte, error)) (line []byte, value json.RawMessage, err error) {
+	line = append(line, `{"k":`...)
+	line = canon.AppendString(line, key)
+	line = append(line, `,"v":`...)
+	start := len(line)
+	if appendValue == nil {
+		line = append(line, "null"...)
+	} else if line, err = appendValue(line); err != nil {
+		return nil, nil, err
+	}
+	end := len(line)
+	line = append(line, '}', '\n')
+	return line, line[start:end:end], nil
 }
 
 // append writes one record line, rolling the segment first when the
 // current one is full. local marks an Observer-visible origin write.
-func (s *Store) append(rec storeRecord, local bool) error {
-	line, err := json.Marshal(rec)
+func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error), local bool) error {
+	if key == "" {
+		return fmt.Errorf("jobs: empty store key")
+	}
+	line, value, err := recordLine(key, appendValue)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seg == nil || s.segBytes+int64(len(line)) > s.maxSegBytes {
@@ -255,9 +279,9 @@ func (s *Store) append(rec storeRecord, local bool) error {
 		return fmt.Errorf("jobs: append: %w", err)
 	}
 	s.segBytes += int64(len(line))
-	s.apply(rec)
+	s.apply(key, value)
 	if local && s.Observer != nil {
-		s.Observer(rec.K, rec.V)
+		s.Observer(key, value)
 	}
 	return nil
 }
