@@ -13,6 +13,8 @@
 // Endpoints: POST /jobs, GET /jobs/{key}, GET /jobs/{key}/result
 // (?wait=1 blocks), GET /jobs/{key}/stream (NDJSON progress),
 // DELETE /jobs/{key}, GET /metrics (Prometheus text), GET /snapshot.
+// The result body is the stored canonical JSON, compact on one line
+// (pipe it through jq to read it); status and error bodies are indented.
 //
 // A full queue answers 429 with a Retry-After header; the job key in
 // every response is the spec's content address (see README "Serving").

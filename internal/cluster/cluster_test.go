@@ -244,7 +244,7 @@ func TestShouldForward(t *testing.T) {
 }
 
 // TestForwardedSubmitReachesOwner submits to a non-owner and verifies
-// the job lands on (and is served from) the owner.
+// the job lands on (and is served from) the owner, byte for byte.
 func TestForwardedSubmitReachesOwner(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	nodes := startCluster(t, []string{"a", "b", "c"}, func(c *Config) {
@@ -269,6 +269,23 @@ func TestForwardedSubmitReachesOwner(t *testing.T) {
 	}
 	if res.Key != key || len(res.Trials) != 2 {
 		t.Fatalf("bad result: key=%s trials=%d", res.Key, len(res.Trials))
+	}
+	// The non-owner relays the owner's stored bytes as they are.
+	resp, err := http.Get(rest[0].srv.URL + "/jobs/" + key + "/result?wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := owner.store.Get(jobs.ResultKey(key))
+	if !ok {
+		t.Fatal("owner did not store the result")
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, append(bytes.Clone(stored), '\n')) {
+		t.Fatalf("non-owner served HTTP %d with a body that is not the owner's stored bytes plus a newline:\n got %.200s\nwant %.200s", resp.StatusCode, body, stored)
 	}
 	// The owner's scheduler executed it; the non-owner's never saw it.
 	if _, err := owner.sched.Status(key); err != nil {

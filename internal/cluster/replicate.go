@@ -76,7 +76,9 @@ func (r *replicator) enqueue(it replItem) {
 }
 
 // run is the replication pusher loop; it drains the queue on every wake
-// and exits when the node closes.
+// and exits when the node closes, without finishing the backlog: peers
+// may already be gone, and the sealed-segment ship and back-fill restore
+// the copies the backlog held.
 func (r *replicator) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
@@ -86,6 +88,11 @@ func (r *replicator) run(wg *sync.WaitGroup) {
 		case <-r.wake:
 		}
 		for {
+			select {
+			case <-r.node.stop:
+				return
+			default:
+			}
 			r.mu.Lock()
 			if len(r.queue) == 0 {
 				r.mu.Unlock()
@@ -190,9 +197,7 @@ func (n *Node) fetchRecord(p Peer, storeKey string) (json.RawMessage, bool) {
 	if err != nil {
 		return nil, false
 	}
-	//optlint:allow errsink response body is read-only; close cannot lose data
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := jobs.ReadResponse(resp, maxStoreRecordBytes)
 	if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(data) {
 		return nil, false
 	}
@@ -242,9 +247,7 @@ func (n *Node) getJSON(p Peer, path string, out any) error {
 	if err != nil {
 		return err
 	}
-	//optlint:allow errsink response body is read-only; close cannot lose data
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := jobs.ReadResponse(resp, maxPeerResponseBytes)
 	if err != nil {
 		return err
 	}
@@ -260,9 +263,7 @@ func (n *Node) fetchSegment(p Peer, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	//optlint:allow errsink response body is read-only; close cannot lose data
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	data, err := jobs.ReadResponse(resp, maxSegmentBytes)
 	if err != nil {
 		return nil, err
 	}

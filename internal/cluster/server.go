@@ -131,7 +131,7 @@ func (n *Node) status(w http.ResponseWriter, r *http.Request) {
 }
 
 // result handles GET /jobs/{key}/result, forwarding to the owner for
-// jobs this node never saw.
+// jobs this node never saw and relaying the owner's bytes as they are.
 func (n *Node) result(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if _, err := n.sched.Status(key); err == nil {
@@ -144,12 +144,14 @@ func (n *Node) result(w http.ResponseWriter, r *http.Request) {
 		n.inner.ServeHTTP(w, r)
 		return
 	}
-	res, err := n.peerClient(owner, via).Result(key)
+	raw, err := n.peerClient(owner, via).ResultJSON(key)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	if err := jobs.ServeResult(w, raw); err != nil {
+		n.cfg.Logf("cluster: result response truncated: %v", err)
+	}
 }
 
 // metrics handles GET /metrics: the jobs server's output with the
@@ -197,14 +199,19 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 // The bounds of the peer routes that carry results. A steal batch holds
 // a telemetry snapshot per trial, which grows with the network's link
 // count; a replicated record is one stored value; a shipped segment rolls
-// at jobs.DefaultSegmentBytes unless a single record outgrows that.
+// at jobs.DefaultSegmentBytes unless a single record outgrows that. The
+// record and segment bounds apply both ways: to the bodies peers push
+// and to the bodies this node fetches on read-repair and back-fill.
 const (
 	// maxStealCompleteBytes bounds a POST /internal/steal/complete body.
 	maxStealCompleteBytes = 256 << 20
-	// maxStoreRecordBytes bounds a POST /internal/store body.
+	// maxStoreRecordBytes bounds a replicated record.
 	maxStoreRecordBytes = 64 << 20
-	// maxSegmentBytes bounds a POST /internal/segments/{name} body.
+	// maxSegmentBytes bounds a shipped segment.
 	maxSegmentBytes = 256 << 20
+	// maxPeerResponseBytes bounds any other peer answer: a segment list,
+	// a steal lease or an acknowledgement.
+	maxPeerResponseBytes = 64 << 20
 )
 
 // boundedBody returns r's body bounded at limit bytes: a read past the

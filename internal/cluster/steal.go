@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -385,17 +384,19 @@ func (n *Node) postJSON(p Peer, path string, v, out any) error {
 // postJSONStatus is postJSON returning the status code; a 204 skips
 // decoding. 4xx/5xx decode the error envelope when present.
 func (n *Node) postJSONStatus(p Peer, path string, v, out any) (int, error) {
-	body, err := json.Marshal(v)
+	// Without HTML escaping, a replicated value reaches the peer as the
+	// bytes its origin stored.
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return 0, err
+	}
+	resp, err := n.httpClient().Post(p.URL+path, "application/json", &body)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := n.httpClient().Post(p.URL+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	//optlint:allow errsink response body is read-only; close cannot lose data
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := jobs.ReadResponse(resp, maxPeerResponseBytes)
 	if err != nil {
 		return 0, err
 	}

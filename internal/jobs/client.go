@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -75,24 +76,57 @@ func (c *Client) do(method, url string, body []byte) (*http.Response, error) {
 	return c.httpClient().Do(req)
 }
 
-// decode reads one JSON response, translating error envelopes and
-// non-2xx statuses into errors.
-func decode(resp *http.Response, out any) error {
-	//optlint:allow errsink the body is read-only and fully drained below; close cannot lose data
+// maxResponseBytes bounds a response body the client reads.
+const maxResponseBytes = 64 << 20
+
+// ErrResponseTooLarge is wrapped by ReadResponse's error for a body
+// longer than its bound.
+var ErrResponseTooLarge = errors.New("jobs: response body exceeds its bound")
+
+// ReadResponse reads and closes resp's body, which may hold at most limit
+// bytes. A longer body is an error wrapping ErrResponseTooLarge, never a
+// silent prefix: a body that declares a longer Content-Length is refused
+// unread, and otherwise at most limit+1 bytes are read to tell a body at
+// the bound from one past it.
+func ReadResponse(resp *http.Response, limit int64) ([]byte, error) {
+	//optlint:allow errsink the body is only read; close cannot lose data
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("%w: %d bytes declared, bound %d", ErrResponseTooLarge, resp.ContentLength, limit)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("%w: more than %d bytes", ErrResponseTooLarge, limit)
+	}
+	return data, nil
+}
+
+// readBody reads one response body, translating error envelopes and
+// 4xx/5xx statuses into errors.
+func readBody(resp *http.Response) ([]byte, error) {
+	body, err := ReadResponse(resp, maxResponseBytes)
+	if err != nil {
+		return nil, err
 	}
 	if resp.StatusCode >= 400 {
 		var e errorBody
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return fmt.Errorf("jobs: server: %s (HTTP %d)", e.Error, resp.StatusCode)
+			return nil, fmt.Errorf("jobs: server: %s (HTTP %d)", e.Error, resp.StatusCode)
 		}
-		return fmt.Errorf("jobs: server: HTTP %d", resp.StatusCode)
+		return nil, fmt.Errorf("jobs: server: HTTP %d", resp.StatusCode)
 	}
-	if out == nil {
-		return nil
+	return body, nil
+}
+
+// decode reads one JSON response into out (nil: body discarded), like
+// readBody.
+func decode(resp *http.Response, out any) error {
+	body, err := readBody(resp)
+	if err != nil || out == nil {
+		return err
 	}
 	return json.Unmarshal(body, out)
 }
@@ -195,15 +229,32 @@ func (c *Client) Status(key string) (JobStatus, error) {
 // Result fetches the job's result, blocking server-side until the job
 // settles.
 func (c *Client) Result(key string) (*Result, error) {
+	raw, err := c.ResultJSON(key)
+	if err != nil {
+		return nil, err
+	}
+	res, err := decodeResult(raw)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: result of %s: %w", key, err)
+	}
+	return res, nil
+}
+
+// ResultJSON fetches the job's result as the canonical JSON the server
+// stores for it, blocking server-side until the job settles.
+func (c *Client) ResultJSON(key string) (json.RawMessage, error) {
 	resp, err := c.do(http.MethodGet, c.url("/jobs/"+key+"/result?wait=1"), nil)
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	if err := decode(resp, &res); err != nil {
+	body, err := readBody(resp)
+	if err != nil {
 		return nil, err
 	}
-	return &res, nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("jobs: result of %s: HTTP %d", key, resp.StatusCode)
+	}
+	return bytes.TrimSuffix(body, []byte("\n")), nil
 }
 
 // Cancel cancels the job.

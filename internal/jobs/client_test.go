@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -130,5 +132,49 @@ func TestClientHeaderApplied(t *testing.T) {
 	}
 	if v, _ := got.Load().(string); v != "a,b" {
 		t.Fatalf("header not forwarded: got %q", v)
+	}
+}
+
+// closeRecorder is a response body that records its Close.
+type closeRecorder struct {
+	io.Reader
+	closed bool
+}
+
+// Close implements io.Closer.
+func (c *closeRecorder) Close() error {
+	c.closed = true
+	return nil
+}
+
+// TestReadResponse pins the bounded read at a 4-byte limit: a body at the
+// bound reads whole, one past it fails with ErrResponseTooLarge instead
+// of returning a prefix, and so does a body that declares a longer
+// Content-Length. The body is closed either way.
+func TestReadResponse(t *testing.T) {
+	for _, tc := range []struct {
+		body     string
+		declared int64
+		ok       bool
+	}{
+		{"", 0, true},
+		{"abc", -1, true},
+		{"abcd", -1, true},
+		{"abcd", 4, true},
+		{"abcde", -1, false},
+		{"abcdefgh", -1, false},
+		{"ab", 5, false},
+	} {
+		body := &closeRecorder{Reader: strings.NewReader(tc.body)}
+		data, err := ReadResponse(&http.Response{Body: body, ContentLength: tc.declared}, 4)
+		switch {
+		case tc.ok && (err != nil || string(data) != tc.body):
+			t.Errorf("%q (declared %d): got %q, %v; want the whole body", tc.body, tc.declared, data, err)
+		case !tc.ok && (!errors.Is(err, ErrResponseTooLarge) || data != nil):
+			t.Errorf("%q (declared %d): got %q, %v; want ErrResponseTooLarge", tc.body, tc.declared, data, err)
+		}
+		if !body.closed {
+			t.Errorf("%q (declared %d): body not closed", tc.body, tc.declared)
+		}
 	}
 }

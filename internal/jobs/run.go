@@ -150,6 +150,17 @@ func (r *Result) reload() {
 	}
 }
 
+// decodeResult decodes a result from its canonical JSON, the form the
+// store holds and the result route serves.
+func decodeResult(raw []byte) (*Result, error) {
+	var res Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		return nil, err
+	}
+	res.reload()
+	return &res, nil
+}
+
 // TrialOutcome is one executed trial of a route sweep: its summary plus
 // its solo telemetry snapshot. It is the unit of work-stealing transfer —
 // integral throughout, so the JSON trip from a stealing peer back to the

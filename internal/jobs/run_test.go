@@ -321,6 +321,56 @@ func TestRunExperimentReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// FuzzResultJSONRoundTrip checks canon against encoding/json on the type
+// the result route serves: any input encoding/json decodes into a Result
+// has a canonical encoding b, and decoding b as a client does (decode,
+// then reload) gives a value canon encodes to b again. Seeds are route,
+// dynamic and experiment results, canonical and as encoding/json writes
+// them; the experiment's table holds HTML characters.
+func FuzzResultJSONRoundTrip(f *testing.F) {
+	runner := func(id string, seed uint64, trials int, quick bool) (json.RawMessage, string, error) {
+		return json.RawMessage(`{"id":"` + id + `","notes":["depth >= t"],"columns":["T&F","a<b"],"rows":[[1.5,-0.25,3e-9]]}`), "T&F <b>\n", nil
+	}
+	for _, spec := range []Spec{
+		testSpec(5, 2),
+		testDynamicSpec(f, 5, 2),
+		{Experiment: &ExperimentSpec{ID: "F5", Seed: 1, Quick: true}},
+	} {
+		res, _, err := (&Executor{Experiments: runner}).Run(spec, sim.NewEngine(), nil, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, marshal := range []func(any) ([]byte, error){canon.Marshal, json.Marshal} {
+			b, err := marshal(res)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res Result
+		if json.Unmarshal(data, &res) != nil {
+			return
+		}
+		b, err := canon.Marshal(&res)
+		if err != nil {
+			t.Fatalf("canon cannot encode a decoded result: %v", err)
+		}
+		back, err := decodeResult(b)
+		if err != nil {
+			t.Fatalf("canonical bytes do not decode: %v\n%s", err, b)
+		}
+		again, err := canon.Marshal(back)
+		if err != nil {
+			t.Fatalf("canon cannot encode the round trip: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("round trip changed the bytes:\n got %s\nwant %s", again, b)
+		}
+	})
+}
+
 // mustKey returns the spec key or fails the test.
 func mustKey(t *testing.T, s Spec) string {
 	t.Helper()

@@ -2,12 +2,14 @@ package jobs
 
 import (
 	"container/heap"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/sim"
 )
 
@@ -58,7 +60,8 @@ type JobStatus struct {
 
 // job is the scheduler's internal record; its mutable fields are guarded
 // by the scheduler mutex except cancel and doneTrials, which the worker
-// touches mid-run.
+// touches mid-run. A done job keeps its result as canonical JSON, the
+// bytes the store holds, so serving it needs no encoding.
 type job struct {
 	key      string
 	spec     Spec
@@ -71,8 +74,8 @@ type job struct {
 	totalTrials int
 	doneTrials  atomic.Int64
 	cancel      atomic.Bool
-	err         error   //optlint:guardedby mu
-	result      *Result //optlint:guardedby mu
+	err         error           //optlint:guardedby mu
+	result      json.RawMessage //optlint:guardedby mu
 	done        chan struct{}
 }
 
@@ -220,19 +223,16 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 		totalTrials = norm.Route.Trials
 	}
 
-	// Probe the local store without the scheduler mutex: decoding a
-	// cached result can be megabytes of JSON, and holding the lock across
-	// it would stall every worker's state transition on a pure cache hit.
+	// Probe the local store without the scheduler mutex: the store's read
+	// lock can wait behind a segment fsync, and holding the scheduler
+	// mutex across it would stall every worker's state transition. The
+	// stored bytes are the job's result as served, so nothing is decoded.
 	// Only the local index is consulted here — a remote read-repair probe
 	// would put peer latency on every cold submit; the worker's Run path
 	// consults replicas before computing instead.
-	var cached *Result
+	var cached json.RawMessage
 	if s.exec.Store != nil {
-		var res Result
-		if ok, err := s.exec.Store.GetJSON(resultKey(key), &res); err == nil && ok {
-			res.reload()
-			cached = &res
-		}
+		cached, _ = s.exec.Store.Get(resultKey(key))
 	}
 
 	s.mu.Lock()
@@ -307,6 +307,12 @@ func (s *Scheduler) worker() {
 			j.doneTrials.Store(int64(done))
 		}
 		res, fromCache, err := s.exec.Run(j.spec, eng, progress, j.cancel.Load)
+		var raw json.RawMessage
+		if err == nil {
+			// The same encoding Store.Put wrote, so a fresh job and a stored
+			// one serve the same bytes.
+			raw, err = canon.Marshal(res)
+		}
 
 		s.mu.Lock()
 		s.running--
@@ -321,7 +327,7 @@ func (s *Scheduler) worker() {
 			s.cacheMisses++
 		default:
 			j.state = StateDone
-			j.result = res
+			j.result = raw
 			j.fromCache = fromCache
 			if fromCache {
 				s.cacheHits++
@@ -363,9 +369,24 @@ func (s *Scheduler) Status(key string) (JobStatus, error) {
 	return s.statusLocked(j), nil
 }
 
-// Result returns the finished job's result; ok is false while the job is
-// still pending.
+// Result returns the finished job's result, decoded from its canonical
+// JSON; the result is nil while the job is still pending.
 func (s *Scheduler) Result(key string) (*Result, JobStatus, error) {
+	raw, st, err := s.ResultJSON(key)
+	if err != nil || raw == nil {
+		return nil, st, err
+	}
+	res, err := decodeResult(raw)
+	if err != nil {
+		return nil, st, fmt.Errorf("jobs: result of %s: %w", key, err)
+	}
+	return res, st, nil
+}
+
+// ResultJSON returns the finished job's result as canonical JSON, the
+// bytes the store holds for it; they are nil while the job is still
+// pending, shared, and must not be modified.
+func (s *Scheduler) ResultJSON(key string) (json.RawMessage, JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[key]

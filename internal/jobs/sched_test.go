@@ -116,6 +116,38 @@ func TestSubmitDoneJobSkipsStore(t *testing.T) {
 	}
 }
 
+// TestSubmitStoreHitSkipsDecode: a submit answered from the store keeps
+// the stored bytes as they are, so a hit on a 16² sweep's result (about
+// 98 KB of JSON) costs about what keying the spec costs, not a decode.
+func TestSubmitStoreHitSkipsDecode(t *testing.T) {
+	s := newTestScheduler(t, Options{})
+	spec := sweepBenchSpec(16, 1)
+	st, err := s.Submit(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, s, st.Key); st.State != StateDone {
+		t.Fatalf("job did not finish: %+v", st)
+	}
+	key := testing.AllocsPerRun(20, func() {
+		if _, err := spec.Key(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	hit := testing.AllocsPerRun(20, func() {
+		s.mu.Lock()
+		delete(s.jobs, st.Key) // only the store can answer
+		s.mu.Unlock()
+		if st, err := s.Submit(spec, 0); err != nil || !st.FromCache {
+			t.Fatalf("store-hit submit: %+v, %v", st, err)
+		}
+	})
+	t.Logf("store-hit submit of a 16² sweep: %v allocs; keying alone: %v", hit, key)
+	if hit > key+8 {
+		t.Errorf("store-hit submit allocates %v times, keying alone %v", hit, key)
+	}
+}
+
 // TestSchedulerSingleflight: concurrent submissions of one job share a
 // single execution.
 func TestSchedulerSingleflight(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -17,13 +18,15 @@ import (
 //
 //	POST   /jobs              submit {"spec": ..., "priority": n}
 //	GET    /jobs/{key}        status
-//	GET    /jobs/{key}/result result (202 while pending; ?wait=1 blocks)
+//	GET    /jobs/{key}/result result as stored: canonical JSON on one line
+//	                          (202 while pending; ?wait=1 blocks)
 //	GET    /jobs/{key}/stream NDJSON status stream until the job settles
 //	DELETE /jobs/{key}        cancel
 //	GET    /metrics           telemetry + optnetd_ serving gauges
 //	GET    /snapshot          telemetry snapshot as JSON
 //
-// A full queue answers 429 with a Retry-After header.
+// Status and error bodies are indented JSON. A full queue answers 429
+// with a Retry-After header.
 type Server struct {
 	// Sched serves the jobs.
 	Sched *Scheduler
@@ -67,6 +70,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// ServeResult answers a result request with 200 and the job's result as
+// the store holds it: its canonical JSON, then a newline. Nothing is
+// decoded or re-encoded on the way to the socket.
+func ServeResult(w http.ResponseWriter, raw json.RawMessage) error {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(raw)+1))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(raw); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
 }
 
 // errorBody is the JSON error envelope.
@@ -136,16 +154,18 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, st, err := s.Sched.Result(key)
+	raw, st, err := s.Sched.ResultJSON(key)
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
 	case err != nil:
 		writeJSON(w, http.StatusConflict, st)
-	case res == nil:
+	case raw == nil:
 		writeJSON(w, http.StatusAccepted, st)
 	default:
-		writeJSON(w, http.StatusOK, res)
+		if err := ServeResult(w, raw); err != nil {
+			httpLogf("jobs: result response truncated: %v", err)
+		}
 	}
 }
 

@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/canon"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
 )
@@ -91,6 +95,104 @@ func TestServerSubmitTwiceCacheHit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("cache-hit submit returned %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestServerServesStoredBytes: the result route answers with the bytes
+// the store holds for the job plus a newline, with nothing decoded or
+// re-encoded in between, for a cold job, for a hit after the in-memory
+// job is dropped and for a hit through a new scheduler on the reopened
+// store. Client.Result decodes those bytes to the value Executor.Run
+// returns for the stored job, and they are the canonical encoding of a
+// fresh run's result.
+func TestServerServesStoredBytes(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	spec := testSpec(44, 3)
+	key := mustKey(t, spec)
+	fresh, _, err := (&Executor{}).Run(spec, sim.NewEngine(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := canon.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// serve runs the server over a scheduler on the store in dir, calls
+	// use with it, then shuts it down.
+	serve := func(use func(store *Store, sched *Scheduler, srv *httptest.Server, c *Client)) {
+		t.Helper()
+		store, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		sched := NewScheduler(&Executor{Store: store}, Options{})
+		defer sched.Close()
+		srv := httptest.NewServer((&Server{Sched: sched}).Handler())
+		defer srv.Close()
+		use(store, sched, srv, &Client{BaseURL: srv.URL, HTTPClient: srv.Client()})
+	}
+	// check submits the spec and compares what the result route serves
+	// with the stored bytes and with Executor.Run.
+	check := func(name string, store *Store, srv *httptest.Server, c *Client, fromCache bool) {
+		t.Helper()
+		st, err := c.Submit(spec, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.FromCache != fromCache {
+			t.Fatalf("%s: submit from_cache=%v, want %v", name, st.FromCache, fromCache)
+		}
+		resp, err := srv.Client().Get(srv.URL + "/jobs/" + key + "/result?wait=1")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: HTTP %d, Content-Type %q", name, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		stored, ok := store.Get(ResultKey(key))
+		if !ok {
+			t.Fatalf("%s: result not stored", name)
+		}
+		if !bytes.Equal(body, append(bytes.Clone(stored), '\n')) {
+			t.Errorf("%s: served body is not the stored bytes plus a newline:\n got %.200s\nwant %.200s", name, body, stored)
+		}
+		if !bytes.Equal(stored, want) {
+			t.Errorf("%s: stored bytes are not the canonical encoding of a fresh run", name)
+		}
+		got, err := c.Result(key)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		run, hit, err := (&Executor{Store: store}).Run(spec, nil, nil, nil)
+		if err != nil || !hit {
+			t.Fatalf("%s: Executor.Run on the store: hit=%v err=%v", name, hit, err)
+		}
+		if !reflect.DeepEqual(got, run) {
+			t.Errorf("%s: Client.Result differs from Executor.Run", name)
+		}
+	}
+
+	serve(func(store *Store, sched *Scheduler, srv *httptest.Server, c *Client) {
+		check("cold job", store, srv, c, false)
+		sched.mu.Lock()
+		delete(sched.jobs, key)
+		sched.mu.Unlock()
+		check("hit after the job is dropped", store, srv, c, true)
+	})
+	serve(func(store *Store, _ *Scheduler, srv *httptest.Server, c *Client) {
+		check("hit on the reopened store", store, srv, c, true)
+	})
 }
 
 // TestServerBackpressure429: a full queue yields HTTP 429 with a

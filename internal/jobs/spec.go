@@ -3,7 +3,9 @@
 // are memoized in a disk-backed store, and a bounded scheduler serves
 // concurrent submissions on per-worker reused engines with per-trial
 // checkpointing, so identical requests are cache hits and killed sweeps
-// resume byte-identically.
+// resume byte-identically. A finished job's result is kept and served as
+// its canonical JSON, the bytes the store holds: a hit is a lookup and a
+// write, with no decode or re-encode on the way to the socket.
 //
 // The package sits above the simulation internals (core, paths, sim,
 // telemetry, faults) and below the serving layer (cmd/optnetd and the
