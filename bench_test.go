@@ -1,21 +1,18 @@
 package repro
 
-// The benchmark harness: one benchmark per experiment of the paper
-// reproduction (the tables of EXPERIMENTS.md), plus micro-benchmarks of
-// the simulator and protocol kernels. Experiment benchmarks run the
-// reduced (Quick) ladders so `go test -bench=.` completes in seconds; the
-// full tables are produced by `go run ./cmd/experiments -all`.
+// The benchmark harness: micro-benchmarks of the simulator and protocol
+// kernels. Per-table experiment timings come from perfbench's traced
+// experiments-all workload (`experiments.<ID>_s`); the full tables are
+// produced by `go run ./cmd/experiments -all`.
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/optical"
 	"repro/internal/paths"
@@ -25,49 +22,6 @@ import (
 	"repro/internal/workload"
 	"repro/optnet"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(id, experiments.Options{Seed: 1, Quick: true, Trials: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl.Fprint(io.Discard)
-	}
-}
-
-// One benchmark per experiment table (see DESIGN.md section 4).
-
-func BenchmarkE1_LeveledUpperBound(b *testing.B)    { benchExperiment(b, "E1") }
-func BenchmarkE2_StaggeredLowerBound(b *testing.B)  { benchExperiment(b, "E2") }
-func BenchmarkE3_ShortcutFreeUpper(b *testing.B)    { benchExperiment(b, "E3") }
-func BenchmarkE4_CyclicLowerBound(b *testing.B)     { benchExperiment(b, "E4") }
-func BenchmarkE5_PriorityVsServeFirst(b *testing.B) { benchExperiment(b, "E5") }
-func BenchmarkE6_CongestionDecay(b *testing.B)      { benchExperiment(b, "E6") }
-func BenchmarkE7_NodeSymmetric(b *testing.B)        { benchExperiment(b, "E7") }
-func BenchmarkE8_Meshes(b *testing.B)               { benchExperiment(b, "E8") }
-func BenchmarkE9_ButterflyQ(b *testing.B)           { benchExperiment(b, "E9") }
-func BenchmarkE10_Conversion(b *testing.B)          { benchExperiment(b, "E10") }
-func BenchmarkE11_SparseConversion(b *testing.B)    { benchExperiment(b, "E11") }
-func BenchmarkE12_MultiHop(b *testing.B)            { benchExperiment(b, "E12") }
-func BenchmarkE13_RWAContrast(b *testing.B)         { benchExperiment(b, "E13") }
-func BenchmarkE14_Lemma210(b *testing.B)            { benchExperiment(b, "E14") }
-func BenchmarkE15_DynamicLoad(b *testing.B)         { benchExperiment(b, "E15") }
-func BenchmarkE16_ElectronicBaseline(b *testing.B)  { benchExperiment(b, "E16") }
-func BenchmarkE17_Adversarial(b *testing.B)         { benchExperiment(b, "E17") }
-func BenchmarkA1_Schedules(b *testing.B)            { benchExperiment(b, "A1") }
-func BenchmarkA2_Wreckage(b *testing.B)             { benchExperiment(b, "A2") }
-func BenchmarkA3_Acks(b *testing.B)                 { benchExperiment(b, "A3") }
-func BenchmarkA4_TiePolicy(b *testing.B)            { benchExperiment(b, "A4") }
-func BenchmarkA5_Constants(b *testing.B)            { benchExperiment(b, "A5") }
-func BenchmarkA6_WavelengthChoice(b *testing.B)     { benchExperiment(b, "A6") }
-func BenchmarkA7_Synchronization(b *testing.B)      { benchExperiment(b, "A7") }
-func BenchmarkF4_WitnessTrees(b *testing.B)         { benchExperiment(b, "F4") }
-func BenchmarkF5_WitnessDepths(b *testing.B)        { benchExperiment(b, "F5") }
-func BenchmarkS1_Scorecard(b *testing.B)            { benchExperiment(b, "S1") }
-
-// Micro-benchmarks of the kernels.
 
 // simRoundWorkload builds the standard kernel workload: 256 worms of a
 // random permutation on a 16x16 torus, bandwidth 4 (the protocol's inner

@@ -18,6 +18,9 @@
 //
 // A full queue answers 429 with a Retry-After header; the job key in
 // every response is the spec's content address (see README "Serving").
+// SIGINT or SIGTERM stops the daemon: requests in flight get a few
+// seconds to finish, then the cluster node, the scheduler and the store
+// close, and the exit status is 0.
 //
 // With -peers, N daemons serve one logical namespace: submits forward
 // to the job key's rendezvous owner, idle peers steal trial batches,
@@ -28,13 +31,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -44,7 +51,26 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Serving limits. ReadHeaderTimeout drops a client that never finishes
+// its request headers and IdleTimeout closes idle keep-alive
+// connections. There is no WriteTimeout: it would cut ?wait=1 long polls
+// and NDJSON streams, which last as long as their job. shutdownTimeout
+// bounds the wait for requests in flight after SIGINT or SIGTERM.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 5 * time.Second
+)
+
 func main() {
+	if err := run(); err != nil {
+		fatal(err)
+	}
+}
+
+// run serves until SIGINT or SIGTERM, or runs one spec with -once. It
+// returns instead of exiting, so the deferred closes run on every path.
+func run() error {
 	var (
 		addr    = flag.String("addr", ":9090", "HTTP listen address")
 		dir     = flag.String("store", "", "result-store directory (empty = no persistence)")
@@ -67,7 +93,7 @@ func main() {
 		var err error
 		store, err = jobs.Open(*dir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer func() {
 			// Close seals the final segment with an fsync; a failure here is
@@ -86,17 +112,14 @@ func main() {
 	}
 
 	if *once != "" {
-		if err := runOnce(exec, *once); err != nil {
-			fatal(err)
-		}
-		return
+		return runOnce(exec, *once)
 	}
 
 	var node *cluster.Node
 	if *peers != "" {
 		list, err := parsePeers(*peers)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		node, err = cluster.New(cluster.Config{
 			Self:          *self,
@@ -108,7 +131,7 @@ func main() {
 			Now:           time.Now,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		node.Wire(exec) // before the scheduler starts executing jobs
 	}
@@ -132,9 +155,38 @@ func main() {
 		handler = srv.Handler()
 		log.Printf("optnetd: serving on %s (workers=%d queue=%d store=%q)", *addr, *workers, *queue, *dir)
 	}
-	if err := http.ListenAndServe(*addr, handler); err != nil {
-		fatal(err)
+	return serve(*addr, handler)
+}
+
+// serve answers HTTP on addr until SIGINT or SIGTERM, then shuts the
+// server down, waiting up to shutdownTimeout for requests in flight.
+func serve(addr string, handler http.Handler) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills the process outright
+	log.Printf("optnetd: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		log.Printf("optnetd: shutdown: %v", err)
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // parsePeers parses the -peers flag: comma-separated name=url pairs.

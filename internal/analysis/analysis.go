@@ -83,18 +83,6 @@ type Pass struct {
 	report   func(Diagnostic)
 }
 
-// TypeOf returns the static type of e, or nil when the expression is not
-// recorded (which for a successfully checked package means e is not an
-// expression at all).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	return p.Info.TypeOf(e)
-}
-
-// ObjectOf returns the object denoted by id (definition or use), or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	return p.Info.ObjectOf(id)
-}
-
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
@@ -138,20 +126,6 @@ func All() []*Analyzer {
 		MapIter, GlobalRand, HotPath, ProbeGuard, FloatEq, Docs,
 		GuardedBy, DetTaint, ErrSink,
 	}
-}
-
-// Lint type-checks one package's files and runs the given analyzers over
-// it, applying the //optlint:allow suppression directives. The package
-// must type-check (its module-internal imports resolved from nothing, so
-// standalone callers lint self-contained or stdlib-only packages; the
-// module walker in LintModule supplies cross-package types). Surviving
-// diagnostics come back sorted by position.
-func Lint(fset *token.FileSet, files []*ast.File, pkgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	pkg, info, err := checkPackage(fset, pkgPath, files, nil)
-	if err != nil {
-		return nil, err
-	}
-	return lintTyped(fset, files, pkgPath, pkg, info, analyzers), nil
 }
 
 // lintTyped runs the given analyzers over one type-checked package,

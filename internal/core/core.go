@@ -162,18 +162,6 @@ func (RandomRanks) Assign(round int, active []int, src *rng.Source) []int {
 	return src.Perm(len(active))
 }
 
-// StaticRanks ranks worms by their index, constant across rounds.
-type StaticRanks struct{}
-
-// Assign implements PriorityAssigner.
-func (StaticRanks) Assign(round int, active []int, src *rng.Source) []int {
-	ranks := make([]int, len(active))
-	for i, idx := range active {
-		ranks[i] = idx
-	}
-	return ranks
-}
-
 // ExplicitRanks assigns the fixed rank Ranks[wormIndex] every round; used
 // by the adversarial lower-bound constructions.
 type ExplicitRanks struct {

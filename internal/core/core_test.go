@@ -311,11 +311,6 @@ func TestPriorityAssigners(t *testing.T) {
 		seen[r] = true
 	}
 
-	sr := StaticRanks{}.Assign(1, active, src)
-	if sr[0] != 4 || sr[1] != 7 || sr[2] != 9 {
-		t.Errorf("static ranks = %v", sr)
-	}
-
 	er := ExplicitRanks{Ranks: []int{0, 0, 0, 0, 40, 0, 0, 70, 0, 90}}.Assign(1, active, src)
 	if er[0] != 40 || er[1] != 70 || er[2] != 90 {
 		t.Errorf("explicit ranks = %v", er)

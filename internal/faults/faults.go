@@ -45,8 +45,6 @@ const (
 	// regardless of the configured rule, tie policy, or ranks, and
 	// wavelength conversion at the node is disabled.
 	StuckCoupler
-
-	numKinds
 )
 
 // String names the kind.
@@ -260,9 +258,6 @@ func (p *Plan) MustCompile(g *graph.Graph, bandwidth int) *Schedule {
 // Events returns the compiled events in application order. The caller
 // must not modify the result.
 func (s *Schedule) Events() []Event { return s.events }
-
-// Empty reports whether the schedule contains no events.
-func (s *Schedule) Empty() bool { return len(s.events) == 0 }
 
 // Matches reports whether the schedule was compiled for the given
 // geometry. The simulator rejects schedules compiled for a different

@@ -42,9 +42,6 @@ func (b *Builder) Grow(extra int) {
 	}
 }
 
-// NumNodes returns the node count the builder was created with.
-func (b *Builder) NumNodes() int { return b.n }
-
 // AddEdge records the undirected edge {u, v}. It panics on out-of-range
 // nodes or self-loops. The caller must not record the same edge twice (see
 // the type comment); Finalize would materialize a multigraph.

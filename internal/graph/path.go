@@ -65,16 +65,6 @@ func (p Path) Links(g *Graph) []LinkID {
 	return ids
 }
 
-// Reversed returns the path traversed backwards (used by acknowledgements,
-// which travel the reverse links of the message path).
-func (p Path) Reversed() Path {
-	r := make(Path, len(p))
-	for i, v := range p {
-		r[len(p)-1-i] = v
-	}
-	return r
-}
-
 // IsSimple reports whether the path visits no node twice.
 func (p Path) IsSimple() bool {
 	seen := make(map[NodeID]bool, len(p))
@@ -85,16 +75,6 @@ func (p Path) IsSimple() bool {
 		seen[v] = true
 	}
 	return true
-}
-
-// IndexOf returns the position of node u in the path, or -1.
-func (p Path) IndexOf(u NodeID) int {
-	for i, v := range p {
-		if v == u {
-			return i
-		}
-	}
-	return -1
 }
 
 // Clone returns an independent copy of the path.

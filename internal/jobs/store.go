@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,7 +25,9 @@ import (
 // On open the store replays all segments in name order. A segment whose
 // tail fails to parse — the signature of a crash mid-append — keeps its
 // valid prefix; the corrupt tail is skipped and counted, and appends go
-// to a fresh segment, never into a possibly-torn file.
+// to a fresh segment, never into a possibly-torn file. A write that fails
+// partway is cut back out of the segment, so it cannot hide the records
+// appended after it.
 //
 // Store is safe for concurrent use: reads share an RLock over the index
 // only, so lookups proceed during appends and segment rolls.
@@ -38,7 +41,7 @@ type Store struct {
 	mu          sync.RWMutex
 	dir         string
 	index       map[string]json.RawMessage //optlint:guardedby mu
-	seg         *os.File                   //optlint:guardedby mu
+	seg         segmentFile                //optlint:guardedby mu
 	segBytes    int64                      //optlint:guardedby mu
 	segSeq      int                        //optlint:guardedby mu
 	maxSegBytes int64
@@ -52,6 +55,16 @@ type Store struct {
 	// roll) with the sealed segment's file name. Called under the store
 	// mutex: do not call back into the store.
 	OnSeal func(name string)
+}
+
+// segmentFile is what the store needs of its active segment: an
+// *os.File, or in tests a wrapper that fails a write partway.
+type segmentFile interface {
+	io.WriteSeeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+	Name() string
 }
 
 // storeRecord is one JSONL line as replay decodes it: the key and its
@@ -276,6 +289,7 @@ func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error)
 		}
 	}
 	if _, err := s.seg.Write(line); err != nil {
+		s.dropTornLocked()
 		return fmt.Errorf("jobs: append: %w", err)
 	}
 	s.segBytes += int64(len(line))
@@ -284,6 +298,29 @@ func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error)
 		s.Observer(key, value)
 	}
 	return nil
+}
+
+// dropTornLocked removes what a failed write left of its line. Replay
+// stops at the first unparseable line, so a record appended behind torn
+// bytes would be lost on reopen even after Sync. The segment is cut back
+// to its last complete record; only if that fails is it sealed, torn
+// line last, and appends move to a fresh segment.
+//
+//optlint:locked mu
+func (s *Store) dropTornLocked() {
+	err := s.seg.Truncate(s.segBytes)
+	if err == nil {
+		_, err = s.seg.Seek(s.segBytes, io.SeekStart)
+	}
+	if err == nil {
+		return
+	}
+	if s.rollLocked() != nil && s.seg != nil {
+		// The seal failed too. Drop the handle anyway so that nothing is
+		// written behind the torn line; the next append opens a segment.
+		_ = s.seg.Close()
+		s.seg = nil
+	}
 }
 
 // rollLocked seals the current segment (fsync + close) and opens the

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,59 +99,212 @@ func TestStoreReopen(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptTailRecovery: a segment truncated mid-record keeps its
-// valid prefix; the torn tail is skipped and the store stays usable.
+// TestStoreCorruptTailRecovery: a segment cut at any byte offset, as a
+// crash mid-append leaves it, reopens to exactly the records whose closing
+// brace lies inside the prefix; a torn tail is skipped and counted, and
+// the store stays writable.
 func TestStoreCorruptTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
+	// A nil value is a Delete; raw is the value as the store holds it.
+	ops := []struct {
+		key string
+		v   any
+		raw string
+	}{
+		{"a", map[string]int{"v": 1}, `{"v":1}`},
+		{"html", "<b>&</b>", `"<b>&</b>"`},
+		{"a", nil, ""},
+		{"z", 3, "3"},
+	}
+	src := t.TempDir()
+	s, err := Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("key-%d", i), map[string]int{"v": i}); err != nil {
+	for _, op := range ops {
+		if op.v == nil {
+			err = s.Delete(op.key)
+		} else {
+			err = s.Put(op.key, op.v)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := segmentNames(dir)
+	segs, _ := segmentNames(src)
 	if len(segs) != 1 {
 		t.Fatalf("want one segment, got %v", segs)
 	}
-	path := filepath.Join(dir, segs[0])
-	// Truncate mid-record: crash while appending key-9.
-	b, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(src, segs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, b[:len(b)-9], 0o644); err != nil {
-		t.Fatal(err)
+	// braces[i] is the offset of record i's closing brace.
+	var braces []int
+	for i := 0; i < len(data); i++ {
+		if data[i] == '\n' {
+			braces = append(braces, i-1)
+		}
+	}
+	if len(braces) != len(ops) {
+		t.Fatalf("segment has %d lines, want %d:\n%s", len(braces), len(ops), data)
 	}
 
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatalf("corrupt tail must not fail open: %v", err)
+	check := func(r *Store, cut int, want map[string]string) {
+		t.Helper()
+		if r.Len() != len(want) {
+			t.Errorf("cut %d: Len = %d, want %d", cut, r.Len(), len(want))
+		}
+		for k, v := range want {
+			if got, ok := r.Get(k); !ok || string(got) != v {
+				t.Errorf("cut %d: Get(%q) = %s, %t; want %s", cut, k, got, ok, v)
+			}
+		}
 	}
-	defer r.Close()
-	if r.Len() != 9 {
-		t.Errorf("Len = %d after torn tail, want 9", r.Len())
+	for cut := 0; cut <= len(data); cut++ {
+		want := map[string]string{}
+		complete, lineStart := 0, 0
+		for i, op := range ops {
+			if braces[i] >= cut {
+				break
+			}
+			complete, lineStart = i+1, braces[i]+2
+			if op.v == nil {
+				delete(want, op.key)
+			} else {
+				want[op.key] = op.raw
+			}
+		}
+		skipped := 0
+		if complete < len(ops) && cut > lineStart {
+			skipped = 1
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segs[0]), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut %d: a torn tail must not fail open: %v", cut, err)
+		}
+		check(r, cut, want)
+		if r.SkippedTails() != skipped {
+			t.Errorf("cut %d: SkippedTails = %d, want %d", cut, r.SkippedTails(), skipped)
+		}
+		if err := r.Put("new", cut); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want["new"] = fmt.Sprint(cut)
+		r, err = Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(r, cut, want)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := r.Get("key-8"); !ok {
-		t.Error("intact prefix record lost")
+}
+
+// tornSegment writes half of its first line and then fails, as a write
+// that runs out of disk space partway does. Later writes go through. With
+// noTruncate set, the store cannot cut the torn bytes back out; with
+// noSync set, it cannot seal the segment either.
+type tornSegment struct {
+	segmentFile
+	torn, noTruncate, noSync bool
+}
+
+func (f *tornSegment) Write(p []byte) (int, error) {
+	if f.torn {
+		return f.segmentFile.Write(p)
 	}
-	if _, ok := r.Get("key-9"); ok {
-		t.Error("torn record resurrected")
+	f.torn = true
+	n, err := f.segmentFile.Write(p[:len(p)/2])
+	if err == nil {
+		err = errors.New("no space left on device")
 	}
-	if r.SkippedTails() != 1 {
-		t.Errorf("SkippedTails = %d, want 1", r.SkippedTails())
+	return n, err
+}
+
+func (f *tornSegment) Truncate(size int64) error {
+	if f.noTruncate {
+		return errors.New("truncate not supported")
 	}
-	// The store must stay writable, into a fresh segment.
-	if err := r.Put("key-9", map[string]int{"v": 9}); err != nil {
-		t.Fatal(err)
+	return f.segmentFile.Truncate(size)
+}
+
+func (f *tornSegment) Sync() error {
+	if f.noSync {
+		return errors.New("no space left on device")
 	}
-	if r.Len() != 10 {
-		t.Errorf("Len = %d after repair write", r.Len())
+	return f.segmentFile.Sync()
+}
+
+// TestStoreTornAppendKeepsLaterRecords: an append whose write fails
+// partway leaves nothing in front of later records, so a record appended
+// and synced after it is still there on reopen. The segment is cut back
+// to its last record, or, when it cannot be cut, left with the torn line
+// last while appends move to a fresh segment.
+func TestStoreTornAppendKeepsLaterRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		noTruncate, noSync bool
+		segs               int // segment files written
+		skipped            int // torn tails replay skips
+	}{
+		{"truncate", false, false, 1, 0},
+		{"roll", true, false, 2, 1},
+		{"roll without seal", true, true, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("a", 1); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			s.seg = &tornSegment{segmentFile: s.seg, noTruncate: tc.noTruncate, noSync: tc.noSync}
+			s.mu.Unlock()
+			if err := s.Put("b", 2); err == nil {
+				t.Fatal("a failed write was not reported")
+			}
+			if _, ok := s.Get("b"); ok {
+				t.Error("a failed write reached the index")
+			}
+			if err := s.Put("c", 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			_, a := r.Get("a")
+			_, b := r.Get("b")
+			_, c := r.Get("c")
+			if !a || b || !c || r.SkippedTails() != tc.skipped {
+				t.Errorf("after reopen a=%t b=%t c=%t skipped=%d; want a=true b=false c=true skipped=%d",
+					a, b, c, r.SkippedTails(), tc.skipped)
+			}
+			if segs, _ := segmentNames(dir); len(segs) != tc.segs {
+				t.Errorf("segments = %v, want %d", segs, tc.segs)
+			}
+		})
 	}
 }
 

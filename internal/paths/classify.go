@@ -167,78 +167,3 @@ func shortcutFreePair(p, q graph.Path, self bool) bool {
 	}
 	return true
 }
-
-// MeetSeparateMeetFree reports whether no two distinct paths meet,
-// separate, and meet again (tracking node visits in order). The paper
-// notes a collection is always short-cut free if this holds, and that it
-// holds for most practical path systems.
-func (c *Collection) MeetSeparateMeetFree() bool {
-	ok := true
-	c.SharePairs(func(i, j int) {
-		if !ok {
-			return
-		}
-		if meetsSeparatesMeets(c.paths[i], c.paths[j]) {
-			ok = false
-		}
-	})
-	if !ok {
-		return false
-	}
-	// SharePairs only visits pairs sharing a link; meet-separate-meet can
-	// also happen via shared nodes without shared links, so scan node-based
-	// candidates as well.
-	type pair struct{ a, b int }
-	seen := make(map[pair]bool)
-	occ := make(map[graph.NodeID][]int)
-	for i, p := range c.paths {
-		for _, u := range p {
-			occ[u] = append(occ[u], i)
-		}
-	}
-	//optlint:allow mapiter pure conjunctive predicate: result independent of visit order
-	for _, ps := range occ {
-		for x := 0; x < len(ps); x++ {
-			for y := x + 1; y < len(ps); y++ {
-				a, b := ps[x], ps[y]
-				if a == b {
-					continue
-				}
-				if a > b {
-					a, b = b, a
-				}
-				pr := pair{a, b}
-				if seen[pr] {
-					continue
-				}
-				seen[pr] = true
-				if meetsSeparatesMeets(c.paths[a], c.paths[b]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// meetsSeparatesMeets reports whether p and q share a node, then visit
-// non-shared nodes, then share a node again — scanning p in order against
-// membership in q.
-func meetsSeparatesMeets(p, q graph.Path) bool {
-	inQ := make(map[graph.NodeID]bool, len(q))
-	for _, u := range q {
-		inQ[u] = true
-	}
-	met, separated := false, false
-	for _, u := range p {
-		if inQ[u] {
-			if met && separated {
-				return true
-			}
-			met = true
-		} else if met {
-			separated = true
-		}
-	}
-	return false
-}

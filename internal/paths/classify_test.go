@@ -172,32 +172,6 @@ func TestDimOrderTorusShortCutFree(t *testing.T) {
 	}
 }
 
-func TestMeetSeparateMeetFree(t *testing.T) {
-	g := lineGraph(8)
-	ok := MustCollection(g, []graph.Path{{0, 1, 2, 3}, {2, 3, 4}})
-	if !ok.MeetSeparateMeetFree() {
-		t.Error("single contiguous overlap misdetected")
-	}
-	// Meet at 1, separate, meet again at 3 via a detour.
-	g2 := graph.New(6)
-	g2.AddEdge(0, 1)
-	g2.AddEdge(1, 2)
-	g2.AddEdge(2, 3)
-	g2.AddEdge(3, 4)
-	g2.AddEdge(1, 5)
-	g2.AddEdge(5, 3)
-	bad := MustCollection(g2, []graph.Path{{0, 1, 2, 3, 4}, {1, 5, 3}})
-	if bad.MeetSeparateMeetFree() {
-		t.Error("meet-separate-meet not detected")
-	}
-	// Meet-separate-meet implies a potential shortcut here (2 vs 2 equal
-	// length: actually both 1..3 subpaths have length 2 -> still shortcut
-	// free). Check consistency:
-	if !bad.IsShortCutFree() {
-		t.Error("equal-length detour is not a shortcut")
-	}
-}
-
 func TestButterflyQFunctionShortCutFree(t *testing.T) {
 	b := topology.NewButterfly(3)
 	src := rng.New(4)

@@ -87,14 +87,6 @@ func (c *Collection) Path(i int) graph.Path { return c.paths[i] }
 // Paths returns the backing slice. The caller must not modify it.
 func (c *Collection) Paths() []graph.Path { return c.paths }
 
-// PathLinks returns the directed link IDs of path i (cached). The caller
-// must not modify the result.
-func (c *Collection) PathLinks(i int) []graph.LinkID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.linksLocked()[i]
-}
-
 // linksLocked resolves every path to its link IDs once, into one shared
 // backing array. c.mu must be held.
 //
@@ -207,15 +199,6 @@ func (c *Collection) PathCongestion() int {
 	return c.pathCong
 }
 
-// PathCongestions returns, for every path p, the number of paths sharing a
-// directed link with p (including p itself). The slice is computed once and
-// shared by every caller: it is read-only.
-func (c *Collection) PathCongestions() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.congestionLocked()
-}
-
 // congestionLocked computes the per-path congestions and their maximum
 // once. c.mu must be held.
 //
@@ -317,20 +300,6 @@ func (x *LinkIndex) congestionsByBits() []int {
 		cong[i] = count
 	}
 	return cong
-}
-
-// LinkUsers returns the indices of paths using the given directed link, in
-// ascending order, as a fresh slice. Hot loops should read Index instead.
-func (c *Collection) LinkUsers(id graph.LinkID) []int {
-	us := c.Index().Users(id)
-	if len(us) == 0 {
-		return nil
-	}
-	out := make([]int, len(us))
-	for k, j := range us {
-		out[k] = int(j)
-	}
-	return out
 }
 
 // SharePairs calls fn for every unordered pair (i, j), i < j, of distinct

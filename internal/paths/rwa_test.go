@@ -97,74 +97,3 @@ func TestGreedyPrefersLongPathsFirst(t *testing.T) {
 		t.Errorf("used = %d", used)
 	}
 }
-
-func TestChainOptimalAssignment(t *testing.T) {
-	g := lineGraph(10)
-	ps := []graph.Path{
-		{0, 1, 2, 3},    // fwd [0,3)
-		{2, 3, 4, 5, 6}, // fwd [2,6) overlaps first
-		{5, 6, 7},       // fwd [5,7) overlaps second
-		{9, 8, 7, 6},    // bwd: reverse direction, shares no color space
-		{3, 2, 1},       // bwd
-	}
-	c := MustCollection(g, ps)
-	colors, used, err := c.ChainOptimalAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.ValidWavelengthAssignment(colors) {
-		t.Fatalf("invalid assignment %v", colors)
-	}
-	// Optimality: exactly the edge congestion.
-	if used != c.EdgeCongestion() {
-		t.Errorf("used %d, want edge congestion %d", used, c.EdgeCongestion())
-	}
-}
-
-func TestChainOptimalMatchesCongestionProperty(t *testing.T) {
-	check := func(seed uint16) bool {
-		src := rng.New(uint64(seed))
-		g := lineGraph(16)
-		var ps []graph.Path
-		for k := 0; k < 20; k++ {
-			a, b := src.Intn(16), src.Intn(16)
-			if a == b {
-				continue
-			}
-			p := graph.Path{}
-			step := 1
-			if b < a {
-				step = -1
-			}
-			for u := a; u != b+step; u += step {
-				p = append(p, u)
-			}
-			ps = append(ps, p)
-		}
-		if len(ps) == 0 {
-			return true
-		}
-		c := MustCollection(g, ps)
-		colors, used, err := c.ChainOptimalAssignment()
-		if err != nil {
-			return false
-		}
-		if !c.ValidWavelengthAssignment(colors) {
-			return false
-		}
-		// Optimal = edge congestion; also never worse than greedy.
-		_, greedy := c.GreedyWavelengthAssignment()
-		return used == c.EdgeCongestion() && used <= greedy
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChainOptimalRejectsNonChainPaths(t *testing.T) {
-	tor := topology.NewTorus(1, 6) // a ring: wrap path is non-monotone in ids
-	c := MustCollection(tor.Graph(), []graph.Path{{5, 0}})
-	if _, _, err := c.ChainOptimalAssignment(); err == nil {
-		t.Error("wrap-around path accepted as chain path")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -186,108 +185,4 @@ func BFSSelector(g *graph.Graph) Selector {
 		}
 		return p
 	}
-}
-
-// RandomShortestPath returns a selector that picks, per request, a
-// uniformly random shortest path by randomized backtracking over the BFS
-// distance field. Collections remain short-cut free (shortest paths) while
-// spreading load more evenly than deterministic tie-breaking.
-func RandomShortestPath(g *graph.Graph, src *rng.Source) Selector {
-	return func(s, d graph.NodeID) graph.Path {
-		distToD := g.BFS(d)
-		if distToD[s] < 0 {
-			panic(fmt.Sprintf("paths: no path %d->%d", s, d))
-		}
-		p := graph.Path{s}
-		cur := s
-		for cur != d {
-			var choices []graph.NodeID
-			for _, v := range g.Neighbors(cur) {
-				if distToD[v] == distToD[cur]-1 {
-					choices = append(choices, v)
-				}
-			}
-			cur = choices[src.Intn(len(choices))]
-			p = append(p, cur)
-		}
-		return p
-	}
-}
-
-// Valiant returns the two-phase randomized selector: route to a uniformly
-// random intermediate node by the inner selector, then to the destination.
-// The concatenation is generally not a shortest path and may not be
-// short-cut free; it is provided as the classic load-balancing baseline.
-func Valiant(g *graph.Graph, inner Selector, src *rng.Source) Selector {
-	n := g.NumNodes()
-	return func(s, d graph.NodeID) graph.Path {
-		mid := src.Intn(n)
-		first := inner(s, mid)
-		second := inner(mid, d)
-		out := append(graph.Path{}, first...)
-		return append(out, second[1:]...)
-	}
-}
-
-// RandomDimOrder returns a selector for a torus that corrects the
-// dimensions in a per-request random order (still taking the shorter wrap
-// per dimension). Paths remain shortest — hence collections remain
-// short-cut free — while the randomized order spreads load off the
-// deterministic e-cube hot edges, the classic decongestion variant.
-func RandomDimOrder(t *topology.Torus, src *rng.Source) Selector {
-	side := t.Side()
-	return func(srcN, dst graph.NodeID) graph.Path {
-		cs, cd := t.Coord(srcN), t.Coord(dst)
-		order := src.Perm(t.Dims())
-		p := graph.Path{srcN}
-		cur := append([]int(nil), cs...)
-		for _, d := range order {
-			fwd := (cd[d] - cur[d] + side) % side
-			step := 1
-			steps := fwd
-			if fwd > side-fwd {
-				step = -1
-				steps = side - fwd
-			}
-			for k := 0; k < steps; k++ {
-				cur[d] = ((cur[d]+step)%side + side) % side
-				p = append(p, t.NodeAt(cur))
-			}
-		}
-		return p
-	}
-}
-
-// EdgeLoadStats estimates, by Monte-Carlo over random functions, the mean
-// and maximum expected load a selector places on a directed link. The
-// path system of [27] behind Theorem 1.5 has expected load at most the
-// diameter D on every link under a random function; use this to check a
-// selector empirically.
-func EdgeLoadStats(g *graph.Graph, sel Selector, trials int, src *rng.Source) (meanLoad, maxLoad float64) {
-	if trials < 1 {
-		trials = 1
-	}
-	n := g.NumNodes()
-	counts := make([]float64, g.NumLinks())
-	for t := 0; t < trials; t++ {
-		for s := 0; s < n; s++ {
-			d := src.Intn(n)
-			if d == s {
-				continue
-			}
-			for _, id := range sel(s, d).Links(g) {
-				counts[id]++
-			}
-		}
-	}
-	total := 0.0
-	for _, c := range counts {
-		load := c / float64(trials)
-		total += load
-		if load > maxLoad {
-			maxLoad = load
-		}
-	}
-	meanLoad = total / float64(len(counts))
-	return meanLoad, maxLoad
 }

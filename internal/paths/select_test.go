@@ -235,26 +235,6 @@ func TestRandomShortestPath(t *testing.T) {
 	}
 }
 
-func TestValiant(t *testing.T) {
-	m := topology.NewMesh(2, 4)
-	g := m.Graph()
-	src := rng.New(21)
-	sel := Valiant(g, DimOrderMesh(m), src)
-	for i := 0; i < 30; i++ {
-		s, d := src.Intn(16), src.Intn(16)
-		if s == d {
-			continue
-		}
-		p := sel(s, d)
-		if err := p.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		if p.Source() != s || p.Dest() != d {
-			t.Fatalf("valiant endpoints wrong: %v for %d->%d", p, s, d)
-		}
-	}
-}
-
 func TestWorkloadGenerators(t *testing.T) {
 	src := rng.New(2)
 	perm := RandomPermutation(10, src)
@@ -324,18 +304,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestAllToOne(t *testing.T) {
-	prs := AllToOne(5, 2)
-	if len(prs) != 4 {
-		t.Fatal("size")
-	}
-	for _, pr := range prs {
-		if pr.Dst != 2 || pr.Src == 2 {
-			t.Fatalf("bad pair %+v", pr)
-		}
-	}
-}
-
 func TestButterflyWorkloads(t *testing.T) {
 	b := topology.NewButterfly(3)
 	src := rng.New(6)
@@ -361,43 +329,6 @@ func TestButterflyWorkloads(t *testing.T) {
 		}
 	}()
 	ButterflyPermutation(b, []int{0, 1})
-}
-
-func TestRandomDimOrder(t *testing.T) {
-	tor := topology.NewTorus(3, 5)
-	g := tor.Graph()
-	src := rng.New(71)
-	sel := RandomDimOrder(tor, src)
-	for i := 0; i < 60; i++ {
-		a, b := src.Intn(125), src.Intn(125)
-		if a == b {
-			continue
-		}
-		p := sel(a, b)
-		if err := p.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		if p.Len() != g.BFS(a)[b] {
-			t.Fatalf("random dim order path %d->%d not shortest", a, b)
-		}
-	}
-	// The order actually varies: collect first-step dimensions for one
-	// fixed far-apart pair.
-	a := tor.NodeAt([]int{0, 0, 0})
-	b := tor.NodeAt([]int{2, 2, 2})
-	dims := map[int]bool{}
-	for i := 0; i < 40; i++ {
-		p := sel(a, b)
-		c0, c1 := tor.Coord(p[0]), tor.Coord(p[1])
-		for d := range c0 {
-			if c0[d] != c1[d] {
-				dims[d] = true
-			}
-		}
-	}
-	if len(dims) < 2 {
-		t.Errorf("dimension order never varied: %v", dims)
-	}
 }
 
 // TestTranslationSystemEdgeLoad validates the premise of Theorem 1.5: the

@@ -3,7 +3,6 @@ package paths
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -99,18 +98,6 @@ func Transpose(side int) []Pair {
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
 			prs = append(prs, Pair{Src: y*side + x, Dst: x*side + y})
-		}
-	}
-	return prs
-}
-
-// AllToOne returns the pairs (i, dst) for every i != dst: the maximal
-// congestion stress workload.
-func AllToOne(n int, dst graph.NodeID) []Pair {
-	prs := make([]Pair, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != dst {
-			prs = append(prs, Pair{Src: i, Dst: dst})
 		}
 	}
 	return prs

@@ -108,11 +108,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -130,14 +125,6 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomizes the order of n elements using the given swap function.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and

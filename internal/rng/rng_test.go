@@ -170,21 +170,6 @@ func TestSplitN(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(77)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost by Shuffle", i)
-		}
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(31)
 	const draws = 200000
@@ -237,15 +222,6 @@ func TestGeometricPanics(t *testing.T) {
 			}()
 			New(1).Geometric(p)
 		}()
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(21)
-	for i := 0; i < 10000; i++ {
-		if v := r.Int63(); v < 0 {
-			t.Fatalf("Int63 returned negative %d", v)
-		}
 	}
 }
 

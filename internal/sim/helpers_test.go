@@ -1,0 +1,13 @@
+package sim
+
+import "repro/internal/graph"
+
+// Occupant returns the worm ID occupying (band, link, wavelength) at step
+// t, and whether the slot was occupied.
+func (tl *Timeline) Occupant(t int, band Band, link graph.LinkID, wave int) (worm int, ok bool) {
+	c, ok := tl.cells[timelineKey{band: band, link: link, wave: wave, t: t}]
+	return c.worm, ok
+}
+
+// Steps returns the last recorded step.
+func (tl *Timeline) Steps() int { return tl.maxT }

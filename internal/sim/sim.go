@@ -222,9 +222,6 @@ func bandUtilization(busy, links, bandwidth, makespan int) float64 {
 	return float64(busy) / (float64(links) * float64(bandwidth) * float64(makespan+1))
 }
 
-// Delivered reports whether worm index i was fully delivered.
-func (r *Result) Delivered(i int) bool { return r.Outcomes[i].Delivered }
-
 // validator holds the scratch the worm and request checks need. Pooling
 // one on an Engine makes steady-state validation allocation-free: the ID
 // set keeps its buckets across clear(), and the per-link stamp array

@@ -57,16 +57,6 @@ func (tl *Timeline) record(t int, band Band, link graph.LinkID, wave, worm int, 
 	}
 }
 
-// Occupant returns the worm ID occupying (band, link, wavelength) at step
-// t, and whether the slot was occupied.
-func (tl *Timeline) Occupant(t int, band Band, link graph.LinkID, wave int) (worm int, ok bool) {
-	c, ok := tl.cells[timelineKey{band: band, link: link, wave: wave, t: t}]
-	return c.worm, ok
-}
-
-// Steps returns the last recorded step.
-func (tl *Timeline) Steps() int { return tl.maxT }
-
 // Render writes an ASCII space-time diagram of the given band: one row
 // per (directed link, wavelength) that ever carried traffic, one column
 // per step. Cells show the worm ID modulo 10 ('A'+id%26 for acks), '.'

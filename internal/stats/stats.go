@@ -1,6 +1,6 @@
 // Package stats provides the statistical helpers used by the experiment
-// harness: summary statistics, quantiles, histograms, linear and power-law
-// regression for growth-rate fits, and concentration-bound utilities.
+// harness: means, extrema and quantiles, linear regression for growth-rate
+// fits, and Welch's t-test.
 //
 // Everything operates on plain float64 slices and is deterministic, so the
 // experiment tables in EXPERIMENTS.md are exactly reproducible.
@@ -12,9 +12,6 @@ import (
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by estimators that need at least one sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -42,23 +39,6 @@ func Variance(xs []float64) float64 {
 		sum += d * d
 	}
 	return sum / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty sample")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the largest element of xs. It panics on an empty slice.
@@ -100,49 +80,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Summary holds the usual five-number-plus summary of a sample.
-type Summary struct {
-	N              int
-	Mean, StdDev   float64
-	Min, Max       float64
-	P25, P50, P75  float64
-	P95            float64
-	StdErr         float64 // standard error of the mean
-	CI95Lo, CI95Hi float64 // normal-approximation 95% confidence interval
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P25:    Quantile(xs, 0.25),
-		P50:    Quantile(xs, 0.50),
-		P75:    Quantile(xs, 0.75),
-		P95:    Quantile(xs, 0.95),
-	}
-	s.StdErr = s.StdDev / math.Sqrt(float64(s.N))
-	s.CI95Lo = s.Mean - 1.96*s.StdErr
-	s.CI95Hi = s.Mean + 1.96*s.StdErr
-	return s, nil
-}
-
-// String renders the summary in a compact single-line form.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f±%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, 1.96*s.StdErr, s.StdDev, s.Min, s.P50, s.P95, s.Max)
-}
-
 // LinearFit holds the result of an ordinary-least-squares line fit
 // y = Slope*x + Intercept.
 type LinearFit struct {
@@ -182,144 +119,6 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 		fit.R2 = sxy * sxy / (sxx * syy)
 	}
 	return fit, nil
-}
-
-// PowerFit holds the result of a power-law fit y = C * x^Exponent, obtained
-// by a linear fit in log-log space.
-type PowerFit struct {
-	Exponent, Coeff float64
-	R2              float64
-}
-
-// FitPower fits y = C*x^a by OLS on (log x, log y). All xs and ys must be
-// strictly positive.
-func FitPower(xs, ys []float64) (PowerFit, error) {
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	if len(xs) != len(ys) {
-		return PowerFit{}, fmt.Errorf("stats: FitPower length mismatch %d != %d", len(xs), len(ys))
-	}
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return PowerFit{}, fmt.Errorf("stats: FitPower requires positive data, got (%v, %v)", xs[i], ys[i])
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	lin, err := FitLinear(lx, ly)
-	if err != nil {
-		return PowerFit{}, err
-	}
-	return PowerFit{Exponent: lin.Slope, Coeff: math.Exp(lin.Intercept), R2: lin.R2}, nil
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples at or above Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins spanning
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // floating point edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded samples, including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// ChernoffUpperTail returns the classic multiplicative Chernoff upper-tail
-// bound Pr[X >= (1+eps)*mu] <= (e^eps/(1+eps)^(1+eps))^mu for a sum of
-// independent 0/1 variables with mean mu. Used by analysis-validation tests
-// to set statistically sound tolerances.
-func ChernoffUpperTail(mu, eps float64) float64 {
-	if eps <= 0 || mu <= 0 {
-		return 1
-	}
-	return math.Exp(mu * (eps - (1+eps)*math.Log(1+eps)))
-}
-
-// ChernoffLowerTail returns Pr[X <= (1-eps)*mu] <= exp(-eps^2*mu/2).
-func ChernoffLowerTail(mu, eps float64) float64 {
-	if eps <= 0 || mu <= 0 {
-		return 1
-	}
-	if eps > 1 {
-		eps = 1
-	}
-	return math.Exp(-eps * eps * mu / 2)
-}
-
-// GeometricMean returns the geometric mean of strictly positive xs.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: GeometricMean requires positive data, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
-// MeanInt is a convenience for integer samples.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// Floats converts an int slice to float64 for use with the estimators.
-func Floats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 // WelchT computes Welch's two-sample t statistic and its approximate

@@ -34,9 +34,6 @@ func TestVarianceStdDev(t *testing.T) {
 	if got := Variance(xs); !approx(got, want, 1e-12) {
 		t.Errorf("Variance = %v, want %v", got, want)
 	}
-	if got := StdDev(xs); !approx(got, math.Sqrt(want), 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(want))
-	}
 	if Variance([]float64{3}) != 0 {
 		t.Error("Variance of single sample should be 0")
 	}
@@ -59,8 +56,8 @@ func TestQuantile(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if Median([]float64{9}) != 9 {
-		t.Error("Median of singleton")
+	if Quantile([]float64{9}, 0.5) != 9 {
+		t.Error("Quantile of singleton")
 	}
 }
 
@@ -69,25 +66,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Quantile mutated its input: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	if s.CI95Lo >= s.Mean || s.CI95Hi <= s.Mean {
-		t.Errorf("CI does not bracket mean: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("String() empty")
 	}
 }
 
@@ -132,119 +110,6 @@ func TestFitLinearNoisy(t *testing.T) {
 	}
 	if fit.R2 < 0.99 {
 		t.Errorf("R2 = %v, want near 1", fit.R2)
-	}
-}
-
-func TestFitPower(t *testing.T) {
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * math.Pow(x, 0.5)
-	}
-	fit, err := FitPower(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(fit.Exponent, 0.5, 1e-9) || !approx(fit.Coeff, 3, 1e-9) {
-		t.Errorf("power fit = %+v, want exponent 0.5 coeff 3", fit)
-	}
-}
-
-func TestFitPowerRejectsNonPositive(t *testing.T) {
-	if _, err := FitPower([]float64{1, 0}, []float64{1, 1}); err == nil {
-		t.Error("zero x not rejected")
-	}
-	if _, err := FitPower([]float64{1, 2}, []float64{1, -1}); err == nil {
-		t.Error("negative y not rejected")
-	}
-	if _, err := FitPower([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch not rejected")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin 4 = %d, want 1", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if got := h.BinCenter(0); !approx(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid histogram construction did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestChernoffBounds(t *testing.T) {
-	// Monotone in mu, bounded by 1, and small for large deviations.
-	if b := ChernoffUpperTail(100, 1); b >= 1e-10 {
-		t.Errorf("upper tail bound too weak: %v", b)
-	}
-	if b := ChernoffUpperTail(0, 1); b != 1 {
-		t.Errorf("zero mu should yield trivial bound, got %v", b)
-	}
-	if b := ChernoffLowerTail(100, 0.5); b >= math.Exp(-12) {
-		t.Errorf("lower tail bound too weak: %v", b)
-	}
-	if ChernoffLowerTail(10, 2) != ChernoffLowerTail(10, 1) {
-		t.Error("eps should be clamped at 1 for the lower tail")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	gm, err := GeometricMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(gm, 4, 1e-9) {
-		t.Errorf("GeometricMean = %v, want 4", gm)
-	}
-	if _, err := GeometricMean(nil); err != ErrEmpty {
-		t.Error("empty sample not rejected")
-	}
-	if _, err := GeometricMean([]float64{1, 0}); err == nil {
-		t.Error("zero not rejected")
-	}
-}
-
-func TestMeanIntAndFloats(t *testing.T) {
-	if got := MeanInt([]int{1, 2, 3}); !approx(got, 2, 1e-12) {
-		t.Errorf("MeanInt = %v", got)
-	}
-	if got := MeanInt(nil); got != 0 {
-		t.Errorf("MeanInt(nil) = %v", got)
-	}
-	fs := Floats([]int{1, 2})
-	if len(fs) != 2 || fs[0] != 1 || fs[1] != 2 {
-		t.Errorf("Floats = %v", fs)
 	}
 }
 

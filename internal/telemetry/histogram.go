@@ -81,19 +81,8 @@ func (h *Histogram) Observe(v int) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Mean returns the mean observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
 
 // Merge adds o's observations into h. The two histograms must share the
 // same bucket layout (which they do when built by the same constructor);

@@ -43,17 +43,6 @@ func NewCCC(k int) *CCC {
 	return c
 }
 
-// Dim returns the cube dimension k.
-func (c *CCC) Dim() int { return c.dim }
-
-// Node returns the router at cube address w, cycle position i.
-func (c *CCC) Node(w, i int) graph.NodeID {
-	if w < 0 || w >= 1<<c.dim || i < 0 || i >= c.dim {
-		panic(fmt.Sprintf("topology: CCC node (%d,%d) out of range", w, i))
-	}
-	return c.nodeAt(w, i)
-}
-
 func (c *CCC) nodeAt(w, i int) graph.NodeID { return w*c.dim + i }
 
 // CubeOf returns the cube address of router u.

@@ -1,0 +1,37 @@
+package topology
+
+import (
+	"fmt"
+
+	"repro/internal/graph"
+)
+
+// Dim returns the cube dimension k.
+func (c *CCC) Dim() int { return c.dim }
+
+// Node returns the router at cube address w, cycle position i.
+func (c *CCC) Node(w, i int) graph.NodeID {
+	if w < 0 || w >= 1<<c.dim || i < 0 || i >= c.dim {
+		panic(fmt.Sprintf("topology: CCC node (%d,%d) out of range", w, i))
+	}
+	return c.nodeAt(w, i)
+}
+
+// Side returns the side length.
+func (m *Mesh) Side() int { return m.side }
+
+// K returns the symbol count k.
+func (s *StarGraph) K() int { return s.k }
+
+// Perm returns the permutation labelling node u. The caller must not
+// modify it.
+func (s *StarGraph) Perm(u graph.NodeID) []int { return s.perms[u] }
+
+// NodeOf returns the node labelled by the given permutation.
+func (s *StarGraph) NodeOf(p []int) graph.NodeID {
+	id, ok := s.index[permKey(p)]
+	if !ok {
+		panic(fmt.Sprintf("topology: %v is not a permutation of [0,%d)", p, s.k))
+	}
+	return id
+}

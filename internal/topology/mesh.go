@@ -127,9 +127,6 @@ func intPow(b, e int) int {
 // Dims returns the number of dimensions.
 func (m *Mesh) Dims() int { return m.dims }
 
-// Side returns the side length.
-func (m *Mesh) Side() int { return m.side }
-
 // Coord returns the coordinate vector of node u.
 func (m *Mesh) Coord(u graph.NodeID) []int { return m.coordOf(u) }
 

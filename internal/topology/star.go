@@ -10,8 +10,7 @@ import (
 // permutations of k symbols, and p is adjacent to p composed with the
 // transposition of positions 1 and i for every i in 2..k. S_k is
 // (k-1)-regular, vertex-transitive, and has diameter floor(3(k-1)/2) —
-// another classic bounded-degree node-symmetric network for Theorem 1.5
-// (not to be confused with the K_{1,n-1} Star hub topology).
+// another classic bounded-degree node-symmetric network for Theorem 1.5.
 type StarGraph struct {
 	base
 	k     int
@@ -71,22 +70,6 @@ func permKey(p []int) string {
 		b[i] = byte(v)
 	}
 	return string(b)
-}
-
-// K returns the symbol count k.
-func (s *StarGraph) K() int { return s.k }
-
-// Perm returns the permutation labelling node u. The caller must not
-// modify it.
-func (s *StarGraph) Perm(u graph.NodeID) []int { return s.perms[u] }
-
-// NodeOf returns the node labelled by the given permutation.
-func (s *StarGraph) NodeOf(p []int) graph.NodeID {
-	id, ok := s.index[permKey(p)]
-	if !ok {
-		panic(fmt.Sprintf("topology: %v is not a permutation of [0,%d)", p, s.k))
-	}
-	return id
 }
 
 // AutomorphismTo implements VertexTransitive: left multiplication by a

@@ -1,8 +1,8 @@
 // Package topology provides generators for the interconnection networks the
 // paper applies its bounds to: d-dimensional meshes and tori, butterflies
 // (plain and wrap-around), hypercubes, and further node-symmetric families
-// (rings, circulants, de Bruijn, shuffle-exchange, complete graphs), plus
-// chains, stars and random regular graphs for contrast.
+// (rings, circulants, cube-connected cycles, star graphs), plus chains for
+// contrast.
 //
 // Every generator returns a concrete type that wraps a *graph.Graph and
 // carries family-specific structure (coordinates, levels, rows). Families
@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // Topology is a named network.
@@ -88,51 +87,6 @@ func (r *Ring) AutomorphismTo(u graph.NodeID) func(graph.NodeID) graph.NodeID {
 	return func(x graph.NodeID) graph.NodeID { return (x + u) % n }
 }
 
-// Complete is the complete graph K_n; vertex-transitive under any
-// transposition-extending permutation (we use rotation of labels).
-type Complete struct {
-	base
-	n int
-}
-
-// NewComplete builds K_n. It panics if n < 2.
-func NewComplete(n int) *Complete {
-	if n < 2 {
-		panic("topology: complete graph needs at least 2 nodes")
-	}
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
-		}
-	}
-	return &Complete{base: base{g: g, name: fmt.Sprintf("complete(%d)", n)}, n: n}
-}
-
-// AutomorphismTo implements VertexTransitive: label rotation is an
-// automorphism of K_n.
-func (c *Complete) AutomorphismTo(u graph.NodeID) func(graph.NodeID) graph.NodeID {
-	n := c.n
-	return func(x graph.NodeID) graph.NodeID { return (x + u) % n }
-}
-
-// Star is the star graph K_{1,n-1} with center 0 (maximally asymmetric;
-// used as a stress case for congestion).
-type Star struct{ base }
-
-// NewStar builds a star with n nodes, node 0 in the center. It panics if
-// n < 2.
-func NewStar(n int) *Star {
-	if n < 2 {
-		panic("topology: star needs at least 2 nodes")
-	}
-	g := graph.New(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
-	}
-	return &Star{base{g: g, name: fmt.Sprintf("star(%d)", n)}}
-}
-
 // Circulant is the circulant graph C_n(offsets): node i is adjacent to
 // i±o (mod n) for each offset o. Circulants are the canonical example of
 // bounded-degree node-symmetric networks beyond tori.
@@ -171,102 +125,4 @@ func NewCirculant(n int, offsets []int) *Circulant {
 func (c *Circulant) AutomorphismTo(u graph.NodeID) func(graph.NodeID) graph.NodeID {
 	n := c.n
 	return func(x graph.NodeID) graph.NodeID { return (x + u) % n }
-}
-
-// DeBruijn is the undirected binary de Bruijn graph on 2^dim nodes: node u
-// is adjacent to (2u) mod n and (2u+1) mod n. Mentioned in the paper's
-// related work as a popular interconnection network.
-type DeBruijn struct {
-	base
-	dim int
-}
-
-// NewDeBruijn builds the binary de Bruijn graph of the given dimension
-// (n = 2^dim nodes). It panics if dim < 2.
-func NewDeBruijn(dim int) *DeBruijn {
-	if dim < 2 {
-		panic("topology: de Bruijn needs dimension >= 2")
-	}
-	n := 1 << dim
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for b := 0; b < 2; b++ {
-			v := (2*u + b) % n
-			if u != v {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return &DeBruijn{base: base{g: g, name: fmt.Sprintf("debruijn(%d)", dim)}, dim: dim}
-}
-
-// ShuffleExchange is the shuffle-exchange graph on 2^dim nodes: node u is
-// adjacent to u^1 (exchange) and to rol(u) (shuffle).
-type ShuffleExchange struct {
-	base
-	dim int
-}
-
-// NewShuffleExchange builds the shuffle-exchange graph of the given
-// dimension. It panics if dim < 2.
-func NewShuffleExchange(dim int) *ShuffleExchange {
-	if dim < 2 {
-		panic("topology: shuffle-exchange needs dimension >= 2")
-	}
-	n := 1 << dim
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		g.AddEdge(u, u^1) // exchange
-		shuffled := ((u << 1) | (u >> (dim - 1))) & (n - 1)
-		if shuffled != u {
-			g.AddEdge(u, shuffled) // shuffle
-		}
-	}
-	return &ShuffleExchange{base: base{g: g, name: fmt.Sprintf("shuffle-exchange(%d)", dim)}, dim: dim}
-}
-
-// RandomRegular is an (approximately) d-regular random graph built by the
-// pairing model with retry; used as a contrast topology with expander-like
-// behaviour.
-type RandomRegular struct{ base }
-
-// NewRandomRegular builds a connected random d-regular simple graph on n
-// nodes using the configuration model with restarts. n*d must be even,
-// n > d >= 2. The construction retries until it produces a simple
-// connected graph, which happens quickly for the sizes used here.
-func NewRandomRegular(n, d int, src *rng.Source) *RandomRegular {
-	if d < 2 || d >= n {
-		panic("topology: random regular needs 2 <= d < n")
-	}
-	if n*d%2 != 0 {
-		panic("topology: random regular needs n*d even")
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 10000 {
-			panic("topology: random regular generation did not converge")
-		}
-		g := tryRandomRegular(n, d, src)
-		if g != nil && g.Connected() {
-			return &RandomRegular{base{g: g, name: fmt.Sprintf("random-regular(%d,%d)", n, d)}}
-		}
-	}
-}
-
-func tryRandomRegular(n, d int, src *rng.Source) *graph.Graph {
-	stubs := make([]int, 0, n*d)
-	for u := 0; u < n; u++ {
-		for k := 0; k < d; k++ {
-			stubs = append(stubs, u)
-		}
-	}
-	src.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	g := graph.New(n)
-	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v || g.HasEdge(u, v) {
-			return nil // not simple; retry
-		}
-		g.AddEdge(u, v)
-	}
-	return g
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // checkAutomorphism verifies that phi is a graph automorphism of g: a
@@ -76,34 +75,6 @@ func TestRing(t *testing.T) {
 	checkVertexTransitive(t, r)
 }
 
-func TestComplete(t *testing.T) {
-	c := NewComplete(6)
-	g := c.Graph()
-	if g.NumEdges() != 15 {
-		t.Fatalf("K6 edges = %d", g.NumEdges())
-	}
-	if g.Diameter() != 1 {
-		t.Errorf("K6 diameter = %d", g.Diameter())
-	}
-	checkVertexTransitive(t, c)
-}
-
-func TestStar(t *testing.T) {
-	s := NewStar(7)
-	g := s.Graph()
-	if g.Degree(0) != 6 {
-		t.Errorf("star center degree = %d", g.Degree(0))
-	}
-	for u := 1; u < 7; u++ {
-		if g.Degree(u) != 1 {
-			t.Errorf("star leaf degree = %d", g.Degree(u))
-		}
-	}
-	if g.Diameter() != 2 {
-		t.Errorf("star diameter = %d", g.Diameter())
-	}
-}
-
 func TestCirculant(t *testing.T) {
 	c := NewCirculant(12, []int{1, 3})
 	g := c.Graph()
@@ -136,90 +107,5 @@ func TestCirculantPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestDeBruijn(t *testing.T) {
-	d := NewDeBruijn(4)
-	g := d.Graph()
-	if g.NumNodes() != 16 {
-		t.Fatalf("debruijn(4) nodes = %d", g.NumNodes())
-	}
-	if !g.Connected() {
-		t.Error("de Bruijn not connected")
-	}
-	// Node u adjacent to 2u and 2u+1 mod n.
-	if !g.HasEdge(3, 6) || !g.HasEdge(3, 7) {
-		t.Error("de Bruijn shift edges missing")
-	}
-	if g.MaxDegree() > 4 {
-		t.Errorf("de Bruijn max degree = %d, want <= 4", g.MaxDegree())
-	}
-}
-
-func TestShuffleExchange(t *testing.T) {
-	s := NewShuffleExchange(4)
-	g := s.Graph()
-	if g.NumNodes() != 16 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	if !g.Connected() {
-		t.Error("shuffle-exchange not connected")
-	}
-	if !g.HasEdge(5, 4) { // exchange edge: 0101 - 0100
-		t.Error("exchange edge missing")
-	}
-	if !g.HasEdge(5, 10) { // shuffle edge: 0101 -> 1010
-		t.Error("shuffle edge missing")
-	}
-}
-
-func TestRandomRegular(t *testing.T) {
-	src := rng.New(42)
-	r := NewRandomRegular(20, 4, src)
-	g := r.Graph()
-	if g.NumNodes() != 20 {
-		t.Fatal("node count")
-	}
-	for u := 0; u < 20; u++ {
-		if g.Degree(u) != 4 {
-			t.Fatalf("degree at %d = %d, want 4", u, g.Degree(u))
-		}
-	}
-	if !g.Connected() {
-		t.Error("random regular graph not connected")
-	}
-}
-
-func TestRandomRegularPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"odd product": func() { NewRandomRegular(5, 3, rng.New(1)) },
-		"d too small": func() { NewRandomRegular(5, 1, rng.New(1)) },
-		"d too big":   func() { NewRandomRegular(4, 4, rng.New(1)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestRandomRegularDeterministic(t *testing.T) {
-	a := NewRandomRegular(16, 3, rng.New(7)).Graph()
-	b := NewRandomRegular(16, 3, rng.New(7)).Graph()
-	for u := 0; u < 16; u++ {
-		na, nb := a.Neighbors(u), b.Neighbors(u)
-		if len(na) != len(nb) {
-			t.Fatal("same seed produced different graphs")
-		}
-		for i := range na {
-			if na[i] != nb[i] {
-				t.Fatal("same seed produced different graphs")
-			}
-		}
 	}
 }

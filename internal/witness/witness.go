@@ -70,22 +70,6 @@ func (g *RoundGraph) Losers() []int {
 	return out
 }
 
-// Roots returns the "new worms": witnesses that did not fail themselves
-// this round (out-degree zero in the blocking graph), in ascending order.
-func (g *RoundGraph) Roots() []int {
-	seen := make(map[int]bool)
-	var out []int
-	//optlint:allow mapiter set-membership dedup; out is sorted before returning
-	for _, e := range g.Blocker {
-		if _, failed := g.Blocker[e.Blocker]; !failed && !seen[e.Blocker] {
-			seen[e.Blocker] = true
-			out = append(out, e.Blocker)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Cycles returns the directed cycles of the blocking graph (each as a
 // worm-ID slice in chain order, started at its smallest ID). Since every
 // node has out-degree at most one, the graph is functional and cycles are
@@ -153,11 +137,6 @@ func normalizeCycle(c []int) []int {
 	return out
 }
 
-// IsForest reports whether the blocking graph has no directed cycles at
-// all (components of a functional graph without cycles are in-trees
-// rooted at the roots).
-func (g *RoundGraph) IsForest() bool { return len(g.Cycles()) == 0 }
-
 // IsTieCycle reports whether the given cycle consists entirely of
 // collisions at one time step: a simultaneous mutual elimination. Such
 // cycles are artifacts of the discrete tie policy — in the paper's model
@@ -192,49 +171,6 @@ func (g *RoundGraph) ProperCycles() [][]int {
 // proper (non-tie) directed cycle.
 func (g *RoundGraph) SatisfiesClaim26() bool { return len(g.ProperCycles()) == 0 }
 
-// ComponentSizes returns the number of worms in each weakly connected
-// component of the blocking graph, in descending order.
-func (g *RoundGraph) ComponentSizes() []int {
-	// Union-find over all worms mentioned.
-	parent := make(map[int]int)
-	var find func(int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	//optlint:allow mapiter union-find shape varies with order but component sizes do not
-	for l, e := range g.Blocker {
-		union(l, e.Blocker)
-	}
-	counts := make(map[int]int)
-	//optlint:allow mapiter order-independent per-component counting
-	for x := range parent {
-		counts[find(x)]++
-	}
-	sizes := make([]int, 0, len(counts))
-	//optlint:allow mapiter collects sizes; sorted descending below
-	for _, c := range counts {
-		sizes = append(sizes, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
-}
-
 // Analysis aggregates the blocking graphs of a full protocol run.
 type Analysis struct {
 	Rounds []*RoundGraph
@@ -248,17 +184,6 @@ func Analyze(traces [][]sim.Collision) *Analysis {
 		a.Rounds[i] = BuildRoundGraph(tr)
 	}
 	return a
-}
-
-// AllForests reports whether every round is free of any directed cycle,
-// including simultaneous ties.
-func (a *Analysis) AllForests() bool {
-	for _, g := range a.Rounds {
-		if !g.IsForest() {
-			return false
-		}
-	}
-	return true
 }
 
 // SatisfiesClaim26 reports whether no round has a proper (non-tie)

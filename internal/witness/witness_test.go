@@ -43,14 +43,8 @@ func TestBuildRoundGraphKeepsEarliest(t *testing.T) {
 func TestRootsAndForest(t *testing.T) {
 	// Chain 1 -> 2 -> 3, 3 succeeded.
 	g := BuildRoundGraph([]sim.Collision{col(0, 1, 2), col(0, 2, 3)})
-	if got := g.Roots(); !reflect.DeepEqual(got, []int{3}) {
-		t.Errorf("roots = %v, want [3]", got)
-	}
 	if !g.IsForest() {
 		t.Error("chain must be a forest")
-	}
-	if sizes := g.ComponentSizes(); !reflect.DeepEqual(sizes, []int{3}) {
-		t.Errorf("component sizes = %v", sizes)
 	}
 }
 
@@ -68,12 +62,6 @@ func TestCycleDetection(t *testing.T) {
 	}
 	if g.IsForest() {
 		t.Error("cycle graph must not be a forest")
-	}
-	if g.Roots() != nil && len(g.Roots()) != 0 {
-		t.Errorf("roots of pure-cycle component = %v", g.Roots())
-	}
-	if sizes := g.ComponentSizes(); !reflect.DeepEqual(sizes, []int{4}) {
-		t.Errorf("component sizes = %v", sizes)
 	}
 }
 
@@ -112,9 +100,6 @@ func TestTwoCycles(t *testing.T) {
 	cycles := g.Cycles()
 	if len(cycles) != 2 {
 		t.Fatalf("cycles = %v, want two", cycles)
-	}
-	if sizes := g.ComponentSizes(); !reflect.DeepEqual(sizes, []int{3, 2}) {
-		t.Errorf("component sizes = %v", sizes)
 	}
 }
 
