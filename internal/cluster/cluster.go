@@ -25,7 +25,9 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -132,10 +134,14 @@ type Node struct {
 	m counters
 
 	mu      sync.Mutex
-	started bool          //optlint:guardedby mu
-	closed  bool          //optlint:guardedby mu
-	stop    chan struct{} // closed by Close
-	wg      sync.WaitGroup
+	started bool //optlint:guardedby mu
+	closed  bool //optlint:guardedby mu
+	// ctx is cancelled by Close. It stops the background loops and every
+	// request the node sends on its own, so a silent peer cannot hold
+	// Close.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // New validates the config and returns an unstarted node.
@@ -184,7 +190,8 @@ func New(cfg Config) (*Node, error) {
 	if !self {
 		return nil, fmt.Errorf("cluster: self %q not in peer list", cfg.Self)
 	}
-	n := &Node{cfg: cfg, others: others, stop: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	n := &Node{cfg: cfg, others: others, ctx: ctx, cancel: cancel}
 	n.steal = newStealCoordinator(n)
 	n.repl = newReplicator(n)
 	return n, nil
@@ -196,6 +203,19 @@ func (n *Node) httpClient() *http.Client {
 		return n.cfg.HTTPClient
 	}
 	return http.DefaultClient
+}
+
+// send issues a request the node makes on its own behalf, not for a
+// client: it carries the node's context, so Close cancels it.
+func (n *Node) send(method, url, contentType string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(n.ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return n.httpClient().Do(req)
 }
 
 // Wire hooks the node into the executor: remote trial distribution for
@@ -239,8 +259,9 @@ func (n *Node) Start(sched *jobs.Scheduler, live *telemetry.Live) {
 	}
 }
 
-// Close stops the node's background loops and waits for them. The
-// scheduler and store are owned by the caller and closed separately.
+// Close stops the node's background loops and cancels the requests they
+// have in flight, then waits for them. The scheduler and store are owned
+// by the caller and closed separately.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -249,7 +270,7 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	n.mu.Unlock()
-	close(n.stop)
+	n.cancel()
 	n.wg.Wait()
 }
 

@@ -19,10 +19,12 @@ import (
 
 // lateHandler lets an httptest server start before the node behind it
 // exists: peer URLs must be known to build the nodes, and the nodes must
-// exist to build the handlers.
+// exist to build the handlers. It can also cut the node off from its
+// peers' writes (see cut).
 type lateHandler struct {
-	mu sync.RWMutex
-	h  http.Handler //optlint:guardedby mu
+	mu    sync.RWMutex
+	h     http.Handler //optlint:guardedby mu
+	isCut bool         //optlint:guardedby mu
 }
 
 // set installs the real handler.
@@ -32,11 +34,29 @@ func (l *lateHandler) set(h http.Handler) {
 	l.mu.Unlock()
 }
 
+// cut waits for the peer writes being served to finish and refuses every
+// later one, as a partition from the writers would; reads and client
+// requests still pass.
+func (l *lateHandler) cut() {
+	l.mu.Lock()
+	l.isCut = true
+	l.mu.Unlock()
+}
+
 // ServeHTTP delegates to the installed handler, 503 before it exists.
+// Peer writes (POST /internal/...) are served under the read lock, so
+// cut waits for them, and are refused once the node is cut off.
 func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	l.mu.RLock()
 	h := l.h
-	l.mu.RUnlock()
+	if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/internal/") {
+		defer l.mu.RUnlock()
+		if l.isCut {
+			h = nil
+		}
+	} else {
+		l.mu.RUnlock()
+	}
 	if h == nil {
 		http.Error(w, "node not ready", http.StatusServiceUnavailable)
 		return
@@ -47,7 +67,8 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // testNode is one in-process cluster member with all its handles.
 type testNode struct {
 	name  string
-	dir   string // store directory
+	in    *lateHandler // serves srv
+	dir   string       // store directory
 	store *jobs.Store
 	live  *telemetry.Live
 	exec  *jobs.Executor
@@ -93,7 +114,7 @@ func startCluster(t *testing.T, names []string, tweak func(*Config)) []*testNode
 	for i, name := range names {
 		handlers[i] = &lateHandler{}
 		srv := httptest.NewServer(handlers[i])
-		nodes[i] = &testNode{name: name, srv: srv}
+		nodes[i] = &testNode{name: name, in: handlers[i], srv: srv}
 		peers = append(peers, Peer{Name: name, URL: srv.URL})
 	}
 	for i, name := range names {

@@ -73,6 +73,12 @@ func TestClusterKillNodeMidSweep(t *testing.T) {
 		return err == nil && ok && ck.Done >= 2
 	}, "replicated checkpoint on survivor")
 	owner.kill(t, key)
+	// Close cancels a push still in flight on the owner's side, but the
+	// survivor may already hold the request and apply it after the kill.
+	// Cutting the survivor off from peer writes waits for such a request
+	// and refuses any later one, so the checkpoint read below is the one
+	// the resumed sweep starts from.
+	s1.in.cut()
 
 	// The replicated progress at takeover: trials [0, k) must never run
 	// again.

@@ -83,13 +83,13 @@ func (r *replicator) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
 		select {
-		case <-r.node.stop:
+		case <-r.node.ctx.Done():
 			return
 		case <-r.wake:
 		}
 		for {
 			select {
-			case <-r.node.stop:
+			case <-r.node.ctx.Done():
 				return
 			default:
 			}
@@ -148,12 +148,7 @@ func (r *replicator) pushSegment(name string) {
 // sendSegment posts raw segment bytes to one peer.
 func (n *Node) sendSegment(p Peer, name string, data []byte) error {
 	u := p.URL + "/internal/segments/" + url.PathEscape(name) + "?origin=" + url.QueryEscape(n.cfg.Self)
-	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := n.httpClient().Do(req)
+	resp, err := n.send(http.MethodPost, u, "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -193,7 +188,7 @@ func (r *replicator) lookup(storeKey string) (json.RawMessage, bool) {
 // slash-separated hex/label segments, passed through unescaped to match
 // the server's rest-of-path wildcard.
 func (n *Node) fetchRecord(p Peer, storeKey string) (json.RawMessage, bool) {
-	resp, err := n.httpClient().Get(p.URL + "/internal/store/" + storeKey)
+	resp, err := n.send(http.MethodGet, p.URL+"/internal/store/"+storeKey, "", nil)
 	if err != nil {
 		return nil, false
 	}
@@ -211,7 +206,7 @@ func (n *Node) backfill(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for _, p := range n.others {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		default:
 		}
@@ -243,7 +238,7 @@ func (n *Node) backfill(wg *sync.WaitGroup) {
 
 // getJSON fetches a JSON document from a peer path.
 func (n *Node) getJSON(p Peer, path string, out any) error {
-	resp, err := n.httpClient().Get(p.URL + path)
+	resp, err := n.send(http.MethodGet, p.URL+path, "", nil)
 	if err != nil {
 		return err
 	}
@@ -259,7 +254,7 @@ func (n *Node) getJSON(p Peer, path string, out any) error {
 
 // fetchSegment downloads one raw segment from a peer.
 func (n *Node) fetchSegment(p Peer, name string) ([]byte, error) {
-	resp, err := n.httpClient().Get(p.URL + "/internal/segments/" + url.PathEscape(name))
+	resp, err := n.send(http.MethodGet, p.URL+"/internal/segments/"+url.PathEscape(name), "", nil)
 	if err != nil {
 		return nil, err
 	}

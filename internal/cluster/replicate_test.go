@@ -104,7 +104,7 @@ func TestCloseSkipsReplicationBacklog(t *testing.T) {
 		n.Close()
 		close(closed)
 	}()
-	<-n.stop
+	<-n.ctx.Done()
 	atStop := pushes.Load()
 	select {
 	case <-closed:
@@ -113,6 +113,60 @@ func TestCloseSkipsReplicationBacklog(t *testing.T) {
 	}
 	if after := pushes.Load() - atStop; after > 1 {
 		t.Errorf("%d pushes after stop, want at most the one in flight", after)
+	}
+}
+
+// TestCloseCancelsRequestsToSilentPeer: with the default config, a peer
+// that accepts a connection and never answers cannot hold Node.Close.
+// The node's own requests (back-fill, replication pushes, steal polls)
+// carry a context Close cancels, so Close returns within a fixed bound
+// and leaves no goroutine behind.
+func TestCloseCancelsRequestsToSilentPeer(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	store, err := jobs.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	n, err := New(Config{
+		Self:  "a",
+		Peers: []Peer{{Name: "a", URL: "http://127.0.0.1:1"}, {Name: "silent", URL: "http://" + silent.Addr().String()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := &jobs.Executor{Store: store}
+	n.Wire(exec)
+	sched := jobs.NewScheduler(exec, jobs.Options{})
+	defer sched.Close()
+	n.Start(sched, nil)
+	if err := store.Put("result/x", 1); err != nil { // queues a push to the silent peer
+		t.Fatal(err)
+	}
+	// Wait for a request to reach the peer: the node is now blocked on it.
+	conn, err := silent.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		n.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting on a silent peer after 5s")
 	}
 }
 

@@ -76,13 +76,15 @@ func (c *stealCoordinator) Distribute(key string, spec jobs.Spec, start, total i
 		return nil
 	}
 	s := &stealSession{
-		co:        c,
-		key:       key,
-		spec:      spec,
-		total:     total,
-		lo:        start,
-		leases:    make(map[int64]*trialLease),
-		completed: make(chan jobs.RemoteBatch, 64),
+		co:     c,
+		key:    key,
+		spec:   spec,
+		total:  total,
+		lo:     start,
+		leases: make(map[int64]*trialLease),
+		// Completions from several thieves queue here while the owner runs
+		// a trial; complete refuses a batch rather than block once it is full.
+		completed: make(chan []jobs.TrialOutcome, 64),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,7 +166,7 @@ type stealSession struct {
 	reclaimed []int                 //optlint:guardedby mu
 	leases    map[int64]*trialLease //optlint:guardedby mu
 	closed    bool                  //optlint:guardedby mu
-	completed chan jobs.RemoteBatch
+	completed chan []jobs.TrialOutcome
 }
 
 // expireLocked reclaims trials of overdue leases; the owner re-executes
@@ -249,7 +251,7 @@ func (s *stealSession) complete(sc StealComplete) error {
 		return fmt.Errorf("cluster: sweep %s already finished", sc.Key)
 	}
 	select {
-	case s.completed <- jobs.RemoteBatch{From: batchFrom(sc, l), To: batchTo(sc, l), Outcomes: sc.Outcomes}:
+	case s.completed <- sc.Outcomes:
 		return nil
 	default:
 		if ok {
@@ -264,31 +266,8 @@ func (s *stealSession) complete(sc StealComplete) error {
 	}
 }
 
-// batchFrom and batchTo report the lease range when known (diagnostics
-// only; the fold trusts each outcome's own trial index).
-func batchFrom(sc StealComplete, l *trialLease) int {
-	if l != nil {
-		return l.from
-	}
-	if len(sc.Outcomes) > 0 {
-		return sc.Outcomes[0].Summary.Trial
-	}
-	return 0
-}
-
-// batchTo mirrors batchFrom for the exclusive upper bound.
-func batchTo(sc StealComplete, l *trialLease) int {
-	if l != nil {
-		return l.to
-	}
-	if n := len(sc.Outcomes); n > 0 {
-		return sc.Outcomes[n-1].Summary.Trial + 1
-	}
-	return 0
-}
-
 // Completed implements jobs.TrialSession.
-func (s *stealSession) Completed() <-chan jobs.RemoteBatch { return s.completed }
+func (s *stealSession) Completed() <-chan []jobs.TrialOutcome { return s.completed }
 
 // Close implements jobs.TrialSession: the sweep finished (or failed);
 // stop granting leases and refuse late completions.
@@ -314,7 +293,7 @@ func (n *Node) thief(wg *sync.WaitGroup) {
 	rot := 0
 	for {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		case <-tick.C:
 		}
@@ -392,7 +371,7 @@ func (n *Node) postJSONStatus(p Peer, path string, v, out any) (int, error) {
 	if err := enc.Encode(v); err != nil {
 		return 0, err
 	}
-	resp, err := n.httpClient().Post(p.URL+path, "application/json", &body)
+	resp, err := n.send(http.MethodPost, p.URL+path, "application/json", &body)
 	if err != nil {
 		return 0, err
 	}

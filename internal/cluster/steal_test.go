@@ -16,8 +16,8 @@ import (
 // aggregate, and telemetry snapshot) byte-identical to a single-node
 // run of the same spec. Trials are relocatable because their rng
 // streams are pre-split from the master seed; the fold is exact because
-// the owner applies outcomes strictly in trial order through
-// telemetry.Snapshot.Add, which is lossless for JSON-round-tripped
+// the owner folds outcomes strictly in trial order through
+// telemetry.Collector.AddSnapshot, which is lossless for JSON-round-tripped
 // snapshots.
 func TestDistributedSweepByteIdentical(t *testing.T) {
 	testutil.VerifyNoLeaks(t)

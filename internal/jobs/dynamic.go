@@ -283,44 +283,15 @@ func aggregateDynamic(trials []DynamicTrialSummary) DynamicAggregate {
 	return a
 }
 
-// runDynamic executes (or resumes) a dynamic trace-replay sweep trial by
-// trial, mirroring runRoute: the checkpoint after every trial makes
-// kill-at-any-trial resume byte-identical, and the folded telemetry
-// snapshot accumulates every trial's engine events.
-func (e *Executor) runDynamic(key string, norm Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, error) {
-	d := norm.Dynamic
-	setup, err := d.setup()
-	if err != nil {
-		return nil, err
-	}
-	summaries := make([]DynamicTrialSummary, 0, d.Trials)
-	folded := &telemetry.Snapshot{}
-	start := 0
-	if e.Store != nil || e.Lookup != nil {
-		var ck checkpoint
-		ok, err := e.lookupJSON(checkpointKey(key), &ck)
-		if err != nil {
-			return nil, err
-		}
-		if ok && ck.Key == key && ck.Done == len(ck.DynamicTrials) && ck.Done <= d.Trials && ck.Telemetry != nil {
-			summaries = append(summaries, ck.DynamicTrials...)
-			folded = ck.Telemetry
-			start = ck.Done
-		}
-	}
-	if progress != nil {
-		progress(start, d.Trials)
-	}
+// trials returns the runner of the sweep's replays on eng.
+func (setup *dynamicSetup) trials(eng Simulator) trialRunner[DynamicTrialSummary] {
 	col := telemetry.NewCollector()
 	cfg := setup.cfg
 	cfg.Sim.Probe = col
-	for i := start; i < d.Trials; i++ {
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
-		}
+	return trialRunner[DynamicTrialSummary]{col: col, run: func(i int) (DynamicTrialSummary, error) {
 		res, err := eng.RunDynamic(setup.g, setup.reqs, cfg, setup.trialSrcs[i])
 		if err != nil {
-			return nil, err
+			return DynamicTrialSummary{}, err
 		}
 		s := DynamicTrialSummary{
 			Trial:      i,
@@ -341,31 +312,37 @@ func (e *Executor) runDynamic(key string, norm Spec, eng Simulator, progress fun
 				s.GaveUp++
 			}
 		}
-		summaries = append(summaries, s)
-		snap := col.Snapshot()
-		if e.Live != nil {
-			e.Live.Absorb(col) // resets col for the next trial
-		} else {
-			col.Reset()
-		}
-		if err := folded.Add(snap); err != nil {
-			return nil, err
-		}
-		if e.Store != nil {
-			ck := checkpoint{Key: key, Done: i + 1, DynamicTrials: summaries, Telemetry: folded}
-			if err := e.Store.Put(checkpointKey(key), ck); err != nil {
-				return nil, err
-			}
-		}
-		if progress != nil {
-			progress(i+1, d.Trials)
-		}
+		return s, nil
+	}}
+}
+
+// runDynamic executes (or resumes) a dynamic trace-replay sweep through
+// the fold route sweeps take: the checkpoint after every trial makes
+// kill-at-any-trial resume byte-identical, and the folded telemetry
+// snapshot accumulates every trial's engine events.
+func (e *Executor) runDynamic(key string, norm Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, error) {
+	d := norm.Dynamic
+	setup, err := d.setup()
+	if err != nil {
+		return nil, err
+	}
+	sw := sweep[DynamicTrialSummary]{
+		key:       key,
+		total:     d.Trials,
+		links:     setup.g.NumLinks(),
+		bandwidth: setup.cfg.Sim.Bandwidth,
+		trials:    func(ck *checkpoint) *[]DynamicTrialSummary { return &ck.DynamicTrials },
+		runner:    setup.trials(eng),
+	}
+	summaries, tel, err := sw.fold(e, progress, canceled)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		Key:              key,
 		Spec:             norm,
 		DynamicTrials:    summaries,
 		DynamicAggregate: aggregateDynamic(summaries),
-		Telemetry:        folded,
+		Telemetry:        tel,
 	}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -173,28 +172,17 @@ type TrialOutcome struct {
 	Snapshot *telemetry.Snapshot `json:"snapshot"`
 }
 
-// RemoteBatch is a contiguous trial range completed by a remote peer.
-type RemoteBatch struct {
-	// From and To bound the claimed range [From, To).
-	From int `json:"from"`
-	// To is the exclusive upper bound.
-	To int `json:"to"`
-	// Outcomes are the executed trials, in trial order. An empty batch is
-	// a wakeup poke (e.g. after a reclaim) carrying no results.
-	Outcomes []TrialOutcome `json:"outcomes"`
-}
-
 // TrialSession is one sweep's distribution state, owned by the executing
 // worker. ClaimLocal hands the worker the lowest trial not claimed by a
-// remote peer; Completed delivers remotely executed batches (and
-// occasional empty pokes). The channel is never closed; the owner bounds
-// its waits and re-polls ClaimLocal, so an expired remote claim flows
-// back to local execution. Close releases the session's registration.
+// remote peer; Completed delivers the outcomes of remotely executed
+// trials. The channel is never closed; the owner bounds its waits and
+// re-polls ClaimLocal, so an expired remote claim flows back to local
+// execution. Close releases the session's registration.
 type TrialSession interface {
 	// ClaimLocal claims the lowest unclaimed trial for local execution.
 	ClaimLocal() (trial int, ok bool)
-	// Completed delivers remote batches; never closed.
-	Completed() <-chan RemoteBatch
+	// Completed delivers remotely executed trials; never closed.
+	Completed() <-chan []TrialOutcome
 	// Close unregisters the session (idempotent).
 	Close()
 }
@@ -322,30 +310,55 @@ func (e *Executor) runExperiment(key string, norm Spec) (*Result, error) {
 	return &Result{Key: key, Spec: norm, Table: compact.Bytes(), Text: text}, nil
 }
 
-// routeTrial executes one trial of a materialized route sweep on eng.
-// cfg is the setup's config with the caller's probe attached.
-func routeTrial(setup *runSetup, cfg core.Config, i int, eng Simulator) (TrialSummary, error) {
-	res, err := core.RunWithSimulator(setup.col, cfg, setup.trialSrcs[i], eng)
-	if err != nil {
-		return TrialSummary{}, err
-	}
-	return TrialSummary{
-		Trial:      i,
-		Rounds:     res.TotalRounds,
-		Time:       res.TotalTime,
-		Measured:   res.MeasuredTime,
-		Worms:      res.Params.N,
-		Acked:      res.Params.N - len(res.StillActive),
-		FaultKills: res.TotalFaultKills,
-		Rerouted:   res.TotalRerouted,
-		Completed:  res.AllDelivered,
-	}, nil
+// trials returns the runner of the sweep's trials on eng.
+func (setup *runSetup) trials(eng Simulator) trialRunner[TrialSummary] {
+	col := telemetry.NewCollector()
+	cfg := setup.cfg
+	cfg.Probe = col
+	return trialRunner[TrialSummary]{col: col, run: func(i int) (TrialSummary, error) {
+		res, err := core.RunWithSimulator(setup.col, cfg, setup.trialSrcs[i], eng)
+		if err != nil {
+			return TrialSummary{}, err
+		}
+		return TrialSummary{
+			Trial:      i,
+			Rounds:     res.TotalRounds,
+			Time:       res.TotalTime,
+			Measured:   res.MeasuredTime,
+			Worms:      res.Params.N,
+			Acked:      res.Params.N - len(res.StillActive),
+			FaultKills: res.TotalFaultKills,
+			Rerouted:   res.TotalRerouted,
+			Completed:  res.AllDelivered,
+		}, nil
+	}}
 }
 
-// routeResult assembles a route sweep's final Result from its folded
-// state; shared by the sequential and distributed paths so both produce
-// the same bytes.
-func routeResult(key string, norm Spec, setup *runSetup, summaries []TrialSummary, folded *telemetry.Snapshot) *Result {
+// runRoute executes (or resumes) a route sweep through the fold. With a
+// TrialDistributor attached, remote peers may steal trial ranges; the
+// fold stays strictly in trial order either way, so the distributed
+// result is byte-identical to a single-node run.
+func (e *Executor) runRoute(key string, norm Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, error) {
+	r := norm.Route
+	setup, err := r.setup()
+	if err != nil {
+		return nil, err
+	}
+	sw := sweep[TrialSummary]{
+		key:       key,
+		total:     r.Trials,
+		links:     setup.col.Graph().NumLinks(),
+		bandwidth: setup.cfg.Bandwidth,
+		trials:    func(ck *checkpoint) *[]TrialSummary { return &ck.Trials },
+		runner:    setup.trials(eng),
+	}
+	if e.Distribute != nil {
+		sw.session = func(start int) TrialSession { return e.Distribute.Distribute(key, norm, start, r.Trials) }
+	}
+	summaries, tel, err := sw.fold(e, progress, canceled)
+	if err != nil {
+		return nil, err
+	}
 	var params core.Params
 	if setup.col.Size() > 0 {
 		params = core.Params{
@@ -362,181 +375,8 @@ func routeResult(key string, norm Spec, setup *runSetup, summaries []TrialSummar
 		Params:    params,
 		Trials:    summaries,
 		Aggregate: aggregate(summaries),
-		Telemetry: folded,
-	}
-}
-
-// runRoute executes (or resumes) a route sweep trial by trial. With a
-// TrialDistributor attached, remote peers may steal trial ranges; the
-// fold stays strictly in trial order either way, so the distributed
-// result is byte-identical to a single-node run.
-func (e *Executor) runRoute(key string, norm Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, error) {
-	r := norm.Route
-	setup, err := r.setup()
-	if err != nil {
-		return nil, err
-	}
-	summaries := make([]TrialSummary, 0, r.Trials)
-	folded := &telemetry.Snapshot{}
-	start := 0
-	if e.Store != nil || e.Lookup != nil {
-		// The checkpoint lookup consults replicas too: a sweep whose owner
-		// died resumes on the next node from the replicated checkpoint.
-		var ck checkpoint
-		ok, err := e.lookupJSON(checkpointKey(key), &ck)
-		if err != nil {
-			return nil, err
-		}
-		if ok && ck.Key == key && ck.Done == len(ck.Trials) && ck.Done <= r.Trials && ck.Telemetry != nil {
-			summaries = append(summaries, ck.Trials...)
-			folded = ck.Telemetry
-			start = ck.Done
-		}
-	}
-	if progress != nil {
-		progress(start, r.Trials)
-	}
-	if e.Distribute != nil {
-		if sess := e.Distribute.Distribute(key, norm, start, r.Trials); sess != nil {
-			return e.runRouteDistributed(key, norm, setup, summaries, folded, start, eng, progress, canceled, sess)
-		}
-	}
-	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Probe = col
-	for i := start; i < r.Trials; i++ {
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
-		}
-		sum, err := routeTrial(setup, cfg, i, eng)
-		if err != nil {
-			return nil, err
-		}
-		summaries = append(summaries, sum)
-		snap := col.Snapshot()
-		if e.Live != nil {
-			e.Live.Absorb(col) // resets col for the next trial
-		} else {
-			col.Reset()
-		}
-		if err := folded.Add(snap); err != nil {
-			return nil, err
-		}
-		if e.Store != nil {
-			ck := checkpoint{Key: key, Done: i + 1, Trials: summaries, Telemetry: folded}
-			if err := e.Store.Put(checkpointKey(key), ck); err != nil {
-				return nil, err
-			}
-		}
-		if progress != nil {
-			progress(i+1, r.Trials)
-		}
-	}
-	return routeResult(key, norm, setup, summaries, folded), nil
-}
-
-// distPollInterval bounds the owner's wait for remote batches, so
-// cancellation and reclaimed trials are noticed promptly.
-const distPollInterval = 50 * time.Millisecond
-
-// runRouteDistributed executes a route sweep with remote help. The owner
-// claims trials the session has not handed to peers and executes them on
-// its own engine; remotely executed batches arrive on the session
-// channel. Outcomes are buffered per trial index and folded strictly in
-// trial order — each fold step appends the summary, adds the trial's
-// snapshot via telemetry.Snapshot.Add and checkpoints, exactly like the
-// sequential loop — so the result and every checkpoint are byte-identical
-// to a single-node run of the same spec.
-func (e *Executor) runRouteDistributed(key string, norm Spec, setup *runSetup, summaries []TrialSummary, folded *telemetry.Snapshot, start int, eng Simulator, progress func(done, total int), canceled func() bool, sess TrialSession) (*Result, error) {
-	defer sess.Close()
-	total := norm.Route.Trials
-	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Probe = col
-
-	pending := make(map[int]TrialOutcome) // completed, not yet folded
-	next := start                         // fold pointer: len(summaries)
-	fold := func() error {
-		for {
-			out, ok := pending[next]
-			if !ok {
-				return nil
-			}
-			delete(pending, next)
-			summaries = append(summaries, out.Summary)
-			if err := folded.Add(out.Snapshot); err != nil {
-				return err
-			}
-			next++
-			if e.Store != nil {
-				ck := checkpoint{Key: key, Done: next, Trials: summaries, Telemetry: folded}
-				if err := e.Store.Put(checkpointKey(key), ck); err != nil {
-					return err
-				}
-			}
-			if progress != nil {
-				progress(next, total)
-			}
-		}
-	}
-	absorb := func(b RemoteBatch) {
-		for _, out := range b.Outcomes {
-			i := out.Summary.Trial
-			if i < next || i >= total {
-				continue // duplicate of an already-folded (reclaimed) trial
-			}
-			if _, ok := pending[i]; ok {
-				continue
-			}
-			pending[i] = out
-			if e.Live != nil {
-				// Live gauges are best effort; the authoritative fold is the
-				// result's snapshot, where a mismatch is a hard error.
-				_ = e.Live.AddSnapshot(out.Snapshot)
-			}
-		}
-	}
-
-	for next < total {
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
-		}
-		if i, ok := sess.ClaimLocal(); ok {
-			sum, err := routeTrial(setup, cfg, i, eng)
-			if err != nil {
-				return nil, err
-			}
-			snap := col.Snapshot()
-			if e.Live != nil {
-				e.Live.Absorb(col) // resets col for the next trial
-			} else {
-				col.Reset()
-			}
-			pending[i] = TrialOutcome{Summary: sum, Snapshot: snap}
-		} else {
-			// Every remaining trial is claimed remotely: wait for a batch,
-			// bounded so expired claims (dead peer) flow back to ClaimLocal.
-			select {
-			case b := <-sess.Completed():
-				absorb(b)
-			case <-time.After(distPollInterval):
-			}
-		}
-		// Drain whatever else has arrived, then fold the contiguous prefix.
-	drained:
-		for {
-			select {
-			case b := <-sess.Completed():
-				absorb(b)
-			default:
-				break drained
-			}
-		}
-		if err := fold(); err != nil {
-			return nil, err
-		}
-	}
-	return routeResult(key, norm, setup, summaries, folded), nil
+		Telemetry: tel,
+	}, nil
 }
 
 // RunTrialRange executes trials [from, to) of a route sweep on eng,
@@ -561,17 +401,13 @@ func RunTrialRange(spec Spec, eng Simulator, from, to int) ([]TrialOutcome, erro
 	if err != nil {
 		return nil, err
 	}
-	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Probe = col
+	runner := setup.trials(eng)
 	outs := make([]TrialOutcome, 0, to-from)
 	for i := from; i < to; i++ {
-		sum, err := routeTrial(setup, cfg, i, eng)
+		sum, snap, err := runner.step(i)
 		if err != nil {
 			return nil, err
 		}
-		snap := col.Snapshot()
-		col.Reset()
 		outs = append(outs, TrialOutcome{Summary: sum, Snapshot: snap})
 	}
 	return outs, nil

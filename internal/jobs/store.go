@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -45,7 +46,8 @@ type Store struct {
 	segBytes    int64                      //optlint:guardedby mu
 	segSeq      int                        //optlint:guardedby mu
 	maxSegBytes int64
-	skippedTail int //optlint:guardedby mu
+	skippedTail int  //optlint:guardedby mu
+	closed      bool //optlint:guardedby mu
 
 	// Observer, when set, observes every locally originated append of a
 	// real value (tombstones and replicated ingests are not reported).
@@ -73,6 +75,9 @@ type storeRecord struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v"`
 }
+
+// ErrStoreClosed is returned by a write to a store after its Close.
+var ErrStoreClosed = errors.New("jobs: store closed")
 
 // DefaultSegmentBytes is the roll threshold for segments opened by Open.
 const DefaultSegmentBytes = 4 << 20
@@ -283,6 +288,9 @@ func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrStoreClosed
+	}
 	if s.seg == nil || s.segBytes+int64(len(line)) > s.maxSegBytes {
 		if err := s.rollLocked(); err != nil {
 			return err
@@ -362,10 +370,15 @@ func (s *Store) Sync() error {
 	return s.seg.Sync()
 }
 
-// Close seals the current segment. The store must not be used after.
+// Close seals the current segment. Writes after it (Put, PutRaw, Delete,
+// ImportSegment) return ErrStoreClosed; a second Close returns nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	if s.seg == nil {
 		return nil
 	}
@@ -493,6 +506,9 @@ func (s *Store) ImportSegment(origin, name string, data []byte) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return 0, ErrStoreClosed
+	}
 	path := filepath.Join(s.dir, "rep-"+origin+"-"+name)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return 0, fmt.Errorf("jobs: import segment: %w", err)

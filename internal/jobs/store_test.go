@@ -425,6 +425,55 @@ func TestStoreValueBytesSurviveReopen(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesWritesAfterClose: once closed, every write — Put,
+// PutRaw, Delete, ImportSegment — returns ErrStoreClosed and creates no
+// file, so a late handler cannot roll a segment nothing will sync or
+// close. A second Close returns nil.
+func TestStoreRefusesWritesAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segment := []byte(`{"k":"b","v":2}` + "\n")
+	for name, write := range map[string]func() error{
+		"Put":    func() error { return s.Put("b", 2) },
+		"PutRaw": func() error { return s.PutRaw("b", json.RawMessage("2")) },
+		"Delete": func() error { return s.Delete("a") },
+		"ImportSegment": func() error {
+			_, err := s.ImportSegment("peer", "seg-000001.jsonl", segment)
+			return err
+		},
+	} {
+		if err := write(); !errors.Is(err, ErrStoreClosed) {
+			t.Errorf("%s after Close: %v, want ErrStoreClosed", name, err)
+		}
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Errorf("writes after Close left files: %d entries, was %d", len(after), len(before))
+	}
+	if v, ok := s.Get("a"); !ok || string(v) != "1" {
+		t.Errorf("index changed after Close: %s %v", v, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
 // TestStorePutRawChecksPeerBytes: PutRaw rejects what would not replay —
 // empty, invalid or tombstone values and an empty key — and compacts a
 // multi-line value, so every segment line parses.

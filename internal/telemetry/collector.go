@@ -1,11 +1,16 @@
 package telemetry
 
+import (
+	"fmt"
+	"math"
+)
+
 // Collector is the concrete Probe: it folds engine and protocol events
 // into counters, per-slot collision heatmaps, per-link busy integrals and
 // fixed-bucket histograms. All state is sized in BeginRun (growing only
 // when a larger graph appears), so the per-event path is allocation-free
 // in steady state. A Collector is single-goroutine like any Probe; use
-// Merge or Live to combine collectors from concurrent workers.
+// AddSnapshot or Live to combine collectors from concurrent workers.
 //
 // Per-link state is indexed by physical directed link ID, so a collector
 // fed runs on different graphs mixes their heatmaps; use one collector
@@ -185,52 +190,82 @@ func (c *Collector) RoundFinished(info RoundInfo) {
 	}
 }
 
-// Merge folds o's observations into c; o is left untouched. Histograms
-// must share layouts (true for NewCollector-built collectors). Per-link
-// tables grow to the larger geometry following the BeginRun rules.
-func (c *Collector) Merge(o *Collector) {
-	c.provision(o.links, o.bandwidth)
-	c.runs += o.runs
-	c.steps += o.steps
-	c.msgBusy += o.msgBusy
-	c.ackBusy += o.ackBusy
-	for b := range c.cuts {
-		c.cuts[b] += o.cuts[b]
+// AddSnapshot folds s's observations into c. It is the one merge:
+// another collector's delta (c.AddSnapshot(o.Snapshot())), a stored
+// checkpoint, or a peer's trial. Tables grow to the larger geometry as
+// in BeginRun, and per-link cells fold only while the bandwidths agree.
+// s is checked before anything changes — its geometry must be sizable,
+// its cells inside that geometry and its histograms in c's bucket
+// layouts — so on error c is unchanged. The tables are sized from s's
+// declared geometry: a caller folding outside input bounds it first.
+// Rounds are retained up to the collector's cap, the surplus counted in
+// RoundsDropped.
+func (c *Collector) AddSnapshot(s *Snapshot) error {
+	if err := c.check(s); err != nil {
+		return err
 	}
-	c.splits += o.splits
-	c.delivered += o.delivered
-	c.acked += o.acked
-	c.wormsLaunched += o.wormsLaunched
-	c.roundsObserved += o.roundsObserved
-	c.faultsStarted += o.faultsStarted
-	c.faultsEnded += o.faultsEnded
-	for b := range c.faultKills {
-		c.faultKills[b] += o.faultKills[b]
-	}
-	if o.links > 0 && c.bandwidth == o.bandwidth {
-		for band := 0; band < NumBands; band++ {
-			for l := 0; l < o.links; l++ {
-				c.linkBusy[band*c.links+l].busySteps += o.linkBusy[band*o.links+l].busySteps
-				for w := 0; w < o.bandwidth; w++ {
-					c.collisions[(band*c.links+l)*c.bandwidth+w] +=
-						o.collisions[(band*o.links+l)*o.bandwidth+w]
-				}
-			}
+	c.provision(s.Links, s.Bandwidth)
+	c.runs += s.Runs
+	c.steps += s.Steps
+	c.wormsLaunched += s.WormsLaunched
+	c.msgBusy += s.MessageBusySlotSteps
+	c.ackBusy += s.AckBusySlotSteps
+	c.cuts[MessageBand] += s.MessageCuts
+	c.cuts[AckBand] += s.AckCuts
+	c.splits += s.FragmentSplits
+	c.delivered += s.Delivered
+	c.acked += s.Acked
+	c.roundsObserved += s.RoundsObserved
+	c.faultsStarted += s.FaultsStarted
+	c.faultsEnded += s.FaultsEnded
+	c.faultKills[MessageBand] += s.MessageFaultKills
+	c.faultKills[AckBand] += s.AckFaultKills
+	if s.Links > 0 && c.bandwidth == s.Bandwidth {
+		for _, x := range s.Collisions {
+			c.collisions[(x.Band*c.links+x.Link)*c.bandwidth+x.Wavelength] += x.Count
+		}
+		for _, x := range s.LinkBusySteps {
+			c.linkBusy[x.Band*c.links+x.Link].busySteps += x.BusySlotSteps
 		}
 	}
-	c.retries.Merge(&o.retries)
-	c.roundsToAck.Merge(&o.roundsToAck)
-	c.delivery.Merge(&o.delivery)
-	c.ackLatency.Merge(&o.ackLatency)
-	c.makespan.Merge(&o.makespan)
-	for _, r := range o.rounds {
+	c.retries.add(&s.Retries)
+	c.roundsToAck.add(&s.RoundsToAck)
+	c.delivery.add(&s.StepsToDelivery)
+	c.ackLatency.add(&s.AckResidence)
+	c.makespan.add(&s.Makespan)
+	for _, r := range s.Rounds {
 		if len(c.rounds) < cap(c.rounds) {
 			c.rounds = append(c.rounds, r)
 		} else {
 			c.roundsDropped++
 		}
 	}
-	c.roundsDropped += o.roundsDropped
+	c.roundsDropped += s.RoundsDropped
+	return nil
+}
+
+// check reports why AddSnapshot cannot fold s, before anything changes.
+func (c *Collector) check(s *Snapshot) error {
+	links, bandwidth := max(s.Links, c.links), max(s.Bandwidth, c.bandwidth)
+	if s.Links < 0 || s.Bandwidth < 0 || links > math.MaxInt/NumBands/max(bandwidth, 1) {
+		return fmt.Errorf("telemetry: snapshot geometry %dx%d cannot be sized", s.Links, s.Bandwidth)
+	}
+	for _, x := range s.Collisions {
+		if x.Band < 0 || x.Band >= NumBands || x.Link < 0 || x.Link >= s.Links || x.Wavelength < 0 || x.Wavelength >= s.Bandwidth {
+			return fmt.Errorf("telemetry: collision cell (%d, %d, %d) outside the snapshot's %dx%d geometry",
+				x.Band, x.Link, x.Wavelength, s.Links, s.Bandwidth)
+		}
+	}
+	for _, x := range s.LinkBusySteps {
+		if x.Band < 0 || x.Band >= NumBands || x.Link < 0 || x.Link >= s.Links {
+			return fmt.Errorf("telemetry: busy cell (%d, %d) outside the snapshot's %d links", x.Band, x.Link, s.Links)
+		}
+	}
+	if !c.retries.fits(&s.Retries) || !c.roundsToAck.fits(&s.RoundsToAck) || !c.delivery.fits(&s.StepsToDelivery) ||
+		!c.ackLatency.fits(&s.AckResidence) || !c.makespan.fits(&s.Makespan) {
+		return fmt.Errorf("telemetry: snapshot histograms have different bucket layouts")
+	}
+	return nil
 }
 
 // Reset zeroes all observations, keeping every buffer's capacity so the
@@ -344,7 +379,7 @@ type Snapshot struct {
 
 // Snapshot copies the collector's state into a Snapshot. It allocates
 // (it is the cold read path) and may be called between runs or after
-// Merge; it must not race with hooks on the same collector.
+// AddSnapshot; it must not race with hooks on the same collector.
 func (c *Collector) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Links:                c.links,

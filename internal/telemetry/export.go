@@ -102,64 +102,42 @@ func writeHistogram(w *bufio.Writer, name, help string, h *HistogramSnapshot) {
 }
 
 // Live is a mutex-guarded telemetry aggregate for concurrent producers:
-// worker goroutines Absorb their per-goroutine collectors into it while
-// an Exporter serves Snapshot to scrapers. Snapshots received from
-// remote workers fold in through AddSnapshot. The zero value is not
-// usable; call NewLive.
+// worker goroutines Absorb their per-goroutine collectors into it, or
+// fold snapshots in through AddSnapshot, while an Exporter serves
+// Snapshot to scrapers. The zero value is not usable; call NewLive.
 type Live struct {
-	mu    sync.Mutex
-	agg   *Collector //optlint:guardedby mu
-	extra *Snapshot  //optlint:guardedby mu
+	mu  sync.Mutex
+	agg *Collector //optlint:guardedby mu
 }
 
 // NewLive returns an empty live aggregate.
-func NewLive() *Live { return &Live{agg: NewCollector(), extra: &Snapshot{}} }
+func NewLive() *Live { return &Live{agg: NewCollector()} }
 
-// Absorb merges the collector's observations into the aggregate and
+// Absorb folds the collector's observations into the aggregate and
 // resets the collector, so repeated Absorb calls publish deltas.
 func (l *Live) Absorb(c *Collector) {
-	l.mu.Lock()
-	l.agg.Merge(c)
-	l.mu.Unlock()
+	if err := l.AddSnapshot(c.Snapshot()); err != nil {
+		// A collector's own snapshot always fits: its cells lie inside
+		// its geometry and every Collector has NewCollector's layouts.
+		panic(err)
+	}
 	c.Reset()
 }
 
-// AddSnapshot folds an already-snapshotted delta — typically telemetry
-// returned by a remote peer that executed stolen trials — into the live
-// aggregate. Mixed-geometry snapshots return an error and leave the
-// aggregate unchanged, matching Snapshot.Add.
+// AddSnapshot folds a snapshot — a job's trial, local or stolen — into
+// the aggregate with Collector.AddSnapshot; on error the aggregate is
+// unchanged.
 func (l *Live) AddSnapshot(s *Snapshot) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Fold into a fresh copy first so a mid-Add mismatch (histogram
-	// layouts diverging after the geometry check passed) cannot leave a
-	// half-applied delta behind. Adding into an empty snapshot deep-copies
-	// every slice, so the scratch shares no state with l.extra.
-	scratch := &Snapshot{}
-	if err := scratch.Add(l.extra); err != nil {
-		return err
-	}
-	if err := scratch.Add(s); err != nil {
-		return err
-	}
-	l.extra = scratch
-	return nil
+	return l.agg.AddSnapshot(s)
 }
 
-// Snapshot returns a consistent copy of the aggregate, including
-// remotely contributed snapshots.
+// Snapshot returns a consistent copy of the aggregate.
 func (l *Live) Snapshot() *Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	snap := l.agg.Snapshot()
-	if l.extra.Runs > 0 || l.extra.Steps > 0 {
-		if err := snap.Add(l.extra); err != nil {
-			// Geometry drifted between local and remote trials; serve the
-			// local view rather than fail the scrape.
-			return l.agg.Snapshot()
-		}
-	}
-	return snap
+	return l.agg.Snapshot()
 }
 
 // Exporter serves telemetry snapshots over HTTP: /metrics in Prometheus

@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/canon"
 )
 
 // feedTrial drives one synthetic trial's worth of events into c. The
@@ -32,40 +35,61 @@ func feedTrial(c *Collector, trial int) {
 	c.EndRun(8 + trial)
 }
 
-// TestSnapshotAddMatchesCollectorMerge is the checkpoint-resume identity:
-// folding per-trial snapshots with Add must reproduce, field for field,
-// the snapshot of a collector that merged the same trials directly.
-func TestSnapshotAddMatchesCollectorMerge(t *testing.T) {
+// trialSnapshot is the snapshot of one feedTrial trial on its own.
+func trialSnapshot(trial int) *Snapshot {
+	c := NewCollector()
+	feedTrial(c, trial)
+	return c.Snapshot()
+}
+
+// canonBytes is the canonical encoding of c's snapshot.
+func canonBytes(t testing.TB, c *Collector) []byte {
+	t.Helper()
+	b, err := canon.Marshal(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestAddSnapshotReproducesCollector is the checkpoint-resume identity:
+// folding per-trial snapshots with AddSnapshot gives, field for field,
+// the snapshot of one collector that observed the same trials, and that
+// snapshot folded into an empty collector reproduces itself.
+func TestAddSnapshotReproducesCollector(t *testing.T) {
 	const trials = 5
-	live := NewCollector()
-	folded := &Snapshot{}
+	direct := NewCollector()
+	folded := NewCollector()
 	for trial := 0; trial < trials; trial++ {
-		c := NewCollector()
-		feedTrial(c, trial)
-		live.Merge(c)
-		if err := folded.Add(c.Snapshot()); err != nil {
-			t.Fatalf("Add trial %d: %v", trial, err)
+		feedTrial(direct, trial)
+		if err := folded.AddSnapshot(trialSnapshot(trial)); err != nil {
+			t.Fatalf("AddSnapshot trial %d: %v", trial, err)
 		}
 	}
-	want := live.Snapshot()
-	if !reflect.DeepEqual(folded, want) {
-		fb, _ := json.Marshal(folded)
+	want := direct.Snapshot()
+	if got := folded.Snapshot(); !reflect.DeepEqual(got, want) {
+		gb, _ := json.Marshal(got)
 		wb, _ := json.Marshal(want)
-		t.Errorf("folded snapshot diverges from merged collector:\n got %s\nwant %s", fb, wb)
+		t.Errorf("folded snapshot diverges from the observing collector:\n got %s\nwant %s", gb, wb)
+	}
+	again := NewCollector()
+	if err := again.AddSnapshot(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Error("a collector's snapshot folded into an empty collector does not reproduce it")
 	}
 }
 
-// TestSnapshotAddJSONRoundTrip: Add must produce the same result when the
-// per-trial snapshots have been through a JSON round trip, which is
-// exactly what the job store's checkpoints do.
+// TestSnapshotAddJSONRoundTrip: AddSnapshot must produce the same result
+// when the per-trial snapshots have been through a JSON round trip, which
+// is exactly what the job store's checkpoints and stolen trials do.
 func TestSnapshotAddJSONRoundTrip(t *testing.T) {
-	direct := &Snapshot{}
-	viaJSON := &Snapshot{}
+	direct := NewCollector()
+	viaJSON := NewCollector()
 	for trial := 0; trial < 3; trial++ {
-		c := NewCollector()
-		feedTrial(c, trial)
-		snap := c.Snapshot()
-		if err := direct.Add(snap); err != nil {
+		snap := trialSnapshot(trial)
+		if err := direct.AddSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
 		b, err := json.Marshal(snap)
@@ -76,74 +100,120 @@ func TestSnapshotAddJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatal(err)
 		}
-		if err := viaJSON.Add(&back); err != nil {
+		if err := viaJSON.AddSnapshot(&back); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db, _ := json.Marshal(direct)
-	jb, _ := json.Marshal(viaJSON)
-	if string(db) != string(jb) {
-		t.Errorf("JSON round trip changed the fold:\n got %s\nwant %s", jb, db)
+	if d, j := canonBytes(t, direct), canonBytes(t, viaJSON); !bytes.Equal(d, j) {
+		t.Errorf("JSON round trip changed the fold:\n got %s\nwant %s", j, d)
 	}
 }
 
-// TestSnapshotAddGeometryMismatch: differently provisioned snapshots must
-// refuse to merge rather than mix per-link tables.
+// TestSnapshotAddGeometryMismatch: AddSnapshot grows the tables to a
+// larger geometry and folds per-link cells only while the bandwidths
+// agree; a geometry that cannot be sized, or a cell outside the
+// snapshot's own geometry, is an error that leaves the collector as it
+// was.
 func TestSnapshotAddGeometryMismatch(t *testing.T) {
-	a := NewCollector()
-	a.BeginRun(RunMeta{Links: 4, Bandwidth: 2})
-	b := NewCollector()
-	b.BeginRun(RunMeta{Links: 8, Bandwidth: 2})
-	s := a.Snapshot()
-	if err := s.Add(b.Snapshot()); err == nil {
-		t.Fatal("adding mismatched geometries must error")
+	c := NewCollector()
+	c.BeginRun(RunMeta{Links: 4, Bandwidth: 2})
+	c.WormCut(0, MessageBand, 3, 1, 0, false)
+	if err := c.AddSnapshot(trialSnapshot(0)); err != nil { // 8 links, B=2
+		t.Fatalf("growing to a larger geometry: %v", err)
 	}
-	// Empty snapshots adopt the other side's geometry instead.
-	empty := &Snapshot{}
-	if err := empty.Add(b.Snapshot()); err != nil {
-		t.Fatalf("empty += provisioned: %v", err)
+	s := c.Snapshot()
+	if s.Links != 8 || s.Bandwidth != 2 {
+		t.Errorf("geometry %dx%d after the fold, want 8x2", s.Links, s.Bandwidth)
 	}
-	if empty.Links != 8 || empty.Bandwidth != 2 {
-		t.Errorf("empty snapshot did not adopt geometry: %dx%d", empty.Links, empty.Bandwidth)
+	if want := []SlotCount{
+		{Band: MessageBand, Link: 0, Wavelength: 0, Count: 1},
+		{Band: MessageBand, Link: 3, Wavelength: 1, Count: 1},
+		{Band: AckBand, Link: 6, Wavelength: 1, Count: 1},
+	}; !reflect.DeepEqual(s.Collisions, want) {
+		t.Errorf("collisions after growth = %+v, want %+v", s.Collisions, want)
 	}
-	if err := empty.Add(&Snapshot{}); err != nil {
-		t.Fatalf("provisioned += empty: %v", err)
+
+	// A narrower band adds its counters but none of its per-link cells.
+	narrow := NewCollector()
+	narrow.BeginRun(RunMeta{Links: 8, Bandwidth: 1})
+	narrow.WormCut(0, MessageBand, 2, 0, 0, false)
+	if err := c.AddSnapshot(narrow.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if s2 := c.Snapshot(); s2.MessageCuts != s.MessageCuts+1 || !reflect.DeepEqual(s2.Collisions, s.Collisions) {
+		t.Errorf("bandwidth 1 into 2: cuts %d -> %d, collisions %+v", s.MessageCuts, s2.MessageCuts, s2.Collisions)
+	}
+
+	before := canonBytes(t, c)
+	for name, bad := range map[string]*Snapshot{
+		"negative links":      {Links: -1, Bandwidth: 2},
+		"unsizable":           {Links: 1 << 62, Bandwidth: 1 << 4},
+		"link outside":        {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Link: 8, Count: 1}}},
+		"wavelength outside":  {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Link: 1, Wavelength: 2, Count: 1}}},
+		"band outside":        {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Band: NumBands, Count: 1}}},
+		"negative link":       {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Link: -1, Count: 1}}},
+		"busy link outside":   {Links: 8, Bandwidth: 2, LinkBusySteps: []LinkBusy{{Link: 9, BusySlotSteps: 1}}},
+		"busy band outside":   {Links: 8, Bandwidth: 2, LinkBusySteps: []LinkBusy{{Band: -1, BusySlotSteps: 1}}},
+		"cells without links": {Collisions: []SlotCount{{Count: 1}}},
+	} {
+		bad.Runs = 1
+		if err := c.AddSnapshot(bad); err == nil {
+			t.Errorf("%s: AddSnapshot accepted %+v", name, bad)
+		}
+		if after := canonBytes(t, c); !bytes.Equal(after, before) {
+			t.Fatalf("%s: a refused snapshot changed the collector", name)
+		}
 	}
 }
 
-// TestSnapshotAddHistogramMismatch: corrupt checkpoints with a different
-// bucket layout must surface as errors, not silent misfolds.
+// TestSnapshotAddHistogramMismatch: a histogram with another bucket
+// layout — corrupt checkpoint or peer input — is an error, not a silent
+// misfold or a panic, and leaves the collector unchanged.
 func TestSnapshotAddHistogramMismatch(t *testing.T) {
-	a := NewCollector()
-	feedTrial(a, 0)
-	s := a.Snapshot()
-	o := a.Snapshot()
+	c := NewCollector()
+	feedTrial(c, 0)
+	before := canonBytes(t, c)
+	o := trialSnapshot(1)
 	o.Retries.Bounds[0]++
-	if err := s.Add(o); err == nil {
+	if err := c.AddSnapshot(o); err == nil {
 		t.Fatal("adding histograms with different bounds must error")
 	}
-	o2 := a.Snapshot()
+	o2 := trialSnapshot(1)
 	o2.Makespan.Bounds = o2.Makespan.Bounds[:3]
 	o2.Makespan.Counts = o2.Makespan.Counts[:4]
-	if err := s.Add(o2); err == nil {
+	if err := c.AddSnapshot(o2); err == nil {
 		t.Fatal("adding histograms with different layouts must error")
+	}
+	o3 := trialSnapshot(1)
+	o3.StepsToDelivery.Counts = o3.StepsToDelivery.Counts[:len(o3.StepsToDelivery.Bounds)]
+	if err := c.AddSnapshot(o3); err == nil {
+		t.Fatal("adding a histogram without its +Inf bucket must error")
+	}
+	if after := canonBytes(t, c); !bytes.Equal(after, before) {
+		t.Error("a refused snapshot changed the collector")
+	}
+	h := NewHistogram([]int{1, 2})
+	other := NewHistogram([]int{1, 3})
+	if os := other.Snapshot(); h.fits(&os) {
+		t.Error("histograms with different bounds fit")
 	}
 }
 
 // TestSnapshotAddRoundsCap: the fold honors the collector's round
 // retention cap and accounts for the surplus in RoundsDropped.
 func TestSnapshotAddRoundsCap(t *testing.T) {
-	s := &Snapshot{}
+	c := NewCollector()
 	per := maxTrackedRounds/2 + 10
 	for i := 0; i < 3; i++ {
 		o := &Snapshot{Rounds: make([]RoundInfo, per)}
 		for j := range o.Rounds {
 			o.Rounds[j] = RoundInfo{Round: i*per + j}
 		}
-		if err := s.Add(o); err != nil {
+		if err := c.AddSnapshot(o); err != nil {
 			t.Fatal(err)
 		}
 	}
+	s := c.Snapshot()
 	if len(s.Rounds) != maxTrackedRounds {
 		t.Errorf("retained %d rounds, want cap %d", len(s.Rounds), maxTrackedRounds)
 	}
@@ -155,25 +225,64 @@ func TestSnapshotAddRoundsCap(t *testing.T) {
 	}
 }
 
-// TestMergeCellLists pins the sorted-merge helpers on overlapping and
-// disjoint cells.
-func TestMergeCellLists(t *testing.T) {
-	a := []SlotCount{{Band: 0, Link: 1, Wavelength: 0, Count: 2}, {Band: 1, Link: 0, Wavelength: 1, Count: 1}}
-	b := []SlotCount{{Band: 0, Link: 1, Wavelength: 0, Count: 3}, {Band: 0, Link: 2, Wavelength: 1, Count: 4}}
-	got := mergeSlotCounts(a, b)
-	want := []SlotCount{
-		{Band: 0, Link: 1, Wavelength: 0, Count: 5},
-		{Band: 0, Link: 2, Wavelength: 1, Count: 4},
-		{Band: 1, Link: 0, Wavelength: 1, Count: 1},
+// fuzzGeometry is the fixed geometry of FuzzCollectorAddSnapshot's
+// collector: the 5x5 torus (100 directed links) at one wavelength that
+// the golden route sweep of internal/jobs runs on.
+const fuzzLinks, fuzzBandwidth = 100, 1
+
+// FuzzCollectorAddSnapshot folds arbitrary decoded snapshots — the
+// telemetry of checkpoints read from disk and of trials posted by peers —
+// into a collector of fixed geometry. The fold either errors and leaves
+// the collector's canonical bytes unchanged, or succeeds; it never
+// panics, and the folded collector's snapshot, folded into an empty
+// collector, reproduces its canonical bytes. AddSnapshot sizes tables
+// from the declared geometry, and callers folding outside input bound it
+// first (the jobs fold refuses all but the job's own), so inputs
+// declaring more than 64x the fixed geometry are skipped rather than
+// allocated. testdata/fuzz holds a per-trial snapshot and the two-trial
+// checkpoint telemetry of that golden sweep.
+func FuzzCollectorAddSnapshot(f *testing.F) {
+	seed := func(s *Snapshot) {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mergeSlotCounts = %+v, want %+v", got, want)
-	}
-	la := []LinkBusy{{Band: 0, Link: 3, BusySlotSteps: 7}}
-	lb := []LinkBusy{{Band: 0, Link: 2, BusySlotSteps: 1}, {Band: 0, Link: 3, BusySlotSteps: 2}}
-	lgot := mergeLinkBusy(la, lb)
-	lwant := []LinkBusy{{Band: 0, Link: 2, BusySlotSteps: 1}, {Band: 0, Link: 3, BusySlotSteps: 9}}
-	if !reflect.DeepEqual(lgot, lwant) {
-		t.Errorf("mergeLinkBusy = %+v, want %+v", lgot, lwant)
-	}
+	seed(trialSnapshot(1))
+	outside := trialSnapshot(2)
+	outside.Collisions = append(outside.Collisions, SlotCount{Link: outside.Links, Count: 1})
+	seed(outside)
+	layout := trialSnapshot(3)
+	layout.Retries.Bounds = layout.Retries.Bounds[1:]
+	seed(layout)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		if s.Links > 64*fuzzLinks || s.Bandwidth > 64*fuzzBandwidth {
+			return
+		}
+		c := NewCollector()
+		c.BeginRun(RunMeta{Links: fuzzLinks, Bandwidth: fuzzBandwidth, Worms: 2})
+		c.WormCut(3, MessageBand, 7, 0, 1, false)
+		c.WormDelivered(5, 0, 2, 5)
+		c.EndRun(9)
+		before := canonBytes(t, c)
+		if err := c.AddSnapshot(&s); err != nil {
+			if after := canonBytes(t, c); !bytes.Equal(after, before) {
+				t.Fatalf("refused fold (%v) changed the collector:\n got %s\nwant %s", err, after, before)
+			}
+			return
+		}
+		want := canonBytes(t, c)
+		again := NewCollector()
+		if err := again.AddSnapshot(c.Snapshot()); err != nil {
+			t.Fatalf("a collector's own snapshot does not fold: %v", err)
+		}
+		if got := canonBytes(t, again); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot folded into an empty collector differs:\n got %s\nwant %s", got, want)
+		}
+	})
 }

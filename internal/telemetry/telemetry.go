@@ -13,8 +13,9 @@
 //
 // Concurrency: a Probe attached to one engine is driven from that
 // engine's goroutine only and must not be shared. Monte-Carlo harnesses
-// give each worker its own Collector and either Merge them at the end or
-// publish deltas into a mutex-guarded Live aggregate as they go.
+// give each worker its own Collector and either fold their snapshots
+// together with AddSnapshot at the end or publish deltas into a
+// mutex-guarded Live aggregate as they go.
 package telemetry
 
 // Band indices mirror the simulator's two wavelength bands. They are
