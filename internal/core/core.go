@@ -228,11 +228,11 @@ type Config struct {
 	// CheckInvariants enables the simulator's internal checks.
 	CheckInvariants bool
 	// Probe optionally receives telemetry events: the protocol-level
-	// round hooks (RoundStarted with the round's delay range,
-	// RoundFinished with the round summary including residual congestion
-	// when tracked) plus every engine-level event of the per-round
-	// simulations. Attaching a probe never changes results.
-	Probe telemetry.Probe
+	// round hooks (RoundStarted, and RoundFinished with the round summary
+	// including residual congestion when tracked) plus every engine-level
+	// event of the per-round simulations. Attaching a probe never changes
+	// results.
+	Probe *telemetry.Collector
 }
 
 // RoundStats summarizes one round of the protocol.
@@ -389,7 +389,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 			stats.ResidualCongestion = residual.congestion(x, active)
 		}
 		if cfg.Probe != nil {
-			cfg.Probe.RoundStarted(t, delta, len(active))
+			cfg.Probe.RoundStarted(t)
 		}
 
 		// Re-anchor the fault plan to this round's local steps and note

@@ -121,8 +121,8 @@ func (d *DynamicSpec) validate() error {
 	if err := d.Trace.Validate(); err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	if d.Trials < 0 || d.Trials > 10000 {
-		return fmt.Errorf("jobs: trials %d out of range [0, 10000]", d.Trials)
+	if err := checkTrials(d.Trials); err != nil {
+		return err
 	}
 	p := d.Protocol
 	if p.Bandwidth < 0 || p.Bandwidth > 256 {

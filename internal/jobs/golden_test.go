@@ -21,8 +21,8 @@ import (
 const (
 	goldenRouteResultSHA   = "b454a5ba25343229e3f0a0d299043390ceb0744aba192e4330e0418db6423f9b"
 	goldenCheckpointSHA    = "002d71dcda499496fd5e27da9d1a63118449300c8e2b0ce00c862ef0f954bdad"
-	goldenDynamicResultSHA = "85196432bb0e05f4ad761ae0f6e2b9c20746a7c850252175376f2c6c8c29e35b"
-	goldenSegmentsSHA      = "21c76a9f0b4514ad88038e04052ba08cea44bcda39e02572fe23fd3c93960dc8"
+	goldenDynamicResultSHA = "c6a608ad134d547e19192da43141e39a601031ad5a8477efcf8a424df7905a84"
+	goldenSegmentsSHA      = "ca6db36704289579441e3dcf7d1e5623ad04212c5ab495355bb14c504ed6152c"
 )
 
 // goldenRouteSpec is a contended, degraded route sweep: one wavelength,

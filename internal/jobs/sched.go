@@ -221,6 +221,8 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 	totalTrials := 0
 	if norm.Route != nil {
 		totalTrials = norm.Route.Trials
+	} else if norm.Dynamic != nil {
+		totalTrials = norm.Dynamic.Trials
 	}
 
 	// Probe the local store without the scheduler mutex: the store's read

@@ -48,38 +48,55 @@ func waitDone(t *testing.T, s *Scheduler, key string) JobStatus {
 }
 
 // TestSchedulerCacheHit: the second submission of an identical job is
-// served from the store as an immediately-done job.
+// served from the store as an immediately-done job. The fresh job and the
+// store hit both report every trial of the sweep done, for route and
+// dynamic sweeps alike.
 func TestSchedulerCacheHit(t *testing.T) {
-	s := newTestScheduler(t, Options{})
-	spec := testSpec(21, 2)
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		trials int
+	}{
+		{"route", testSpec(21, 2), 2},
+		{"dynamic", testDynamicSpec(t, 21, 3), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestScheduler(t, Options{})
+			st, err := s.Submit(tc.spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := waitDone(t, s, st.Key)
+			if first.State != StateDone || first.FromCache {
+				t.Fatalf("first submission: %+v", first)
+			}
 
-	st, err := s.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := waitDone(t, s, st.Key)
-	if first.State != StateDone || first.FromCache {
-		t.Fatalf("first submission: %+v", first)
-	}
-
-	// Re-submit after forgetting the job record: only the store can
-	// answer now.
-	s.mu.Lock()
-	delete(s.jobs, st.Key)
-	s.mu.Unlock()
-	again, err := s.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.State != StateDone || !again.FromCache {
-		t.Fatalf("resubmission not served from store: %+v", again)
-	}
-	m := s.Metrics()
-	if m.CacheHits != 1 || m.CacheMisses != 1 {
-		t.Errorf("metrics hits=%d misses=%d, want 1/1", m.CacheHits, m.CacheMisses)
-	}
-	if m.CacheHitRatio != 0.5 {
-		t.Errorf("hit ratio %v, want 0.5", m.CacheHitRatio)
+			// Re-submit after forgetting the job record: only the store can
+			// answer now.
+			s.mu.Lock()
+			delete(s.jobs, st.Key)
+			s.mu.Unlock()
+			again, err := s.Submit(tc.spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.State != StateDone || !again.FromCache {
+				t.Fatalf("resubmission not served from store: %+v", again)
+			}
+			for _, st := range []JobStatus{first, again} {
+				if st.DoneTrials != tc.trials || st.TotalTrials != tc.trials {
+					t.Errorf("from cache %v: progress %d/%d, want %d/%d",
+						st.FromCache, st.DoneTrials, st.TotalTrials, tc.trials, tc.trials)
+				}
+			}
+			m := s.Metrics()
+			if m.CacheHits != 1 || m.CacheMisses != 1 {
+				t.Errorf("metrics hits=%d misses=%d, want 1/1", m.CacheHits, m.CacheMisses)
+			}
+			if m.CacheHitRatio != 0.5 {
+				t.Errorf("hit ratio %v, want 0.5", m.CacheHitRatio)
+			}
+		})
 	}
 }
 

@@ -276,6 +276,25 @@ func TestServerSubmitBodyBound(t *testing.T) {
 	}
 }
 
+// TestServerSubmitTrialsBound: an experiment asking for more trials than
+// any job may run is refused with 400 and queues nothing; running it
+// would size per-trial state from the count before any work.
+func TestServerSubmitTrialsBound(t *testing.T) {
+	srv, _, sched := newTestServer(t, Options{})
+	resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"spec":{"experiment":{"id":"E1","trials":2000000000}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if m := sched.Metrics(); m.QueueDepth != 0 || m.Running != 0 || m.JobsDone != 0 {
+		t.Fatalf("oversized experiment reached the scheduler: %+v", m)
+	}
+}
+
 // TestServerStream: the NDJSON stream ends with a settled state.
 func TestServerStream(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{})

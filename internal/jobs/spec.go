@@ -189,6 +189,18 @@ func (s Spec) Normalized() Spec {
 	return out
 }
 
+// maxTrials bounds every job kind's trial count: runners size per-trial
+// state from it before any work starts.
+const maxTrials = 10000
+
+// checkTrials reports a trial count outside [0, maxTrials].
+func checkTrials(n int) error {
+	if n < 0 || n > maxTrials {
+		return fmt.Errorf("jobs: trials %d out of range [0, %d]", n, maxTrials)
+	}
+	return nil
+}
+
 // Validate checks the spec against the supported kinds and size limits
 // (limits keep a single submission from monopolizing a worker).
 func (s Spec) Validate() error {
@@ -209,14 +221,14 @@ func (s Spec) Validate() error {
 		if s.Experiment.ID == "" {
 			return fmt.Errorf("jobs: experiment spec needs an id")
 		}
-		return nil
+		return checkTrials(s.Experiment.Trials)
 	}
 	if s.Dynamic != nil {
 		return s.Dynamic.validate()
 	}
 	r := s.Route
-	if r.Trials < 0 || r.Trials > 10000 {
-		return fmt.Errorf("jobs: trials %d out of range [0, 10000]", r.Trials)
+	if err := checkTrials(r.Trials); err != nil {
+		return err
 	}
 	if err := r.Network.validate(); err != nil {
 		return err

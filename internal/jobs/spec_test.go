@@ -1,8 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/canon"
+	"repro/internal/faults"
 )
 
 // testSpec is the canonical small route job used across the package's
@@ -113,6 +117,8 @@ func TestSpecValidate(t *testing.T) {
 		"bad offsets":     {Route: &RouteSpec{Network: NetworkSpec{Kind: "circulant", Size: 8, Offsets: []int{9}}}},
 		"no exp id":       {Experiment: &ExperimentSpec{}},
 		"trials":          {Route: &RouteSpec{Network: NetworkSpec{Kind: "ring", Size: 4}, Trials: 1 << 20}},
+		"exp trials -1":   {Experiment: &ExperimentSpec{ID: "E1", Trials: -1}},
+		"exp trials >max": {Experiment: &ExperimentSpec{ID: "E1", Trials: 10001}},
 	}
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
@@ -123,6 +129,76 @@ func TestSpecValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
+}
+
+// FuzzSpecKey drives the submit decoder: a POST /jobs body decodes into
+// a SubmitRequest as the server decodes it, and a spec that does not
+// validate is refused with an error, never a panic. A spec that validates
+// keys the same as its normalized form, the canonical bytes of that form
+// decode with encoding/json into a spec with the same key, normalizing
+// twice encodes as normalizing once, and its trial count is inside
+// [0, maxTrials].
+func FuzzSpecKey(f *testing.F) {
+	emptyPlan := testSpec(3, 2)
+	emptyPlan.Route.Faults = &faults.Plan{}
+	for _, spec := range []Spec{
+		goldenRouteSpec(4),
+		testDynamicSpec(f, 5, 2),
+		{Experiment: &ExperimentSpec{ID: "F5", Seed: 1, Trials: 3, Quick: true}},
+		{Experiment: &ExperimentSpec{ID: "E1", Trials: 2000000000}},
+		{Route: &RouteSpec{Network: NetworkSpec{Kind: "circulant", Size: 8, Offsets: []int{1, 3}}, Trials: 2}},
+		emptyPlan,
+	} {
+		b, err := json.Marshal(SubmitRequest{Spec: spec, Priority: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SubmitRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+			return
+		}
+		key, err := req.Spec.Key()
+		if err != nil {
+			return
+		}
+		var trials int
+		switch s := req.Spec; {
+		case s.Route != nil:
+			trials = s.Route.Trials
+		case s.Dynamic != nil:
+			trials = s.Dynamic.Trials
+		default:
+			trials = s.Experiment.Trials
+		}
+		if trials < 0 || trials > maxTrials {
+			t.Fatalf("spec with %d trials validated", trials)
+		}
+		norm := req.Spec.Normalized()
+		if k, err := norm.Key(); err != nil || k != key {
+			t.Fatalf("normalized spec keys %s (%v), the spec %s", k, err, key)
+		}
+		b, err := canon.Marshal(norm)
+		if err != nil {
+			t.Fatalf("canon cannot encode a normalized spec: %v", err)
+		}
+		var back Spec
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("canonical bytes do not decode: %v\n%s", err, b)
+		}
+		if k, err := back.Key(); err != nil || k != key {
+			t.Fatalf("decoded canonical spec keys %s (%v), want %s\n%s", k, err, key, b)
+		}
+		again, err := canon.Marshal(norm.Normalized())
+		if err != nil {
+			t.Fatalf("canon cannot encode a twice-normalized spec: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("normalizing twice changed the bytes:\n got %s\nwant %s", again, b)
+		}
+	})
 }
 
 // TestSpecSetupNetworks materializes one spec per supported topology and

@@ -237,6 +237,9 @@ func (e *Engine) RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, s
 		t++
 	}
 	e.markClean()
+	if e.probe != nil {
+		e.probe.EndRun(e.res.Makespan)
+	}
 	return &DynamicResult{
 		Outcomes:      d.out,
 		TotalAttempts: d.launched,

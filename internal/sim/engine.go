@@ -99,7 +99,6 @@ type Engine struct {
 	occMsg    int
 	msgSlots  int  // nLinks<<waveShift: first ack-band key
 	waveShift uint // log2 of the padded per-(band,link) key stride
-	waveMask  int  // 1<<waveShift - 1: extracts the wavelength from a key
 	// occBits mirrors occ as a bitmask: bit (k & wordMask) of word
 	// (k >> wordShift) is set iff slot k is occupied. Words are always a
 	// full 64 slots: the per-(band,link) stride is a power of two, so it
@@ -159,7 +158,7 @@ type Engine struct {
 	val     validator
 	// probe receives telemetry events when non-nil (copied from the
 	// Config each begin); every hook site guards with one nil check.
-	probe telemetry.Probe
+	probe *telemetry.Collector
 	now   int // current step, for hook sites without a t parameter
 	// flt points at ef while a fault schedule is attached and is nil
 	// otherwise, so — like probe — the fault-free hot path pays exactly
@@ -251,8 +250,8 @@ func (e *Engine) setOcc(k int, f *fragment, idx int) {
 			e.occMsg++
 		}
 		if e.probe != nil {
-			band, link, wave := e.slotCoords(k)
-			e.probe.SlotClaimed(e.now, band, link, wave)
+			band, link := e.slotCoords(k)
+			e.probe.SlotClaimed(e.now, band, link)
 		}
 	}
 	e.occ[k] = occupant{fi: f.self, idx: int32(idx)}
@@ -273,8 +272,8 @@ func (e *Engine) delOcc(k int, f *fragment) {
 			e.occMsg--
 		}
 		if e.probe != nil {
-			band, link, wave := e.slotCoords(k)
-			e.probe.SlotReleased(e.now, band, link, wave)
+			band, link := e.slotCoords(k)
+			e.probe.SlotReleased(e.now, band, link)
 		}
 	}
 }
@@ -303,8 +302,8 @@ func (e *Engine) releaseOcc(k int) {
 //optlint:hotpath
 func (e *Engine) probeReleased(k int) {
 	if e.probe != nil {
-		band, link, wave := e.slotCoords(k)
-		e.probe.SlotReleased(e.now, band, link, wave)
+		band, link := e.slotCoords(k)
+		e.probe.SlotReleased(e.now, band, link)
 	}
 }
 
@@ -325,19 +324,18 @@ func growWords(s []uint64, n int) []uint64 {
 	return s
 }
 
-// slotCoords decomposes occupancy key k into its (band, link, wavelength)
-// coordinates for probe hooks: the wavelength is the low waveShift bits,
-// the rest is band*nLinks+link, and band is 0 or 1.
+// slotCoords decomposes occupancy key k into its (band, link)
+// coordinates for probe hooks: above the low waveShift wavelength bits
+// the key is band*nLinks+link, and band is 0 or 1.
 //
 //optlint:hotpath
-func (e *Engine) slotCoords(k int) (band, link, wave int) {
-	wave = k & e.waveMask
+func (e *Engine) slotCoords(k int) (band, link int) {
 	link = k >> e.waveShift
 	if link >= e.nLinks {
 		band = 1
 		link -= e.nLinks
 	}
-	return band, link, wave
+	return band, link
 }
 
 // begin resets the engine for a new run on graph g under cfg, with room
@@ -348,7 +346,6 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 	e.g, e.cfg = g, cfg
 	e.nLinks = g.NumLinks()
 	e.waveShift = uint(bits.Len(uint(cfg.Bandwidth - 1)))
-	e.waveMask = 1<<e.waveShift - 1
 	e.wordShift = 6 // full 64-slot words; see the occBits layout comment
 	e.wordMask = 1<<e.wordShift - 1
 	e.msgSlots = e.nLinks << e.waveShift
@@ -405,7 +402,7 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 		e.flt = nil
 	}
 	if e.probe != nil {
-		e.probe.BeginRun(telemetry.RunMeta{Links: e.nLinks, Bandwidth: cfg.Bandwidth, Worms: nOutcomes})
+		e.probe.BeginRun(e.nLinks, cfg.Bandwidth, nOutcomes)
 	}
 	e.cal.reset()
 	e.active = e.active[:0]
@@ -655,7 +652,7 @@ func (e *Engine) step(t int) {
 	e.res.MessageBusySlotSteps += e.occMsg
 	e.res.AckBusySlotSteps += e.occCount - e.occMsg
 	if e.probe != nil {
-		e.probe.StepAdvanced(t, e.occMsg, e.occCount-e.occMsg)
+		e.probe.StepAdvanced(e.occMsg, e.occCount-e.occMsg)
 	}
 	e.res.Makespan = t
 }
@@ -1070,7 +1067,7 @@ func (e *Engine) complete(f *fragment, t int) {
 		out.Acked = true
 		out.AckedAt = deliveredAt
 		if e.probe != nil {
-			e.probe.AckCompleted(deliveredAt, tr.id, deliveredAt-tr.start)
+			e.probe.AckCompleted(deliveredAt - tr.start)
 		}
 		return
 	}
@@ -1078,13 +1075,13 @@ func (e *Engine) complete(f *fragment, t int) {
 	out.Delivered = true
 	out.DeliveredAt = deliveredAt
 	if e.probe != nil {
-		e.probe.WormDelivered(deliveredAt, tr.id, len(tr.links), deliveredAt-tr.start)
+		e.probe.WormDelivered(deliveredAt - tr.start)
 	}
 	if e.cfg.AckLength == 0 {
 		out.Acked = true
 		out.AckedAt = deliveredAt
 		if e.probe != nil {
-			e.probe.AckCompleted(deliveredAt, tr.id, 0)
+			e.probe.AckCompleted(0)
 		}
 		return
 	}
@@ -1144,7 +1141,7 @@ func (e *Engine) recordCut(f *fragment, idx, t int, blocker *train) {
 	tr.cut = true
 	e.res.CollisionCount++
 	if e.probe != nil {
-		e.probe.WormCut(t, int(tr.band), int(tr.links[idx]), e.waveAt(tr, idx), tr.id, tr.isAck)
+		e.probe.WormCut(int(tr.band), int(tr.links[idx]), e.waveAt(tr, idx))
 	}
 	out := &e.res.Outcomes[tr.outIdx]
 	if tr.isAck {
@@ -1177,7 +1174,7 @@ func (e *Engine) recordCut(f *fragment, idx, t int, blocker *train) {
 func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 	f.gone = true
 	if e.probe != nil {
-		e.probe.FragmentSplit(t, f.t.id)
+		e.probe.FragmentSplit()
 	}
 	if e.cfg.Wreckage == Vanish {
 		// Drop all occupancy instantly.

@@ -104,8 +104,8 @@ func (e *Engine) advanceFaults(t int) {
 
 // applyFaultEvent updates the counters for one activation or repair and,
 // for outage activations, destroys the current occupants of the newly
-// dark slots. Probe hooks report the event's scheduled step; kills use
-// the engine's current step t, which is when they physically happen.
+// dark slots at the engine's current step t, which is when they
+// physically happen.
 //
 //optlint:hotpath
 func (e *Engine) applyFaultEvent(ev *faults.Event, t int) {
@@ -142,14 +142,10 @@ func (e *Engine) applyFaultEvent(ev *faults.Event, t int) {
 		fl.nStuck += int(d)
 	}
 	if e.probe != nil {
-		target := f.Link
-		if f.Kind == faults.StuckCoupler {
-			target = f.Node
-		}
 		if ev.Start {
-			e.probe.FaultStarted(ev.Step, int(f.Kind), target)
+			e.probe.FaultStarted()
 		} else {
-			e.probe.FaultEnded(ev.Step, int(f.Kind), target)
+			e.probe.FaultEnded()
 		}
 	}
 }
@@ -178,7 +174,7 @@ func (e *Engine) killSlotOccupant(k, t int) {
 	}
 	oc := e.occ[k]
 	f, idx := e.fragAt(oc.fi), int(oc.idx)
-	e.recordFaultKill(f, idx, t)
+	e.recordFaultKill(f)
 	jCut := t - f.t.start - idx
 	e.split(f, idx, jCut, t, false)
 }
@@ -188,7 +184,7 @@ func (e *Engine) killSlotOccupant(k, t int) {
 //
 //optlint:hotpath
 func (e *Engine) faultKillEntrant(f *fragment, idx, t int) {
-	e.recordFaultKill(f, idx, t)
+	e.recordFaultKill(f)
 	e.split(f, idx, int(f.jMin), t, false)
 }
 
@@ -198,11 +194,11 @@ func (e *Engine) faultKillEntrant(f *fragment, idx, t int) {
 // failures into them would skew every collision-based statistic.
 //
 //optlint:hotpath
-func (e *Engine) recordFaultKill(f *fragment, idx, t int) {
+func (e *Engine) recordFaultKill(f *fragment) {
 	tr := f.t
 	tr.cut = true
 	e.res.FaultKillCount++
 	if e.probe != nil {
-		e.probe.WormKilledByFault(t, int(tr.band), int(tr.links[idx]), tr.id, tr.isAck)
+		e.probe.WormKilledByFault(int(tr.band))
 	}
 }

@@ -132,3 +132,42 @@ func TestProbeNilSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProbeDynamicRun: a collector attached to RunDynamic leaves the
+// result unchanged and sees exactly one run, closed with the run's
+// makespan, whose per-band fault kills add up to the result's.
+func TestProbeDynamicRun(t *testing.T) {
+	g := topology.NewTorus(2, 6).Graph()
+	reqs := dynamicRequests(g, 0x5eed, 400, 6, 80)
+	cfg := DynamicConfig{
+		Sim:         Config{Bandwidth: 2, Rule: optical.Priority, AckLength: 1, Faults: goldenFaults(g, 2)},
+		Retry:       ExponentialBackoff{Base: 4, Cap: 64},
+		MaxAttempts: 6,
+	}
+	plain, err := NewEngine().RunDynamic(g, reqs, cfg, rng.New(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := telemetry.NewCollector()
+	cfg.Sim.Probe = col
+	probed, err := NewEngine().RunDynamic(g, reqs, cfg, rng.New(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dynamicDigest(probed), dynamicDigest(plain); got != want {
+		t.Errorf("probe changed the dynamic result: digest %s, want %s", got, want)
+	}
+	if plain.FaultKills == 0 {
+		t.Fatal("workload has no fault kills; the per-band check would be vacuous")
+	}
+	s := col.Snapshot()
+	if s.Runs != 1 {
+		t.Errorf("collector saw %d runs, want 1", s.Runs)
+	}
+	if s.Makespan.Count != 1 || s.Makespan.Sum != uint64(probed.Makespan) {
+		t.Errorf("makespan histogram %+v, want one observation of %d", s.Makespan, probed.Makespan)
+	}
+	if got := s.MessageFaultKills + s.AckFaultKills; got != uint64(probed.FaultKills) {
+		t.Errorf("probe fault kills %d vs result %d", got, probed.FaultKills)
+	}
+}

@@ -96,10 +96,10 @@ type Config struct {
 	Faults *faults.Schedule
 	// Probe optionally receives engine events (see internal/telemetry):
 	// run boundaries, per-step busy totals, slot claims and releases,
-	// cuts, splits, deliveries and ack completions. A nil probe costs one
-	// predictable branch per hook site; attaching a probe never changes
-	// the simulation result.
-	Probe telemetry.Probe
+	// cuts, splits, deliveries, ack completions and faults. A nil probe
+	// costs one predictable branch per hook site; attaching a probe never
+	// changes the simulation result.
+	Probe *telemetry.Collector
 	// CheckInvariants enables per-step internal consistency checks
 	// (occupancy table vs. fragment windows). For tests; slows the run.
 	CheckInvariants bool

@@ -5,12 +5,15 @@ import (
 	"math"
 )
 
-// Collector is the concrete Probe: it folds engine and protocol events
-// into counters, per-slot collision heatmaps, per-link busy integrals and
-// fixed-bucket histograms. All state is sized in BeginRun (growing only
-// when a larger graph appears), so the per-event path is allocation-free
-// in steady state. A Collector is single-goroutine like any Probe; use
-// AddSnapshot or Live to combine collectors from concurrent workers.
+// Collector is the telemetry sink: the engine and the protocol call its
+// hooks at event points, and it folds those events into counters,
+// per-slot collision heatmaps, per-link busy integrals and fixed-bucket
+// histograms. All state is sized in BeginRun (growing only when a larger
+// graph appears), so the per-event path is allocation-free in steady
+// state. A Collector must come from NewCollector: the zero value has no
+// histogram buckets and panics at the first delivery, acknowledgement or
+// run end it records. A Collector is single-goroutine; use AddSnapshot
+// or Live to combine collectors from concurrent workers.
 //
 // Per-link state is indexed by physical directed link ID, so a collector
 // fed runs on different graphs mixes their heatmaps; use one collector
@@ -79,13 +82,15 @@ func NewCollector() *Collector {
 	}
 }
 
-// BeginRun implements Probe: it (re)provisions the per-slot and per-link
-// state for the run's dimensions. Growth allocates; a steady state of
-// same-sized runs does not.
-func (c *Collector) BeginRun(meta RunMeta) {
+// BeginRun opens a run of worms worms on a graph of links directed links
+// with bandwidth wavelengths per band, (re)provisioning the per-slot and
+// per-link state for those dimensions. Growth allocates; a steady state
+// of same-sized runs does not. worms is 0 for a dynamic run, whose
+// attempts launch over time.
+func (c *Collector) BeginRun(links, bandwidth, worms int) {
 	c.runs++
-	c.wormsLaunched += uint64(meta.Worms)
-	c.provision(meta.Links, meta.Bandwidth)
+	c.wormsLaunched += uint64(worms)
+	c.provision(links, bandwidth)
 }
 
 // provision grows the per-slot and per-link tables to cover at least the
@@ -112,46 +117,57 @@ func (c *Collector) provision(links, bandwidth int) {
 	c.links, c.bandwidth = links, bandwidth
 }
 
-// StepAdvanced implements Probe.
-func (c *Collector) StepAdvanced(t, msgBusy, ackBusy int) {
+// StepAdvanced records one executed simulation step with the number of
+// occupied (link, wavelength) slots per band at step end.
+func (c *Collector) StepAdvanced(msgBusy, ackBusy int) {
 	c.steps++
 	c.msgBusy += uint64(msgBusy)
 	c.ackBusy += uint64(ackBusy)
 }
 
-// SlotClaimed implements Probe.
-func (c *Collector) SlotClaimed(t, band, link, wavelength int) {
+// SlotClaimed records that a free wavelength slot of link in band became
+// occupied during step t. With SlotReleased it integrates exact per-link
+// busy time in O(1) per event.
+func (c *Collector) SlotClaimed(t, band, link int) {
 	lb := &c.linkBusy[band*c.links+link]
 	lb.busySteps += uint64(lb.occupied) * uint64(t-lb.lastT)
 	lb.lastT = t
 	lb.occupied++
 }
 
-// SlotReleased implements Probe.
-func (c *Collector) SlotReleased(t, band, link, wavelength int) {
+// SlotReleased records that an occupied wavelength slot of link in band
+// became free during step t. A slot handed from one fragment to another
+// without going free (a preemption, a same-train reassignment) is
+// neither released nor claimed.
+func (c *Collector) SlotReleased(t, band, link int) {
 	lb := &c.linkBusy[band*c.links+link]
 	lb.busySteps += uint64(lb.occupied) * uint64(t-lb.lastT)
 	lb.lastT = t
 	lb.occupied--
 }
 
-// WormCut implements Probe.
-func (c *Collector) WormCut(t, band, link, wavelength, worm int, isAck bool) {
+// WormCut records one lost conflict: a train lost a flit entering link
+// on the given band and wavelength.
+func (c *Collector) WormCut(band, link, wavelength int) {
 	c.cuts[band]++
 	c.collisions[(band*c.links+link)*c.bandwidth+wavelength]++
 }
 
-// FragmentSplit implements Probe.
-func (c *Collector) FragmentSplit(t, worm int) { c.splits++ }
+// FragmentSplit records a cut or fault kill splitting a train's
+// surviving flits into wreckage fragments.
+func (c *Collector) FragmentSplit() { c.splits++ }
 
-// WormDelivered implements Probe.
-func (c *Collector) WormDelivered(t, worm, pathLen, residence int) {
+// WormDelivered records a message worm whose flits all reached the
+// destination residence steps after launch.
+func (c *Collector) WormDelivered(residence int) {
 	c.delivered++
 	c.delivery.Observe(residence)
 }
 
-// AckCompleted implements Probe.
-func (c *Collector) AckCompleted(t, worm, residence int) {
+// AckCompleted records a source learning of its delivery: residence is
+// the ack train's steps after launch (0 for oracle acks). Inside a
+// protocol round it also records the round of the acknowledgement.
+func (c *Collector) AckCompleted(residence int) {
 	c.acked++
 	c.ackLatency.Observe(residence)
 	if c.curRound > 0 {
@@ -160,26 +176,26 @@ func (c *Collector) AckCompleted(t, worm, residence int) {
 	}
 }
 
-// FaultStarted implements Probe.
-func (c *Collector) FaultStarted(t, kind, target int) { c.faultsStarted++ }
+// FaultStarted records an injected fault becoming active.
+func (c *Collector) FaultStarted() { c.faultsStarted++ }
 
-// FaultEnded implements Probe.
-func (c *Collector) FaultEnded(t, kind, target int) { c.faultsEnded++ }
+// FaultEnded records an injected fault being repaired.
+func (c *Collector) FaultEnded() { c.faultsEnded++ }
 
-// WormKilledByFault implements Probe.
-func (c *Collector) WormKilledByFault(t, band, link, worm int, isAck bool) {
-	c.faultKills[band]++
-}
+// WormKilledByFault records an injected fault destroying flits of a
+// train in band. Fault kills are never recorded as WormCut: the two
+// streams keep component failures apart from lost contentions.
+func (c *Collector) WormKilledByFault(band int) { c.faultKills[band]++ }
 
-// EndRun implements Probe.
+// EndRun closes the run opened by BeginRun with its final makespan.
 func (c *Collector) EndRun(makespan int) { c.makespan.Observe(makespan) }
 
-// RoundStarted implements Probe.
-func (c *Collector) RoundStarted(round, delayRange, active int) {
-	c.curRound = round
-}
+// RoundStarted opens protocol round round (1-based); acknowledgements
+// until RoundFinished count toward it.
+func (c *Collector) RoundStarted(round int) { c.curRound = round }
 
-// RoundFinished implements Probe.
+// RoundFinished records the finished round's summary, keeping the most
+// recent ones up to the retention cap.
 func (c *Collector) RoundFinished(info RoundInfo) {
 	c.roundsObserved++
 	c.curRound = 0

@@ -14,23 +14,23 @@ import (
 // cell merging (overlapping and disjoint heatmap cells, distinct
 // histogram buckets).
 func feedTrial(c *Collector, trial int) {
-	c.BeginRun(RunMeta{Links: 8, Bandwidth: 2, Worms: 4})
-	c.RoundStarted(trial+1, 3, 4)
-	c.StepAdvanced(0, 3, 1)
-	c.SlotClaimed(0, MessageBand, trial%4, 0)
-	c.SlotClaimed(0, MessageBand, 5, 1)
-	c.SlotReleased(3+trial, MessageBand, trial%4, 0)
-	c.WormCut(2, MessageBand, trial%4, 0, 1, false)
-	c.WormCut(2, AckBand, 6, 1, 2, true)
-	c.FragmentSplit(2, 1)
-	c.WormDelivered(4, 2, 3, 4+trial)
-	c.AckCompleted(5, 2, trial)
-	c.FaultStarted(1, 0, trial%4)
+	c.BeginRun(8, 2, 4)
+	c.RoundStarted(trial + 1)
+	c.StepAdvanced(3, 1)
+	c.SlotClaimed(0, MessageBand, trial%4)
+	c.SlotClaimed(0, MessageBand, 5)
+	c.SlotReleased(3+trial, MessageBand, trial%4)
+	c.WormCut(MessageBand, trial%4, 0)
+	c.WormCut(AckBand, 6, 1)
+	c.FragmentSplit()
+	c.WormDelivered(4 + trial)
+	c.AckCompleted(trial)
+	c.FaultStarted()
 	if trial%2 == 0 {
-		c.FaultEnded(6, 0, trial%4)
-		c.WormKilledByFault(3, MessageBand, 2, 3, false)
+		c.FaultEnded()
+		c.WormKilledByFault(MessageBand)
 	}
-	c.SlotReleased(7+trial, MessageBand, 5, 1)
+	c.SlotReleased(7+trial, MessageBand, 5)
 	c.RoundFinished(RoundInfo{Round: trial + 1, Acked: 1, Active: 4})
 	c.EndRun(8 + trial)
 }
@@ -116,8 +116,8 @@ func TestSnapshotAddJSONRoundTrip(t *testing.T) {
 // was.
 func TestSnapshotAddGeometryMismatch(t *testing.T) {
 	c := NewCollector()
-	c.BeginRun(RunMeta{Links: 4, Bandwidth: 2})
-	c.WormCut(0, MessageBand, 3, 1, 0, false)
+	c.BeginRun(4, 2, 0)
+	c.WormCut(MessageBand, 3, 1)
 	if err := c.AddSnapshot(trialSnapshot(0)); err != nil { // 8 links, B=2
 		t.Fatalf("growing to a larger geometry: %v", err)
 	}
@@ -135,8 +135,8 @@ func TestSnapshotAddGeometryMismatch(t *testing.T) {
 
 	// A narrower band adds its counters but none of its per-link cells.
 	narrow := NewCollector()
-	narrow.BeginRun(RunMeta{Links: 8, Bandwidth: 1})
-	narrow.WormCut(0, MessageBand, 2, 0, 0, false)
+	narrow.BeginRun(8, 1, 0)
+	narrow.WormCut(MessageBand, 2, 0)
 	if err := c.AddSnapshot(narrow.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +265,9 @@ func FuzzCollectorAddSnapshot(f *testing.F) {
 			return
 		}
 		c := NewCollector()
-		c.BeginRun(RunMeta{Links: fuzzLinks, Bandwidth: fuzzBandwidth, Worms: 2})
-		c.WormCut(3, MessageBand, 7, 0, 1, false)
-		c.WormDelivered(5, 0, 2, 5)
+		c.BeginRun(fuzzLinks, fuzzBandwidth, 2)
+		c.WormCut(MessageBand, 7, 0)
+		c.WormDelivered(5)
 		c.EndRun(9)
 		before := canonBytes(t, c)
 		if err := c.AddSnapshot(&s); err != nil {

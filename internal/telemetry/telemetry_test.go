@@ -106,22 +106,22 @@ func TestBucketConstructors(t *testing.T) {
 // one worm delivered and acked over four steps, one cut on link 1, and one
 // injected fault window killing an ack train.
 func drive(c *Collector) {
-	c.BeginRun(RunMeta{Links: 2, Bandwidth: 1, Worms: 1})
-	c.SlotClaimed(0, MessageBand, 0, 0)
-	c.StepAdvanced(0, 1, 0)
-	c.FaultStarted(1, 0, 1)
-	c.SlotClaimed(1, MessageBand, 1, 0)
-	c.StepAdvanced(1, 2, 0)
-	c.SlotReleased(2, MessageBand, 0, 0)
-	c.WormCut(2, MessageBand, 1, 0, 7, false)
-	c.FragmentSplit(2, 7)
-	c.WormKilledByFault(2, AckBand, 1, 7, true)
-	c.StepAdvanced(2, 1, 0)
-	c.FaultEnded(3, 0, 1)
-	c.SlotReleased(3, MessageBand, 1, 0)
-	c.WormDelivered(3, 0, 2, 3)
-	c.AckCompleted(3, 0, 0)
-	c.StepAdvanced(3, 0, 0)
+	c.BeginRun(2, 1, 1)
+	c.SlotClaimed(0, MessageBand, 0)
+	c.StepAdvanced(1, 0)
+	c.FaultStarted()
+	c.SlotClaimed(1, MessageBand, 1)
+	c.StepAdvanced(2, 0)
+	c.SlotReleased(2, MessageBand, 0)
+	c.WormCut(MessageBand, 1, 0)
+	c.FragmentSplit()
+	c.WormKilledByFault(AckBand)
+	c.StepAdvanced(1, 0)
+	c.FaultEnded()
+	c.SlotReleased(3, MessageBand, 1)
+	c.WormDelivered(3)
+	c.AckCompleted(0)
+	c.StepAdvanced(0, 0)
 	c.EndRun(3)
 }
 
@@ -185,14 +185,14 @@ func TestCollectorLinkBusyIntegral(t *testing.T) {
 
 func TestCollectorRoundHooks(t *testing.T) {
 	c := NewCollector()
-	c.RoundStarted(1, 64, 10)
-	c.BeginRun(RunMeta{Links: 2, Bandwidth: 1, Worms: 10})
-	c.AckCompleted(5, 0, 2)
+	c.RoundStarted(1)
+	c.BeginRun(2, 1, 10)
+	c.AckCompleted(2)
 	c.EndRun(5)
 	c.RoundFinished(RoundInfo{Round: 1, DelayRange: 64, Active: 10, Acked: 1, Makespan: 5, ResidualCongestion: -1})
-	c.RoundStarted(2, 32, 9)
-	c.BeginRun(RunMeta{Links: 2, Bandwidth: 1, Worms: 9})
-	c.AckCompleted(4, 1, 2)
+	c.RoundStarted(2)
+	c.BeginRun(2, 1, 9)
+	c.AckCompleted(2)
 	c.EndRun(4)
 	c.RoundFinished(RoundInfo{Round: 2, DelayRange: 32, Active: 9, Acked: 1, Makespan: 4, ResidualCongestion: -1})
 

@@ -220,9 +220,9 @@ type Advanced struct {
 	// FaultPlan): timestamps are protocol time, and each round reroutes
 	// still-active worms around links down at round start.
 	Faults *FaultPlan
-	// Probe receives telemetry events (nil = no telemetry; see Probe and
-	// Collector). Probes observe the run and never alter its results.
-	Probe Probe
+	// Probe receives telemetry events (nil = no telemetry; see
+	// Collector). It observes the run and never alters its results.
+	Probe *Collector
 }
 
 // Result re-exports the protocol result.
@@ -344,8 +344,8 @@ type DynamicParams struct {
 	// attempt.
 	Faults *FaultPlan
 	// Probe receives engine telemetry during continuous operation (nil =
-	// no telemetry).
-	Probe Probe
+	// no telemetry; see Collector).
+	Probe *Collector
 }
 
 // DynamicResult re-exports the dynamic outcome report.

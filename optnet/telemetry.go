@@ -4,17 +4,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Probe re-exports the telemetry hook interface. A Probe installed via
-// Advanced.Probe or DynamicParams.Probe receives engine events (slot
-// claims and releases, worm cuts, fragment splits, deliveries,
-// acknowledgements) and protocol events (round boundaries with delay
-// ranges). A nil probe costs one predictable branch per hook site and a
-// probe never changes routing results.
-type Probe = telemetry.Probe
-
-// Collector is the ready-made Probe: counters, a per-link/per-wavelength
-// collision heatmap, per-link busy time and fixed-bucket latency
-// histograms, all updated without allocating in steady state.
+// Collector is the telemetry sink. One installed via Advanced.Probe or
+// DynamicParams.Probe receives engine events (slot claims and releases,
+// worm cuts, fragment splits, deliveries, acknowledgements, faults) and
+// protocol events (round boundaries) and keeps counters, a
+// per-link/per-wavelength collision heatmap, per-link busy time and
+// fixed-bucket latency histograms, all updated without allocating in
+// steady state. A nil Probe costs one predictable branch per hook site,
+// and a Collector never changes routing results. A Collector must come
+// from NewCollector: the zero value has no histogram buckets and panics
+// at the first delivery, acknowledgement or run end it records.
 type Collector = telemetry.Collector
 
 // NewCollector returns an empty Collector.
@@ -27,10 +26,7 @@ type Snapshot = telemetry.Snapshot
 // HistogramSnapshot is the frozen form of one telemetry histogram.
 type HistogramSnapshot = telemetry.HistogramSnapshot
 
-// RunMeta describes one simulated round to Probe.BeginRun.
-type RunMeta = telemetry.RunMeta
-
-// RoundInfo summarizes one protocol round to Probe.RoundFinished.
+// RoundInfo summarizes one protocol round to Collector.RoundFinished.
 type RoundInfo = telemetry.RoundInfo
 
 // Live is a mutex-guarded telemetry aggregate that concurrent workers
