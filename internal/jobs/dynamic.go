@@ -327,12 +327,10 @@ func (e *Executor) runDynamic(key string, norm Spec, eng Simulator, progress fun
 		return nil, err
 	}
 	sw := sweep[DynamicTrialSummary]{
-		key:       key,
-		total:     d.Trials,
-		links:     setup.g.NumLinks(),
-		bandwidth: setup.cfg.Sim.Bandwidth,
-		trials:    func(ck *checkpoint) *[]DynamicTrialSummary { return &ck.DynamicTrials },
-		runner:    setup.trials(eng),
+		key:    key,
+		total:  d.Trials,
+		trials: func(ck *checkpoint) *[]DynamicTrialSummary { return &ck.DynamicTrials },
+		runner: setup.trials(eng),
 	}
 	summaries, tel, err := sw.fold(e, progress, canceled)
 	if err != nil {

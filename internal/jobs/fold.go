@@ -33,9 +33,6 @@ func (r trialRunner[S]) step(i int) (S, *telemetry.Snapshot, error) {
 type sweep[S any] struct {
 	key   string
 	total int
-	// links and bandwidth are the job's telemetry geometry: a stored or
-	// stolen snapshot must declare it (or none) to be folded.
-	links, bandwidth int
 	// trials gives where a checkpoint keeps this kind's summaries.
 	trials func(*checkpoint) *[]S
 	runner trialRunner[S]
@@ -74,15 +71,12 @@ func (sw *sweep[S]) fold(e *Executor, progress func(done, total int), canceled f
 		// The checkpoint lookup consults replicas too: a sweep whose owner
 		// died resumes on the next node from the replicated checkpoint.
 		var stored checkpoint
-		ok, err := e.lookupJSON(checkpointKey(sw.key), &stored)
+		raw, err := e.lookupJSON(checkpointKey(sw.key), &stored)
 		if err != nil {
 			return nil, nil, err
 		}
 		prefix := *sw.trials(&stored)
-		if ok && stored.Key == sw.key && stored.Done == len(prefix) && stored.Done <= sw.total && stored.Telemetry != nil {
-			if err := sw.check(stored.Telemetry); err != nil {
-				return nil, nil, err
-			}
+		if raw != nil && stored.Key == sw.key && stored.Done == len(prefix) && stored.Done <= sw.total && stored.Telemetry != nil {
 			if err := tel.AddSnapshot(stored.Telemetry); err != nil {
 				return nil, nil, err
 			}
@@ -111,8 +105,8 @@ func (sw *sweep[S]) fold(e *Executor, progress func(done, total int), canceled f
 	receive := func(outs []TrialOutcome) error {
 		for _, o := range outs {
 			if i := o.Summary.Trial; wanted(i) {
-				if err := sw.check(o.Snapshot); err != nil {
-					return err
+				if o.Snapshot == nil {
+					return fmt.Errorf("jobs: sweep %s: a trial without its telemetry snapshot", sw.key)
 				}
 				// Only route sweeps have a session, so S is TrialSummary.
 				pending[i] = outcome[S]{sum: any(o.Summary).(S), snap: o.Snapshot}
@@ -182,19 +176,4 @@ func (sw *sweep[S]) fold(e *Executor, progress func(done, total int), canceled f
 		}
 	}
 	return *done, tel.Snapshot(), nil
-}
-
-// check refuses a stored or stolen snapshot whose geometry is not the
-// job's. AddSnapshot sizes the fold's tables from the declared geometry,
-// and checkpoints come from disk and stolen trials from any client of
-// the peer routes, so nothing is sized before this check.
-func (sw *sweep[S]) check(s *telemetry.Snapshot) error {
-	switch {
-	case s == nil:
-		return fmt.Errorf("jobs: sweep %s: a trial without its telemetry snapshot", sw.key)
-	case s.Links == 0 && s.Bandwidth == 0, s.Links == sw.links && s.Bandwidth == sw.bandwidth:
-		return nil
-	}
-	return fmt.Errorf("jobs: sweep %s: telemetry geometry %dx%d is not the job's %dx%d",
-		sw.key, s.Links, s.Bandwidth, sw.links, sw.bandwidth)
 }

@@ -175,31 +175,39 @@ func TestFoldWithSession(t *testing.T) {
 	}
 }
 
-// TestFoldRefusesForeignGeometry: a stolen or stored snapshot whose
-// geometry is not the job's fails the sweep before anything is sized
-// from it — a stolen outcome declaring 2^40 links allocates nothing —
-// and so does a stolen outcome without a snapshot.
+// TestFoldRefusesForeignGeometry: a stolen or stored snapshot the fold
+// cannot take — histograms in a foreign bucket layout, or a stolen
+// outcome without a snapshot — fails the sweep with a telemetry error
+// and feeds nothing to Live. The forged trial is the first in fold
+// order, so the refusal comes before any trial reaches Live.
 func TestFoldRefusesForeignGeometry(t *testing.T) {
 	spec := testSpec(32, 4)
-	huge := &telemetry.Snapshot{Links: 1 << 40, Bandwidth: 2, Runs: 1}
-	for name, snap := range map[string]*telemetry.Snapshot{"2^40 links": huge, "no snapshot": nil} {
+	foreign := func(s *telemetry.Snapshot) *telemetry.Snapshot {
+		f := *s
+		f.Retries.Bounds = f.Retries.Bounds[1:]
+		return &f
+	}
+	for _, name := range []string{"foreign layout", "no snapshot"} {
 		t.Run(name, func(t *testing.T) {
 			live := telemetry.NewLive()
-			sess := newScript(t, spec, []int{0}, map[int][][]int{0: {{1}}})
-			forged := sess.outs[1]
-			forged.Snapshot = snap
-			sess.forged = map[int]TrialOutcome{1: forged}
+			sess := newScript(t, spec, []int{1}, map[int][][]int{0: {{0}}})
+			forged := sess.outs[0]
+			forged.Snapshot = nil
+			if name == "foreign layout" {
+				forged.Snapshot = foreign(sess.outs[0].Snapshot)
+			}
+			sess.forged = map[int]TrialOutcome{0: forged}
 			_, _, err := (&Executor{Live: live, Distribute: scriptDistributor{sess}}).Run(spec, sim.NewEngine(), nil, nil)
 			if err == nil || !strings.Contains(err.Error(), "telemetry") {
-				t.Fatalf("stolen outcome with snapshot %+v: err = %v, want a telemetry error", snap, err)
+				t.Fatalf("stolen outcome with snapshot %+v: err = %v, want a telemetry error", forged.Snapshot, err)
 			}
-			if s := live.Snapshot(); s.Runs != 0 || s.Links != 0 {
-				t.Errorf("Live was fed by a refused sweep: %d runs, %d links", s.Runs, s.Links)
+			if s := live.Snapshot(); s.Runs != 0 {
+				t.Errorf("Live was fed by a refused sweep: %d runs", s.Runs)
 			}
 		})
 	}
 
-	// A stored checkpoint at another bandwidth is refused on resume.
+	// A stored checkpoint in a foreign layout is refused on resume.
 	store, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +224,15 @@ func TestFoldRefusesForeignGeometry(t *testing.T) {
 	if ok, err := store.GetJSON(checkpointKey(key), &ck); err != nil || !ok {
 		t.Fatalf("checkpoint missing: %v", err)
 	}
-	ck.Telemetry.Bandwidth++
+	ck.Telemetry = foreign(ck.Telemetry)
 	if err := store.Put(checkpointKey(key), ck); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := (&Executor{Store: store}).Run(spec, sim.NewEngine(), nil, nil); err == nil || !strings.Contains(err.Error(), "geometry") {
-		t.Fatalf("resume from a checkpoint at another bandwidth: err = %v, want a geometry error", err)
+	live := telemetry.NewLive()
+	if _, _, err := (&Executor{Store: store, Live: live}).Run(spec, sim.NewEngine(), nil, nil); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Fatalf("resume from a checkpoint in a foreign layout: err = %v, want a telemetry error", err)
+	}
+	if s := live.Snapshot(); s.Runs != 0 {
+		t.Errorf("Live was fed by a refused resume: %d runs", s.Runs)
 	}
 }

@@ -19,10 +19,10 @@ import (
 // not. A drift here changes what every deployed store holds. Do not
 // update casually.
 const (
-	goldenRouteResultSHA   = "b454a5ba25343229e3f0a0d299043390ceb0744aba192e4330e0418db6423f9b"
-	goldenCheckpointSHA    = "002d71dcda499496fd5e27da9d1a63118449300c8e2b0ce00c862ef0f954bdad"
-	goldenDynamicResultSHA = "c6a608ad134d547e19192da43141e39a601031ad5a8477efcf8a424df7905a84"
-	goldenSegmentsSHA      = "ca6db36704289579441e3dcf7d1e5623ad04212c5ab495355bb14c504ed6152c"
+	goldenRouteResultSHA   = "424148a024d6214cc25b963027849a351b4c43f17f5c1fd5131215075ace3bdb"
+	goldenCheckpointSHA    = "8994a3d967a80ed6e09b2da453f67da0ab3411feade46ff174cec83f45d41c61"
+	goldenDynamicResultSHA = "dc0c7b8e15d31f29c84355e32f3997b7f3c976420bf0d1fbe4b2e69929770219"
+	goldenSegmentsSHA      = "e3d32b55e31b8e85cef308f0594e5c824351a860abd8553d618f5aa41ca78ad0"
 )
 
 // goldenRouteSpec is a contended, degraded route sweep: one wavelength,

@@ -212,33 +212,40 @@ type Executor struct {
 	Lookup func(storeKey string) (json.RawMessage, bool)
 }
 
-// lookupJSON resolves a store key: the local store first, then the
-// cluster read-repair hook. A remote hit is persisted locally with
-// PutRaw — the replicated bytes are already canonical — so the next
-// lookup is a local one.
-func (e *Executor) lookupJSON(storeKey string, out any) (bool, error) {
+// lookupJSON resolves a store key into out and returns the bytes it
+// decoded, nil on a miss: the local store first, then the cluster
+// read-repair hook. A remote hit is compacted as PutRaw stores it and
+// persisted locally, so the next lookup is a local one and returns the
+// same bytes.
+func (e *Executor) lookupJSON(storeKey string, out any) (json.RawMessage, error) {
 	if e.Store != nil {
-		ok, err := e.Store.GetJSON(storeKey, out)
-		if err != nil || ok {
-			return ok, err
+		if raw, ok := e.Store.Get(storeKey); ok {
+			if err := json.Unmarshal(raw, out); err != nil {
+				return nil, fmt.Errorf("jobs: stored value for %s: %w", storeKey, err)
+			}
+			return raw, nil
 		}
 	}
 	if e.Lookup == nil {
-		return false, nil
+		return nil, nil
 	}
-	raw, ok := e.Lookup(storeKey)
+	remote, ok := e.Lookup(storeKey)
 	if !ok {
-		return false, nil
+		return nil, nil
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return false, fmt.Errorf("jobs: replicated value for %s: %w", storeKey, err)
+	var raw bytes.Buffer
+	if err := json.Compact(&raw, remote); err != nil {
+		return nil, fmt.Errorf("jobs: replicated value for %s: %w", storeKey, err)
+	}
+	if err := json.Unmarshal(raw.Bytes(), out); err != nil {
+		return nil, fmt.Errorf("jobs: replicated value for %s: %w", storeKey, err)
 	}
 	if e.Store != nil {
-		if err := e.Store.PutRaw(storeKey, raw); err != nil {
-			return false, err
+		if err := e.Store.PutRaw(storeKey, raw.Bytes()); err != nil {
+			return nil, err
 		}
 	}
-	return true, nil
+	return raw.Bytes(), nil
 }
 
 // Run executes the spec on the worker's engine. It returns the cached
@@ -249,20 +256,29 @@ func (e *Executor) lookupJSON(storeKey string, out any) (bool, error) {
 // trials and stops the sweep with ErrCanceled, retaining the checkpoint.
 // The second return reports whether the result came from the store.
 func (e *Executor) Run(spec Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, bool, error) {
+	res, stored, err := e.run(spec, eng, progress, canceled)
+	return res, stored != nil, err
+}
+
+// run is Run returning, for a result found in the store or through
+// Lookup, the bytes it was decoded from (nil for a computed result), so
+// one key serves one byte string even when the stored record was written
+// in an older layout.
+func (e *Executor) run(spec Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, json.RawMessage, error) {
 	key, err := spec.Key()
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	norm := spec.Normalized()
 	if e.Store != nil || e.Lookup != nil {
 		var cached Result
-		ok, err := e.lookupJSON(resultKey(key), &cached)
+		stored, err := e.lookupJSON(resultKey(key), &cached)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
-		if ok {
+		if stored != nil {
 			cached.reload()
-			return &cached, true, nil
+			return &cached, stored, nil
 		}
 	}
 	var res *Result
@@ -275,20 +291,20 @@ func (e *Executor) Run(spec Spec, eng Simulator, progress func(done, total int),
 		res, err = e.runRoute(key, norm, eng, progress, canceled)
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	if e.Store != nil {
 		if err := e.Store.Put(resultKey(key), res); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if err := e.Store.Delete(checkpointKey(key)); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if err := e.Store.Sync(); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 	}
-	return res, false, nil
+	return res, nil, nil
 }
 
 // runExperiment delegates to the injected experiment harness. The
@@ -345,12 +361,10 @@ func (e *Executor) runRoute(key string, norm Spec, eng Simulator, progress func(
 		return nil, err
 	}
 	sw := sweep[TrialSummary]{
-		key:       key,
-		total:     r.Trials,
-		links:     setup.col.Graph().NumLinks(),
-		bandwidth: setup.cfg.Bandwidth,
-		trials:    func(ck *checkpoint) *[]TrialSummary { return &ck.Trials },
-		runner:    setup.trials(eng),
+		key:    key,
+		total:  r.Trials,
+		trials: func(ck *checkpoint) *[]TrialSummary { return &ck.Trials },
+		runner: setup.trials(eng),
 	}
 	if e.Distribute != nil {
 		sw.session = func(start int) TrialSession { return e.Distribute.Distribute(key, norm, start, r.Trials) }

@@ -308,11 +308,12 @@ func (s *Scheduler) worker() {
 		progress := func(done, total int) {
 			j.doneTrials.Store(int64(done))
 		}
-		res, fromCache, err := s.exec.Run(j.spec, eng, progress, j.cancel.Load)
-		var raw json.RawMessage
-		if err == nil {
+		res, raw, err := s.exec.run(j.spec, eng, progress, j.cancel.Load)
+		fromCache := raw != nil
+		if err == nil && !fromCache {
 			// The same encoding Store.Put wrote, so a fresh job and a stored
-			// one serve the same bytes.
+			// one serve the same bytes. A hit serves the bytes it was
+			// decoded from.
 			raw, err = canon.Marshal(res)
 		}
 

@@ -135,7 +135,7 @@ func TestSubmitDoneJobSkipsStore(t *testing.T) {
 
 // TestSubmitStoreHitSkipsDecode: a submit answered from the store keeps
 // the stored bytes as they are, so a hit on a 16² sweep's result (about
-// 98 KB of JSON) costs about what keying the spec costs, not a decode.
+// 6.6 KB of JSON) costs about what keying the spec costs, not a decode.
 func TestSubmitStoreHitSkipsDecode(t *testing.T) {
 	s := newTestScheduler(t, Options{})
 	spec := sweepBenchSpec(16, 1)

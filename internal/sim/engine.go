@@ -115,9 +115,9 @@ type Engine struct {
 	wordMask  int  // 1<<wordShift - 1
 	occClean  int  // the bit words covering slots [0,occClean) are known zero
 	darkDirty bool // darkBits has set bits from the previous run
-	// fastClaim enables the optimistic in-walk claim: without faults or a
-	// probe (and with keys fitting an int32 bucket slot), the lone entrant
-	// of a bucket onto a free slot claims during collection, skipping the
+	// fastClaim enables the optimistic in-walk claim: without faults (and
+	// with keys fitting an int32 bucket slot), the lone entrant of a
+	// bucket onto a free slot claims during collection, skipping the
 	// bucket machinery; a second same-step entrant revokes and defers.
 	fastClaim bool
 	cal       calendar
@@ -159,7 +159,6 @@ type Engine struct {
 	// probe receives telemetry events when non-nil (copied from the
 	// Config each begin); every hook site guards with one nil check.
 	probe *telemetry.Collector
-	now   int // current step, for hook sites without a t parameter
 	// flt points at ef while a fault schedule is attached and is nil
 	// otherwise, so — like probe — the fault-free hot path pays exactly
 	// one predictable branch per consultation site.
@@ -249,10 +248,6 @@ func (e *Engine) setOcc(k int, f *fragment, idx int) {
 		if k < e.msgSlots {
 			e.occMsg++
 		}
-		if e.probe != nil {
-			band, link := e.slotCoords(k)
-			e.probe.SlotClaimed(e.now, band, link)
-		}
 	}
 	e.occ[k] = occupant{fi: f.self, idx: int32(idx)}
 }
@@ -271,10 +266,6 @@ func (e *Engine) delOcc(k int, f *fragment) {
 		if k < e.msgSlots {
 			e.occMsg--
 		}
-		if e.probe != nil {
-			band, link := e.slotCoords(k)
-			e.probe.SlotReleased(e.now, band, link)
-		}
 	}
 }
 
@@ -282,9 +273,7 @@ func (e *Engine) delOcc(k int, f *fragment) {
 // every entered, unreleased index of its window — losing a slot always
 // goes through split, which marks the fragment gone — so no ownership
 // check is needed and the occupant table is left untouched (its entry
-// goes stale behind a cleared bit, which no reader consults). Telemetry
-// is NOT emitted here: callers run probeReleased themselves after the
-// release loop, keeping this body inside the compiler's inline budget.
+// goes stale behind a cleared bit, which no reader consults).
 //
 //optlint:hotpath packed
 func (e *Engine) releaseOcc(k int) {
@@ -292,18 +281,6 @@ func (e *Engine) releaseOcc(k int) {
 	e.occCount--
 	if k < e.msgSlots {
 		e.occMsg--
-	}
-}
-
-// probeReleased emits the slot-release telemetry event for a slot freed
-// through releaseOcc (which, unlike setOcc/delOcc, leaves probe emission
-// to its callers so it stays inlinable).
-//
-//optlint:hotpath
-func (e *Engine) probeReleased(k int) {
-	if e.probe != nil {
-		band, link := e.slotCoords(k)
-		e.probe.SlotReleased(e.now, band, link)
 	}
 }
 
@@ -322,20 +299,6 @@ func growWords(s []uint64, n int) []uint64 {
 		clear(s[old:])
 	}
 	return s
-}
-
-// slotCoords decomposes occupancy key k into its (band, link)
-// coordinates for probe hooks: above the low waveShift wavelength bits
-// the key is band*nLinks+link, and band is 0 or 1.
-//
-//optlint:hotpath
-func (e *Engine) slotCoords(k int) (band, link int) {
-	link = k >> e.waveShift
-	if link >= e.nLinks {
-		band = 1
-		link -= e.nLinks
-	}
-	return band, link
 }
 
 // begin resets the engine for a new run on graph g under cfg, with room
@@ -390,11 +353,10 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 	e.blWords = growWords(e.blWords, (nBL+63)/64)
 	e.occCount = 0
 	e.occMsg = 0
-	e.now = 0
 	e.probe = cfg.Probe
 	// Keys always fit an int32 bucket slot (validator.begin bounds the
-	// key space), so only faults and probes force the deferred path.
-	e.fastClaim = cfg.Faults == nil && cfg.Probe == nil
+	// key space), so only faults force the deferred path.
+	e.fastClaim = cfg.Faults == nil
 	if cfg.Faults != nil {
 		e.ef.attach(cfg.Faults, e.nLinks, g.NumNodes(), need)
 		e.flt = &e.ef
@@ -402,7 +364,7 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 		e.flt = nil
 	}
 	if e.probe != nil {
-		e.probe.BeginRun(e.nLinks, cfg.Bandwidth, nOutcomes)
+		e.probe.BeginRun(nOutcomes)
 	}
 	e.cal.reset()
 	e.active = e.active[:0]
@@ -560,7 +522,6 @@ func (e *Engine) addTrain(tr *train) {
 //
 //optlint:hotpath packed
 func (e *Engine) step(t int) {
-	e.now = t
 	e.entries = e.entries[:0]
 	e.entryNext = e.entryNext[:0]
 	e.gen += 2
@@ -616,11 +577,6 @@ func (e *Engine) step(t int) {
 				keys := f.t.keys
 				for i := r; i < lo; i++ {
 					e.releaseOcc(int(keys[i]))
-				}
-				if e.probe != nil {
-					for i := r; i < lo; i++ {
-						e.probeReleased(int(keys[i]))
-					}
 				}
 				f.relUpTo = lo
 			}
@@ -1038,11 +994,6 @@ func (e *Engine) release(f *fragment, t int) {
 		for i := int(f.relUpTo); i < upTo; i++ {
 			e.releaseOcc(int(keys[i]))
 		}
-		if e.probe != nil {
-			for i := int(f.relUpTo); i < upTo; i++ {
-				e.probeReleased(int(keys[i]))
-			}
-		}
 		f.relUpTo = int32(upTo)
 	}
 	if lo > limit {
@@ -1141,7 +1092,7 @@ func (e *Engine) recordCut(f *fragment, idx, t int, blocker *train) {
 	tr.cut = true
 	e.res.CollisionCount++
 	if e.probe != nil {
-		e.probe.WormCut(int(tr.band), int(tr.links[idx]), e.waveAt(tr, idx))
+		e.probe.WormCut(int(tr.band))
 	}
 	out := &e.res.Outcomes[tr.outIdx]
 	if tr.isAck {
@@ -1173,9 +1124,6 @@ func (e *Engine) recordCut(f *fragment, idx, t int, blocker *train) {
 //optlint:hotpath
 func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 	f.gone = true
-	if e.probe != nil {
-		e.probe.FragmentSplit()
-	}
 	if e.cfg.Wreckage == Vanish {
 		// Drop all occupancy instantly.
 		limit := f.limit()

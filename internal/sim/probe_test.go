@@ -33,26 +33,6 @@ func checkCollectorConsistency(t *testing.T, label string, col *telemetry.Collec
 		t.Errorf("%s: probe delivered/acked %d/%d vs result %d/%d", label,
 			s.Delivered, s.Acked, res.DeliveredCount, res.AckedCount)
 	}
-	// The event-sourced per-link busy integrals must sum, per band, to the
-	// engine's end-of-step occupancy totals.
-	var perLink [telemetry.NumBands]uint64
-	for _, lb := range s.LinkBusySteps {
-		perLink[lb.Band] += lb.BusySlotSteps
-	}
-	if perLink[telemetry.MessageBand] != uint64(res.MessageBusySlotSteps) ||
-		perLink[telemetry.AckBand] != uint64(res.AckBusySlotSteps) {
-		t.Errorf("%s: per-link busy sums %d/%d vs result %d/%d", label,
-			perLink[telemetry.MessageBand], perLink[telemetry.AckBand],
-			res.MessageBusySlotSteps, res.AckBusySlotSteps)
-	}
-	// The collision heatmap must account for every cut.
-	var heat uint64
-	for _, cell := range s.Collisions {
-		heat += cell.Count
-	}
-	if heat != uint64(res.CollisionCount) {
-		t.Errorf("%s: heatmap total %d vs CollisionCount %d", label, heat, res.CollisionCount)
-	}
 	if s.Makespan.Count != 1 || s.Makespan.Sum != uint64(max(res.Makespan, 0)) {
 		t.Errorf("%s: makespan histogram %+v vs result %d", label, s.Makespan, res.Makespan)
 	}

@@ -95,10 +95,9 @@ type Config struct {
 	// plans per round via faults.Plan.Shift).
 	Faults *faults.Schedule
 	// Probe optionally receives engine events (see internal/telemetry):
-	// run boundaries, per-step busy totals, slot claims and releases,
-	// cuts, splits, deliveries, ack completions and faults. A nil probe
-	// costs one predictable branch per hook site; attaching a probe never
-	// changes the simulation result.
+	// run boundaries, per-step busy totals, cuts, deliveries, ack
+	// completions and faults. A nil probe costs one predictable branch per
+	// hook site; attaching a probe never changes the simulation result.
 	Probe *telemetry.Collector
 	// CheckInvariants enables per-step internal consistency checks
 	// (occupancy table vs. fragment windows). For tests; slows the run.

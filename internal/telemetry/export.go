@@ -9,14 +9,6 @@ import (
 	"sync"
 )
 
-// bandName maps a band index to its Prometheus label value.
-func bandName(band int) string {
-	if band == AckBand {
-		return "ack"
-	}
-	return "message"
-}
-
 // WriteJSON serializes the snapshot as indented JSON.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -25,10 +17,11 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus serializes the snapshot in the Prometheus text
-// exposition format under the optnet_ metric namespace: run/step/cut
-// counters, the per-slot collision heatmap and per-link busy integrals as
-// labeled series, and the latency distributions as cumulative-bucket
-// histograms.
+// exposition format under the optnet_ metric namespace: run, step, worm
+// and fault counters, per-band busy, cut and fault-kill totals as
+// band-labeled series, and the latency distributions as cumulative-bucket
+// histograms. optnet_fragment_splits_total is derived: every cut and
+// every fault kill splits exactly one train.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	counter := func(name, help string, v uint64) {
@@ -39,7 +32,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("optnet_worms_launched_total", "Worms launched across runs.", s.WormsLaunched)
 	counter("optnet_worms_delivered_total", "Worms fully delivered.", s.Delivered)
 	counter("optnet_worms_acked_total", "Worms acknowledged.", s.Acked)
-	counter("optnet_fragment_splits_total", "Wreckage splits after cuts.", s.FragmentSplits)
+	counter("optnet_fragment_splits_total", "Wreckage splits after cuts and fault kills.",
+		s.MessageCuts+s.AckCuts+s.MessageFaultKills+s.AckFaultKills)
 	counter("optnet_rounds_observed_total", "Finished protocol rounds.", s.RoundsObserved)
 
 	fmt.Fprintf(bw, "# HELP optnet_busy_slot_steps_total Occupied (link, wavelength) slots summed over steps.\n")
@@ -57,23 +51,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(bw, "# TYPE optnet_fault_kills_total counter\n")
 	fmt.Fprintf(bw, "optnet_fault_kills_total{band=\"message\"} %d\n", s.MessageFaultKills)
 	fmt.Fprintf(bw, "optnet_fault_kills_total{band=\"ack\"} %d\n", s.AckFaultKills)
-
-	if len(s.Collisions) > 0 {
-		fmt.Fprintf(bw, "# HELP optnet_link_cuts_total Cut heatmap by band, link and wavelength.\n")
-		fmt.Fprintf(bw, "# TYPE optnet_link_cuts_total counter\n")
-		for _, cell := range s.Collisions {
-			fmt.Fprintf(bw, "optnet_link_cuts_total{band=%q,link=\"%d\",wavelength=\"%d\"} %d\n",
-				bandName(cell.Band), cell.Link, cell.Wavelength, cell.Count)
-		}
-	}
-	if len(s.LinkBusySteps) > 0 {
-		fmt.Fprintf(bw, "# HELP optnet_link_busy_slot_steps_total Per-link occupied slot-steps by band.\n")
-		fmt.Fprintf(bw, "# TYPE optnet_link_busy_slot_steps_total counter\n")
-		for _, cell := range s.LinkBusySteps {
-			fmt.Fprintf(bw, "optnet_link_busy_slot_steps_total{band=%q,link=\"%d\"} %d\n",
-				bandName(cell.Band), cell.Link, cell.BusySlotSteps)
-		}
-	}
 
 	writeHistogram(bw, "optnet_retries", "Failed rounds before the acknowledgement, per acked worm.", &s.Retries)
 	writeHistogram(bw, "optnet_rounds_to_ack", "Round (1-based) in which each worm was acknowledged.", &s.RoundsToAck)
@@ -117,8 +94,8 @@ func NewLive() *Live { return &Live{agg: NewCollector()} }
 // resets the collector, so repeated Absorb calls publish deltas.
 func (l *Live) Absorb(c *Collector) {
 	if err := l.AddSnapshot(c.Snapshot()); err != nil {
-		// A collector's own snapshot always fits: its cells lie inside
-		// its geometry and every Collector has NewCollector's layouts.
+		// A collector's own snapshot always fits: every Collector has
+		// NewCollector's histogram layouts.
 		panic(err)
 	}
 	c.Reset()

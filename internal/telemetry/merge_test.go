@@ -11,18 +11,14 @@ import (
 
 // feedTrial drives one synthetic trial's worth of events into c. The
 // trial index varies the event mix so merged snapshots actually exercise
-// cell merging (overlapping and disjoint heatmap cells, distinct
-// histogram buckets).
+// merging (distinct histogram buckets, fault counters on every other
+// trial).
 func feedTrial(c *Collector, trial int) {
-	c.BeginRun(8, 2, 4)
+	c.BeginRun(4)
 	c.RoundStarted(trial + 1)
 	c.StepAdvanced(3, 1)
-	c.SlotClaimed(0, MessageBand, trial%4)
-	c.SlotClaimed(0, MessageBand, 5)
-	c.SlotReleased(3+trial, MessageBand, trial%4)
-	c.WormCut(MessageBand, trial%4, 0)
-	c.WormCut(AckBand, 6, 1)
-	c.FragmentSplit()
+	c.WormCut(MessageBand)
+	c.WormCut(AckBand)
 	c.WormDelivered(4 + trial)
 	c.AckCompleted(trial)
 	c.FaultStarted()
@@ -30,7 +26,6 @@ func feedTrial(c *Collector, trial int) {
 		c.FaultEnded()
 		c.WormKilledByFault(MessageBand)
 	}
-	c.SlotReleased(7+trial, MessageBand, 5)
 	c.RoundFinished(RoundInfo{Round: trial + 1, Acked: 1, Active: 4})
 	c.EndRun(8 + trial)
 }
@@ -109,63 +104,6 @@ func TestSnapshotAddJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotAddGeometryMismatch: AddSnapshot grows the tables to a
-// larger geometry and folds per-link cells only while the bandwidths
-// agree; a geometry that cannot be sized, or a cell outside the
-// snapshot's own geometry, is an error that leaves the collector as it
-// was.
-func TestSnapshotAddGeometryMismatch(t *testing.T) {
-	c := NewCollector()
-	c.BeginRun(4, 2, 0)
-	c.WormCut(MessageBand, 3, 1)
-	if err := c.AddSnapshot(trialSnapshot(0)); err != nil { // 8 links, B=2
-		t.Fatalf("growing to a larger geometry: %v", err)
-	}
-	s := c.Snapshot()
-	if s.Links != 8 || s.Bandwidth != 2 {
-		t.Errorf("geometry %dx%d after the fold, want 8x2", s.Links, s.Bandwidth)
-	}
-	if want := []SlotCount{
-		{Band: MessageBand, Link: 0, Wavelength: 0, Count: 1},
-		{Band: MessageBand, Link: 3, Wavelength: 1, Count: 1},
-		{Band: AckBand, Link: 6, Wavelength: 1, Count: 1},
-	}; !reflect.DeepEqual(s.Collisions, want) {
-		t.Errorf("collisions after growth = %+v, want %+v", s.Collisions, want)
-	}
-
-	// A narrower band adds its counters but none of its per-link cells.
-	narrow := NewCollector()
-	narrow.BeginRun(8, 1, 0)
-	narrow.WormCut(MessageBand, 2, 0)
-	if err := c.AddSnapshot(narrow.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if s2 := c.Snapshot(); s2.MessageCuts != s.MessageCuts+1 || !reflect.DeepEqual(s2.Collisions, s.Collisions) {
-		t.Errorf("bandwidth 1 into 2: cuts %d -> %d, collisions %+v", s.MessageCuts, s2.MessageCuts, s2.Collisions)
-	}
-
-	before := canonBytes(t, c)
-	for name, bad := range map[string]*Snapshot{
-		"negative links":      {Links: -1, Bandwidth: 2},
-		"unsizable":           {Links: 1 << 62, Bandwidth: 1 << 4},
-		"link outside":        {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Link: 8, Count: 1}}},
-		"wavelength outside":  {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Link: 1, Wavelength: 2, Count: 1}}},
-		"band outside":        {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Band: NumBands, Count: 1}}},
-		"negative link":       {Links: 8, Bandwidth: 2, Collisions: []SlotCount{{Link: -1, Count: 1}}},
-		"busy link outside":   {Links: 8, Bandwidth: 2, LinkBusySteps: []LinkBusy{{Link: 9, BusySlotSteps: 1}}},
-		"busy band outside":   {Links: 8, Bandwidth: 2, LinkBusySteps: []LinkBusy{{Band: -1, BusySlotSteps: 1}}},
-		"cells without links": {Collisions: []SlotCount{{Count: 1}}},
-	} {
-		bad.Runs = 1
-		if err := c.AddSnapshot(bad); err == nil {
-			t.Errorf("%s: AddSnapshot accepted %+v", name, bad)
-		}
-		if after := canonBytes(t, c); !bytes.Equal(after, before) {
-			t.Fatalf("%s: a refused snapshot changed the collector", name)
-		}
-	}
-}
-
 // TestSnapshotAddHistogramMismatch: a histogram with another bucket
 // layout — corrupt checkpoint or peer input — is an error, not a silent
 // misfold or a panic, and leaves the collector unchanged.
@@ -225,22 +163,17 @@ func TestSnapshotAddRoundsCap(t *testing.T) {
 	}
 }
 
-// fuzzGeometry is the fixed geometry of FuzzCollectorAddSnapshot's
-// collector: the 5x5 torus (100 directed links) at one wavelength that
-// the golden route sweep of internal/jobs runs on.
-const fuzzLinks, fuzzBandwidth = 100, 1
-
 // FuzzCollectorAddSnapshot folds arbitrary decoded snapshots — the
 // telemetry of checkpoints read from disk and of trials posted by peers —
-// into a collector of fixed geometry. The fold either errors and leaves
-// the collector's canonical bytes unchanged, or succeeds; it never
+// into a collector that has observed one run. The fold either errors and
+// leaves the collector's canonical bytes unchanged, or succeeds; it never
 // panics, and the folded collector's snapshot, folded into an empty
-// collector, reproduces its canonical bytes. AddSnapshot sizes tables
-// from the declared geometry, and callers folding outside input bound it
-// first (the jobs fold refuses all but the job's own), so inputs
-// declaring more than 64x the fixed geometry are skipped rather than
-// allocated. testdata/fuzz holds a per-trial snapshot and the two-trial
-// checkpoint telemetry of that golden sweep.
+// collector, reproduces its canonical bytes. Nothing is sized from the
+// input, so every decodable input is folded. testdata/fuzz holds a
+// per-trial snapshot and the two-trial checkpoint telemetry of the golden
+// route sweep of internal/jobs, and one per-trial snapshot in the older
+// layout that also carried per-link tables, as stores written before
+// their removal still hold it.
 func FuzzCollectorAddSnapshot(f *testing.F) {
 	seed := func(s *Snapshot) {
 		b, err := json.Marshal(s)
@@ -250,9 +183,14 @@ func FuzzCollectorAddSnapshot(f *testing.F) {
 		f.Add(b)
 	}
 	seed(trialSnapshot(1))
-	outside := trialSnapshot(2)
-	outside.Collisions = append(outside.Collisions, SlotCount{Link: outside.Links, Count: 1})
-	seed(outside)
+	// The older layout's per-link fields, one cell outside its declared
+	// geometry: the fold reads none of them.
+	old, err := json.Marshal(trialSnapshot(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(`{"links":8,"bandwidth":2,"fragment_splits":1,"collisions":[{"band":0,"link":8,"wavelength":0,"count":1}],`+
+		`"link_busy_steps":[{"band":1,"link":5,"busy_slot_steps":7}],`), old[1:]...))
 	layout := trialSnapshot(3)
 	layout.Retries.Bounds = layout.Retries.Bounds[1:]
 	seed(layout)
@@ -261,12 +199,9 @@ func FuzzCollectorAddSnapshot(f *testing.F) {
 		if json.Unmarshal(data, &s) != nil {
 			return
 		}
-		if s.Links > 64*fuzzLinks || s.Bandwidth > 64*fuzzBandwidth {
-			return
-		}
 		c := NewCollector()
-		c.BeginRun(fuzzLinks, fuzzBandwidth, 2)
-		c.WormCut(MessageBand, 7, 0)
+		c.BeginRun(2)
+		c.WormCut(MessageBand)
 		c.WormDelivered(5)
 		c.EndRun(9)
 		before := canonBytes(t, c)

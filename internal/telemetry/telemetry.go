@@ -1,9 +1,12 @@
 // Package telemetry is the observability layer of the routing system: a
 // Collector whose hooks the simulator engine and the protocol core call
-// at well-defined event points, turning those events into counters,
-// heatmaps and fixed-bucket histograms without allocating in steady
-// state, and exporters that publish snapshots in Prometheus text format
-// and JSON (optionally over HTTP, for scraping long runs).
+// at well-defined event points, turning those events into per-band
+// counters, fixed-bucket histograms and per-round summaries without
+// allocating, and exporters that publish snapshots in Prometheus text
+// format and JSON (optionally over HTTP, for scraping long runs). No
+// state is kept per link: the paper's analysis runs on per-round
+// quantities (collisions and residual congestion per round, RoundInfo),
+// and a snapshot's size does not grow with the network.
 //
 // The hook arguments are small integers only, no simulator types, so the
 // package has no dependency on the engine, and the engine pays one

@@ -102,23 +102,18 @@ func TestBucketConstructors(t *testing.T) {
 	}
 }
 
-// drive feeds a collector a tiny synthetic run: two links, one wavelength,
-// one worm delivered and acked over four steps, one cut on link 1, and one
-// injected fault window killing an ack train.
+// drive feeds a collector a tiny synthetic run: one worm delivered and
+// acked over four steps, one message-band cut, and one injected fault
+// window killing an ack train.
 func drive(c *Collector) {
-	c.BeginRun(2, 1, 1)
-	c.SlotClaimed(0, MessageBand, 0)
+	c.BeginRun(1)
 	c.StepAdvanced(1, 0)
 	c.FaultStarted()
-	c.SlotClaimed(1, MessageBand, 1)
 	c.StepAdvanced(2, 0)
-	c.SlotReleased(2, MessageBand, 0)
-	c.WormCut(MessageBand, 1, 0)
-	c.FragmentSplit()
+	c.WormCut(MessageBand)
 	c.WormKilledByFault(AckBand)
 	c.StepAdvanced(1, 0)
 	c.FaultEnded()
-	c.SlotReleased(3, MessageBand, 1)
 	c.WormDelivered(3)
 	c.AckCompleted(0)
 	c.StepAdvanced(0, 0)
@@ -135,8 +130,8 @@ func TestCollectorCounters(t *testing.T) {
 	if s.MessageBusySlotSteps != 4 || s.AckBusySlotSteps != 0 {
 		t.Errorf("busy = %d/%d, want 4/0", s.MessageBusySlotSteps, s.AckBusySlotSteps)
 	}
-	if s.MessageCuts != 1 || s.AckCuts != 0 || s.FragmentSplits != 1 {
-		t.Errorf("cuts/splits = %d/%d/%d", s.MessageCuts, s.AckCuts, s.FragmentSplits)
+	if s.MessageCuts != 1 || s.AckCuts != 0 {
+		t.Errorf("cuts = %d/%d, want 1/0", s.MessageCuts, s.AckCuts)
 	}
 	if s.Delivered != 1 || s.Acked != 1 {
 		t.Errorf("delivered/acked = %d/%d", s.Delivered, s.Acked)
@@ -147,9 +142,6 @@ func TestCollectorCounters(t *testing.T) {
 	if s.MessageFaultKills != 0 || s.AckFaultKills != 1 {
 		t.Errorf("fault kills message/ack = %d/%d, want 0/1", s.MessageFaultKills, s.AckFaultKills)
 	}
-	if len(s.Collisions) != 1 || s.Collisions[0] != (SlotCount{Band: MessageBand, Link: 1, Wavelength: 0, Count: 1}) {
-		t.Errorf("collisions = %+v", s.Collisions)
-	}
 	if s.Makespan.Count != 1 || s.Makespan.Sum != 3 {
 		t.Errorf("makespan histogram = %+v", s.Makespan)
 	}
@@ -158,40 +150,15 @@ func TestCollectorCounters(t *testing.T) {
 	}
 }
 
-// TestCollectorLinkBusyIntegral pins the claim/release busy-time math:
-// claim at t1, release at t2 contributes exactly t2-t1 slot-steps, which
-// matches the engine's end-of-step occupancy counting.
-func TestCollectorLinkBusyIntegral(t *testing.T) {
-	c := NewCollector()
-	drive(c)
-	s := c.Snapshot()
-	// Link 0 busy over [0,2) = 2, link 1 over [1,3) = 2.
-	want := map[int]uint64{0: 2, 1: 2}
-	if len(s.LinkBusySteps) != 2 {
-		t.Fatalf("link busy cells = %+v", s.LinkBusySteps)
-	}
-	var sum uint64
-	for _, lb := range s.LinkBusySteps {
-		if lb.Band != MessageBand || lb.BusySlotSteps != want[lb.Link] {
-			t.Errorf("link %d busy = %d, want %d", lb.Link, lb.BusySlotSteps, want[lb.Link])
-		}
-		sum += lb.BusySlotSteps
-	}
-	// The per-link integrals must sum to the per-band step counter.
-	if sum != s.MessageBusySlotSteps {
-		t.Errorf("per-link sum %d != band total %d", sum, s.MessageBusySlotSteps)
-	}
-}
-
 func TestCollectorRoundHooks(t *testing.T) {
 	c := NewCollector()
 	c.RoundStarted(1)
-	c.BeginRun(2, 1, 10)
+	c.BeginRun(10)
 	c.AckCompleted(2)
 	c.EndRun(5)
 	c.RoundFinished(RoundInfo{Round: 1, DelayRange: 64, Active: 10, Acked: 1, Makespan: 5, ResidualCongestion: -1})
 	c.RoundStarted(2)
-	c.BeginRun(2, 1, 9)
+	c.BeginRun(9)
 	c.AckCompleted(2)
 	c.EndRun(4)
 	c.RoundFinished(RoundInfo{Round: 2, DelayRange: 32, Active: 9, Acked: 1, Makespan: 4, ResidualCongestion: -1})
@@ -238,8 +205,8 @@ func TestCollectorMerge(t *testing.T) {
 	if s.MessageBusySlotSteps != 8 {
 		t.Errorf("merged busy = %d, want 8", s.MessageBusySlotSteps)
 	}
-	if len(s.Collisions) != 1 || s.Collisions[0].Count != 2 {
-		t.Errorf("merged collisions = %+v", s.Collisions)
+	if s.MessageCuts != 2 {
+		t.Errorf("merged cuts = %d, want 2", s.MessageCuts)
 	}
 	if s.StepsToDelivery.Count != 2 {
 		t.Errorf("merged delivery count = %d", s.StepsToDelivery.Count)
@@ -255,23 +222,18 @@ func TestCollectorReset(t *testing.T) {
 	drive(c)
 	c.Reset()
 	s := c.Snapshot()
-	if s.Runs != 0 || s.Steps != 0 || len(s.Collisions) != 0 || len(s.LinkBusySteps) != 0 {
+	if s.Runs != 0 || s.Steps != 0 || s.MessageCuts != 0 || s.MessageBusySlotSteps != 0 {
 		t.Errorf("reset left state behind: %+v", s)
 	}
 	if s.FaultsStarted != 0 || s.FaultsEnded != 0 || s.MessageFaultKills != 0 || s.AckFaultKills != 0 {
 		t.Errorf("reset left fault counters behind: %+v", s)
 	}
-	// The geometry stays provisioned, so reuse does not reallocate.
-	if s.Links != 2 || s.Bandwidth != 1 {
-		t.Errorf("reset must keep provisioned geometry, got %d/%d", s.Links, s.Bandwidth)
-	}
 }
 
-// TestCollectorHooksAllocationFree pins the tentpole's core promise: once
-// provisioned, the per-event path performs zero allocations.
+// TestCollectorHooksAllocationFree pins the collector's core promise: the
+// per-event path performs zero allocations.
 func TestCollectorHooksAllocationFree(t *testing.T) {
 	c := NewCollector()
-	drive(c) // warm up: provisions tables for this geometry
 	if avg := testing.AllocsPerRun(100, func() { drive(c) }); avg != 0 {
 		t.Errorf("collector hooks allocate %v allocs per run, want 0", avg)
 	}
@@ -288,7 +250,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("round-trip decode: %v\n%s", err, buf.String())
 	}
-	if back.Runs != 1 || back.MessageBusySlotSteps != 4 || len(back.Collisions) != 1 {
+	if back.Runs != 1 || back.MessageBusySlotSteps != 4 || back.MessageCuts != 1 {
 		t.Errorf("round-tripped snapshot = %+v", back)
 	}
 	if back.Makespan.Count != 1 {
@@ -309,8 +271,7 @@ func TestWritePrometheus(t *testing.T) {
 		"optnet_steps_total 4\n",
 		"optnet_busy_slot_steps_total{band=\"message\"} 4\n",
 		"optnet_cuts_total{band=\"message\"} 1\n",
-		"optnet_link_cuts_total{band=\"message\",link=\"1\",wavelength=\"0\"} 1\n",
-		"optnet_link_busy_slot_steps_total{band=\"message\",link=\"0\"} 2\n",
+		"optnet_fragment_splits_total 2\n",
 		"optnet_faults_started_total 1\n",
 		"optnet_faults_ended_total 1\n",
 		"optnet_fault_kills_total{band=\"ack\"} 1\n",

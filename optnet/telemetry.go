@@ -5,15 +5,14 @@ import (
 )
 
 // Collector is the telemetry sink. One installed via Advanced.Probe or
-// DynamicParams.Probe receives engine events (slot claims and releases,
-// worm cuts, fragment splits, deliveries, acknowledgements, faults) and
-// protocol events (round boundaries) and keeps counters, a
-// per-link/per-wavelength collision heatmap, per-link busy time and
-// fixed-bucket latency histograms, all updated without allocating in
-// steady state. A nil Probe costs one predictable branch per hook site,
-// and a Collector never changes routing results. A Collector must come
-// from NewCollector: the zero value has no histogram buckets and panics
-// at the first delivery, acknowledgement or run end it records.
+// DynamicParams.Probe receives engine events (worm cuts, deliveries,
+// acknowledgements, faults) and protocol events (round boundaries) and
+// keeps per-band counters, fixed-bucket latency histograms and per-round
+// summaries, all updated without allocating. Its size does not depend
+// on the network. A nil Probe costs one predictable branch per hook
+// site, and a Collector never changes routing results. A Collector must
+// come from NewCollector: the zero value has no histogram buckets and
+// panics at the first delivery, acknowledgement or run end it records.
 type Collector = telemetry.Collector
 
 // NewCollector returns an empty Collector.
