@@ -46,19 +46,22 @@ func simRoundWorkload(tb testing.TB, side int) (*graph.Graph, []sim.Worm, sim.Co
 }
 
 // steadyRounds times b.N rounds of one workload on a reused Engine,
-// warmed by one untimed round so the timed loop sees the steady state.
-func steadyRounds(b *testing.B, g *graph.Graph, worms []sim.Worm, cfg sim.Config) {
+// warmed by one untimed round so the timed loop sees the steady state. It
+// returns the last round's result.
+func steadyRounds(b *testing.B, g *graph.Graph, worms []sim.Worm, cfg sim.Config) *sim.Result {
 	eng := sim.NewEngine()
-	if _, err := eng.Run(g, worms, cfg); err != nil { // warm the pools
+	res, err := eng.Run(g, worms, cfg) // warm the pools
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(g, worms, cfg); err != nil {
+		if res, err = eng.Run(g, worms, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return res
 }
 
 // BenchmarkEngineSteadyState measures the same round on a reused Engine —
@@ -68,7 +71,9 @@ func steadyRounds(b *testing.B, g *graph.Graph, worms []sim.Worm, cfg sim.Config
 // same workload with a warmed telemetry Collector attached, bounding the
 // full observability overhead. Compare against BenchmarkEngineFresh with
 //
-//	go test -bench BenchmarkEngine -benchmem .
+//	go test -bench 'BenchmarkEngine(SteadyState|Fresh)$' -benchmem .
+//
+// (the anchor keeps BenchmarkEngineSparseLadder out; see its own command).
 func BenchmarkEngineSteadyState(b *testing.B) {
 	for _, side := range []int{16, 24} {
 		for _, probe := range []string{"off", "on"} {
@@ -155,6 +160,24 @@ func sparseWorkload(tb testing.TB, side, worms int) (*graph.Graph, []sim.Worm, s
 func BenchmarkEngineSparse(b *testing.B) {
 	g, worms, cfg := sparseWorkload(b, 512, 2048)
 	steadyRounds(b, g, worms, cfg)
+}
+
+// BenchmarkEngineSparseLadder runs the sparse workload, 2048 worms, on
+// tori of side 64 to 1024, one round per op on a reused Engine, and also
+// reports ns/step (the round's time over its makespan + 1 steps). Paths
+// grow with the side, so steps do too; a step that costs what its
+// entrants cost keeps ns/step close to flat. At side 1024 the engine
+// holds about 375 MB, so CI does not run this ladder; run it with
+//
+//	go test -run '^$' -bench BenchmarkEngineSparseLadder -benchtime 5x .
+func BenchmarkEngineSparseLadder(b *testing.B) {
+	for _, side := range []int{64, 128, 256, 512, 1024} {
+		b.Run(fmt.Sprintf("side=%d", side), func(b *testing.B) {
+			g, worms, cfg := sparseWorkload(b, side, 2048)
+			res := steadyRounds(b, g, worms, cfg)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Makespan+1), "ns/step")
+		})
+	}
 }
 
 // e15TopTrace materializes E15's top-load row: Poisson arrivals at 32

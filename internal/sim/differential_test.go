@@ -73,61 +73,89 @@ var conversionModes = []struct {
 	{"sparse", func(n graph.NodeID) bool { return n%2 == 0 }},
 }
 
-// TestEngineVsReferenceAllCombos: random workloads across every rule x
-// tie x wreckage x conversion x ack combination must agree with the
-// per-flit reference model on the full Result. A single Engine is reused across all scenarios, so the test
-// also proves the pooled scratch state resets cleanly between rounds.
+// TestEngineVsReferenceAllCombos: workloads across every rule x tie x
+// wreckage x conversion x ack combination must agree with the per-flit
+// reference model on the full Result. A single Engine per graph is reused
+// across all scenarios, so the test also proves the pooled scratch state
+// resets cleanly between rounds. Random worms on a 4x4 torus cover the
+// rules; the 32x32 torus has 4,096 directed links, so 8,192 band-links,
+// 128 bucket bitmap words and two summary words: the message band fills
+// summary word 0 and the ack band word 1. Its dense contending groups with
+// 2-flit acks must put deferred buckets in both summary words in one step
+// (a step with a collision in each band) under every combination.
 func TestEngineVsReferenceAllCombos(t *testing.T) {
-	tor := topology.NewTorus(2, 4)
-	g := tor.Graph()
-	eng := NewEngine()
-	// An attached-but-empty fault plan must leave the engine byte-for-byte
-	// identical to the fault-free run, across the whole matrix.
-	emptyPlan := (&faults.Plan{}).MustCompile(g, 2)
-
-	seed := uint64(4000)
-	for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
-		for _, tie := range []optical.TiePolicy{optical.TieEliminateAll, optical.TieArbitraryWinner} {
-			for _, wreck := range []WreckagePolicy{Drain, Vanish} {
-				for _, conv := range conversionModes {
-					for _, ack := range []int{0, 2} {
-						for trial := 0; trial < 3; trial++ {
-							seed++
-							src := rng.New(seed)
-							worms := randomWorms(g, src, 24, 4, 8, 2)
-							cfg := Config{
-								Bandwidth:        2,
-								Rule:             rule,
-								Tie:              tie,
-								Wreckage:         wreck,
-								Conversion:       conv.fn,
-								AckLength:        ack,
-								RecordCollisions: true,
-								CheckInvariants:  true,
+	for _, tc := range []struct {
+		side      int
+		acks      []int
+		trials    int    // workloads per combination
+		seed      uint64 // each workload draws from the next seed
+		worms     func(*graph.Graph, *rng.Source) []Worm
+		bothBands bool // require a step with a collision in each band
+	}{
+		{4, []int{0, 2}, 3, 4000, func(g *graph.Graph, src *rng.Source) []Worm {
+			return randomWorms(g, src, 24, 4, 8, 2)
+		}, false},
+		{32, []int{2}, 2, 5100, func(g *graph.Graph, src *rng.Source) []Worm {
+			return denseGroups(g, src, 32, 12, 2)
+		}, true},
+	} {
+		g := topology.NewTorus(2, tc.side).Graph()
+		eng := NewEngine()
+		// An attached-but-empty fault plan must leave the engine
+		// byte-for-byte identical to the fault-free run, across the whole
+		// matrix.
+		emptyPlan := (&faults.Plan{}).MustCompile(g, 2)
+		seed := tc.seed
+		for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
+			for _, tie := range []optical.TiePolicy{optical.TieEliminateAll, optical.TieArbitraryWinner} {
+				for _, wreck := range []WreckagePolicy{Drain, Vanish} {
+					for _, conv := range conversionModes {
+						for _, ack := range tc.acks {
+							combo := fmt.Sprintf("side=%d/%v/%v/%v/conv=%s/ack=%d", tc.side, rule, tie, wreck, conv.name, ack)
+							both := false
+							for trial := 0; trial < tc.trials; trial++ {
+								seed++
+								worms := tc.worms(g, rng.New(seed))
+								cfg := Config{
+									Bandwidth:        2,
+									Rule:             rule,
+									Tie:              tie,
+									Wreckage:         wreck,
+									Conversion:       conv.fn,
+									AckLength:        ack,
+									RecordCollisions: true,
+									CheckInvariants:  true,
+								}
+								label := fmt.Sprintf("%s/trial=%d", combo, trial)
+								fast, errF := eng.Run(g, worms, cfg)
+								cfg.CheckInvariants = false
+								ref, errR := RunReference(g, worms, cfg)
+								if errF != nil || errR != nil {
+									t.Fatalf("%s: engine err %v, reference err %v", label, errF, errR)
+								}
+								compareResults(t, label, fast, ref)
+								both = both || collidesInBothBands(fast.Collisions)
+								cfg.CheckInvariants = true
+								cfg.Faults = emptyPlan
+								withEmpty, errE := eng.Run(g, worms, cfg)
+								if errE != nil {
+									t.Fatalf("%s: empty-plan run: %v", label, errE)
+								}
+								compareResults(t, label+"/empty-plan", withEmpty, ref)
+								if withEmpty.FaultKillCount != 0 {
+									t.Fatalf("%s: empty plan killed %d trains", label, withEmpty.FaultKillCount)
+								}
 							}
-							label := fmt.Sprintf("%v/%v/%v/conv=%s/ack=%d/trial=%d",
-								rule, tie, wreck, conv.name, ack, trial)
-							fast, errF := eng.Run(g, worms, cfg)
-							cfg.CheckInvariants = false
-							ref, errR := RunReference(g, worms, cfg)
-							if errF != nil || errR != nil {
-								t.Fatalf("%s: engine err %v, reference err %v", label, errF, errR)
-							}
-							compareResults(t, label, fast, ref)
-							cfg.CheckInvariants = true
-							cfg.Faults = emptyPlan
-							withEmpty, errE := eng.Run(g, worms, cfg)
-							if errE != nil {
-								t.Fatalf("%s: empty-plan run: %v", label, errE)
-							}
-							compareResults(t, label+"/empty-plan", withEmpty, ref)
-							if withEmpty.FaultKillCount != 0 {
-								t.Fatalf("%s: empty plan killed %d trains", label, withEmpty.FaultKillCount)
+							if tc.bothBands && !both {
+								t.Errorf("%s: no step had a collision in both bands", combo)
 							}
 						}
 					}
 				}
 			}
+		}
+		if want := (2*g.NumLinks() + 4095) / 4096; len(eng.blSum) != want {
+			t.Fatalf("side %d: %d summary words, want %d", tc.side, len(eng.blSum), want)
 		}
 	}
 }
@@ -369,5 +397,95 @@ func TestCalendarInconsistencyError(t *testing.T) {
 	c.takeInto(3, nil)
 	if s, err := c.nextSpawnTime(7); err != nil || s != 7 {
 		t.Fatalf("empty calendar: next = %d, %v; want 7 and no error", s, err)
+	}
+}
+
+// denseGroups draws groups of per worms converging on one destination
+// each: every source is a short random walk away from its destination and
+// every delay falls in a window of 6 steps, so messages contest the links
+// near the destination and their acknowledgements contest the reversed
+// links on the way back.
+func denseGroups(g *graph.Graph, src *rng.Source, groups, per, bandwidth int) []Worm {
+	var worms []Worm
+	ranks := src.Perm(groups * per)
+	for gi := 0; gi < groups; gi++ {
+		d := src.Intn(g.NumNodes())
+		for range per {
+			s := d
+			for h := 2 + src.Intn(4); h > 0; h-- {
+				ns := g.Neighbors(s)
+				s = ns[src.Intn(len(ns))]
+			}
+			if s == d {
+				continue
+			}
+			id := len(worms)
+			worms = append(worms, Worm{
+				ID:         id,
+				Path:       g.ShortestPath(s, d),
+				Length:     1 + src.Intn(3),
+				Delay:      src.Intn(6),
+				Wavelength: src.Intn(bandwidth),
+				Rank:       ranks[id],
+			})
+		}
+	}
+	return worms
+}
+
+// collidesInBothBands reports whether some step of a collision log has a
+// message-band and an ack-band collision.
+func collidesInBothBands(log []Collision) bool {
+	bands := map[int]int{} // step -> bit per band
+	for _, c := range log {
+		bands[c.Time] |= 1 << c.Band
+		if bands[c.Time] == 3 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDeferredEntrantJoinsReleasedSlot pins the interleaving the in-walk
+// claim must get right. At step 2, entrant A reaches link 2->3 while X's
+// tail still holds it, so A defers. X comes later in the active list and
+// releases the link in the same walk; C, later still, then finds the slot
+// free. C must join A's contest rather than claim the slot, because the
+// reference sees two entrants onto a free slot, not an incumbent.
+func TestDeferredEntrantJoinsReleasedSlot(t *testing.T) {
+	g := graph.New(5)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 3)
+	g.AddEdge(4, 2)
+	worms := []Worm{
+		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 1, Delay: 0, Rank: 2}, // A, active first
+		{ID: 1, Path: graph.Path{2, 3}, Length: 1, Delay: 1, Rank: 1},       // X, on 2->3 at step 1
+		{ID: 2, Path: graph.Path{4, 2, 3}, Length: 1, Delay: 1, Rank: 3},    // C, after X
+	}
+	for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
+		for _, tie := range []optical.TiePolicy{optical.TieEliminateAll, optical.TieArbitraryWinner} {
+			for _, ack := range []int{0, 1} {
+				cfg := Config{
+					Bandwidth: 1, Rule: rule, Tie: tie, AckLength: ack,
+					RecordCollisions: true, CheckInvariants: true,
+				}
+				label := fmt.Sprintf("%v/%v/ack=%d", rule, tie, ack)
+				fast, err := NewEngine().Run(g, worms, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				cfg.CheckInvariants = false
+				ref, err := RunReference(g, worms, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				compareResults(t, label, fast, ref)
+				if rule == optical.ServeFirst && tie == optical.TieEliminateAll &&
+					(fast.Outcomes[0].CutTime != 2 || fast.Outcomes[2].CutTime != 2) {
+					t.Errorf("%s: A and C must both be cut entering 2->3 at step 2: %+v", label, fast.Outcomes)
+				}
+			}
+		}
 	}
 }

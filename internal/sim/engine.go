@@ -115,10 +115,11 @@ type Engine struct {
 	wordMask  int  // 1<<wordShift - 1
 	occClean  int  // the bit words covering slots [0,occClean) are known zero
 	darkDirty bool // darkBits has set bits from the previous run
-	// fastClaim enables the optimistic in-walk claim: without faults (and
-	// with keys fitting an int32 bucket slot), the lone entrant of a
-	// bucket onto a free slot claims during collection, skipping the
-	// bucket machinery; a second same-step entrant revokes and defers.
+	// fastClaim enables the optimistic in-walk claim: without faults, an
+	// entrant onto a free slot whose band-link has no bucket yet claims
+	// during collection, skipping the bucket machinery; a second entrant
+	// onto the same slot in the same step revokes the claim and both
+	// defer (see collectPacked).
 	fastClaim bool
 	cal       calendar
 	// arrivals and deadlines are RunDynamic's agendas of request indices:
@@ -134,25 +135,20 @@ type Engine struct {
 	entries   []entry // per-step entrant scratch, chained into buckets by entryNext
 	live      []entry // per-group scratch after headChild chain resolution
 	// Batched grouping scratch: instead of globally sorting e.entries,
-	// each entrant is pushed onto a per-(band,link) chain and the touched
-	// band-links are visited in ascending order via the blWords bitmap,
-	// so a step costs O(entrants + touched words) instead of
-	// O(entrants log entrants). Generation stamps make bucket reuse O(1)
-	// per step with no clearing pass.
+	// each deferred entrant is pushed onto a per-(band,link) chain and the
+	// touched band-links are visited in ascending order through a
+	// two-level bitmap, so a step costs O(entrants + touched words)
+	// instead of O(entrants log entrants) or O(network size).
 	entryNext []int32 // entryNext[i]: next entry index in i's bucket
-	// Bucket state is split by access temperature: bktGen — one byte per
-	// band-link — is the only array every entrant must LOAD, and at a
-	// byte per bucket it stays L1-resident; bktHead/bktTail are only
-	// written on the common path (stores retire through the write
-	// buffer) and read back rarely, on revocation and deferred
-	// resolution. A stamp equal to gen (even) marks a deferred chain
-	// built this step; gen|1 marks an optimistic claim, with bktHead
-	// holding the claimed slot key instead of an entry index.
-	bktGen  []uint8
+	// A band-link's bucket exists exactly when its blWords bit is set:
+	// bktHead and bktTail are read only behind that bit, so they need no
+	// reset, and resolveBuckets zeroes every word it consumes. blSum has
+	// one bit per blWords word (one summary word per 64 bitmap words), so
+	// the resolve pass reads only the words that hold a bucket.
 	bktHead []int32
 	bktTail []int32
-	gen     uint8    // even step stamp; advances by 2, wraps via a clear
 	blWords []uint64 // bitmap over band-links with a non-empty bucket
+	blSum   []uint64 // bitmap over blWords words that are non-zero
 	bucket  []entry  // per-bucket (key, id) sort scratch
 	arena   arena
 	val     validator
@@ -335,27 +331,23 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 		e.darkDirty = false
 	}
 	nBL := 2 * e.nLinks
-	if cap(e.bktGen) < nBL {
-		//optlint:allow hotpath capacity-guarded growth: only the first run on a larger graph allocates
-		e.bktGen = make([]uint8, nBL)
+	if cap(e.bktHead) < nBL {
 		//optlint:allow hotpath capacity-guarded growth: only the first run on a larger graph allocates
 		e.bktHead = make([]int32, nBL)
 		//optlint:allow hotpath capacity-guarded growth: only the first run on a larger graph allocates
 		e.bktTail = make([]int32, nBL)
 	} else {
-		e.bktGen = e.bktGen[:nBL]
 		e.bktHead = e.bktHead[:nBL]
 		e.bktTail = e.bktTail[:nBL]
 	}
-	// Stale stamps from the previous run must not alias this run's steps.
-	clear(e.bktGen)
-	e.gen = 0
+	// Both bitmaps are all zero between steps (resolveBuckets consumes
+	// what collection set), so only newly exposed words need clearing.
 	e.blWords = growWords(e.blWords, (nBL+63)/64)
+	e.blSum = growWords(e.blSum, (len(e.blWords)+63)/64)
 	e.occCount = 0
 	e.occMsg = 0
 	e.probe = cfg.Probe
-	// Keys always fit an int32 bucket slot (validator.begin bounds the
-	// key space), so only faults force the deferred path.
+	// Only faults force the deferred path.
 	e.fastClaim = cfg.Faults == nil
 	if cfg.Faults != nil {
 		e.ef.attach(cfg.Faults, e.nLinks, g.NumNodes(), need)
@@ -510,9 +502,10 @@ func (e *Engine) addTrain(tr *train) {
 	e.cal.add(tr.start, f)
 }
 
-// step advances the simulation by one time step. Entrants are chained
-// into per-(band,link) buckets recorded in the blWords bitmap and resolved
-// in ascending band-link order (TZCNT iteration), the same (slot key, worm
+// step advances the simulation by one time step. Entrants that cannot
+// claim in place are chained into per-(band,link) buckets recorded in the
+// two-level blSum/blWords bitmap and resolved in ascending band-link order
+// (TZCNT iteration over the touched words only), the same (slot key, worm
 // ID) group order the reference resolves in, at O(n) bucket pushes instead
 // of a global O(n log n) sort. In the fault-free case a single walk over
 // the active list performs releases, compaction, and entry collection at
@@ -524,11 +517,6 @@ func (e *Engine) addTrain(tr *train) {
 func (e *Engine) step(t int) {
 	e.entries = e.entries[:0]
 	e.entryNext = e.entryNext[:0]
-	e.gen += 2
-	if e.gen == 0 { // uint8 wrap: flush stale stamps, restart even
-		clear(e.bktGen)
-		e.gen = 2
-	}
 	if e.flt != nil {
 		// Phased layout. Releases run before activation so an ack spawned
 		// by a delivery completing at step t-1 starts now; fault events
@@ -613,10 +601,11 @@ func (e *Engine) step(t int) {
 	e.res.Makespan = t
 }
 
-// collectPacked collects fragment f's head entry for step t, if any,
-// pushing it onto its (band, link) bucket chain. Heads entering a dark
-// link or slot (or an ack entering an ack-loss link) are killed here,
-// before contention, as in the reference.
+// collectPacked collects fragment f's head entry for step t, if any:
+// without faults it claims a free slot in place when its band-link has no
+// bucket, and otherwise pushes the entry onto its (band, link) bucket
+// chain. Heads entering a dark link or slot (or an ack entering an
+// ack-loss link) are killed here, before contention, as in the reference.
 //
 //optlint:hotpath packed
 func (e *Engine) collectPacked(f *fragment, t int) {
@@ -658,122 +647,135 @@ func (e *Engine) collectPacked(f *fragment, t int) {
 		}
 	}
 	bl := k >> e.waveShift
-	g := e.bktGen[bl]
-	if g|1 != e.gen|1 {
-		// First entrant of this bucket this step.
-		if e.fastClaim {
-			wi, m := k>>e.wordShift, uint64(1)<<uint(k&e.wordMask)
-			if e.occBits[wi]&m == 0 {
-				// Optimistic claim: a lone entrant onto a free slot wins
-				// under every rule and tie policy, so claim right here and
-				// skip the bucket machinery. The odd stamp marks the claim
-				// and bktHead remembers the key, so a second same-step
-				// entrant can revoke.
+	if e.fastClaim {
+		wi, m := k>>e.wordShift, uint64(1)<<uint(k&e.wordMask)
+		if e.occBits[wi]&m == 0 {
+			if e.blWords[bl>>6]&(1<<uint(bl&63)) == 0 {
+				// Optimistic claim: an entrant onto a free slot with no
+				// deferred entrant at its band-link wins under every rule
+				// and tie policy unless another entrant reaches the same
+				// slot this step, so claim right here and skip the bucket
+				// machinery. A set bucket bit means an earlier entrant
+				// deferred onto this band-link, possibly onto this very
+				// slot while its incumbent had not yet been released in
+				// the walk, so the entrant must join that contest.
 				e.occBits[wi] |= m
 				e.occCount++
 				if k < e.msgSlots {
 					e.occMsg++
 				}
 				e.occ[k] = occupant{fi: f.self, idx: int32(i)}
-				e.bktGen[bl] = e.gen | 1
-				e.bktHead[bl] = int32(k)
 				return
 			}
+		} else if oc := e.occ[k]; int(oc.idx) == e.fragAt(oc.fi).hi(t) {
+			// The occupant sits at its head index for step t, so it claimed
+			// the slot in place earlier in this walk: every older occupant
+			// is behind its head. Revoke the claim and defer both entrants,
+			// restoring the state the pessimistic path would have built.
+			e.occBits[wi] &^= m
+			e.occCount--
+			if k < e.msgSlots {
+				e.occMsg--
+			}
+			e.push(bl, entry{key: k, f: e.fragAt(oc.fi), idx: int(oc.idx)})
 		}
-		ei := int32(len(e.entries))
-		e.entries = append(e.entries, entry{key: k, f: f, idx: i})
-		e.entryNext = append(e.entryNext, -1)
-		e.bktGen[bl] = e.gen
-		e.bktHead[bl] = ei
-		e.bktTail[bl] = ei
-		e.blWords[bl>>6] |= 1 << uint(bl&63)
-		return
 	}
-	if g&1 != 0 {
-		// A second entrant reached an optimistically claimed bucket: revoke
-		// the claim and rebuild the bucket as a deferred two-entry chain,
-		// restoring exactly the state the pessimistic path would have built.
-		k0 := int(e.bktHead[bl])
-		oc := e.occ[k0]
-		e.occBits[k0>>e.wordShift] &^= 1 << uint(k0&e.wordMask)
-		e.occCount--
-		if k0 < e.msgSlots {
-			e.occMsg--
-		}
-		ej := int32(len(e.entries))
-		e.entries = append(e.entries, entry{key: k0, f: e.fragAt(oc.fi), idx: int(oc.idx)})
-		e.entryNext = append(e.entryNext, -1)
-		e.bktGen[bl] = e.gen
-		e.bktHead[bl] = ej
-		e.bktTail[bl] = ej
-		e.blWords[bl>>6] |= 1 << uint(bl&63)
-	}
+	e.push(bl, entry{key: k, f: f, idx: i})
+}
+
+// push appends en to band-link bl's bucket, starting the chain (and
+// setting its bitmap and summary bits) when the band-link has none.
+//
+//optlint:hotpath packed
+func (e *Engine) push(bl int, en entry) {
 	ei := int32(len(e.entries))
-	e.entries = append(e.entries, entry{key: k, f: f, idx: i})
+	e.entries = append(e.entries, en)
 	e.entryNext = append(e.entryNext, -1)
-	e.entryNext[e.bktTail[bl]] = ei
+	wi, m := bl>>6, uint64(1)<<uint(bl&63)
+	if e.blWords[wi]&m == 0 {
+		e.blWords[wi] |= m
+		e.blSum[wi>>6] |= 1 << uint(wi&63)
+		e.bktHead[bl] = ei
+	} else {
+		e.entryNext[e.bktTail[bl]] = ei
+	}
 	e.bktTail[bl] = ei
 }
 
 // resolveBuckets visits every non-empty bucket in ascending band-link
-// order, insertion-sorts its entrants by (key, id) — buckets are tiny, a
-// handful of wavelengths' worth of contenders — and resolves the groups.
-// Consumed bitmap words are zeroed in place, restoring the all-zero
-// between-steps invariant without a clearing pass.
+// order and resolves it. The summary words name the bitmap words that
+// hold a bucket, so only those are read. Consumed summary and bitmap
+// words are zeroed in place, restoring the all-zero between-steps
+// invariant without a clearing pass.
 //
 //optlint:hotpath packed
 func (e *Engine) resolveBuckets(t int) {
-	for wi, w := range e.blWords {
-		if w == 0 {
+	for si, s := range e.blSum {
+		if s == 0 {
 			continue
 		}
-		e.blWords[wi] = 0
-		base := wi << 6
-		for w != 0 {
-			bl := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			hd := e.bktHead[bl]
-			if e.entryNext[hd] < 0 {
-				// Singleton bucket, by far the common case. With a free
-				// slot every rule, tie policy, and even a stuck coupler
-				// awards the slot to the lone entrant, so claim outright;
-				// only an incumbent needs the full group machinery.
-				en := e.entries[hd]
-				f := en.f
-				for f != nil && f.gone {
-					f = f.headChild
-				}
-				if f == nil || en.idx > int(f.lim) {
-					continue
-				}
-				if e.occBits[en.key>>e.wordShift]&(1<<uint(en.key&e.wordMask)) == 0 {
-					e.setOcc(en.key, f, en.idx)
-					continue
-				}
-				b := e.bucket[:0]
-				b = append(b, entry{key: en.key, f: f, idx: en.idx})
-				e.bucket = b
-				e.resolveGroups(b, t)
-				continue
+		e.blSum[si] = 0
+		for s != 0 {
+			wi := si<<6 | bits.TrailingZeros64(s)
+			s &= s - 1
+			w := e.blWords[wi]
+			e.blWords[wi] = 0
+			base := wi << 6
+			for w != 0 {
+				bl := base + bits.TrailingZeros64(w)
+				w &= w - 1
+				e.resolveBucket(bl, t)
 			}
-			b := e.bucket[:0]
-			for ei := hd; ei >= 0; ei = e.entryNext[ei] {
-				b = append(b, e.entries[ei])
-			}
-			for x := 1; x < len(b); x++ {
-				en := b[x]
-				y := x - 1
-				for y >= 0 && (b[y].key > en.key ||
-					(b[y].key == en.key && b[y].f.t.id > en.f.t.id)) {
-					b[y+1] = b[y]
-					y--
-				}
-				b[y+1] = en
-			}
-			e.bucket = b
-			e.resolveGroups(b, t)
 		}
 	}
+}
+
+// resolveBucket insertion-sorts band-link bl's entrants by (key, id) —
+// buckets are tiny, a handful of wavelengths' worth of contenders — and
+// resolves the groups.
+//
+//optlint:hotpath packed
+func (e *Engine) resolveBucket(bl, t int) {
+	hd := e.bktHead[bl]
+	if e.entryNext[hd] < 0 {
+		// Singleton bucket, by far the common case. With a free slot
+		// every rule, tie policy, and even a stuck coupler awards the
+		// slot to the lone entrant, so claim outright; only an incumbent
+		// needs the full group machinery.
+		en := e.entries[hd]
+		f := en.f
+		for f != nil && f.gone {
+			f = f.headChild
+		}
+		if f == nil || en.idx > int(f.lim) {
+			return
+		}
+		if e.occBits[en.key>>e.wordShift]&(1<<uint(en.key&e.wordMask)) == 0 {
+			e.setOcc(en.key, f, en.idx)
+			return
+		}
+		b := e.bucket[:0]
+		b = append(b, entry{key: en.key, f: f, idx: en.idx})
+		e.bucket = b
+		e.resolveGroups(b, t)
+		return
+	}
+	b := e.bucket[:0]
+	for ei := hd; ei >= 0; ei = e.entryNext[ei] {
+		b = append(b, e.entries[ei])
+	}
+	for x := 1; x < len(b); x++ {
+		en := b[x]
+		y := x - 1
+		for y >= 0 && (b[y].key > en.key ||
+			(b[y].key == en.key && b[y].f.t.id > en.f.t.id)) {
+			b[y+1] = b[y]
+			y--
+		}
+		b[y+1] = en
+	}
+	e.bucket = b
+	e.resolveGroups(b, t)
 }
 
 // convertPacked runs the wavelength-conversion pass using the packed

@@ -58,6 +58,13 @@ func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{2, 0xe5, 0x0c, 0x00, 5, 0x62, 0x05, 7, 0x00, 0x02, 12, 0x84, 0x03, 4, 0xa1,
 		0x31, 0xc5, 0xac, 0x30, 0xa3, 0x9d, 0x5a, 0x44, 0x00, 0xa9, 0xa7, 0xee, 0x7c, 0x25, 0x31,
 		0x3d, 0x0d, 0xe0, 0x30, 0x46, 0xda, 0x7a, 0xe0, 0x4d, 0xa5, 0x5b, 0x73, 0x8b, 0xcd, 0xe9})
+	// The 32x32 torus (graph-byte bit 6) with acks, B=2: two messages from
+	// node 1 whose acks meet on link 2->1 at step 5, while two identical
+	// worms collide on link 64->65, so one step resolves buckets in both
+	// summary words. Serve-first with ties eliminated, then priority with
+	// an arbitrary tie winner.
+	f.Add([]byte{0x40, 0x21, 1, 2, 1, 2, 3, 0x00, 1, 1, 1, 1, 0x08, 64, 0, 1, 0x14, 64, 0, 1, 0x14})
+	f.Add([]byte{0x40, 0x35, 1, 2, 1, 2, 3, 0x00, 1, 1, 1, 1, 0x08, 64, 0, 1, 0x14, 64, 0, 1, 0x14})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -81,14 +88,20 @@ func FuzzEngineVsReference(f *testing.F) {
 	})
 }
 
+// wideTorus is decodeScenario's 32x32 torus, built once: graphs are
+// read-only to the engine and the reference.
+var wideTorus = topology.NewTorus(2, 32).Graph()
+
 // decodeScenario deterministically maps fuzz bytes to a small scenario.
 // Config byte layout: bits 0-1 bandwidth-1, bit 2 rule, bit 3 wreckage,
 // bit 4 tie, bit 5 acknowledgements, bit 6 wavelength conversion, bit 7
 // an attached fault plan.
-// Graph byte: low bits pick the topology; bits 4-5, when nonzero,
-// override the bandwidth to 62+ext ∈ {63, 64, 65} so the packed path's
-// 64-slot word boundary is exercised (zero keeps the config-byte
-// bandwidth).
+// Graph byte: bit 6 picks a 32x32 torus, whose two bands fall in two
+// different summary words of the engine's bucket bitmap; otherwise the
+// byte's value mod 3 picks the chain, the ring or the 3x3 torus. Bits 4-5,
+// when nonzero, override the bandwidth to 62+ext ∈ {63, 64, 65} so the
+// packed path's 64-slot word boundary is exercised (zero keeps the
+// config-byte bandwidth).
 // Plan byte (present when bit 7 is set): bits 0-2 count the faults (zero
 // attaches an empty plan, which must not change any result byte), and
 // bits 3-4 lengthen acknowledgements to 1+ext flits, so fault kills can
@@ -112,6 +125,9 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 	}
 	gb := next()
 	g := graphs[int(gb)%len(graphs)]
+	if gb&0x40 != 0 {
+		g = wideTorus
+	}
 	cfgByte := next()
 	cfg := Config{
 		Bandwidth: 1 + int(cfgByte&3),

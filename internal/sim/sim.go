@@ -309,10 +309,10 @@ func (v *validator) begin(g *graph.Graph, cfg Config, n, hops int) error {
 	if cfg.AckLength < 0 {
 		return fmt.Errorf("sim: negative ack length %d", cfg.AckLength)
 	}
-	// The engine caches slot keys as int32 (train.keys, the optimistic
-	// claim slot): bound the whole padded key space accordingly. Any
-	// geometry near this limit is unrunnable anyway — the occupant table
-	// alone would need tens of gigabytes. Link IDs then fit an int32 too.
+	// The engine caches slot keys as int32 (train.keys): bound the whole
+	// padded key space accordingly. Any geometry near this limit is
+	// unrunnable anyway — the occupant table alone would need tens of
+	// gigabytes. Link IDs then fit an int32 too.
 	if shift := uint(bits.Len(uint(cfg.Bandwidth - 1))); uint64(2*g.NumLinks())<<shift > math.MaxInt32 {
 		return fmt.Errorf("sim: occupancy key space (%d links, bandwidth %d) exceeds int32",
 			g.NumLinks(), cfg.Bandwidth)
@@ -362,6 +362,10 @@ func (v *validator) addPath(g *graph.Graph, p graph.Path, kind string, id int) e
 		return fmt.Errorf("sim: %s %d has a zero-length path", kind, id)
 	}
 	v.gen++
+	if v.gen == 0 { // stamp wrap: invalidate every stale stamp once
+		clear(v.mark)
+		v.gen = 1
+	}
 	for j := 0; j+1 < len(p); j++ {
 		u, x := p[j], p[j+1]
 		if x < 0 || x >= g.NumNodes() {

@@ -521,3 +521,36 @@ func TestValidatorStampGrowth(t *testing.T) {
 		t.Errorf("huge IDs must not leak into the next run's duplicate set: %v", err)
 	}
 }
+
+// TestValidatorLinkStampWrap pins the wrap guard on the validator's
+// per-link stamp. The stamp advances once per validated path; when it
+// returns to zero (2^32 paths on one engine), every never-marked link
+// reads as already visited and a valid worm is rejected as revisiting a
+// directed link, and the stamps of earlier paths alias the new ones. The
+// guard clears the marks and restarts.
+func TestValidatorLinkStampWrap(t *testing.T) {
+	g := chain(4)
+	first := []Worm{{ID: 0, Path: graph.Path{0, 1, 2}, Length: 1}}
+	next := []Worm{{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 1}}
+	want := mustRun(t, g, next, cfg(1)).Outcomes[0]
+	eng := NewEngine()
+	if _, err := eng.Run(g, first, cfg(1)); err != nil {
+		t.Fatal(err)
+	}
+	// The first run stamped links 0->1 and 1->2 with 1. The next path
+	// advances the stamp to 0, the value link 2->3 has never left; a
+	// restart at 1 without clearing would alias the first run's marks.
+	eng.val.gen = -1
+	res, err := eng.Run(g, next, cfg(1))
+	if err != nil {
+		t.Fatalf("valid worm after the stamp wrapped: %v", err)
+	}
+	if res.Outcomes[0] != want {
+		t.Errorf("outcome %+v after the wrap, fresh engine %+v", res.Outcomes[0], want)
+	}
+	bad := []Worm{{ID: 0, Path: graph.Path{0, 1, 0, 1}, Length: 1}}
+	eng.val.gen = -1
+	if _, err := eng.Run(g, bad, cfg(1)); err == nil || !strings.Contains(err.Error(), "revisits a directed link") {
+		t.Errorf("revisit after the wrap: err = %v", err)
+	}
+}
