@@ -200,7 +200,7 @@ func e15TopTrace(tb testing.TB) (*graph.Graph, []sim.Request) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return g, tr.Requests(g.ShortestPath, 4)
+	return g, tr.Requests(paths.BFSSelector(g), 4)
 }
 
 // BenchmarkEngineDynamic measures continuous operation on a reused Engine:

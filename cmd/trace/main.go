@@ -63,7 +63,7 @@ func main() {
 		}
 		worms = append(worms, sim.Worm{
 			ID:         id,
-			Path:       g.ShortestPath(s, d),
+			Path:       g.ShortestPath(s, d, nil),
 			Length:     *length,
 			Delay:      src.Intn(*delta),
 			Wavelength: src.Intn(*bandw),

@@ -125,11 +125,12 @@ func TestValidation(t *testing.T) {
 
 func TestConvoyThroughNode(t *testing.T) {
 	// A convoy on a Y graph: three senders into one sink link, B=1, L=2.
-	g := graph.New(5)
-	g.AddEdge(0, 3)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
+	gb := graph.NewBuilder(5)
+	gb.AddEdge(0, 3)
+	gb.AddEdge(1, 3)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(3, 4)
+	g := gb.Finalize()
 	res, err := Run(g, []Message{
 		{ID: 0, Path: graph.Path{0, 3, 4}, Length: 2},
 		{ID: 1, Path: graph.Path{1, 3, 4}, Length: 2},

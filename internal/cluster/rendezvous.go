@@ -50,9 +50,3 @@ func Owner(peers []Peer, key string) (Peer, bool) {
 	}
 	return best, true
 }
-
-// Owns reports whether this node is the rendezvous owner of key.
-func (n *Node) Owns(key string) bool {
-	owner, ok := Owner(n.cfg.Peers, key)
-	return ok && owner.Name == n.cfg.Self
-}

@@ -183,10 +183,6 @@ type Config struct {
 	Bandwidth int
 	// Length is the worm length L >= 1.
 	Length int
-	// Lengths optionally gives each worm its own length (indexed like the
-	// collection); the schedule then uses the maximum. All entries must be
-	// >= 1 and the slice must match the collection size.
-	Lengths []int
 	// Rule selects serve-first or priority routers.
 	Rule optical.Rule
 	// Schedule provides Delta_t; nil means HalvingSchedule{}.
@@ -217,7 +213,7 @@ type Config struct {
 	// the plan re-anchored to its own local steps via Plan.Shift. At every
 	// round start, still-active worms whose paths cross a link that is down
 	// at that instant are deterministically rerouted around the outage
-	// (paths.ShortestPathAvoiding); worms whose destination is unreachable
+	// (graph.ShortestPath); worms whose destination is unreachable
 	// keep their original path and retry until a repair. Nil keeps the
 	// protocol exactly fault-free.
 	Faults *faults.Plan
@@ -312,16 +308,6 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 	if cfg.Length < 1 {
 		return nil, fmt.Errorf("core: worm length %d < 1", cfg.Length)
 	}
-	if cfg.Lengths != nil {
-		if len(cfg.Lengths) != c.Size() {
-			return nil, fmt.Errorf("core: %d per-worm lengths for %d worms", len(cfg.Lengths), c.Size())
-		}
-		for i, l := range cfg.Lengths {
-			if l < 1 {
-				return nil, fmt.Errorf("core: worm %d length %d < 1", i, l)
-			}
-		}
-	}
 	sched := scheduleOf(cfg)
 	prio := cfg.Priorities
 	if prio == nil {
@@ -331,17 +317,11 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 	if waves == nil {
 		waves = RandomWavelengths{}
 	}
-	maxLen := cfg.Length
-	for _, l := range cfg.Lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
 	params := Params{
 		N:              c.Size(),
 		Dilation:       c.Dilation(),
 		PathCongestion: c.PathCongestion(),
-		Length:         maxLen,
+		Length:         cfg.Length,
 		Bandwidth:      cfg.Bandwidth,
 	}
 	maxRounds := cfg.MaxRounds
@@ -418,16 +398,12 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 		lambdas := waves.Assign(t, active, c, cfg.Bandwidth, src)
 		worms = worms[:len(active)]
 		for i, idx := range active {
-			length := cfg.Length
-			if cfg.Lengths != nil {
-				length = cfg.Lengths[idx]
-			}
 			path := c.Path(idx)
 			if degraded && pathHitsDownLink(x, idx, blocked) {
 				// Deterministic detour; an unreachable destination keeps
 				// the original path (the attempt dies at the outage and
 				// retries next round, by which time a repair may land).
-				if alt := paths.ShortestPathAvoiding(g, path.Source(), path.Dest(), isBlocked); alt != nil {
+				if alt := g.ShortestPath(path.Source(), path.Dest(), isBlocked); alt != nil {
 					path = alt
 					stats.Rerouted++
 				}
@@ -435,7 +411,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 			w := sim.Worm{
 				ID:         idx,
 				Path:       path,
-				Length:     length,
+				Length:     cfg.Length,
 				Delay:      src.Intn(delta),
 				Wavelength: lambdas[i],
 			}

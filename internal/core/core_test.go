@@ -399,35 +399,6 @@ func TestColoredWavelengthsCollisionFreeFirstRound(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousLengths(t *testing.T) {
-	c := torusPermCollection(t, 5, 51)
-	lengths := make([]int, c.Size())
-	for i := range lengths {
-		lengths[i] = 1 + i%6
-	}
-	res, err := Run(c, Config{
-		Bandwidth: 2, Length: 1, Lengths: lengths,
-		Rule: optical.ServeFirst, AckLength: 1, CheckInvariants: true,
-	}, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllDelivered {
-		t.Fatal("heterogeneous workload incomplete")
-	}
-	if res.Params.Length != 6 {
-		t.Errorf("params length = %d, want max 6", res.Params.Length)
-	}
-	// Validation.
-	if _, err := Run(c, Config{Bandwidth: 1, Length: 1, Lengths: []int{1}}, rng.New(1)); err == nil {
-		t.Error("wrong Lengths size accepted")
-	}
-	bad := make([]int, c.Size())
-	if _, err := Run(c, Config{Bandwidth: 1, Length: 1, Lengths: bad}, rng.New(1)); err == nil {
-		t.Error("zero per-worm length accepted")
-	}
-}
-
 func TestDrainVanishStatisticallyIndistinguishable(t *testing.T) {
 	// Ablation A2's claim, tested properly: the distribution of total
 	// rounds under Drain and Vanish wreckage should not differ at the 0.1%

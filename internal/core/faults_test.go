@@ -67,11 +67,12 @@ func TestDegradedRunValidatesPlan(t *testing.T) {
 func TestDegradedRerouteAvoidsDownLink(t *testing.T) {
 	// Ring of 4 with one worm routed 0->1->2; downing 0->1 forever forces
 	// the deterministic detour 0->3->2 in round 1 and delivery anyway.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 0)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(3, 0)
+	g := gb.Finalize()
 	c := paths.MustCollection(g, []graph.Path{{0, 1, 2}})
 	l01, _ := g.LinkBetween(0, 1)
 	plan := &faults.Plan{Faults: []faults.Fault{
@@ -96,9 +97,10 @@ func TestDegradedUnreachableRetriesUntilRepair(t *testing.T) {
 	// Chain 0-1-2: both directions of edge {1,2} down for the first
 	// rounds cut node 2 off entirely. The worm keeps its path, dies at the
 	// outage, and delivers after the repair.
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	gb := graph.NewBuilder(3)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 2)
+	g := gb.Finalize()
 	c := paths.MustCollection(g, []graph.Path{{0, 1, 2}})
 	l12, _ := g.LinkBetween(1, 2)
 	l21, _ := g.LinkBetween(2, 1)

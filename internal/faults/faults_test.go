@@ -9,11 +9,11 @@ import (
 )
 
 func line(n int) *graph.Graph {
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		gb.AddEdge(i, i+1)
 	}
-	return g
+	return gb.Finalize()
 }
 
 func TestFaultActiveAt(t *testing.T) {

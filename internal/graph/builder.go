@@ -2,18 +2,17 @@ package graph
 
 import "fmt"
 
-// Builder accumulates the edge list of a graph whose generator guarantees
-// every undirected edge is produced exactly once, then lays the adjacency
-// out in one flat CSR-style pass. The incremental Graph path (New +
-// AddEdge) keeps a map keyed by node pair for deduplication and grows one
-// slice per node; at a million nodes that map alone costs hundreds of
-// megabytes and millions of allocations. The builder needs neither: edges
-// land in one flat array, Finalize counting-sorts them into shared backing
-// arrays, and the per-node views are subslices of those arrays.
+// Builder is the only way to construct a Graph. It accumulates the edge
+// list in one flat array, then lays the graph out in a single pass:
+// Finalize counting-sorts the links into one shared adjacency array, and
+// each node's row is a subslice of it. At a million nodes this costs a
+// handful of allocations, where a map keyed by node pair and a growing
+// slice per node would cost hundreds of megabytes and millions of them.
 //
-// Builder does NOT deduplicate. Generators that can emit coincident pairs
-// (de Bruijn graphs, circulants with repeated offsets) must keep using
-// Graph.AddEdge, which silently drops duplicates.
+// Generators may record an undirected edge more than once, in either
+// orientation (circulants with repeated offsets or an offset of n/2, the
+// lower-bound gadgets' shared edges): Finalize keeps the first occurrence
+// and drops the repeats.
 type Builder struct {
 	n     int
 	edges []builderEdge
@@ -43,8 +42,8 @@ func (b *Builder) Grow(extra int) {
 }
 
 // AddEdge records the undirected edge {u, v}. It panics on out-of-range
-// nodes or self-loops. The caller must not record the same edge twice (see
-// the type comment); Finalize would materialize a multigraph.
+// nodes or self-loops. Recording an edge again, in either orientation, is
+// allowed; Finalize drops the repeat.
 func (b *Builder) AddEdge(u, v NodeID) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range [0,%d)", u, v, b.n))
@@ -55,74 +54,83 @@ func (b *Builder) AddEdge(u, v NodeID) {
 	b.edges = append(b.edges, builderEdge{u: int32(u), v: int32(v)})
 }
 
-// Finalize builds the Graph. Link IDs match what the incremental path
-// would have produced for the same AddEdge sequence: the k-th recorded
-// edge {u, v} becomes links 2k (u->v) and 2k+1 (v->u), and every per-node
-// list is ordered by ascending link ID. The pair-index map is built only
-// when some node's degree exceeds the LinkBetween scan threshold; sparse
-// graphs (meshes, tori, butterflies) skip it entirely.
+// Finalize builds the Graph. Every repeat of an undirected edge, in
+// either orientation, is dropped and first occurrences keep their order:
+// the k-th kept edge {u, v} becomes links 2k (u->v) and 2k+1 (v->u), and
+// every node's row lists its outgoing links by ascending link ID. The
+// pair-index map is built only when some node's degree exceeds the
+// LinkBetween scan threshold; sparse graphs (meshes, tori, butterflies)
+// skip it entirely.
 //
 // The builder must not be reused after Finalize.
 func (b *Builder) Finalize() *Graph {
-	n := b.n
-	nLinks := 2 * len(b.edges)
-	links := make([]Link, nLinks)
-	// Out-degree equals in-degree at every node (each incident edge
-	// contributes one outgoing and one incoming link), so one offset table
-	// serves all three per-node layouts.
-	off := make([]int32, n+1)
-	for _, e := range b.edges {
-		off[e.u+1]++
-		off[e.v+1]++
+	g := layout(b.n, b.edges)
+	if kept := firstOccurrences(g, b.edges); len(kept) < len(b.edges) {
+		g = layout(b.n, kept)
 	}
-	for k, e := range b.edges {
-		links[2*k] = Link{From: int(e.u), To: int(e.v)}
-		links[2*k+1] = Link{From: int(e.v), To: int(e.u)}
-	}
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		if d := int(off[u+1]); d > maxDeg {
-			maxDeg = d
-		}
-		off[u+1] += off[u]
-	}
-	outFlat := make([]LinkID, nLinks)
-	inFlat := make([]LinkID, nLinks)
-	adjFlat := make([]adjEntry, nLinks)
-	outPos := make([]int32, n)
-	inPos := make([]int32, n)
-	for u := 0; u < n; u++ {
-		outPos[u] = off[u]
-		inPos[u] = off[u]
-	}
-	for id := 0; id < nLinks; id++ {
-		l := links[id]
-		p := outPos[l.From]
-		outFlat[p] = id
-		adjFlat[p] = adjEntry{to: int32(l.To), id: int32(id)}
-		outPos[l.From] = p + 1
-		q := inPos[l.To]
-		inFlat[q] = id
-		inPos[l.To] = q + 1
-	}
-	g := &Graph{
-		n:     n,
-		links: links,
-		out:   make([][]LinkID, n),
-		in:    make([][]LinkID, n),
-		adj:   make([][]adjEntry, n),
-	}
-	for u := 0; u < n; u++ {
-		lo, hi := off[u], off[u+1]
-		// Full-slice expressions pin capacity so a later AddEdge append
-		// copies out instead of clobbering the neighbor's region.
-		g.out[u] = outFlat[lo:hi:hi]
-		g.in[u] = inFlat[lo:hi:hi]
-		g.adj[u] = adjFlat[lo:hi:hi]
-	}
-	if maxDeg > linkScanMaxDegree {
+	if g.MaxDegree() > linkScanMaxDegree {
 		g.buildIndex()
 	}
 	b.edges = nil
 	return g
+}
+
+// layout builds the link table and the adjacency rows of the edges as
+// given. A node's out-degree equals its in-degree (each incident edge
+// contributes one link each way), so one offset table sizes the rows.
+func layout(n int, edges []builderEdge) *Graph {
+	links := make([]Link, 2*len(edges))
+	off := make([]int32, n+1)
+	for k, e := range edges {
+		links[2*k] = Link{From: int(e.u), To: int(e.v)}
+		links[2*k+1] = Link{From: int(e.v), To: int(e.u)}
+		off[e.u+1]++
+		off[e.v+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	flat := make([]adjEntry, len(links))
+	next := append([]int32(nil), off[:n]...)
+	for id, l := range links {
+		p := next[l.From]
+		flat[p] = adjEntry{to: int32(l.To), id: int32(id)}
+		next[l.From] = p + 1
+	}
+	g := &Graph{n: n, links: links, adj: make([][]adjEntry, n)}
+	for u := range g.adj {
+		g.adj[u] = flat[off[u]:off[u+1]]
+	}
+	return g
+}
+
+// firstOccurrences returns the edges with every repeat of an undirected
+// edge removed, first occurrences kept in order. g must be the layout of
+// edges. A node's row lists the links of its incident edges in recording
+// order, so a repeat is a neighbor met twice in one row, and a per-node
+// stamp spots it in one pass: linear time, no map. Repeats are marked and
+// compacted out of edges in place.
+func firstOccurrences(g *Graph, edges []builderEdge) []builderEdge {
+	stamp := make([]int32, g.n) // stamp[v] == u+1: v already met in u's row
+	repeats := false
+	for u, row := range g.adj {
+		for _, a := range row {
+			if stamp[a.to] == int32(u+1) {
+				edges[a.id/2].u = -1
+				repeats = true
+			} else {
+				stamp[a.to] = int32(u + 1)
+			}
+		}
+	}
+	if !repeats {
+		return edges
+	}
+	kept := edges[:0]
+	for _, e := range edges {
+		if e.u >= 0 {
+			kept = append(kept, e)
+		}
+	}
+	return kept
 }

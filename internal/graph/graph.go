@@ -1,5 +1,5 @@
 // Package graph provides the network model underlying the all-optical
-// routing simulator: an undirected multigraph of routers in which every
+// routing simulator: an undirected graph of routers in which every
 // undirected edge consists of two directed optical links, one per
 // direction, exactly as in Section 1.1 of Flammini & Scheideler (SPAA'97).
 //
@@ -17,9 +17,9 @@ import (
 // NodeID identifies a router. Nodes are dense integers in [0, NumNodes).
 type NodeID = int
 
-// LinkID identifies one directed optical link. For the undirected edge
-// {u,v} added as the k-th edge, the links u->v and v->u receive IDs 2k and
-// 2k+1; Reverse flips between them.
+// LinkID identifies one directed optical link. For the k-th undirected
+// edge a Builder keeps, the links u->v and v->u receive IDs 2k and 2k+1;
+// Reverse flips between them.
 type LinkID = int
 
 // Link is one directed optical link.
@@ -34,29 +34,13 @@ type Link struct {
 type adjEntry struct{ to, id int32 }
 
 // Graph is an undirected network whose edges are pairs of directed links.
-// Construct with New and AddEdge; a Graph is immutable once shared.
+// Construct with a Builder; a Graph is immutable once shared.
 type Graph struct {
 	n     int
 	links []Link         // links[id] = directed link
-	out   [][]LinkID     // out[u] = outgoing link IDs
-	in    [][]LinkID     // in[u] = incoming link IDs
-	adj   [][]adjEntry   // adj[u] = (neighbor, link) pairs, scan-friendly
-	index map[uint64]int // packed (from,to) -> LinkID; nil on sparse CSR graphs
+	adj   [][]adjEntry   // adj[u] = (neighbor, link) pairs of u's outgoing links, ascending link ID
+	index map[uint64]int // packed (from,to) -> LinkID; nil unless a node's degree exceeds linkScanMaxDegree
 	label func(NodeID) string
-}
-
-// New returns an empty graph on n nodes. It panics if n <= 0.
-func New(n int) *Graph {
-	if n <= 0 {
-		panic("graph: New needs at least one node")
-	}
-	return &Graph{
-		n:     n,
-		out:   make([][]LinkID, n),
-		in:    make([][]LinkID, n),
-		adj:   make([][]adjEntry, n),
-		index: make(map[uint64]int),
-	}
 }
 
 func pack(u, v NodeID) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
@@ -82,28 +66,7 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return len(g.links) / 2 }
 
-// AddEdge adds the undirected edge {u, v}, creating links u->v and v->u.
-// It panics on out-of-range nodes or self-loops and is a no-op if the edge
-// already exists. On a Builder-finalized graph, the first AddEdge call
-// rebuilds the pair-index map that Finalize skipped.
-func (g *Graph) AddEdge(u, v NodeID) {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range [0,%d)", u, v, g.n))
-	}
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d", u))
-	}
-	if g.index == nil {
-		g.buildIndex()
-	}
-	if _, ok := g.index[pack(u, v)]; ok {
-		return
-	}
-	g.addLink(u, v)
-	g.addLink(v, u)
-}
-
-// buildIndex (re)constructs the pair-index map from the link table.
+// buildIndex constructs the pair-index map from the link table.
 func (g *Graph) buildIndex() {
 	g.index = make(map[uint64]int, len(g.links))
 	for id, l := range g.links {
@@ -111,27 +74,8 @@ func (g *Graph) buildIndex() {
 	}
 }
 
-func (g *Graph) addLink(u, v NodeID) {
-	id := len(g.links)
-	g.links = append(g.links, Link{From: u, To: v})
-	g.index[pack(u, v)] = id
-	g.out[u] = append(g.out[u], id)
-	g.in[v] = append(g.in[v], id)
-	g.adj[u] = append(g.adj[u], adjEntry{to: int32(v), id: int32(id)})
-}
-
-// HasEdge reports whether the undirected edge {u, v} exists.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	if g.index == nil {
-		_, ok := g.LinkBetween(u, v)
-		return ok
-	}
-	_, ok := g.index[pack(u, v)]
-	return ok
-}
-
-// linkScanMaxDegree bounds the adjacency-list scan in LinkBetween: up to
-// this degree a linear walk of out[u] beats the hash lookup (the simulator
+// linkScanMaxDegree bounds the adjacency-row scan in LinkBetween: up to
+// this degree a linear walk of adj[u] beats the hash lookup (the simulator
 // resolves every path hop through LinkBetween each round, so this is a hot
 // call); denser nodes fall back to the map.
 const linkScanMaxDegree = 16
@@ -158,17 +102,12 @@ func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 
 // Reverse returns the link ID of the opposite direction of id. The two
 // directions of the k-th undirected edge are always created together as
-// IDs 2k and 2k+1 (see AddEdge), so the reverse is the XOR of the low bit.
+// IDs 2k and 2k+1 (see Builder.Finalize), so the reverse is the XOR of
+// the low bit.
 func (g *Graph) Reverse(id LinkID) LinkID { return id ^ 1 }
 
-// Out returns the outgoing link IDs of u. The caller must not modify it.
-func (g *Graph) Out(u NodeID) []LinkID { return g.out[u] }
-
-// In returns the incoming link IDs of u. The caller must not modify it.
-func (g *Graph) In(u NodeID) []LinkID { return g.in[u] }
-
 // Degree returns the undirected degree of u.
-func (g *Graph) Degree(u NodeID) int { return len(g.out[u]) }
+func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
 
 // MaxDegree returns the maximum undirected degree over all nodes.
 func (g *Graph) MaxDegree() int {
@@ -179,15 +118,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
-}
-
-// Neighbors returns the neighbors of u in insertion order.
-func (g *Graph) Neighbors(u NodeID) []NodeID {
-	ns := make([]NodeID, len(g.out[u]))
-	for i, id := range g.out[u] {
-		ns[i] = g.links[id].To
-	}
-	return ns
 }
 
 // BFS returns the distance (in edges) from src to every node; unreachable
@@ -202,8 +132,8 @@ func (g *Graph) BFS(src NodeID) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, id := range g.out[u] {
-			v := g.links[id].To
+		for _, a := range g.adj[u] {
+			v := int(a.to)
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -214,9 +144,12 @@ func (g *Graph) BFS(src NodeID) []int {
 }
 
 // ShortestPath returns one shortest path from src to dst as a node
-// sequence, or nil if dst is unreachable. Ties are broken by link
-// insertion order, so the result is deterministic.
-func (g *Graph) ShortestPath(src, dst NodeID) Path {
+// sequence that uses no link for which blocked returns true, or nil if
+// dst is unreachable; a nil blocked blocks nothing. Ties are broken by
+// link ID order, so the result is deterministic. The degraded-mode
+// protocol rounds pass the links a fault plan has taken down to steer
+// still-active worms around them.
+func (g *Graph) ShortestPath(src, dst NodeID, blocked func(LinkID) bool) Path {
 	if src == dst {
 		return Path{src}
 	}
@@ -229,8 +162,11 @@ func (g *Graph) ShortestPath(src, dst NodeID) Path {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, id := range g.out[u] {
-			v := g.links[id].To
+		for _, a := range g.adj[u] {
+			if blocked != nil && blocked(int(a.id)) {
+				continue
+			}
+			v := int(a.to)
 			if parent[v] < 0 {
 				parent[v] = u
 				if v == dst {
@@ -256,18 +192,6 @@ func reconstruct(parent []NodeID, src, dst NodeID) Path {
 		p[len(rev)-1-i] = v
 	}
 	return p
-}
-
-// Connected reports whether the graph is connected (true for the
-// single-node graph).
-func (g *Graph) Connected() bool {
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Diameter returns the largest finite shortest-path distance, running a

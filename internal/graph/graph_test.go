@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,49 +10,57 @@ import (
 	"repro/internal/rng"
 )
 
+// build finalizes a graph on n nodes with the given edges.
+func build(n int, edges ...[2]int) *Graph {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Finalize()
+}
+
 // ringGraph builds a cycle on n nodes.
 func ringGraph(n int) *Graph {
-	g := New(n)
+	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+1)%n)
 	}
-	return g
+	return b.Finalize()
 }
 
 func TestNewPanicsOnZeroNodes(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(0) did not panic")
+			t.Fatal("NewBuilder(0) did not panic")
 		}
 	}()
-	New(0)
+	NewBuilder(0)
 }
 
 func TestAddEdgeBasics(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := build(3, [2]int{0, 1}, [2]int{1, 2})
 	if g.NumEdges() != 2 || g.NumLinks() != 4 {
 		t.Fatalf("edges/links = %d/%d, want 2/4", g.NumEdges(), g.NumLinks())
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Error("HasEdge should be symmetric")
+	_, fwd := g.LinkBetween(0, 1)
+	_, bwd := g.LinkBetween(1, 0)
+	if !fwd || !bwd {
+		t.Error("an edge should be linked both ways")
 	}
-	if g.HasEdge(0, 2) {
+	if _, ok := g.LinkBetween(0, 2); ok {
 		t.Error("nonexistent edge reported")
 	}
-	// Duplicate add is a no-op.
-	g.AddEdge(1, 0)
-	if g.NumEdges() != 2 {
-		t.Errorf("duplicate AddEdge changed edge count to %d", g.NumEdges())
+	// A repeat, in either orientation, is dropped.
+	if g := build(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{1, 0}, [2]int{1, 2}); g.NumEdges() != 2 {
+		t.Errorf("repeated AddEdge changed edge count to %d", g.NumEdges())
 	}
 }
 
 func TestAddEdgePanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"self-loop":    func() { New(2).AddEdge(1, 1) },
-		"out-of-range": func() { New(2).AddEdge(0, 5) },
-		"negative":     func() { New(2).AddEdge(-1, 0) },
+		"self-loop":    func() { NewBuilder(2).AddEdge(1, 1) },
+		"out-of-range": func() { NewBuilder(2).AddEdge(0, 5) },
+		"negative":     func() { NewBuilder(2).AddEdge(-1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -65,8 +74,7 @@ func TestAddEdgePanics(t *testing.T) {
 }
 
 func TestLinkDirections(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
+	g := build(2, [2]int{0, 1})
 	fwd, ok := g.LinkBetween(0, 1)
 	if !ok {
 		t.Fatal("missing forward link")
@@ -87,22 +95,16 @@ func TestLinkDirections(t *testing.T) {
 }
 
 func TestOutInDegree(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
+	g := build(4, [2]int{0, 1}, [2]int{0, 2}, [2]int{3, 0})
 	if g.Degree(0) != 3 || g.Degree(1) != 1 {
 		t.Errorf("degrees wrong: %d, %d", g.Degree(0), g.Degree(1))
-	}
-	if len(g.Out(0)) != 3 || len(g.In(0)) != 3 {
-		t.Errorf("out/in sizes at hub: %d/%d", len(g.Out(0)), len(g.In(0)))
 	}
 	if g.MaxDegree() != 3 {
 		t.Errorf("MaxDegree = %d, want 3", g.MaxDegree())
 	}
-	ns := g.Neighbors(0)
-	if len(ns) != 3 || ns[0] != 1 || ns[1] != 2 || ns[2] != 3 {
-		t.Errorf("Neighbors(0) = %v", ns)
+	want := []adjEntry{{to: 1, id: 0}, {to: 2, id: 2}, {to: 3, id: 5}}
+	if !slices.Equal(g.adj[0], want) {
+		t.Errorf("hub row = %v, want %v", g.adj[0], want)
 	}
 }
 
@@ -118,14 +120,10 @@ func TestBFSRing(t *testing.T) {
 }
 
 func TestBFSDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
+	g := build(4, [2]int{0, 1})
 	dist := g.BFS(0)
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Errorf("unreachable nodes should have distance -1: %v", dist)
-	}
-	if g.Connected() {
-		t.Error("disconnected graph reported as connected")
 	}
 	if g.Diameter() != -1 {
 		t.Error("disconnected diameter should be -1")
@@ -137,22 +135,21 @@ func TestBFSDisconnected(t *testing.T) {
 
 func TestShortestPath(t *testing.T) {
 	g := ringGraph(8)
-	p := g.ShortestPath(0, 3)
+	p := g.ShortestPath(0, 3, nil)
 	if p.Len() != 3 || p.Source() != 0 || p.Dest() != 3 {
 		t.Fatalf("shortest path 0->3 on ring8: %v", p)
 	}
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if q := g.ShortestPath(2, 2); len(q) != 1 || q[0] != 2 {
+	if q := g.ShortestPath(2, 2, nil); len(q) != 1 || q[0] != 2 {
 		t.Errorf("trivial path = %v", q)
 	}
-	g2 := New(3)
-	g2.AddEdge(0, 1)
-	if g.ShortestPath(0, 0) == nil {
+	g2 := build(3, [2]int{0, 1})
+	if g.ShortestPath(0, 0, nil) == nil {
 		t.Error("self path should not be nil")
 	}
-	if p := g2.ShortestPath(0, 2); p != nil {
+	if p := g2.ShortestPath(0, 2, nil); p != nil {
 		t.Errorf("unreachable path should be nil, got %v", p)
 	}
 }
@@ -168,13 +165,13 @@ func TestDiameterAndEccentricity(t *testing.T) {
 }
 
 func TestConnectedSingleNode(t *testing.T) {
-	if !New(1).Connected() {
-		t.Error("single node graph should be connected")
+	if d := NewBuilder(1).Finalize().Diameter(); d != 0 {
+		t.Errorf("single node graph diameter = %d, want 0 (connected)", d)
 	}
 }
 
 func TestNodeLabel(t *testing.T) {
-	g := New(2)
+	g := build(2)
 	if g.NodeLabel(1) != "1" {
 		t.Errorf("default label = %q", g.NodeLabel(1))
 	}
@@ -189,19 +186,20 @@ func TestShortestPathIsShortestProperty(t *testing.T) {
 	check := func(seed uint16) bool {
 		src := rng.New(uint64(seed))
 		n := 5 + src.Intn(20)
-		g := New(n)
+		gb := NewBuilder(n)
 		// Random connected graph: spanning chain + extra edges.
 		for i := 1; i < n; i++ {
-			g.AddEdge(i-1, i)
+			gb.AddEdge(i-1, i)
 		}
 		for k := 0; k < n; k++ {
 			u, v := src.Intn(n), src.Intn(n)
 			if u != v {
-				g.AddEdge(u, v)
+				gb.AddEdge(u, v)
 			}
 		}
+		g := gb.Finalize()
 		a, b := r.Intn(n), r.Intn(n)
-		p := g.ShortestPath(a, b)
+		p := g.ShortestPath(a, b, nil)
 		if p == nil {
 			return false
 		}
@@ -216,10 +214,11 @@ func TestBFSTriangleInequalityProperty(t *testing.T) {
 	check := func(seed uint16) bool {
 		src := rng.New(uint64(seed))
 		n := 4 + src.Intn(16)
-		g := New(n)
+		b := NewBuilder(n)
 		for i := 1; i < n; i++ {
-			g.AddEdge(src.Intn(i), i)
+			b.AddEdge(src.Intn(i), i)
 		}
+		g := b.Finalize()
 		u, v, w := src.Intn(n), src.Intn(n), src.Intn(n)
 		du := g.BFS(u)
 		dv := g.BFS(v)
@@ -255,15 +254,8 @@ func TestWriteDot(t *testing.T) {
 // on: for every link, Reverse must return the directed opposite, agree
 // with an index lookup, and be an involution.
 func TestReversePairing(t *testing.T) {
-	g := New(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 5)
-	g.AddEdge(5, 6)
-	g.AddEdge(6, 3)
-	g.AddEdge(0, 6)
+	g := build(7, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4},
+		[2]int{4, 5}, [2]int{5, 6}, [2]int{6, 3}, [2]int{0, 6})
 	for id := 0; id < g.NumLinks(); id++ {
 		l := g.Link(id)
 		rev := g.Reverse(id)
@@ -286,11 +278,12 @@ func TestReversePairing(t *testing.T) {
 // absent pair, including out-of-range nodes.
 func TestLinkBetweenScanAndMapAgree(t *testing.T) {
 	const leaves = linkScanMaxDegree + 8
-	g := New(leaves + 2)
+	b := NewBuilder(leaves + 2)
 	for v := 1; v <= leaves; v++ {
-		g.AddEdge(0, v) // node 0 ends up beyond the scan threshold
+		b.AddEdge(0, v) // node 0 ends up beyond the scan threshold
 	}
-	g.AddEdge(1, 2) // a low-degree pair
+	b.AddEdge(1, 2) // a low-degree pair
+	g := b.Finalize()
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := 0; v < g.NumNodes(); v++ {
 			id, ok := g.LinkBetween(u, v)

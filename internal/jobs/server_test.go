@@ -295,6 +295,41 @@ func TestServerSubmitTrialsBound(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnbuildableNetworks: a route or dynamic job on a
+// network whose constructor would panic is refused with 400 and queues
+// nothing, and the daemon goes on serving.
+func TestServerRejectsUnbuildableNetworks(t *testing.T) {
+	srv, c, sched := newTestServer(t, Options{})
+	for _, n := range unbuildableNetworks {
+		dynamic := testDynamicSpec(t, 1, 1)
+		dynamic.Dynamic.Network = n
+		for _, spec := range []Spec{{Route: &RouteSpec{Network: n, Trials: 1}}, dynamic} {
+			body, err := json.Marshal(SubmitRequest{Spec: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%+v: status %d, want 400", n, resp.StatusCode)
+			}
+		}
+	}
+	if m := sched.Metrics(); m.QueueDepth != 0 || m.Running != 0 || m.JobsDone != 0 {
+		t.Fatalf("an unbuildable network reached the scheduler: %+v", m)
+	}
+	st, err := c.Submit(testSpec(5, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Result(st.Key); err != nil || len(res.Trials) != 1 {
+		t.Fatalf("daemon stopped serving: %v", err)
+	}
+}
+
 // TestServerStream: the NDJSON stream ends with a settled state.
 func TestServerStream(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{})

@@ -282,10 +282,16 @@ func (n NetworkSpec) validate() error {
 		}
 		return nil
 	}
+	// The lower bounds are the constructors' preconditions: a torus of
+	// side 2, a ring of 2 nodes, a CCC or star graph of dimension 2 and a
+	// circulant offset above size/2 make the topology package panic.
 	switch n.Kind {
 	case "torus", "mesh":
 		if err := inRange("dims", n.Dims, 1, 4); err != nil {
 			return err
+		}
+		if n.Kind == "torus" {
+			return inRange("side", n.Side, 3, 64)
 		}
 		return inRange("side", n.Side, 2, 64)
 	case "hypercube":
@@ -293,21 +299,21 @@ func (n NetworkSpec) validate() error {
 	case "butterfly":
 		return inRange("dim", n.Dim, 1, 8)
 	case "ring":
-		return inRange("size", n.Size, 2, 4096)
+		return inRange("size", n.Size, 3, 4096)
 	case "circulant":
 		if len(n.Offsets) == 0 || len(n.Offsets) > 8 {
 			return fmt.Errorf("jobs: circulant needs 1..8 offsets")
 		}
 		for _, o := range n.Offsets {
-			if o < 1 || o >= n.Size {
-				return fmt.Errorf("jobs: circulant offset %d out of range [1, size)", o)
+			if o < 1 || o > n.Size/2 {
+				return fmt.Errorf("jobs: circulant offset %d out of range [1, size/2]", o)
 			}
 		}
 		return inRange("size", n.Size, 3, 4096)
 	case "ccc":
-		return inRange("dim", n.Dim, 2, 8)
+		return inRange("dim", n.Dim, 3, 8)
 	case "star":
-		return inRange("dim", n.Dim, 2, 7)
+		return inRange("dim", n.Dim, 3, 7)
 	default:
 		return fmt.Errorf("jobs: unknown network kind %q", n.Kind)
 	}

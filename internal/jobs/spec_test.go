@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/canon"
@@ -105,6 +106,17 @@ func TestSpecKeyJSONOrderInsensitive(t *testing.T) {
 	}
 }
 
+// unbuildableNetworks are within the kinds' size bounds but outside their
+// constructors' preconditions: a torus of side 2, a ring of 2 nodes, a CCC
+// and a star graph of dimension 2, and a circulant offset above size/2.
+var unbuildableNetworks = []NetworkSpec{
+	{Kind: "torus", Dims: 2, Side: 2},
+	{Kind: "ring", Size: 2},
+	{Kind: "ccc", Dim: 2},
+	{Kind: "star", Dim: 2},
+	{Kind: "circulant", Size: 8, Offsets: []int{5}},
+}
+
 // TestSpecValidate rejects malformed specs with telling messages.
 func TestSpecValidate(t *testing.T) {
 	cases := map[string]Spec{
@@ -120,6 +132,9 @@ func TestSpecValidate(t *testing.T) {
 		"exp trials -1":   {Experiment: &ExperimentSpec{ID: "E1", Trials: -1}},
 		"exp trials >max": {Experiment: &ExperimentSpec{ID: "E1", Trials: 10001}},
 	}
+	for _, n := range unbuildableNetworks {
+		cases[fmt.Sprintf("unbuildable %+v", n)] = Spec{Route: &RouteSpec{Network: n}}
+	}
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, s)
@@ -131,24 +146,58 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// networkNodes is the node count of the network a valid spec declares,
+// worked out from its fields.
+func networkNodes(n NetworkSpec) int {
+	switch n.Kind {
+	case "torus", "mesh":
+		nodes := 1
+		for range n.Dims {
+			nodes *= n.Side
+		}
+		return nodes
+	case "hypercube":
+		return 1 << n.Dim
+	case "butterfly":
+		return (n.Dim + 1) << n.Dim
+	case "ccc":
+		return n.Dim << n.Dim
+	case "star":
+		nodes := 1
+		for k := 2; k <= n.Dim; k++ {
+			nodes *= k
+		}
+		return nodes
+	default: // ring, circulant
+		return n.Size
+	}
+}
+
 // FuzzSpecKey drives the submit decoder: a POST /jobs body decodes into
 // a SubmitRequest as the server decodes it, and a spec that does not
 // validate is refused with an error, never a panic. A spec that validates
 // keys the same as its normalized form, the canonical bytes of that form
 // decode with encoding/json into a spec with the same key, normalizing
 // twice encodes as normalizing once, and its trial count is inside
-// [0, maxTrials].
+// [0, maxTrials]. A validated route or dynamic spec whose network has at
+// most 4,096 nodes (and a route job at most 4,096 pairs) goes through the
+// setup the executor runs, which may refuse it with an error but must not
+// panic.
 func FuzzSpecKey(f *testing.F) {
 	emptyPlan := testSpec(3, 2)
 	emptyPlan.Route.Faults = &faults.Plan{}
-	for _, spec := range []Spec{
+	seeds := []Spec{
 		goldenRouteSpec(4),
 		testDynamicSpec(f, 5, 2),
 		{Experiment: &ExperimentSpec{ID: "F5", Seed: 1, Trials: 3, Quick: true}},
 		{Experiment: &ExperimentSpec{ID: "E1", Trials: 2000000000}},
 		{Route: &RouteSpec{Network: NetworkSpec{Kind: "circulant", Size: 8, Offsets: []int{1, 3}}, Trials: 2}},
 		emptyPlan,
-	} {
+	}
+	for _, n := range unbuildableNetworks {
+		seeds = append(seeds, Spec{Route: &RouteSpec{Network: n, Trials: 1}})
+	}
+	for _, spec := range seeds {
 		b, err := json.Marshal(SubmitRequest{Spec: spec, Priority: 1})
 		if err != nil {
 			f.Fatal(err)
@@ -197,6 +246,16 @@ func FuzzSpecKey(f *testing.F) {
 		}
 		if !bytes.Equal(again, b) {
 			t.Fatalf("normalizing twice changed the bytes:\n got %s\nwant %s", again, b)
+		}
+		// Setup may refuse the spec with an error; a panic fails the target.
+		// A route job's pairs are capped too: q pairs per node on a ring of
+		// 4,096 nodes would route hundreds of thousands of paths averaging
+		// a thousand hops.
+		switch {
+		case norm.Route != nil && networkNodes(norm.Route.Network)*max(1, norm.Route.Workload.Q) <= 4096:
+			_, _ = norm.Route.setup()
+		case norm.Dynamic != nil && networkNodes(norm.Dynamic.Network) <= 4096:
+			_, _ = norm.Dynamic.setup()
 		}
 	})
 }

@@ -58,18 +58,14 @@ func (b *builder) node() int {
 func (b *builder) edge(u, v int) { b.edges = append(b.edges, [2]int{u, v}) }
 
 // finish lays the union graph out in one graph.Builder pass. Gadgets record
-// a shared edge once per path through it, so repeats are dropped first,
-// keeping first occurrences in order: the link IDs and per-node orders are
-// then exactly those of per-edge Graph.AddEdge calls, which drop repeats
-// the same way.
+// a shared edge once per path through it; Finalize drops the repeats.
 func (b *builder) finish() *Build {
 	if b.n == 0 {
 		b.n = 1
 	}
 	gb := graph.NewBuilder(b.n)
-	edges := uniqueEdges(b.n, b.edges)
-	gb.Grow(len(edges))
-	for _, e := range edges {
+	gb.Grow(len(b.edges))
+	for _, e := range b.edges {
 		gb.AddEdge(e[0], e[1])
 	}
 	g := gb.Finalize()
@@ -79,52 +75,6 @@ func (b *builder) finish() *Build {
 		Structures: b.structs,
 		Ranks:      b.ranks,
 	}
-}
-
-// uniqueEdges returns the edges with every repeat of an undirected edge
-// (in either orientation) removed, first occurrences kept in order. Edges
-// are bucketed by their smaller endpoint with a counting sort, and a
-// per-node stamp spots a repeated larger endpoint within a bucket: linear
-// time, no map.
-func uniqueEdges(n int, edges [][2]int) [][2]int {
-	off := make([]int, n+1)
-	for _, e := range edges {
-		off[min(e[0], e[1])+1]++
-	}
-	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
-	}
-	byLow := make([]int, len(edges)) // edge indices, bucketed, ascending within a bucket
-	next := append([]int(nil), off[:n]...)
-	for k, e := range edges {
-		lo := min(e[0], e[1])
-		byLow[next[lo]] = k
-		next[lo]++
-	}
-	stamp := make([]int, n) // stamp[v] == u+1: edge {u, v} already kept
-	repeat := make([]bool, len(edges))
-	dups := 0
-	for u := 0; u < n; u++ {
-		for _, k := range byLow[off[u]:off[u+1]] {
-			hi := max(edges[k][0], edges[k][1])
-			if stamp[hi] == u+1 {
-				repeat[k] = true
-				dups++
-			} else {
-				stamp[hi] = u + 1
-			}
-		}
-	}
-	if dups == 0 {
-		return edges
-	}
-	out := make([][2]int, 0, len(edges)-dups)
-	for k, e := range edges {
-		if !repeat[k] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Staggered builds `structures` copies of the Figure 5 gadget, each with
@@ -305,59 +255,4 @@ func Identical(structures, pathsPer, D int) *Build {
 		b.structs = append(b.structs, idxs)
 	}
 	return b.finish()
-}
-
-// Mixed builds the full lower-bound collection of Section 2.2: half the
-// worms in staggered (or cyclic) type-1 structures, half in identical
-// type-2 structures, as the proofs combine both. kind is "staggered" or
-// "cyclic".
-func Mixed(kind string, type1Structures, pathsPer, type2Structures, congestion, D, L int) *Build {
-	var t1 *Build
-	switch kind {
-	case "staggered":
-		t1 = Staggered(type1Structures, pathsPer, D, L)
-	case "cyclic":
-		t1 = Cyclic(type1Structures, D, L)
-	default:
-		panic(fmt.Sprintf("lowerbound: unknown type-1 kind %q", kind))
-	}
-	t2 := Identical(type2Structures, congestion, D)
-	return merge(t1, t2)
-}
-
-// merge concatenates two builds into one disjoint union.
-func merge(a, b *Build) *Build {
-	off := a.Graph.NumNodes()
-	nb := &builder{n: off + b.Graph.NumNodes()}
-	// Re-add a's edges and paths verbatim.
-	for id := 0; id < a.Graph.NumLinks(); id += 2 {
-		l := a.Graph.Link(id)
-		nb.edge(l.From, l.To)
-	}
-	for id := 0; id < b.Graph.NumLinks(); id += 2 {
-		l := b.Graph.Link(id)
-		nb.edge(l.From+off, l.To+off)
-	}
-	for i := 0; i < a.Collection.Size(); i++ {
-		nb.paths = append(nb.paths, a.Collection.Path(i))
-	}
-	for i := 0; i < b.Collection.Size(); i++ {
-		p := b.Collection.Path(i)
-		shifted := make(graph.Path, len(p))
-		for k, u := range p {
-			shifted[k] = u + off
-		}
-		nb.paths = append(nb.paths, shifted)
-	}
-	nb.structs = append(nb.structs, a.Structures...)
-	base := a.Collection.Size()
-	for _, st := range b.Structures {
-		shifted := make([]int, len(st))
-		for i, w := range st {
-			shifted[i] = w + base
-		}
-		nb.structs = append(nb.structs, shifted)
-	}
-	nb.ranks = append(append([]int{}, a.Ranks...), b.Ranks...)
-	return nb.finish()
 }

@@ -2,7 +2,6 @@ package lowerbound
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -219,41 +218,6 @@ func TestIdenticalStructure(t *testing.T) {
 	}
 }
 
-func TestMixed(t *testing.T) {
-	b := Mixed("staggered", 2, 3, 2, 4, 10, 3)
-	if b.Collection.Size() != 2*3+2*4 {
-		t.Fatalf("size = %d", b.Collection.Size())
-	}
-	if len(b.Structures) != 4 {
-		t.Fatalf("structures = %d", len(b.Structures))
-	}
-	// Worm indices must partition [0, size).
-	seen := map[int]bool{}
-	for _, st := range b.Structures {
-		for _, w := range st {
-			if seen[w] {
-				t.Fatal("worm in two structures")
-			}
-			seen[w] = true
-		}
-	}
-	if len(seen) != b.Collection.Size() {
-		t.Fatal("structures do not cover all worms")
-	}
-	if len(b.Ranks) != b.Collection.Size() {
-		t.Fatal("ranks length")
-	}
-	// Stats still sane after merge.
-	if b.Collection.PathCongestion() != 4 {
-		t.Errorf("merged path congestion = %d, want 4", b.Collection.PathCongestion())
-	}
-
-	b2 := Mixed("cyclic", 2, 0, 1, 3, 8, 4)
-	if b2.Collection.Size() != 2*3+3 {
-		t.Fatalf("cyclic mixed size = %d", b2.Collection.Size())
-	}
-}
-
 func TestGeneratorPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"staggered structures 0": func() { Staggered(0, 2, 8, 3) },
@@ -264,7 +228,6 @@ func TestGeneratorPanics(t *testing.T) {
 		"cyclic D short":         func() { Cyclic(1, 1, 8) },
 		"identical 0":            func() { Identical(0, 2, 3) },
 		"identical D 0":          func() { Identical(1, 2, 0) },
-		"mixed bad kind":         func() { Mixed("weird", 1, 2, 1, 2, 8, 3) },
 	} {
 		func() {
 			defer func() {
@@ -277,47 +240,52 @@ func TestGeneratorPanics(t *testing.T) {
 	}
 }
 
-// TestFinishMatchesAddEdgeGraph pins the one-pass graph build against the
-// per-edge Graph.AddEdge build it replaced. Every generator records its
-// edges as the consecutive node pairs of its paths, in path order, so
-// re-adding those pairs one by one (AddEdge drops the repeats) reproduces
-// the old graph: link IDs, per-node orders and lookups must all agree.
+// TestFinishMatchesAddEdgeGraph pins the one-pass graph build against
+// per-edge construction. Every generator records its edges as the
+// consecutive node pairs of its paths, in path order, so re-adding those
+// pairs one by one through a map that drops repeats reproduces the graph:
+// link IDs, degrees and lookups must all agree.
 func TestFinishMatchesAddEdgeGraph(t *testing.T) {
 	builds := map[string]*Build{}
 	for _, L := range []int{2, 3, 4, 7} {
 		d := (L-1)/2 + 1
 		builds[fmt.Sprintf("staggered-L%d", L)] = Staggered(3, 4, 3*d+4, L)
 		builds[fmt.Sprintf("cyclic-L%d", L)] = Cyclic(3, L/2+3, L)
-		builds[fmt.Sprintf("mixed-staggered-L%d", L)] = Mixed("staggered", 2, 3, 2, 4, 3*d+4, L)
-		builds[fmt.Sprintf("mixed-cyclic-L%d", L)] = Mixed("cyclic", 2, 3, 2, 4, L/2+3, L)
 	}
 	builds["identical"] = Identical(3, 5, 6)
 	for name, b := range builds {
 		got := b.Graph
-		want := graph.New(got.NumNodes())
+		var want []graph.Link
+		seen := map[[2]int]int{} // (from, to) -> link ID
 		for _, p := range b.Collection.Paths() {
 			for k := 0; k+1 < len(p); k++ {
-				want.AddEdge(p[k], p[k+1])
+				u, v := p[k], p[k+1]
+				if _, ok := seen[[2]int{u, v}]; ok {
+					continue
+				}
+				seen[[2]int{u, v}], seen[[2]int{v, u}] = len(want), len(want)+1
+				want = append(want, graph.Link{From: u, To: v}, graph.Link{From: v, To: u})
 			}
 		}
-		if got.NumLinks() != want.NumLinks() {
-			t.Fatalf("%s: %d links, AddEdge build has %d", name, got.NumLinks(), want.NumLinks())
+		if got.NumLinks() != len(want) {
+			t.Fatalf("%s: %d links, per-edge build has %d", name, got.NumLinks(), len(want))
 		}
-		for id := 0; id < got.NumLinks(); id++ {
-			if got.Link(id) != want.Link(id) {
-				t.Fatalf("%s: link %d = %v, AddEdge build has %v", name, id, got.Link(id), want.Link(id))
+		degree := make([]int, got.NumNodes())
+		for id, l := range want {
+			if got.Link(id) != l {
+				t.Fatalf("%s: link %d = %v, per-edge build has %v", name, id, got.Link(id), l)
 			}
+			degree[l.From]++
 		}
 		for u := 0; u < got.NumNodes(); u++ {
-			if !slices.Equal(got.Out(u), want.Out(u)) || !slices.Equal(got.In(u), want.In(u)) {
-				t.Fatalf("%s: node %d out/in = %v/%v, AddEdge build has %v/%v",
-					name, u, got.Out(u), got.In(u), want.Out(u), want.In(u))
+			if got.Degree(u) != degree[u] {
+				t.Fatalf("%s: node %d degree %d, per-edge build has %d", name, u, got.Degree(u), degree[u])
 			}
 			for v := 0; v < got.NumNodes(); v++ {
 				gid, gok := got.LinkBetween(u, v)
-				wid, wok := want.LinkBetween(u, v)
+				wid, wok := seen[[2]int{u, v}]
 				if gid != wid || gok != wok {
-					t.Fatalf("%s: LinkBetween(%d, %d) = %d,%t, AddEdge build has %d,%t", name, u, v, gid, gok, wid, wok)
+					t.Fatalf("%s: LinkBetween(%d, %d) = %d,%t, per-edge build has %d,%t", name, u, v, gid, gok, wid, wok)
 				}
 			}
 		}

@@ -91,11 +91,12 @@ func TestIsShortCutFreeBasic(t *testing.T) {
 
 func TestIsShortCutFreeViolation(t *testing.T) {
 	// p goes u ... v the long way; q goes u -> v directly.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(0, 3) // chord
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(0, 3) // chord
+	g := gb.Finalize()
 	c := MustCollection(g, []graph.Path{{0, 1, 2, 3}, {0, 3}})
 	if c.IsShortCutFree() {
 		t.Fatal("chord path short-cuts the long path; must be detected")
@@ -104,11 +105,12 @@ func TestIsShortCutFreeViolation(t *testing.T) {
 
 func TestIsShortCutFreeDirectionMatters(t *testing.T) {
 	// q visits v before u, so it does not short-cut p's u..v subpath.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(0, 3)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(0, 3)
+	g := gb.Finalize()
 	c := MustCollection(g, []graph.Path{{0, 1, 2, 3}, {3, 0}})
 	if !c.IsShortCutFree() {
 		t.Fatal("reverse-direction chord is not a shortcut")
@@ -128,11 +130,12 @@ func TestSelfShortcutNonSimplePath(t *testing.T) {
 	// subpaths of different lengths: node 0 at positions 0 and 4, node 1
 	// at positions 1 and 5: subpath 0..1 appears with lengths 1 (pos 0->1),
 	// 5 (pos 0->5), and 1 (pos 4->5): lengths differ -> self-shortcut.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 0)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(3, 0)
+	g := gb.Finalize()
 	c := MustCollection(g, []graph.Path{{0, 1, 2, 3, 0, 1}})
 	if c.IsShortCutFree() {
 		t.Fatal("self-shortcut through repeated visits must be detected")

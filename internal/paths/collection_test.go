@@ -92,13 +92,14 @@ func TestPathCongestionVsEdgeCongestion(t *testing.T) {
 	// Hub path 0-1-2-...-k; spoke i covers edge (i, i+1) and then departs
 	// to a private node.
 	n := (k + 1) + k
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i < k; i++ {
-		g.AddEdge(i, i+1)
+		gb.AddEdge(i, i+1)
 	}
 	for i := 0; i < k; i++ {
-		g.AddEdge(i+1, k+1+i) // private exits
+		gb.AddEdge(i+1, k+1+i) // private exits
 	}
+	g := gb.Finalize()
 	hub := make(graph.Path, k+1)
 	for i := range hub {
 		hub[i] = i

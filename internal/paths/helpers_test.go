@@ -65,6 +65,7 @@ func (c *Collection) MaxConflictDegree() int {
 // distance field. Collections remain short-cut free (shortest paths) while
 // spreading load more evenly than deterministic tie-breaking.
 func RandomShortestPath(g *graph.Graph, src *rng.Source) Selector {
+	rows := NeighborRows(g)
 	return func(s, d graph.NodeID) graph.Path {
 		distToD := g.BFS(d)
 		if distToD[s] < 0 {
@@ -74,7 +75,7 @@ func RandomShortestPath(g *graph.Graph, src *rng.Source) Selector {
 		cur := s
 		for cur != d {
 			var choices []graph.NodeID
-			for _, v := range g.Neighbors(cur) {
+			for _, v := range rows[cur] {
 				if distToD[v] == distToD[cur]-1 {
 					choices = append(choices, v)
 				}

@@ -72,13 +72,13 @@ func (r *naiveIndex) sharePairs() [][2]int {
 // randomWalks builds n walks of the given length from random sources. Walks
 // may revisit links, which exercises repeated entries in a link's users.
 func randomWalks(g *graph.Graph, n, length int, src *rng.Source) []graph.Path {
+	rows := paths.NeighborRows(g)
 	ps := make([]graph.Path, n)
 	for i := range ps {
 		u := src.Intn(g.NumNodes())
 		p := graph.Path{u}
 		for k := 0; k < length; k++ {
-			out := g.Out(u)
-			u = g.Link(out[src.Intn(len(out))]).To
+			u = rows[u][src.Intn(len(rows[u]))]
 			p = append(p, u)
 		}
 		ps[i] = p
@@ -111,7 +111,16 @@ func differentialCases(t *testing.T) map[string]*paths.Collection {
 	cases["torus-walks"] = paths.MustCollection(walk.Graph(), randomWalks(walk.Graph(), 40, 12, src))
 	cases["staggered"] = lowerbound.Staggered(3, 4, 9, 4).Collection
 	cases["cyclic"] = lowerbound.Cyclic(3, 6, 4).Collection
-	cases["mixed"] = lowerbound.Mixed("staggered", 2, 3, 2, 5, 8, 3).Collection
+	// Staggered structures beside identical copies of their paths, as the
+	// lower-bound proofs combine type-1 and type-2 collections.
+	st := lowerbound.Staggered(2, 3, 8, 3)
+	mixed := append([]graph.Path(nil), st.Collection.Paths()...)
+	for _, p := range mixed[:2] {
+		for range 4 {
+			mixed = append(mixed, p.Clone())
+		}
+	}
+	cases["mixed"] = paths.MustCollection(st.Graph, mixed)
 	cases["empty"] = paths.MustCollection(tor.Graph(), nil)
 	return cases
 }

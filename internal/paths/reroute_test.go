@@ -8,19 +8,21 @@ import (
 	"repro/internal/topology"
 )
 
+// The degraded-mode protocol rounds reroute worms with graph.ShortestPath
+// and a predicate naming the links a fault plan has taken down.
+
 func TestShortestPathAvoidingMatchesShortestPath(t *testing.T) {
 	g := topology.NewTorus(3, 3).Graph()
 	none := func(graph.LinkID) bool { return false }
 	for u := 0; u < g.NumNodes(); u++ {
+		dist := g.BFS(u)
 		for v := 0; v < g.NumNodes(); v++ {
-			want := g.ShortestPath(graph.NodeID(u), graph.NodeID(v))
-			got := ShortestPathAvoiding(g, graph.NodeID(u), graph.NodeID(v), none)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d->%d: avoid-nothing path %v != shortest path %v", u, v, got, want)
+			want := g.ShortestPath(u, v, nil)
+			if want.Len() != dist[v] || want.Validate(g) != nil {
+				t.Fatalf("%d->%d: %v is not a shortest path (distance %d)", u, v, want, dist[v])
 			}
-			nilPred := ShortestPathAvoiding(g, graph.NodeID(u), graph.NodeID(v), nil)
-			if !reflect.DeepEqual(nilPred, want) {
-				t.Fatalf("%d->%d: nil-predicate path %v != shortest path %v", u, v, nilPred, want)
+			if got := g.ShortestPath(u, v, none); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d->%d: avoid-nothing path %v != shortest path %v", u, v, got, want)
 			}
 		}
 	}
@@ -28,16 +30,12 @@ func TestShortestPathAvoidingMatchesShortestPath(t *testing.T) {
 
 func TestShortestPathAvoidingDetours(t *testing.T) {
 	// Ring of 4: 0-1-2-3-0. Blocking 0->1 forces the long way around.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 0)
+	g := topology.NewRing(4).Graph()
 	direct, ok := g.LinkBetween(0, 1)
 	if !ok {
 		t.Fatal("missing link")
 	}
-	p := ShortestPathAvoiding(g, 0, 2, func(id graph.LinkID) bool { return id == direct })
+	p := g.ShortestPath(0, 2, func(id graph.LinkID) bool { return id == direct })
 	want := graph.Path{0, 3, 2}
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("detour = %v, want %v", p, want)
@@ -49,16 +47,14 @@ func TestShortestPathAvoidingDetours(t *testing.T) {
 
 func TestShortestPathAvoidingUnreachable(t *testing.T) {
 	// Chain 0-1-2: blocking both directions of edge {1,2} cuts node 2 off.
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := topology.NewChain(3).Graph()
 	l12, _ := g.LinkBetween(1, 2)
 	l21, _ := g.LinkBetween(2, 1)
 	blocked := func(id graph.LinkID) bool { return id == l12 || id == l21 }
-	if p := ShortestPathAvoiding(g, 0, 2, blocked); p != nil {
+	if p := g.ShortestPath(0, 2, blocked); p != nil {
 		t.Fatalf("found a path %v through a cut", p)
 	}
-	if p := ShortestPathAvoiding(g, 2, 2, blocked); !reflect.DeepEqual(p, graph.Path{2}) {
+	if p := g.ShortestPath(2, 2, blocked); !reflect.DeepEqual(p, graph.Path{2}) {
 		t.Fatalf("self path = %v", p)
 	}
 }

@@ -137,7 +137,7 @@ func TranslationSystem(vt topology.VertexTransitive) Selector {
 	n := g.NumNodes()
 	canonical := make([]graph.Path, n)
 	for v := 0; v < n; v++ {
-		canonical[v] = g.ShortestPath(0, v)
+		canonical[v] = g.ShortestPath(0, v, nil)
 		if canonical[v] == nil {
 			panic("paths: TranslationSystem requires a connected network")
 		}
@@ -179,7 +179,7 @@ func TranslationSystem(vt topology.VertexTransitive) Selector {
 // are short-cut free (all paths are shortest paths).
 func BFSSelector(g *graph.Graph) Selector {
 	return func(src, dst graph.NodeID) graph.Path {
-		p := g.ShortestPath(src, dst)
+		p := g.ShortestPath(src, dst, nil)
 		if p == nil {
 			panic(fmt.Sprintf("paths: no path %d->%d", src, dst))
 		}

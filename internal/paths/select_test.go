@@ -204,8 +204,9 @@ func TestTranslationSystemHypercube(t *testing.T) {
 }
 
 func TestBFSSelectorUnreachablePanics(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
+	gb := graph.NewBuilder(3)
+	gb.AddEdge(0, 1)
+	g := gb.Finalize()
 	sel := BFSSelector(g)
 	defer func() {
 		if recover() == nil {

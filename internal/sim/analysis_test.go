@@ -19,11 +19,12 @@ import (
 //
 //	Pr[w1 is discarded by w2] <= 2L / (B*Delta).
 func TestPairwiseCollisionProbabilityBound(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
+	gb := graph.NewBuilder(5)
+	gb.AddEdge(0, 2)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(3, 4)
+	g := gb.Finalize()
 	const (
 		L      = 4
 		B      = 2
@@ -113,12 +114,13 @@ func TestLemma28ChainProbability(t *testing.T) {
 	p1 := build(nil, [2]int{sh1a, sh1z}, d-2, [2]int{sh2a, sh2z}, D+1-2-(d-2)-2)
 	// p2: starts at sh2a.
 	p2 := build(nil, [2]int{sh2a, sh2z}, 0, [2]int{node(), node()}, D+1-4)
-	g := graph.New(nodes)
+	gb := graph.NewBuilder(nodes)
 	for _, p := range []graph.Path{p0, p1, p2} {
 		for i := 0; i+1 < len(p); i++ {
-			g.AddEdge(p[i], p[i+1])
+			gb.AddEdge(p[i], p[i+1])
 		}
 	}
+	g := gb.Finalize()
 	for i, p := range []graph.Path{p0, p1, p2} {
 		if err := p.Validate(g); err != nil {
 			t.Fatalf("path %d invalid: %v", i, err)
@@ -161,14 +163,15 @@ func TestCongestionHalvingStatistics(t *testing.T) {
 		D      = 6
 		trials = 200
 	)
-	g := graph.New(D + 1)
+	gb := graph.NewBuilder(D + 1)
 	p := make(graph.Path, D+1)
 	for i := range p {
 		p[i] = i
 		if i > 0 {
-			g.AddEdge(i-1, i)
+			gb.AddEdge(i-1, i)
 		}
 	}
+	g := gb.Finalize()
 	delta := int(math.Ceil(8 * math.E * float64(L*C/B))) // Lemma 2.4 round-1 requirement
 	src := rng.New(717)
 	var survivors []float64
@@ -204,10 +207,11 @@ func TestCongestionHalvingStatistics(t *testing.T) {
 // worms survive together with probability ~ (B-1)/B when their intervals
 // overlap; spot-check the simulator reproduces the 1/B collision factor.
 func TestWavelengthUniformityMatters(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 2)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	g := gb.Finalize()
 	const trials = 20000
 	for _, B := range []int{2, 4} {
 		src := rng.New(uint64(818 + B))

@@ -262,10 +262,11 @@ func TestEngineReuseDeterminism(t *testing.T) {
 func TestAckCutRecorded(t *testing.T) {
 	// Y-junction as in TestAckContention: both worms deliver; the second
 	// ack is eliminated by the first on the shared reverse link 3->2.
-	g := graph.New(4)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 2)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	g := gb.Finalize()
 	worms := []Worm{
 		{ID: 0, Path: graph.Path{0, 2, 3}, Length: 1, Delay: 0, Wavelength: 0},
 		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 1, Delay: 2, Wavelength: 0},
@@ -406,6 +407,7 @@ func TestCalendarInconsistencyError(t *testing.T) {
 // near the destination and their acknowledgements contest the reversed
 // links on the way back.
 func denseGroups(g *graph.Graph, src *rng.Source, groups, per, bandwidth int) []Worm {
+	rows := neighborRows(g)
 	var worms []Worm
 	ranks := src.Perm(groups * per)
 	for gi := 0; gi < groups; gi++ {
@@ -413,7 +415,7 @@ func denseGroups(g *graph.Graph, src *rng.Source, groups, per, bandwidth int) []
 		for range per {
 			s := d
 			for h := 2 + src.Intn(4); h > 0; h-- {
-				ns := g.Neighbors(s)
+				ns := rows[s]
 				s = ns[src.Intn(len(ns))]
 			}
 			if s == d {
@@ -422,7 +424,7 @@ func denseGroups(g *graph.Graph, src *rng.Source, groups, per, bandwidth int) []
 			id := len(worms)
 			worms = append(worms, Worm{
 				ID:         id,
-				Path:       g.ShortestPath(s, d),
+				Path:       g.ShortestPath(s, d, nil),
 				Length:     1 + src.Intn(3),
 				Delay:      src.Intn(6),
 				Wavelength: src.Intn(bandwidth),
@@ -431,6 +433,17 @@ func denseGroups(g *graph.Graph, src *rng.Source, groups, per, bandwidth int) []
 		}
 	}
 	return worms
+}
+
+// neighborRows lists each node's neighbors in link-ID order, the order of
+// the node's adjacency row.
+func neighborRows(g *graph.Graph) [][]graph.NodeID {
+	rows := make([][]graph.NodeID, g.NumNodes())
+	for id := 0; id < g.NumLinks(); id++ {
+		l := g.Link(id)
+		rows[l.From] = append(rows[l.From], l.To)
+	}
+	return rows
 }
 
 // collidesInBothBands reports whether some step of a collision log has a
@@ -453,11 +466,12 @@ func collidesInBothBands(log []Collision) bool {
 // free. C must join A's contest rather than claim the slot, because the
 // reference sees two entrants onto a free slot, not an incumbent.
 func TestDeferredEntrantJoinsReleasedSlot(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(4, 2)
+	gb := graph.NewBuilder(5)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	gb.AddEdge(4, 2)
+	g := gb.Finalize()
 	worms := []Worm{
 		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 1, Delay: 0, Rank: 2}, // A, active first
 		{ID: 1, Path: graph.Path{2, 3}, Length: 1, Delay: 1, Rank: 1},       // X, on 2->3 at step 1

@@ -28,7 +28,7 @@ func dynamicRequests(g *graph.Graph, seed uint64, n, maxLen, horizon int) []Requ
 		}
 		reqs = append(reqs, Request{
 			ID:      ids[len(reqs)],
-			Path:    g.ShortestPath(s, d),
+			Path:    g.ShortestPath(s, d, nil),
 			Length:  1 + src.Intn(maxLen),
 			Arrival: src.Intn(horizon),
 		})
@@ -232,7 +232,7 @@ func e15Requests(g *graph.Graph, perStep, horizon int) []Request {
 			if d >= s {
 				d++
 			}
-			reqs = append(reqs, Request{ID: len(reqs), Path: g.ShortestPath(s, d), Length: 4, Arrival: t})
+			reqs = append(reqs, Request{ID: len(reqs), Path: g.ShortestPath(s, d, nil), Length: 4, Arrival: t})
 		}
 	}
 	return reqs

@@ -118,7 +118,7 @@ func TestDynamicDeterministic(t *testing.T) {
 				continue
 			}
 			reqs = append(reqs, Request{
-				ID: id, Path: g.ShortestPath(s, d), Length: 3, Arrival: src.Intn(60),
+				ID: id, Path: g.ShortestPath(s, d, nil), Length: 3, Arrival: src.Intn(60),
 			})
 		}
 		return reqs
@@ -158,7 +158,7 @@ func TestDynamicLoadAllDelivered(t *testing.T) {
 			d = (s + 1) % 36
 		}
 		reqs = append(reqs, Request{
-			ID: id, Path: g.ShortestPath(s, d), Length: 4, Arrival: tArr,
+			ID: id, Path: g.ShortestPath(s, d, nil), Length: 4, Arrival: tArr,
 		})
 	}
 	res, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{
@@ -330,7 +330,7 @@ func TestEngineRunDynamicReuse(t *testing.T) {
 			if a == b {
 				b = (b + 1) % 10
 			}
-			reqs = append(reqs, Request{ID: i, Path: g.ShortestPath(a, b), Length: 3, Arrival: src.Intn(40)})
+			reqs = append(reqs, Request{ID: i, Path: g.ShortestPath(a, b, nil), Length: 3, Arrival: src.Intn(40)})
 		}
 		return reqs
 	}

@@ -247,7 +247,7 @@ func TestFaultRunDeterministicReplay(t *testing.T) {
 				v = src.Intn(g.NumNodes())
 			}
 			worms = append(worms, Worm{
-				ID: i, Path: g.ShortestPath(u, v), Length: 2 + src.Intn(3),
+				ID: i, Path: g.ShortestPath(u, v, nil), Length: 2 + src.Intn(3),
 				Delay: src.Intn(6), Wavelength: src.Intn(2), Rank: src.Intn(100),
 			})
 		}
@@ -367,7 +367,7 @@ func soakScenario(g *graph.Graph, seed uint64) ([]Worm, *faults.Plan) {
 			v = src.Intn(g.NumNodes())
 		}
 		worms = append(worms, Worm{
-			ID: i, Path: g.ShortestPath(u, v), Length: 1 + src.Intn(4),
+			ID: i, Path: g.ShortestPath(u, v, nil), Length: 1 + src.Intn(4),
 			Delay: src.Intn(10), Wavelength: src.Intn(2), Rank: src.Intn(64),
 		})
 	}

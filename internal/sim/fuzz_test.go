@@ -168,6 +168,7 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 		cfg.Faults = plan.MustCompile(g, cfg.Bandwidth)
 	}
 	n := g.NumNodes()
+	rows := neighborRows(g)
 	var worms []Worm
 	id := 0
 	for len(data) >= 4 && id < 12 {
@@ -175,7 +176,7 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 		hops := 1 + int(next())%4
 		p := graph.Path{src}
 		for h := 0; h < hops; h++ {
-			ns := g.Neighbors(p[len(p)-1])
+			ns := rows[p[len(p)-1]]
 			p = append(p, ns[int(next())%len(ns)])
 		}
 		b := next()

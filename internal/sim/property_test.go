@@ -21,7 +21,7 @@ func randomWorms(g *graph.Graph, src *rng.Source, count, maxLen, maxDelay, bandw
 		if s == d {
 			continue
 		}
-		p := g.ShortestPath(s, d)
+		p := g.ShortestPath(s, d, nil)
 		if p == nil {
 			continue
 		}
@@ -140,7 +140,7 @@ func TestNoContentionAllDelivered(t *testing.T) {
 				continue
 			}
 			worms = append(worms, Worm{
-				ID: id, Path: g.ShortestPath(a, b),
+				ID: id, Path: g.ShortestPath(a, b, nil),
 				Length: 1 + s.Intn(3), Delay: s.Intn(4), Wavelength: id,
 			})
 		}
@@ -221,10 +221,11 @@ func TestAckContention(t *testing.T) {
 	//      its ack (length 3) occupies 3->2 during steps [2, 4].
 	//   B: 1->2->3, delay 2, L=1: holds 2->3 at step 3, delivered at 3;
 	//      its ack enters 3->2 at step 4 -> eliminated by A's ack.
-	g := graph.New(4)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 2)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	g := gb.Finalize()
 	res := mustRun(t, g, []Worm{
 		{ID: 0, Path: graph.Path{0, 2, 3}, Length: 1, Delay: 0, Wavelength: 0},
 		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 1, Delay: 2, Wavelength: 0},

@@ -139,10 +139,11 @@ func TestOppositeDirectionsNoConflict(t *testing.T) {
 func TestSimultaneousTieEliminatesBoth(t *testing.T) {
 	// Two worms entering the same link at the same step from different
 	// incoming links (a Y junction).
-	g := graph.New(4)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 2)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	g := gb.Finalize()
 	res := mustRun(t, g, []Worm{
 		{ID: 0, Path: graph.Path{0, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
 		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
@@ -162,10 +163,11 @@ func TestSimultaneousTieEliminatesBoth(t *testing.T) {
 }
 
 func TestSimultaneousTieArbitraryWinner(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 2)
+	gb.AddEdge(1, 2)
+	gb.AddEdge(2, 3)
+	g := gb.Finalize()
 	c := cfg(1)
 	c.Tie = optical.TieArbitraryWinner
 	res := mustRun(t, chainlike(g), []Worm{
@@ -224,12 +226,13 @@ func TestGhostBlocksDownstreamUnderDrain(t *testing.T) {
 	//
 	// Topology: line 0-1-2-3-4-5 plus entry spurs 6-2 (preemptor) and
 	// 7-4 (probe).
-	g := graph.New(8)
+	gb := graph.NewBuilder(8)
 	for i := 0; i+1 < 6; i++ {
-		g.AddEdge(i, i+1)
+		gb.AddEdge(i, i+1)
 	}
-	g.AddEdge(6, 2)
-	g.AddEdge(7, 4)
+	gb.AddEdge(6, 2)
+	gb.AddEdge(7, 4)
+	g := gb.Finalize()
 	worms := []Worm{
 		// Victim: low-rank L=4 worm crawling 0..5; it occupies link 2->3
 		// (index 2) during steps [2, 5].
@@ -280,12 +283,13 @@ func TestUpstreamRemnantDrainsAndBlocks(t *testing.T) {
 	// 2->3; victim V (long) enters 2->3 and is cut; V's remnant keeps
 	// occupying link 1->2 while draining; a probe P entering 1->2 then
 	// collides under Drain but not under Vanish.
-	g := graph.New(7)
+	gb := graph.NewBuilder(7)
 	for i := 0; i+1 < 5; i++ {
-		g.AddEdge(i, i+1)
+		gb.AddEdge(i, i+1)
 	}
-	g.AddEdge(5, 2) // blocker entry
-	g.AddEdge(6, 1) // probe entry
+	gb.AddEdge(5, 2) // blocker entry
+	gb.AddEdge(6, 1) // probe entry
+	g := gb.Finalize()
 	worms := []Worm{
 		// Blocker: enters 2->3 at step 0, L=6 so holds it during [0,5].
 		{ID: 0, Path: graph.Path{5, 2, 3}, Length: 6, Delay: 0, Wavelength: 0},
@@ -329,7 +333,7 @@ func TestDeliveredIffNeverCut(t *testing.T) {
 		if d == s {
 			continue
 		}
-		p := g.ShortestPath(s, d)
+		p := g.ShortestPath(s, d, nil)
 		worms = append(worms, Worm{
 			ID: id, Path: p, Length: 2, Delay: id % 3, Wavelength: id % 2,
 		})

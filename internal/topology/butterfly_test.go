@@ -19,13 +19,13 @@ func TestButterflyStructure(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 	// Straight and cross edges at level 0.
-	if !g.HasEdge(b.Node(0, 5), b.Node(1, 5)) {
+	if !hasEdge(g, b.Node(0, 5), b.Node(1, 5)) {
 		t.Error("straight edge missing")
 	}
-	if !g.HasEdge(b.Node(0, 5), b.Node(1, 4)) { // flips bit 0
+	if !hasEdge(g, b.Node(0, 5), b.Node(1, 4)) { // flips bit 0
 		t.Error("cross edge missing")
 	}
-	if g.HasEdge(b.Node(0, 5), b.Node(1, 7)) { // would flip bit 1
+	if hasEdge(g, b.Node(0, 5), b.Node(1, 7)) { // would flip bit 1
 		t.Error("wrong cross edge present")
 	}
 }
@@ -93,10 +93,10 @@ func TestButterflyUniquePathMonotoneLevels(t *testing.T) {
 }
 
 func TestButterflyConnected(t *testing.T) {
-	if !NewButterfly(3).Graph().Connected() {
+	if NewButterfly(3).Graph().Eccentricity(0) < 0 {
 		t.Error("plain butterfly not connected")
 	}
-	if !NewWrappedButterfly(3).Graph().Connected() {
+	if NewWrappedButterfly(3).Graph().Eccentricity(0) < 0 {
 		t.Error("wrapped butterfly not connected")
 	}
 }
@@ -111,10 +111,10 @@ func TestWrappedButterfly(t *testing.T) {
 		t.Error("accessors")
 	}
 	// Wrap edges: level 2 connects to level 0.
-	if !g.HasEdge(b.Node(2, 1), b.Node(0, 1)) {
+	if !hasEdge(g, b.Node(2, 1), b.Node(0, 1)) {
 		t.Error("straight wrap edge missing")
 	}
-	if !g.HasEdge(b.Node(2, 1), b.Node(0, 5)) { // flips bit 2
+	if !hasEdge(g, b.Node(2, 1), b.Node(0, 5)) { // flips bit 2
 		t.Error("cross wrap edge missing")
 	}
 	// 4-regular everywhere.

@@ -28,14 +28,17 @@ func NewCCC(k int) *CCC {
 	}
 	rows := 1 << k
 	c := &CCC{dim: k}
-	g := graph.New(k * rows)
+	// Every cube edge is recorded from both ends; Finalize keeps the first.
+	b := graph.NewBuilder(k * rows)
+	b.Grow(2 * k * rows)
 	for w := 0; w < rows; w++ {
 		for i := 0; i < k; i++ {
 			u := c.nodeAt(w, i)
-			g.AddEdge(u, c.nodeAt(w, (i+1)%k))  // cycle edge
-			g.AddEdge(u, c.nodeAt(w^(1<<i), i)) // cube edge
+			b.AddEdge(u, c.nodeAt(w, (i+1)%k))  // cycle edge
+			b.AddEdge(u, c.nodeAt(w^(1<<i), i)) // cube edge
 		}
 	}
+	g := b.Finalize()
 	g.SetLabeler(func(u graph.NodeID) string {
 		return fmt.Sprintf("(%0*b,%d)", k, c.CubeOf(u), c.PosOf(u))
 	})

@@ -7,55 +7,114 @@ import (
 	"repro/internal/graph"
 )
 
-// The builder-backed constructors must produce graphs indistinguishable —
-// link IDs, adjacency order, everything — from replaying the same edge
-// sequence through the incremental graph.New/AddEdge path that built them
-// before the CSR conversion.
+// incrementalLinks is the link table that per-edge construction gives an
+// edge sequence, naive and map-based: each new undirected edge {u, v}
+// appends u->v and v->u, and a repeat in either orientation is dropped.
+func incrementalLinks(edges [][2]int) []graph.Link {
+	seen := map[[2]int]bool{}
+	var links []graph.Link
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if seen[[2]int{u, v}] {
+			continue
+		}
+		seen[[2]int{u, v}], seen[[2]int{v, u}] = true, true
+		links = append(links, graph.Link{From: u, To: v}, graph.Link{From: v, To: u})
+	}
+	return links
+}
+
+// edgesOf replays a graph's undirected edges in link-ID order.
+func edgesOf(g *graph.Graph) [][2]int {
+	var edges [][2]int
+	for id := 0; id < g.NumLinks(); id += 2 {
+		l := g.Link(id)
+		edges = append(edges, [2]int{l.From, l.To})
+	}
+	return edges
+}
+
+// circulantEdges is the sequence NewCirculant records, repeats included.
+func circulantEdges(n int, offsets ...int) [][2]int {
+	var edges [][2]int
+	for _, o := range offsets {
+		for i := 0; i < n; i++ {
+			edges = append(edges, [2]int{i, (i + o) % n})
+		}
+	}
+	return edges
+}
+
+// The constructors must produce graphs indistinguishable — link IDs,
+// degrees, lookups — from feeding the edges each one records, one at a
+// time, through the map-based per-edge reference. CCCs and star graphs
+// record every edge from both ends, and circulants with a repeated offset
+// or an offset of n/2 record edges twice; the mesh family records each
+// edge once, so it replays its own link table.
 func TestCSRConstructorsMatchIncremental(t *testing.T) {
+	ccc := NewCCC(4)
+	star := NewStarGraph(5)
 	cases := []struct {
-		name string
-		g    *graph.Graph
+		name  string
+		g     *graph.Graph
+		edges [][2]int
 	}{
-		{"mesh(2,7)", NewMesh(2, 7).Graph()},
-		{"mesh(3,4)", NewMesh(3, 4).Graph()},
-		{"torus(2,8)", NewTorus(2, 8).Graph()},
-		{"torus(3,3)", NewTorus(3, 3).Graph()},
-		{"hypercube(5)", NewHypercube(5).Graph()},
-		{"butterfly(3)", NewButterfly(3).Graph()},
-		{"wrapped-butterfly(4)", NewWrappedButterfly(4).Graph()},
+		{"mesh(2,7)", NewMesh(2, 7).Graph(), nil},
+		{"mesh(3,4)", NewMesh(3, 4).Graph(), nil},
+		{"torus(2,8)", NewTorus(2, 8).Graph(), nil},
+		{"torus(3,3)", NewTorus(3, 3).Graph(), nil},
+		{"hypercube(5)", NewHypercube(5).Graph(), nil},
+		{"butterfly(3)", NewButterfly(3).Graph(), nil},
+		{"wrapped-butterfly(4)", NewWrappedButterfly(4).Graph(), nil},
+		{"ccc(4)", ccc.Graph(), func() (edges [][2]int) {
+			for w := 0; w < 1<<4; w++ {
+				for i := 0; i < 4; i++ {
+					edges = append(edges, [2]int{ccc.Node(w, i), ccc.Node(w, (i+1)%4)},
+						[2]int{ccc.Node(w, i), ccc.Node(w^1<<i, i)})
+				}
+			}
+			return edges
+		}()},
+		{"star(5)", star.Graph(), func() (edges [][2]int) {
+			for u := 0; u < star.Graph().NumNodes(); u++ {
+				for i := 1; i < 5; i++ {
+					q := append([]int(nil), star.Perm(u)...)
+					q[0], q[i] = q[i], q[0]
+					edges = append(edges, [2]int{u, star.NodeOf(q)})
+				}
+			}
+			return edges
+		}()},
+		{"chain(7)", NewChain(7).Graph(), [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}},
+		{"ring(6)", NewRing(6).Graph(), [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}},
+		{"circulant(12,[1 5])", NewCirculant(12, []int{1, 5}).Graph(), circulantEdges(12, 1, 5)},
+		{"circulant(12,[5 1 5 1])", NewCirculant(12, []int{5, 1, 5, 1}).Graph(), circulantEdges(12, 5, 1, 5, 1)},
+		{"circulant(10,[5])", NewCirculant(10, []int{5}).Graph(), circulantEdges(10, 5)},
+		{"circulant(10,[2 5 2])", NewCirculant(10, []int{2, 5, 2}).Graph(), circulantEdges(10, 2, 5, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := graph.New(tc.g.NumNodes())
-			for id := 0; id < tc.g.NumLinks(); id += 2 {
-				l := tc.g.Link(id)
-				want.AddEdge(l.From, l.To)
+			g := tc.g
+			if tc.edges == nil {
+				tc.edges = edgesOf(g)
 			}
-			if tc.g.NumLinks() != want.NumLinks() {
-				t.Fatalf("link count %d != incremental %d (duplicate edge fed to builder?)",
-					tc.g.NumLinks(), want.NumLinks())
+			want := incrementalLinks(tc.edges)
+			if g.NumLinks() != len(want) {
+				t.Fatalf("link count %d != incremental %d", g.NumLinks(), len(want))
 			}
-			for u := 0; u < want.NumNodes(); u++ {
-				gOut, wOut := tc.g.Out(u), want.Out(u)
-				if len(gOut) != len(wOut) {
-					t.Fatalf("node %d out degree %d want %d", u, len(gOut), len(wOut))
+			degree := make([]int, g.NumNodes())
+			for id, l := range want {
+				if g.Link(id) != l {
+					t.Fatalf("link %d = %v want %v", id, g.Link(id), l)
 				}
-				for i := range wOut {
-					if gOut[i] != wOut[i] {
-						t.Fatalf("node %d out[%d] = %d want %d", u, i, gOut[i], wOut[i])
-					}
+				if got, ok := g.LinkBetween(l.From, l.To); !ok || got != id {
+					t.Fatalf("LinkBetween(%d,%d) = %d,%v want %d", l.From, l.To, got, ok, id)
 				}
-				gIn, wIn := tc.g.In(u), want.In(u)
-				for i := range wIn {
-					if gIn[i] != wIn[i] {
-						t.Fatalf("node %d in[%d] = %d want %d", u, i, gIn[i], wIn[i])
-					}
-				}
-				for _, id := range wOut {
-					v := want.Link(id).To
-					if got, ok := tc.g.LinkBetween(u, v); !ok || got != id {
-						t.Fatalf("LinkBetween(%d,%d) = %d,%v want %d", u, v, got, ok, id)
-					}
+				degree[l.From]++
+			}
+			for u, d := range degree {
+				if g.Degree(u) != d {
+					t.Fatalf("node %d degree %d want %d", u, g.Degree(u), d)
 				}
 			}
 		})
@@ -63,10 +122,9 @@ func TestCSRConstructorsMatchIncremental(t *testing.T) {
 }
 
 // Building a million-node torus must stay within a flat-CSR-sized memory
-// budget and a constant-ish allocation count. Before the builder
-// conversion this build cost >600 MB (pair-index map, three growing
-// slices per node) and millions of allocations; the CSR layout needs
-// ~240 MB and a few dozen allocations.
+// budget and a constant-ish allocation count. A pair-index map and growing
+// slices per node cost >600 MB and millions of allocations; the link table
+// and one adjacency layout need about 120 MiB and a few dozen allocations.
 func TestTorusMillionNodeMemoryBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates heap and alloc counts")
@@ -84,7 +142,7 @@ func TestTorusMillionNodeMemoryBudget(t *testing.T) {
 	if g.NumNodes() != 1024*1024 || g.NumLinks() != 4*1024*1024 {
 		t.Fatalf("unexpected size: %d nodes %d links", g.NumNodes(), g.NumLinks())
 	}
-	const heapBudget = 340 << 20 // bytes; legacy layout needed roughly 2x
+	const heapBudget = 160 << 20 // bytes
 	if grew := after.HeapAlloc - before.HeapAlloc; grew > heapBudget {
 		t.Errorf("heap grew %d MiB, budget %d MiB", grew>>20, heapBudget>>20)
 	}

@@ -35,3 +35,20 @@ func (s *StarGraph) NodeOf(p []int) graph.NodeID {
 	}
 	return id
 }
+
+// neighborRows lists each node's neighbors in link-ID order, the order of
+// the node's adjacency row.
+func neighborRows(g *graph.Graph) [][]graph.NodeID {
+	rows := make([][]graph.NodeID, g.NumNodes())
+	for id := 0; id < g.NumLinks(); id++ {
+		l := g.Link(id)
+		rows[l.From] = append(rows[l.From], l.To)
+	}
+	return rows
+}
+
+// hasEdge reports whether u and v are joined by an edge.
+func hasEdge(g *graph.Graph, u, v graph.NodeID) bool {
+	_, ok := g.LinkBetween(u, v)
+	return ok
+}

@@ -49,9 +49,9 @@ func TestMeshCoordRoundTrip(t *testing.T) {
 func TestMeshEdgesAreUnitSteps(t *testing.T) {
 	m := NewMesh(3, 3)
 	g := m.Graph()
-	for u := 0; u < g.NumNodes(); u++ {
+	for u, row := range neighborRows(g) {
 		cu := m.Coord(u)
-		for _, v := range g.Neighbors(u) {
+		for _, v := range row {
 			cv := m.Coord(v)
 			diff := 0
 			for d := range cu {
@@ -95,7 +95,7 @@ func TestTorus(t *testing.T) {
 func TestTorusWrapEdges(t *testing.T) {
 	tor := NewTorus(1, 6)
 	g := tor.Graph()
-	if !g.HasEdge(tor.NodeAt([]int{5}), tor.NodeAt([]int{0})) {
+	if !hasEdge(g, tor.NodeAt([]int{5}), tor.NodeAt([]int{0})) {
 		t.Error("wrap-around edge missing")
 	}
 }

@@ -29,14 +29,17 @@ func NewStarGraph(k int) *StarGraph {
 	for id, p := range s.perms {
 		s.index[permKey(p)] = id
 	}
-	g := graph.New(len(s.perms))
+	// Every edge is recorded from both ends; Finalize keeps the first.
+	b := graph.NewBuilder(len(s.perms))
+	b.Grow(len(s.perms) * (k - 1))
 	for id, p := range s.perms {
 		for i := 1; i < k; i++ {
 			q := append([]int(nil), p...)
 			q[0], q[i] = q[i], q[0]
-			g.AddEdge(id, s.index[permKey(q)])
+			b.AddEdge(id, s.index[permKey(q)])
 		}
 	}
+	g := b.Finalize()
 	g.SetLabeler(func(u graph.NodeID) string { return fmt.Sprint(s.perms[u]) })
 	s.base = base{g: g, name: fmt.Sprintf("star-graph(%d)", k)}
 	return s

@@ -55,11 +55,11 @@ func NewChain(n int) *Chain {
 	if n < 2 {
 		panic("topology: chain needs at least 2 nodes")
 	}
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
-	return &Chain{base{g: g, name: fmt.Sprintf("chain(%d)", n)}}
+	return &Chain{base{g: b.Finalize(), name: fmt.Sprintf("chain(%d)", n)}}
 }
 
 // Ring is the cycle graph on n nodes; it is vertex-transitive under
@@ -74,11 +74,11 @@ func NewRing(n int) *Ring {
 	if n < 3 {
 		panic("topology: ring needs at least 3 nodes")
 	}
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+1)%n)
 	}
-	return &Ring{base: base{g: g, name: fmt.Sprintf("ring(%d)", n)}, n: n}
+	return &Ring{base: base{g: b.Finalize(), name: fmt.Sprintf("ring(%d)", n)}, n: n}
 }
 
 // AutomorphismTo implements VertexTransitive by rotation.
@@ -97,7 +97,8 @@ type Circulant struct {
 }
 
 // NewCirculant builds C_n(offsets). Offsets must be in [1, n/2]; it panics
-// otherwise or if n < 3 or offsets is empty.
+// otherwise or if n < 3 or offsets is empty. A repeated offset adds no
+// edges, and an offset of n/2 for even n adds each of its edges once.
 func NewCirculant(n int, offsets []int) *Circulant {
 	if n < 3 {
 		panic("topology: circulant needs at least 3 nodes")
@@ -105,17 +106,18 @@ func NewCirculant(n int, offsets []int) *Circulant {
 	if len(offsets) == 0 {
 		panic("topology: circulant needs at least one offset")
 	}
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
+	b.Grow(n * len(offsets))
 	for _, o := range offsets {
 		if o < 1 || o > n/2 {
 			panic(fmt.Sprintf("topology: circulant offset %d out of [1, %d]", o, n/2))
 		}
 		for i := 0; i < n; i++ {
-			g.AddEdge(i, (i+o)%n)
+			b.AddEdge(i, (i+o)%n)
 		}
 	}
 	return &Circulant{
-		base:    base{g: g, name: fmt.Sprintf("circulant(%d,%v)", n, offsets)},
+		base:    base{g: b.Finalize(), name: fmt.Sprintf("circulant(%d,%v)", n, offsets)},
 		n:       n,
 		offsets: append([]int(nil), offsets...),
 	}
