@@ -37,6 +37,10 @@ func main() {
 	)
 	flag.Parse()
 
+	r, err := optical.ParseRule(*rule)
+	if err != nil {
+		fatal(err)
+	}
 	var b *lowerbound.Build
 	switch *kind {
 	case "staggered":
@@ -65,12 +69,11 @@ func main() {
 	cfg := core.Config{
 		Bandwidth:       *bandw,
 		Length:          *length,
-		Rule:            optical.ServeFirst,
+		Rule:            r,
 		MaxRounds:       2000,
 		TrackCongestion: *kind == "identical",
 	}
-	if *rule == "priority" {
-		cfg.Rule = optical.Priority
+	if r == optical.Priority {
 		if *adversary {
 			cfg.Priorities = core.ExplicitRanks{Ranks: b.Ranks}
 		} else {

@@ -35,6 +35,11 @@ func main() {
 	)
 	flag.Parse()
 
+	r, err := optical.ParseRule(*rule)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		os.Exit(1)
+	}
 	var g *graph.Graph
 	switch *topo {
 	case "ring":
@@ -69,10 +74,6 @@ func main() {
 			Wavelength: src.Intn(*bandw),
 			Rank:       ranks[id],
 		})
-	}
-	r := optical.ServeFirst
-	if *rule == "priority" {
-		r = optical.Priority
 	}
 	res, tl, err := sim.Trace(g, worms, sim.Config{
 		Bandwidth: *bandw,

@@ -120,27 +120,59 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
+// search is the one breadth-first search every query here runs: from src
+// over the links blocked does not refuse (a nil blocked refuses none),
+// scanning each node's row in link ID order, until dst is discovered or,
+// for a dst < 0, every reachable node is. It returns each discovered node's
+// parent (src's is src, an undiscovered node's -1) and the discovered nodes
+// in discovery order. A node's parent is its first discoverer, so the tree
+// and the paths it spells are deterministic.
+func (g *Graph) search(src, dst NodeID, blocked func(LinkID) bool) (parent, order []NodeID) {
+	parent = make([]NodeID, g.n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[src] = src
+	order = []NodeID{src}
+	for head := 0; head < len(order); head++ {
+		for _, a := range g.adj[order[head]] {
+			if blocked != nil && blocked(int(a.id)) {
+				continue
+			}
+			v := int(a.to)
+			if parent[v] < 0 {
+				parent[v] = order[head]
+				order = append(order, v)
+				if v == dst {
+					return parent, order
+				}
+			}
+		}
+	}
+	return parent, order
+}
+
 // BFS returns the distance (in edges) from src to every node; unreachable
 // nodes get -1.
 func (g *Graph) BFS(src NodeID) []int {
+	parent, order := g.search(src, -1, nil)
 	dist := make([]int, g.n)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.adj[u] {
-			v := int(a.to)
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
+	for _, v := range order[1:] {
+		dist[v] = dist[parent[v]] + 1
 	}
 	return dist
+}
+
+// ShortestPathTree returns, for every node v, its predecessor on the path
+// ShortestPath(src, v, nil) returns: src's entry is src and an unreachable
+// node's is -1. One call spells the shortest paths from src to every node.
+func (g *Graph) ShortestPathTree(src NodeID) []NodeID {
+	parent, _ := g.search(src, -1, nil)
+	return parent
 }
 
 // ShortestPath returns one shortest path from src to dst as a node
@@ -153,30 +185,11 @@ func (g *Graph) ShortestPath(src, dst NodeID, blocked func(LinkID) bool) Path {
 	if src == dst {
 		return Path{src}
 	}
-	parent := make([]NodeID, g.n)
-	for i := range parent {
-		parent[i] = -1
+	parent, order := g.search(src, dst, blocked)
+	if order[len(order)-1] != dst {
+		return nil
 	}
-	parent[src] = src
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.adj[u] {
-			if blocked != nil && blocked(int(a.id)) {
-				continue
-			}
-			v := int(a.to)
-			if parent[v] < 0 {
-				parent[v] = u
-				if v == dst {
-					return reconstruct(parent, src, dst)
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
+	return reconstruct(parent, src, dst)
 }
 
 func reconstruct(parent []NodeID, src, dst NodeID) Path {

@@ -35,6 +35,16 @@ func (r Rule) String() string {
 	}
 }
 
+// ParseRule returns the rule whose String is name, the inverse of String.
+func ParseRule(name string) (Rule, error) {
+	for _, r := range []Rule{ServeFirst, Priority} {
+		if r.String() == name {
+			return r, nil
+		}
+	}
+	return 0, fmt.Errorf("optical: unknown rule %q (want serve-first or priority)", name)
+}
+
 // TiePolicy decides what happens when two or more messages arrive at a
 // free wavelength in the very same time slot under the serve-first rule
 // (physically: both signals enter the coupler and garble each other).

@@ -11,6 +11,16 @@ func TestRuleString(t *testing.T) {
 	if Rule(9).String() != "Rule(9)" {
 		t.Error("unknown rule string")
 	}
+	for _, r := range []Rule{ServeFirst, Priority} {
+		if got, err := ParseRule(r.String()); err != nil || got != r {
+			t.Errorf("ParseRule(%q) = %v, %v", r, got, err)
+		}
+	}
+	for _, name := range []string{"", "priorty", "Rule(9)"} {
+		if _, err := ParseRule(name); err == nil {
+			t.Errorf("ParseRule(%q) accepted", name)
+		}
+	}
 }
 
 func TestCouplerServeFirstArrive(t *testing.T) {

@@ -129,16 +129,15 @@ func ButterflySelector(b *topology.Butterfly) Selector {
 // from [27] used by Theorem 1.5: by symmetry every edge has the same
 // expected load under a random function, which is at most the dilation D.
 //
-// The canonical paths form a BFS tree from node 0, and images of shortest
-// paths are shortest paths, so the resulting collections are short-cut
-// free.
+// The canonical paths form one BFS tree from node 0, the paths
+// g.ShortestPath(0, v, nil) returns, and images of shortest paths are
+// shortest paths, so the resulting collections are short-cut free.
 func TranslationSystem(vt topology.VertexTransitive) Selector {
 	g := vt.Graph()
 	n := g.NumNodes()
-	canonical := make([]graph.Path, n)
-	for v := 0; v < n; v++ {
-		canonical[v] = g.ShortestPath(0, v, nil)
-		if canonical[v] == nil {
+	parent := g.ShortestPathTree(0)
+	for _, p := range parent {
+		if p < 0 {
 			panic("paths: TranslationSystem requires a connected network")
 		}
 	}
@@ -165,9 +164,13 @@ func TranslationSystem(vt topology.VertexTransitive) Selector {
 	}
 	return func(src, dst graph.NodeID) graph.Path {
 		e := lookup(src)
-		base := canonical[e.inv[dst]]
-		img := make(graph.Path, len(base))
-		for i, u := range base {
+		v := e.inv[dst]
+		hops := 0
+		for u := v; u != 0; u = parent[u] {
+			hops++
+		}
+		img := make(graph.Path, hops+1)
+		for i, u := hops, v; i >= 0; i, u = i-1, parent[u] {
 			img[i] = e.phi(u)
 		}
 		return img

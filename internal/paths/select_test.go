@@ -1,6 +1,9 @@
 package paths
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -367,5 +370,47 @@ func TestEdgeLoadStatsSymmetric(t *testing.T) {
 	mean, max := EdgeLoadStats(tor.Graph(), sel, 50, src)
 	if max > 3*mean {
 		t.Errorf("edge loads too skewed for a symmetric system: mean %.2f max %.2f", mean, max)
+	}
+}
+
+// TestTranslationSystemPathsDigest pins every src->dst path
+// TranslationSystem returns on seven vertex-transitive graphs: one
+// SHA-256 over node counts, path lengths and nodes, in graph, source and
+// destination order. The digest was recorded when each canonical path
+// came from its own ShortestPath(0, v) query; the one BFS tree from node
+// 0 must spell the same paths.
+func TestTranslationSystemPathsDigest(t *testing.T) {
+	nets := []topology.VertexTransitive{
+		topology.NewRing(64),
+		topology.NewCirculant(64, []int{1, 5}),
+		topology.NewCCC(4),
+		topology.NewStarGraph(5),
+		topology.NewTorus(2, 6),
+		topology.NewHypercube(5),
+		topology.NewWrappedButterfly(3),
+	}
+	h := sha256.New()
+	var word [8]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint64(word[:], uint64(x))
+		h.Write(word[:])
+	}
+	for _, vt := range nets {
+		sel := TranslationSystem(vt)
+		n := vt.Graph().NumNodes()
+		put(n)
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				p := sel(src, dst)
+				put(len(p))
+				for _, v := range p {
+					put(v)
+				}
+			}
+		}
+	}
+	const want = "77c621229574611fb2f60f21c878880ede118ad0b7386fcd6f22e3b75aa4211a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("translation-system paths drifted:\n got %s\nwant %s", got, want)
 	}
 }

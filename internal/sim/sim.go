@@ -58,6 +58,17 @@ func (w WreckagePolicy) String() string {
 	}
 }
 
+// ParseWreckage returns the policy whose String is name, the inverse of
+// String.
+func ParseWreckage(name string) (WreckagePolicy, error) {
+	for _, w := range []WreckagePolicy{Drain, Vanish} {
+		if w.String() == name {
+			return w, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown wreckage policy %q (want drain or vanish)", name)
+}
+
 // Config parameterizes one simulation run (one protocol round).
 type Config struct {
 	// Bandwidth is B, the number of wavelengths per band. Required >= 1.

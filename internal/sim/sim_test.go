@@ -390,6 +390,16 @@ func TestWreckagePolicyString(t *testing.T) {
 	if WreckagePolicy(7).String() == "" {
 		t.Error("unknown policy string empty")
 	}
+	for _, w := range []WreckagePolicy{Drain, Vanish} {
+		if got, err := ParseWreckage(w.String()); err != nil || got != w {
+			t.Errorf("ParseWreckage(%q) = %v, %v", w, got, err)
+		}
+	}
+	for _, name := range []string{"", "vanishh", "WreckagePolicy(7)"} {
+		if _, err := ParseWreckage(name); err == nil {
+			t.Errorf("ParseWreckage(%q) accepted", name)
+		}
+	}
 }
 
 func TestMaxStepsGuard(t *testing.T) {

@@ -30,6 +30,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/optical"
 	"repro/internal/paths"
 	"repro/internal/rng"
@@ -69,57 +70,50 @@ func (n *Network) Selector() paths.Selector { return n.selector }
 // Torus returns a dims-dimensional torus of the given side with
 // dimension-order (shortest, short-cut free) path selection.
 func Torus(dims, side int) *Network {
-	t := topology.NewTorus(dims, side)
-	return &Network{topo: t, selector: paths.DimOrderTorus(t), name: t.Name()}
+	return build(jobs.NetworkSpec{Kind: "torus", Dims: dims, Side: side})
 }
 
 // Mesh returns a dims-dimensional mesh with dimension-order selection.
 func Mesh(dims, side int) *Network {
-	m := topology.NewMesh(dims, side)
-	return &Network{topo: m, selector: paths.DimOrderMesh(m), name: m.Name()}
+	return build(jobs.NetworkSpec{Kind: "mesh", Dims: dims, Side: side})
 }
 
 // Hypercube returns the dim-dimensional hypercube with bit-fixing
 // selection.
-func Hypercube(dim int) *Network {
-	h := topology.NewHypercube(dim)
-	return &Network{topo: h, selector: paths.BitFixing(h), name: h.Name()}
-}
+func Hypercube(dim int) *Network { return build(jobs.NetworkSpec{Kind: "hypercube", Dim: dim}) }
 
 // Butterfly returns the plain k-dimensional butterfly with its unique
 // input-to-output leveled path selection. Workloads must route from
 // level-0 nodes to level-k nodes (see ButterflyQFunction).
-func Butterfly(k int) *Network {
-	b := topology.NewButterfly(k)
-	return &Network{topo: b, selector: paths.ButterflySelector(b), name: b.Name()}
-}
+func Butterfly(k int) *Network { return build(jobs.NetworkSpec{Kind: "butterfly", Dim: k}) }
 
 // Ring returns the n-cycle with translation-system selection.
-func Ring(n int) *Network {
-	r := topology.NewRing(n)
-	return &Network{topo: r, selector: paths.TranslationSystem(r), name: r.Name()}
-}
+func Ring(n int) *Network { return build(jobs.NetworkSpec{Kind: "ring", Size: n}) }
 
 // Circulant returns the circulant graph C_n(offsets) with
 // translation-system selection (a bounded-degree node-symmetric network).
 func Circulant(n int, offsets []int) *Network {
-	c := topology.NewCirculant(n, offsets)
-	return &Network{topo: c, selector: paths.TranslationSystem(c), name: c.Name()}
+	return build(jobs.NetworkSpec{Kind: "circulant", Size: n, Offsets: offsets})
 }
 
 // StarGraph returns the Akers-Krishnamurthy star graph S_k with
 // translation-system selection (a bounded-degree node-symmetric network
 // on k! routers).
-func StarGraph(k int) *Network {
-	sg := topology.NewStarGraph(k)
-	return &Network{topo: sg, selector: paths.TranslationSystem(sg), name: sg.Name()}
-}
+func StarGraph(k int) *Network { return build(jobs.NetworkSpec{Kind: "star", Dim: k}) }
 
 // CCC returns the cube-connected cycles of dimension k with
 // translation-system selection.
-func CCC(k int) *Network {
-	c := topology.NewCCC(k)
-	return &Network{topo: c, selector: paths.TranslationSystem(c), name: c.Name()}
+func CCC(k int) *Network { return build(jobs.NetworkSpec{Kind: "ccc", Dim: k}) }
+
+// build returns the declared network with its canonical selector (see
+// jobs.NetworkSpec.Build). It panics on a declaration that cannot be
+// built, as the constructors above always have.
+func build(spec jobs.NetworkSpec) *Network {
+	t, sel, err := spec.Build()
+	if err != nil {
+		panic(err)
+	}
+	return &Network{topo: t, selector: sel, name: t.Name()}
 }
 
 // Custom wraps any topology with any selector.
@@ -231,15 +225,20 @@ type Result = core.Result
 // Route selects paths for the workload on the network and runs the
 // Trial-and-Failure protocol.
 func Route(n *Network, wl Workload, p Params) (*Result, error) {
-	col, err := paths.Build(n.Graph(), wl.Pairs, n.selector)
+	col, err := BuildCollection(n, wl)
 	if err != nil {
-		return nil, fmt.Errorf("optnet: path selection failed: %w", err)
+		return nil, err
 	}
 	return RouteCollection(col, p)
 }
 
 // RouteCollection runs the protocol on an explicit path collection.
 func RouteCollection(col *paths.Collection, p Params) (*Result, error) {
+	return core.Run(col, p.config(), rng.New(p.Seed))
+}
+
+// config is the protocol configuration every Route call runs for p.
+func (p Params) config() core.Config {
 	cfg := core.Config{
 		Bandwidth: p.Bandwidth,
 		Length:    p.WormLength,
@@ -257,13 +256,13 @@ func RouteCollection(col *paths.Collection, p Params) (*Result, error) {
 		cfg.Faults = a.Faults
 		cfg.Probe = a.Probe
 	}
-	return core.Run(col, cfg, rng.New(p.Seed))
+	return cfg
 }
 
 // Analyze computes the paper's problem parameters (n, D, C-tilde, leveled,
 // short-cut free) for a workload on a network.
 func Analyze(n *Network, wl Workload) (paths.Stats, error) {
-	col, err := paths.Build(n.Graph(), wl.Pairs, n.selector)
+	col, err := BuildCollection(n, wl)
 	if err != nil {
 		return paths.Stats{}, err
 	}
@@ -273,7 +272,11 @@ func Analyze(n *Network, wl Workload) (paths.Stats, error) {
 // BuildCollection exposes the selected path collection for direct
 // inspection or custom protocol configurations.
 func BuildCollection(n *Network, wl Workload) (*paths.Collection, error) {
-	return paths.Build(n.Graph(), wl.Pairs, n.selector)
+	col, err := paths.Build(n.Graph(), wl.Pairs, n.selector)
+	if err != nil {
+		return nil, fmt.Errorf("optnet: path selection failed: %w", err)
+	}
+	return col, nil
 }
 
 // MultiHopResult re-exports the staged protocol result.
@@ -283,26 +286,11 @@ type MultiHopResult = core.MultiHopResult
 // electrical buffering at the stage boundaries (the paper's Section 4
 // extension; see core.RunMultiHop).
 func RouteMultiHop(n *Network, wl Workload, hops int, p Params) (*MultiHopResult, error) {
-	col, err := paths.Build(n.Graph(), wl.Pairs, n.selector)
+	col, err := BuildCollection(n, wl)
 	if err != nil {
-		return nil, fmt.Errorf("optnet: path selection failed: %w", err)
+		return nil, err
 	}
-	cfg := core.Config{
-		Bandwidth: p.Bandwidth,
-		Length:    p.WormLength,
-		Rule:      p.Rule,
-		AckLength: p.AckLength,
-	}
-	if a := p.Advanced; a != nil {
-		cfg.Schedule = a.Schedule
-		cfg.Priorities = a.Priorities
-		cfg.Wreckage = a.Wreckage
-		cfg.Conversion = a.Conversion
-		cfg.MaxRounds = a.MaxRounds
-		cfg.Faults = a.Faults
-		cfg.Probe = a.Probe
-	}
-	return core.RunMultiHop(col, hops, cfg, rng.New(p.Seed))
+	return core.RunMultiHop(col, hops, p.config(), rng.New(p.Seed))
 }
 
 // StoreAndForwardResult re-exports the electronic baseline's result.
@@ -313,9 +301,9 @@ type StoreAndForwardResult = baseline.Result
 // message is delivered, each hop costs WormLength steps of link time, and
 // congestion shows up as queueing rather than retries.
 func RouteStoreAndForward(n *Network, wl Workload, p Params) (*StoreAndForwardResult, error) {
-	col, err := paths.Build(n.Graph(), wl.Pairs, n.selector)
+	col, err := BuildCollection(n, wl)
 	if err != nil {
-		return nil, fmt.Errorf("optnet: path selection failed: %w", err)
+		return nil, err
 	}
 	return baseline.RunCollection(col, p.WormLength, p.Bandwidth)
 }
@@ -368,6 +356,12 @@ func RouteDynamic(n *Network, arrivals []Arrival, p DynamicParams) (*DynamicResu
 			Arrival: a.Step,
 		})
 	}
+	return runDynamic(n, reqs, p)
+}
+
+// runDynamic runs routed requests in continuous operation, for
+// RouteDynamic and ReplayTrace.
+func runDynamic(n *Network, reqs []sim.Request, p DynamicParams) (*DynamicResult, error) {
 	scfg := sim.Config{
 		Bandwidth: p.Bandwidth,
 		Rule:      p.Rule,

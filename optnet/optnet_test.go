@@ -224,14 +224,40 @@ func TestRouteDynamic(t *testing.T) {
 func TestRouteMultiHop(t *testing.T) {
 	net := Torus(2, 6)
 	wl := RandomFunction(net, 5)
-	mh, err := RouteMultiHop(net, wl, 3, Params{
-		Bandwidth: 2, WormLength: 4, AckLength: 1, Seed: 8,
-	})
+	p := Params{Bandwidth: 2, WormLength: 4, AckLength: 1, Seed: 8}
+	mh, err := RouteMultiHop(net, wl, 3, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !mh.AllDelivered || len(mh.Stages) != 3 {
 		t.Fatalf("multihop: delivered=%t stages=%d", mh.AllDelivered, len(mh.Stages))
+	}
+
+	// Every stage runs the Advanced fields Route runs.
+	p.Advanced = &Advanced{
+		Schedule:         core.FixedSchedule{Factor: 2},
+		RecordCollisions: true,
+		TrackCongestion:  true,
+	}
+	adv, err := RouteMultiHop(net, wl, 3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv.TotalTime == mh.TotalTime {
+		t.Errorf("the fixed schedule left the total time at %d", mh.TotalTime)
+	}
+	for i, st := range adv.Stages {
+		if st.ScheduleName != "fixed" {
+			t.Errorf("stage %d: schedule %q", i, st.ScheduleName)
+		}
+		if len(st.RoundTraces) != st.TotalRounds {
+			t.Errorf("stage %d: %d round traces for %d rounds", i, len(st.RoundTraces), st.TotalRounds)
+		}
+		for _, rs := range st.Rounds {
+			if rs.ResidualCongestion < 0 {
+				t.Errorf("stage %d round %d: residual congestion not tracked", i, rs.Round)
+			}
+		}
 	}
 }
 

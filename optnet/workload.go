@@ -89,9 +89,5 @@ func ReplayTrace(n *Network, tr *Trace, p DynamicParams) (*DynamicResult, error)
 	if nn := n.Graph().NumNodes(); tr.Nodes != nn {
 		return nil, fmt.Errorf("optnet: trace drawn over %d nodes, network has %d", tr.Nodes, nn)
 	}
-	arrivals := make([]Arrival, len(tr.Arrivals))
-	for i, a := range tr.Arrivals {
-		arrivals[i] = Arrival{Src: a.Src, Dst: a.Dst, Step: a.Step}
-	}
-	return RouteDynamic(n, arrivals, p)
+	return runDynamic(n, tr.Requests(n.selector, p.WormLength), p)
 }
