@@ -320,14 +320,14 @@ func TestDynamicSpecValidation(t *testing.T) {
 		}
 	}
 
-	// Node-count mismatch surfaces at setup with a diagnosable message.
+	// A node-count mismatch is refused by validation with a diagnosable
+	// message, so a submission gets it before the job is keyed or queued.
 	s := testDynamicSpec(t, 1, 1)
 	s.Dynamic.Network = NetworkSpec{Kind: "torus", Dims: 2, Side: 5}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("mismatched sizes should pass static validation: %v", err)
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "trace spans 16 nodes but the torus network has 25") {
+		t.Fatalf("node-count mismatch not refused: %v", err)
 	}
-	_, _, err := (&Executor{}).Run(s, sim.NewEngine(), nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "nodes") {
-		t.Fatalf("node-count mismatch not surfaced: %v", err)
+	if _, _, err := (&Executor{}).Run(s, sim.NewEngine(), nil, nil); err == nil {
+		t.Fatal("Run accepted a node-count mismatch")
 	}
 }
