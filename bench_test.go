@@ -38,7 +38,7 @@ func simRoundWorkload(tb testing.TB, side int) (*graph.Graph, []sim.Worm, sim.Co
 	worms := make([]sim.Worm, col.Size())
 	for i := range worms {
 		worms[i] = sim.Worm{
-			ID: i, Path: col.Path(i), Length: 8,
+			ID: i, Route: col.Route(i), Length: 8,
 			Delay: src.Intn(64), Wavelength: src.Intn(4),
 		}
 	}
@@ -140,15 +140,24 @@ func sparseWorkload(tb testing.TB, side, worms int) (*graph.Graph, []sim.Worm, s
 	src := rng.New(29)
 	n := g.NumNodes()
 	ws := make([]sim.Worm, 0, worms)
+	ps := make([]graph.Path, 0, worms)
 	for id := 0; len(ws) < worms; id++ {
 		s, d := src.Intn(n), src.Intn(n)
 		if s == d {
 			continue
 		}
+		ps = append(ps, sel(s, d))
 		ws = append(ws, sim.Worm{
-			ID: len(ws), Path: sel(s, d), Length: 8,
+			ID: len(ws), Length: 8,
 			Delay: src.Intn(256), Wavelength: src.Intn(4),
 		})
+	}
+	routes, err := g.Routes(ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range ws {
+		ws[i].Route = routes[i]
 	}
 	return g, ws, sim.Config{Bandwidth: 4, Rule: optical.ServeFirst, AckLength: 1}
 }

@@ -60,15 +60,22 @@ func main() {
 	src := rng.New(*seed)
 	ranks := src.Perm(*nworms)
 	var worms []sim.Worm
+	var table []int32
 	for id := 0; id < *nworms; id++ {
 		s := src.Intn(g.NumNodes())
 		d := src.Intn(g.NumNodes())
 		if s == d {
 			continue
 		}
+		r, next, err := g.AppendRoute(table, g.ShortestPath(s, d, nil))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "trace:", err)
+			os.Exit(1)
+		}
+		table = next
 		worms = append(worms, sim.Worm{
 			ID:         id,
-			Path:       g.ShortestPath(s, d, nil),
+			Route:      r,
 			Length:     *length,
 			Delay:      src.Intn(*delta),
 			Wavelength: src.Intn(*bandw),

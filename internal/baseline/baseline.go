@@ -56,32 +56,46 @@ type Result struct {
 	PeakQueue int
 }
 
+// check validates the bandwidth and the messages of a run, resolving each
+// message's path through the graph's route check, and returns the paths'
+// links and the latest release step. Both electronic routers share it.
+func check(g *graph.Graph, msgs []Message, cfg Config) (links [][]int32, maxRelease int, err error) {
+	if cfg.Bandwidth < 1 {
+		return nil, 0, fmt.Errorf("baseline: bandwidth %d < 1", cfg.Bandwidth)
+	}
+	seen := make(map[int]bool, len(msgs))
+	links = make([][]int32, len(msgs))
+	var table []int32
+	for i, m := range msgs {
+		if m.ID < 0 || seen[m.ID] {
+			return nil, 0, fmt.Errorf("baseline: message %d has invalid or duplicate ID %d", i, m.ID)
+		}
+		seen[m.ID] = true
+		r, next, err := g.AppendRoute(table, m.Path)
+		if err != nil {
+			return nil, 0, fmt.Errorf("baseline: message %d: %w", m.ID, err)
+		}
+		table, links[i] = next, r.Links()
+		if m.Length < 1 || m.Release < 0 {
+			return nil, 0, fmt.Errorf("baseline: message %d has invalid parameters", m.ID)
+		}
+		maxRelease = max(maxRelease, m.Release)
+	}
+	return links, maxRelease, nil
+}
+
 // Run simulates the store-and-forward routing of all messages. Every
 // message is eventually delivered (buffers are unbounded), so only the
 // timing is in question. Arbitration is FIFO per link with ties broken by
 // message ID, making runs deterministic.
 func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
-	if cfg.Bandwidth < 1 {
-		return nil, fmt.Errorf("baseline: bandwidth %d < 1", cfg.Bandwidth)
+	links, maxRelease, err := check(g, msgs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[int]bool, len(msgs))
 	totalHops := 0
-	maxRelease := 0
 	for i, m := range msgs {
-		if m.ID < 0 || seen[m.ID] {
-			return nil, fmt.Errorf("baseline: message %d has invalid or duplicate ID %d", i, m.ID)
-		}
-		seen[m.ID] = true
-		if err := m.Path.Validate(g); err != nil {
-			return nil, fmt.Errorf("baseline: message %d: %w", m.ID, err)
-		}
-		if m.Path.Len() == 0 || m.Length < 1 || m.Release < 0 {
-			return nil, fmt.Errorf("baseline: message %d has invalid parameters", m.ID)
-		}
-		totalHops += m.Path.Len() * m.Length
-		if m.Release > maxRelease {
-			maxRelease = m.Release
-		}
+		totalHops += len(links[i]) * m.Length
 	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
@@ -106,9 +120,7 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 	for i := range res.Outcomes {
 		res.Outcomes[i] = Outcome{DeliveredAt: -1}
 	}
-	links := make([][]graph.LinkID, len(msgs))
 	for i, m := range msgs {
-		links[i] = m.Path.Links(g)
 		completions[m.Release] = append(completions[m.Release], job{idx: i, hop: 0})
 	}
 
@@ -128,7 +140,7 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 					pending--
 					continue
 				}
-				l := links[j.idx][j.hop]
+				l := int(links[j.idx][j.hop])
 				queues[l] = append(queues[l], j)
 				if q := len(queues[l]); q > res.PeakQueue {
 					res.PeakQueue = q

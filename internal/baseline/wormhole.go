@@ -34,27 +34,13 @@ type WormholeResult struct {
 
 // RunWormhole simulates buffered wormhole routing of all messages.
 func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, error) {
-	if cfg.Bandwidth < 1 {
-		return nil, fmt.Errorf("baseline: bandwidth %d < 1", cfg.Bandwidth)
+	links, maxRelease, err := check(g, msgs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[int]bool, len(msgs))
 	total := 0
-	maxRelease := 0
 	for i, m := range msgs {
-		if m.ID < 0 || seen[m.ID] {
-			return nil, fmt.Errorf("baseline: message %d has invalid or duplicate ID %d", i, m.ID)
-		}
-		seen[m.ID] = true
-		if err := m.Path.Validate(g); err != nil {
-			return nil, fmt.Errorf("baseline: message %d: %w", m.ID, err)
-		}
-		if m.Path.Len() == 0 || m.Length < 1 || m.Release < 0 {
-			return nil, fmt.Errorf("baseline: message %d has invalid parameters", m.ID)
-		}
-		total += m.Path.Len() + m.Length
-		if m.Release > maxRelease {
-			maxRelease = m.Release
-		}
+		total += len(links[i]) + m.Length
 	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
@@ -62,7 +48,7 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 	}
 
 	type state struct {
-		links     []graph.LinkID
+		links     []int32
 		p         int // advancement count; -1 = not injected
 		waitSince int
 		done      bool
@@ -71,7 +57,7 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 	busy := make(map[graph.LinkID]int)
 	res := &WormholeResult{Outcomes: make([]Outcome, len(msgs))}
 	for i, m := range msgs {
-		sts[i] = &state{links: m.Path.Links(g), p: -1, waitSince: m.Release}
+		sts[i] = &state{links: links[i], p: -1, waitSince: m.Release}
 		res.Outcomes[i] = Outcome{DeliveredAt: -1}
 	}
 
@@ -96,7 +82,7 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 			k := len(st.links)
 			next := st.p + 1
 			if next < k {
-				requests = append(requests, request{idx: i, link: st.links[next]})
+				requests = append(requests, request{idx: i, link: int(st.links[next])})
 			} else {
 				draining = append(draining, i)
 			}
@@ -119,12 +105,12 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 			moved++
 			// Tail leaves link p-Length (if it is a real link index).
 			if tail := st.p - msgs[i].Length; tail >= 0 && tail < len(st.links) {
-				releases = append(releases, st.links[tail])
+				releases = append(releases, int(st.links[tail]))
 			}
 			if st.p == len(st.links)+msgs[i].Length-2 {
 				st.done = true
 				// The tail exits the last link as the worm completes.
-				releases = append(releases, st.links[len(st.links)-1])
+				releases = append(releases, int(st.links[len(st.links)-1]))
 				res.Outcomes[i].DeliveredAt = t
 				if t > res.Makespan {
 					res.Makespan = t

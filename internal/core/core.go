@@ -41,6 +41,10 @@ type Params struct {
 // Log2N returns log2(max(N,2)), the "log n" of the paper's formulas.
 func (p Params) Log2N() float64 { return math.Log2(float64(maxInt(p.N, 2))) }
 
+// DefaultMaxRounds is the round cap a zero Config.MaxRounds takes for n
+// worms: 64 + 8*ceil(log2 n).
+func DefaultMaxRounds(n int) int { return 64 + 8*int(math.Ceil(Params{N: n}.Log2N())) }
+
 // DelaySchedule produces the per-round delay range Delta_t (the startup
 // delay is drawn uniformly from [0, Delta_t)).
 type DelaySchedule interface {
@@ -193,8 +197,8 @@ type Config struct {
 	// Wavelengths chooses per-round wavelengths; nil means the paper's
 	// uniform random draws.
 	Wavelengths WavelengthPolicy
-	// MaxRounds caps the protocol; 0 derives 64 + 8*ceil(log2 n). Hitting
-	// the cap is reported in the result, not an error.
+	// MaxRounds caps the protocol; 0 takes DefaultMaxRounds. Hitting the
+	// cap is reported in the result, not an error.
 	MaxRounds int
 	// Wreckage, Tie and AckLength configure the simulator (see sim).
 	Wreckage sim.WreckagePolicy
@@ -326,7 +330,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
-		maxRounds = 64 + 8*int(math.Ceil(params.Log2N()))
+		maxRounds = DefaultMaxRounds(params.N)
 	}
 
 	res := &Result{Params: params, ScheduleName: sched.Name(), WormRounds: make([]int, c.Size())}
@@ -397,20 +401,12 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 		}
 		lambdas := waves.Assign(t, active, c, cfg.Bandwidth, src)
 		worms = worms[:len(active)]
+		var detours []graph.Path // this round's reroutes, for worms[detoured[k]]
+		var detoured []int
 		for i, idx := range active {
-			path := c.Path(idx)
-			if degraded && pathHitsDownLink(x, idx, blocked) {
-				// Deterministic detour; an unreachable destination keeps
-				// the original path (the attempt dies at the outage and
-				// retries next round, by which time a repair may land).
-				if alt := g.ShortestPath(path.Source(), path.Dest(), isBlocked); alt != nil {
-					path = alt
-					stats.Rerouted++
-				}
-			}
 			w := sim.Worm{
 				ID:         idx,
-				Path:       path,
+				Route:      c.Route(idx),
 				Length:     cfg.Length,
 				Delay:      src.Intn(delta),
 				Wavelength: lambdas[i],
@@ -419,6 +415,26 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 				w.Rank = ranks[i]
 			}
 			worms[i] = w
+			if degraded && hitsDownLink(w.Route, blocked) {
+				// Deterministic detour; an unreachable destination keeps
+				// the original path (the attempt dies at the outage and
+				// retries next round, by which time a repair may land).
+				path := c.Path(idx)
+				if alt := g.ShortestPath(path.Source(), path.Dest(), isBlocked); alt != nil {
+					detours = append(detours, alt)
+					detoured = append(detoured, i)
+				}
+			}
+		}
+		if len(detours) > 0 {
+			routes, err := g.Routes(detours)
+			if err != nil {
+				return nil, fmt.Errorf("core: round %d: reroute %w", t, err)
+			}
+			for k, i := range detoured {
+				worms[i].Route = routes[k]
+			}
+			stats.Rerouted = len(detours)
 		}
 		simRes, err := eng.Run(g, worms, sim.Config{
 			Bandwidth:        cfg.Bandwidth,
@@ -490,10 +506,10 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 	return res, nil
 }
 
-// pathHitsDownLink reports whether worm idx's original path crosses a
-// link marked down in the blocked lookup.
-func pathHitsDownLink(x *paths.LinkIndex, idx int, blocked []bool) bool {
-	for _, id := range x.PathLinks(idx) {
+// hitsDownLink reports whether route r crosses a link marked down in the
+// blocked lookup.
+func hitsDownLink(r graph.Route, blocked []bool) bool {
+	for _, id := range r.Links() {
 		if blocked[id] {
 			return true
 		}
@@ -537,7 +553,7 @@ func (s *congestionScratch) congestion(x *paths.LinkIndex, active []int) int {
 		s.seenGen++
 		count := 0
 		for _, id := range x.PathLinks(idx) {
-			for _, j := range x.Users(id) {
+			for _, j := range x.Users(int(id)) {
 				if s.active[j] == s.activeGen && s.seen[j] != s.seenGen {
 					s.seen[j] = s.seenGen
 					count++

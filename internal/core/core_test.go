@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/optical"
 	"repro/internal/paths"
@@ -455,5 +457,46 @@ func TestWormRounds(t *testing.T) {
 	}
 	if res.AllDelivered && maxRound != res.TotalRounds {
 		t.Errorf("last completion round %d != total rounds %d", maxRound, res.TotalRounds)
+	}
+}
+
+// TestRoutesReadOnlyToEngine pins that the engine only reads the routes it
+// is handed. Worms point their trains at the collection's shared route
+// table, while trains are recycled and acks append their reversed links
+// into a buffer the train owns; a train that appended into a route view
+// instead would overwrite other paths' links. Rounds with acks, with
+// conversion and with a reroute run on one reused engine, and every route
+// of the collection must still equal a fresh check of its path.
+func TestRoutesReadOnlyToEngine(t *testing.T) {
+	c := torusPermCollection(t, 6, 5)
+	g := c.Graph()
+	eng := sim.NewEngine()
+	down := graph.LinkID(c.Route(0).Links()[0])
+	for i, cfg := range []Config{
+		{Bandwidth: 1, Length: 3, AckLength: 2, Rule: optical.ServeFirst},
+		{Bandwidth: 2, Length: 2, AckLength: 3, Rule: optical.Priority, Conversion: sim.FullConversion},
+		{Bandwidth: 2, Length: 4, AckLength: 1, Rule: optical.ServeFirst, Wreckage: sim.Vanish,
+			Faults: &faults.Plan{Faults: []faults.Fault{{Kind: faults.LinkOutage, Link: down, Start: 0, End: 50}}}},
+		{Bandwidth: 1, Length: 5, AckLength: 5, Rule: optical.Priority, CheckInvariants: true},
+	} {
+		res, err := RunWithSimulator(c, cfg, rng.New(uint64(i)+11), eng)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if !res.AllDelivered {
+			t.Fatalf("config %d: %d worms still active", i, len(res.StillActive))
+		}
+		if cfg.Faults != nil && res.TotalRerouted == 0 {
+			t.Fatalf("config %d: no worm was rerouted", i)
+		}
+	}
+	for i := 0; i < c.Size(); i++ {
+		fresh, _, err := g.AppendRoute(nil, c.Path(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Route(i).Links(); !slices.Equal(got, fresh.Links()) {
+			t.Fatalf("route %d after the runs: %v, a fresh check gives %v", i, got, fresh.Links())
+		}
 	}
 }

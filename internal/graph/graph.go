@@ -75,9 +75,9 @@ func (g *Graph) buildIndex() {
 }
 
 // linkScanMaxDegree bounds the adjacency-row scan in LinkBetween: up to
-// this degree a linear walk of adj[u] beats the hash lookup (the simulator
-// resolves every path hop through LinkBetween each round, so this is a hot
-// call); denser nodes fall back to the map.
+// this degree a linear walk of adj[u] beats the hash lookup (the route
+// check resolves every hop of every collection path through it); denser
+// nodes fall back to the map.
 const linkScanMaxDegree = 16
 
 // LinkBetween returns the directed link ID for u->v, and whether it exists.

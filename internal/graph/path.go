@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Path is a walk through the network given as a node sequence. A path with
 // k+1 nodes uses k directed links. The trivial path of a single node has
@@ -32,37 +35,88 @@ func (p Path) Len() int {
 	return len(p) - 1
 }
 
-// Validate checks that every consecutive node pair is joined by a link of
-// g and that the path is non-empty.
-func (p Path) Validate(g *Graph) error {
-	if len(p) == 0 {
-		return fmt.Errorf("graph: empty path")
-	}
-	for _, u := range p {
-		if u < 0 || u >= g.NumNodes() {
-			return fmt.Errorf("graph: path node %d out of range [0,%d)", u, g.NumNodes())
-		}
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if _, ok := g.LinkBetween(p[i], p[i+1]); !ok {
-			return fmt.Errorf("graph: path step %d: no link %d->%d", i, p[i], p[i+1])
-		}
-	}
-	return nil
+// Route is a path checked against one graph and resolved to its directed
+// link IDs. Only AppendRoute and Routes make one, so holding a Route
+// proves the check ran; the zero Route is on no graph. A route records
+// whether it uses some directed link twice but does not refuse such a
+// walk: collections and the congestion code take them, and the simulator
+// refuses them (a worm holds a run of distinct links, Section 1.1).
+type Route struct {
+	g       *Graph
+	links   []int32 // capacity == length: appending to Links copies
+	revisit bool
 }
 
-// Links resolves the path to its directed link IDs. It panics if the path
-// does not validate against g.
-func (p Path) Links(g *Graph) []LinkID {
-	ids := make([]LinkID, p.Len())
-	for i := 0; i+1 < len(p); i++ {
-		id, ok := g.LinkBetween(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("graph: path uses missing link %d->%d", p[i], p[i+1]))
-		}
-		ids[i] = id
+// On reports whether r was checked against g.
+func (r Route) On(g *Graph) bool { return r.g != nil && r.g == g }
+
+// Links returns the route's directed link IDs in path order. Link IDs fit
+// an int32 (the adjacency rows store them so). The slice is shared and
+// its capacity equals its length; the caller must not modify it.
+func (r Route) Links() []int32 { return r.links }
+
+// Len returns the number of links the route uses.
+func (r Route) Len() int { return len(r.links) }
+
+// Revisits reports whether the route uses some directed link twice.
+func (r Route) Revisits() bool { return r.revisit }
+
+// AppendRoute checks p against g and resolves it: it refuses a path with
+// no link, a node out of range, or a hop that is not a link of g. It
+// appends the path's links to table and returns the route, which views
+// exactly the appended links, and the extended table. The revisit check
+// sorts a copy of the links in table's spare capacity past them, so a
+// caller that reuses one table checks paths without allocating.
+func (g *Graph) AppendRoute(table []int32, p Path) (Route, []int32, error) {
+	if len(p) == 0 {
+		return Route{}, table, fmt.Errorf("graph: empty path")
 	}
-	return ids
+	if p[0] < 0 || p[0] >= g.n {
+		return Route{}, table, fmt.Errorf("graph: path node %d out of range [0,%d)", p[0], g.n)
+	}
+	if len(p) == 1 {
+		return Route{}, table, fmt.Errorf("graph: zero-length path")
+	}
+	lo := len(table)
+	for j := 0; j+1 < len(p); j++ {
+		u, v := p[j], p[j+1]
+		if v < 0 || v >= g.n {
+			return Route{}, table[:lo], fmt.Errorf("graph: path node %d out of range [0,%d)", v, g.n)
+		}
+		id, ok := g.LinkBetween(u, v)
+		if !ok {
+			return Route{}, table[:lo], fmt.Errorf("graph: path step %d: no link %d->%d", j, u, v)
+		}
+		table = append(table, int32(id))
+	}
+	hi := len(table)
+	sorted := append(table[hi:], table[lo:hi]...)
+	slices.Sort(sorted)
+	revisit := false
+	for k := 1; k < len(sorted) && !revisit; k++ {
+		revisit = sorted[k] == sorted[k-1]
+	}
+	return Route{g: g, links: table[lo:hi:hi], revisit: revisit}, table, nil
+}
+
+// Routes checks every path of ps against g in one pass that fills one flat
+// link table, and returns their routes in order. The error names the first
+// refused path by its index.
+func (g *Graph) Routes(ps []Path) ([]Route, error) {
+	total, longest := 0, 0
+	for _, p := range ps {
+		total += p.Len()
+		longest = max(longest, p.Len())
+	}
+	table := make([]int32, 0, total+longest) // longest: room to sort a copy
+	routes := make([]Route, len(ps))
+	for i, p := range ps {
+		var err error
+		if routes[i], table, err = g.AppendRoute(table, p); err != nil {
+			return nil, fmt.Errorf("path %d: %w", i, err)
+		}
+	}
+	return routes, nil
 }
 
 // IsSimple reports whether the path visits no node twice.

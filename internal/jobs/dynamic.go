@@ -71,7 +71,18 @@ func (d *DynamicSpec) normalized() *DynamicSpec {
 	} else {
 		out.Network.Offsets = append([]int{}, out.Network.Offsets...)
 	}
-	p := &out.Protocol
+	out.Protocol = d.Protocol.normalized()
+	if out.Faults != nil && len(out.Faults.Faults) == 0 {
+		out.Faults = nil
+	}
+	if out.Trials <= 0 {
+		out.Trials = 1
+	}
+	return &out
+}
+
+// normalized returns the protocol with every defaultable field explicit.
+func (p DynamicProtocolSpec) normalized() DynamicProtocolSpec {
 	if p.Bandwidth <= 0 {
 		p.Bandwidth = 1
 	}
@@ -95,13 +106,7 @@ func (d *DynamicSpec) normalized() *DynamicSpec {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = sim.DefaultMaxAttempts
 	}
-	if out.Faults != nil && len(out.Faults.Faults) == 0 {
-		out.Faults = nil
-	}
-	if out.Trials <= 0 {
-		out.Trials = 1
-	}
-	return &out
+	return p
 }
 
 // validate checks a dynamic spec's kinds and bounds. The trace itself is
@@ -151,7 +156,34 @@ func (d *DynamicSpec) validate() error {
 	default:
 		return fmt.Errorf("jobs: unknown backoff policy %q", p.Backoff)
 	}
-	return d.Network.checkLoad(p.Bandwidth, len(d.Trace.Arrivals))
+	if err := d.Network.checkLoad(p.Bandwidth, len(d.Trace.Arrivals)); err != nil {
+		return err
+	}
+	return checkSpan("dynamic", d.span())
+}
+
+// span bounds the steps a replay of the dynamic spec spans: the trace
+// horizon plus, for each of max_attempts launches, the retry policy's
+// largest backoff and one attempt's ack window, 2(D + L) plus the ack
+// length (each saturated past maxSpan, so the sum cannot overflow).
+func (d *DynamicSpec) span() int {
+	_, _, _, hops := d.Network.size()
+	p := d.Protocol.normalized()
+	retry := p.retry()
+	backoff := 0
+	for a := 1; a <= p.MaxAttempts; a++ {
+		backoff = max(backoff, retry.Backoff(a))
+	}
+	window := 2*(hops+p.Length) + min(p.AckLength, maxSpan+1)
+	return d.Trace.Horizon + p.MaxAttempts*(min(backoff, maxSpan+1)+window)
+}
+
+// retry is the normalized protocol's retry policy.
+func (p DynamicProtocolSpec) retry() sim.RetryPolicy {
+	if p.Backoff == "fixed" {
+		return sim.FixedBackoff{Range: p.BackoffBase}
+	}
+	return sim.ExponentialBackoff{Base: p.BackoffBase, Cap: p.BackoffCap}
 }
 
 // dynamicSetup is a materialized dynamic job: the graph, the trace's
@@ -187,11 +219,7 @@ func (d *DynamicSpec) setup() (*dynamicSetup, error) {
 			MaxSteps:  p.MaxSteps,
 		},
 		MaxAttempts: p.MaxAttempts,
-	}
-	if p.Backoff == "fixed" {
-		cfg.Retry = sim.FixedBackoff{Range: p.BackoffBase}
-	} else {
-		cfg.Retry = sim.ExponentialBackoff{Base: p.BackoffBase, Cap: p.BackoffCap}
+		Retry:       p.retry(),
 	}
 	if d.Faults != nil {
 		sched, err := d.Faults.Compile(g, p.Bandwidth)

@@ -330,6 +330,31 @@ func TestServerRejectsUnbuildableNetworks(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOverlongRuns: a route or dynamic job whose run would
+// span more steps than the serving limit is refused with 400 and queues
+// nothing.
+func TestServerRejectsOverlongRuns(t *testing.T) {
+	srv, _, sched := newTestServer(t, Options{})
+	for name, spec := range overlongSpecs(t) {
+		body, err := json.Marshal(SubmitRequest{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("steps, over the limit")) {
+			t.Fatalf("%s: status %d (%s), want 400 for the span limit", name, resp.StatusCode, msg)
+		}
+	}
+	if m := sched.Metrics(); m.QueueDepth != 0 || m.Running != 0 || m.JobsDone != 0 {
+		t.Fatalf("an overlong run reached the scheduler: %+v", m)
+	}
+}
+
 // TestServerStream: the NDJSON stream ends with a settled state.
 func TestServerStream(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{})

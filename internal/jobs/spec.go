@@ -16,6 +16,7 @@
 package jobs
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -251,8 +252,11 @@ func (s Spec) Validate() error {
 	if p.Length < 0 || p.Length > 4096 {
 		return fmt.Errorf("jobs: length %d out of range [0, 4096]", p.Length)
 	}
-	if p.AckLength < 0 || p.MaxRounds < 0 {
-		return fmt.Errorf("jobs: ack_length and max_rounds must be >= 0")
+	if p.AckLength < 0 {
+		return fmt.Errorf("jobs: ack_length must be >= 0")
+	}
+	if p.MaxRounds < 0 || p.MaxRounds > maxRounds {
+		return fmt.Errorf("jobs: max_rounds %d out of range [0, %d]", p.MaxRounds, maxRounds)
 	}
 	if _, err := optical.ParseRule(p.Rule); p.Rule != "" && err != nil {
 		return fmt.Errorf("jobs: %w", err)
@@ -265,27 +269,65 @@ func (s Spec) Validate() error {
 	if _, err := sim.ParseWreckage(p.Wreckage); p.Wreckage != "" && err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	switch p.Schedule {
-	case "", "halving", "fixed", "doubling":
-	default:
+	if _, ok := schedules[p.Schedule]; p.Schedule != "" && !ok {
 		return fmt.Errorf("jobs: unknown schedule %q", p.Schedule)
 	}
 	_, pairs, _, _ := r.Network.size()
 	if r.Workload.Kind == "qfunction" {
 		pairs *= max(1, r.Workload.Q)
 	}
-	return r.Network.checkLoad(p.Bandwidth, pairs)
+	if err := r.Network.checkLoad(p.Bandwidth, pairs); err != nil {
+		return err
+	}
+	return checkSpan("route", r.span(pairs))
 }
 
-// The serving limits on what one job builds. maxSlots bounds the engine:
-// its occupant table holds one 8-byte entry per slot, two bands of links
-// times the bandwidth rounded up to a power of two (sim.Engine's layout),
-// so 2^25 slots keep it within 256 MiB. maxHops bounds the routed paths:
-// requests times the network's path-length bound.
+// The serving limits on what one job builds and runs. maxSlots bounds the
+// engine: its occupant table holds one 8-byte entry per slot, two bands
+// of links times the bandwidth rounded up to a power of two (sim.Engine's
+// layout), so 2^25 slots keep it within 256 MiB. maxHops bounds the
+// routed paths: requests times the network's path-length bound. maxSpan
+// bounds the steps one run spans: the engine's spawn calendar and
+// RunDynamic's arrival and deadline agendas are arrays indexed by step,
+// about 115 bytes per step of a dynamic run, so 2^21 steps keep them
+// within the same 256 MiB, and a worker is held for a bounded number of
+// steps. maxRounds bounds a route job's max_rounds, as maxTrials bounds
+// its trials.
 const (
-	maxSlots = 1 << 25
-	maxHops  = 1 << 24
+	maxSlots  = 1 << 25
+	maxHops   = 1 << 24
+	maxSpan   = 1 << 21
+	maxRounds = 10000
 )
+
+// span bounds the steps one protocol round of the route spec spans on
+// requests worms: the largest delay range its schedule draws over the
+// effective max_rounds, taking C <= requests, plus 2(D + L) and the ack
+// length (saturated past maxSpan, so the sum cannot overflow). Every
+// schedule a job can name is monotone in the round, so the largest range
+// is drawn in the first round or the last.
+func (r *RouteSpec) span(requests int) int {
+	_, _, _, hops := r.Network.size()
+	p := r.Protocol
+	params := core.Params{N: requests, Dilation: hops, PathCongestion: requests,
+		Length: max(1, p.Length), Bandwidth: max(1, p.Bandwidth)}
+	rounds := p.MaxRounds
+	if rounds == 0 {
+		rounds = core.DefaultMaxRounds(requests)
+	}
+	sched := schedules[cmp.Or(p.Schedule, "halving")]
+	delta := max(sched.Range(1, params), sched.Range(rounds, params))
+	return delta + 2*(hops+params.Length) + min(p.AckLength, maxSpan+1)
+}
+
+// checkSpan refuses a job of the given kind whose run spans more than
+// maxSpan steps.
+func checkSpan(kind string, span int) error {
+	if span > maxSpan {
+		return fmt.Errorf("jobs: a %s run spans up to %d steps, over the limit of %d", kind, span, maxSpan)
+	}
+	return nil
+}
 
 // checkLoad refuses a job on a validated network whose engine, at the
 // given bandwidth (0 takes the default of 1), or whose requests' routed
@@ -511,12 +553,7 @@ func (r *RouteSpec) setup() (*runSetup, error) {
 	if p.Tie == "arbitrary-winner" {
 		cfg.Tie = optical.TieArbitraryWinner
 	}
-	switch p.Schedule {
-	case "fixed":
-		cfg.Schedule = core.FixedSchedule{}
-	case "doubling":
-		cfg.Schedule = core.DoublingSchedule{}
-	}
+	cfg.Schedule = schedules[p.Schedule]
 	if p.Conversion {
 		cfg.Conversion = sim.FullConversion
 	}
@@ -526,6 +563,14 @@ func (r *RouteSpec) setup() (*runSetup, error) {
 		}
 	}
 	return &runSetup{col: col, cfg: cfg, trialSrcs: trialSrcs}, nil
+}
+
+// schedules maps each schedule name a route spec may give to its delay
+// schedule.
+var schedules = map[string]core.DelaySchedule{
+	"halving":  core.HalvingSchedule{},
+	"fixed":    core.FixedSchedule{},
+	"doubling": core.DoublingSchedule{},
 }
 
 // buildCollection builds the network, draws the workload from the

@@ -126,6 +126,42 @@ var unbuildableNetworks = []NetworkSpec{
 }
 
 // TestSpecValidate rejects malformed specs with telling messages.
+// overlongSpecs are specs whose runs would span more steps than maxSpan:
+// a dynamic job whose fixed or exponential backoff range is 2^20 or 2^22
+// steps, a route job with the doubling schedule and the default
+// max_rounds (80 here) whose destinations a permanent outage cuts off,
+// so its delay range doubles every round, and a route job with a 10^12
+// flit acknowledgement. Each validated before the span bound; at the
+// parent they grew the engine's agendas by about 115 bytes per step or
+// held a worker for hours.
+func overlongSpecs(t testing.TB) map[string]Spec {
+	twoRequests := &workload.Trace{Version: workload.TraceVersion, Nodes: 8, Horizon: 1,
+		Arrivals: []workload.Arrival{{Dst: 1}, {Dst: 1}}}
+	dynamic := func(backoff string, base int) Spec {
+		return Spec{Dynamic: &DynamicSpec{Network: NetworkSpec{Kind: "ring", Size: 8}, Trace: twoRequests,
+			Protocol: DynamicProtocolSpec{Bandwidth: 1, Backoff: backoff, BackoffBase: base, MaxAttempts: 3}, Trials: 1}}
+	}
+	var intoOutput []faults.Fault // both links into the butterfly's output node 8
+	g := topology.NewButterfly(2).Graph()
+	for id := 0; id < g.NumLinks(); id++ {
+		if g.Link(id).To == 8 {
+			intoOutput = append(intoOutput, faults.Fault{Kind: faults.LinkOutage, Link: id})
+		}
+	}
+	if len(intoOutput) != 2 {
+		t.Fatalf("butterfly(2) has %d links into node 8, want 2", len(intoOutput))
+	}
+	return map[string]Spec{
+		"dynamic fixed backoff 2^20":       dynamic("fixed", 1<<20),
+		"dynamic fixed backoff 2^22":       dynamic("fixed", 1<<22),
+		"dynamic exponential backoff 2^20": dynamic("exponential", 1<<20),
+		"doubling to an unreachable output": {Route: &RouteSpec{Network: NetworkSpec{Kind: "butterfly", Dim: 2},
+			Protocol: ProtocolSpec{Schedule: "doubling"}, Faults: &faults.Plan{Faults: intoOutput}, Trials: 1}},
+		"ack length 10^12": {Route: &RouteSpec{Network: NetworkSpec{Kind: "ring", Size: 8},
+			Protocol: ProtocolSpec{AckLength: 1e12}, Trials: 1}},
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	cases := map[string]Spec{
 		"neither":         {},
@@ -151,6 +187,11 @@ func TestSpecValidate(t *testing.T) {
 	for _, n := range unbuildableNetworks {
 		cases[fmt.Sprintf("unbuildable %+v", n)] = Spec{Route: &RouteSpec{Network: n}}
 	}
+	for name, s := range overlongSpecs(t) {
+		cases[name] = s
+	}
+	cases["max_rounds over 10000"] = Spec{Route: &RouteSpec{Network: NetworkSpec{Kind: "ring", Size: 8},
+		Protocol: ProtocolSpec{MaxRounds: maxRounds + 1}}}
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, s)
@@ -176,7 +217,13 @@ func TestSpecValidate(t *testing.T) {
 	// 3-dim torus of side 26 has 105,456 links, so bandwidth 128 fits and
 	// 129, which the engine lays out as 256, does not, although 2 · links
 	// · 129 would; a 4,096-ring's paths have at most 2,048 hops, so 8,192
-	// requests route at most 2^24 hops.
+	// requests route at most 2^24 hops. A doubling route job on the
+	// butterfly of dimension 2 (4 requests, D = 2, L = 1) spans 2^20 + 3
+	// delay steps in its 21st round plus 2(D + L) = 6, so an ack of 2^21 -
+	// (2^20 + 9) flits fills its span to 2^21. A dynamic job of two
+	// requests on the 8-ring (D = 4, L = 1) over a horizon of 2 spans
+	// 2 + 3(backoff + 10) steps in 3 attempts: 2^21 at a fixed backoff of
+	// 699,040.
 	torus := NetworkSpec{Kind: "torus", Dims: 4, Side: 16}
 	odd := NetworkSpec{Kind: "torus", Dims: 3, Side: 26}
 	ring := NetworkSpec{Kind: "ring", Size: 4096}
@@ -204,6 +251,12 @@ func TestSpecValidate(t *testing.T) {
 			"dynamic slots":                    dynamicSlots(torus, 1<<16, 32+extra),
 			"dynamic slots, rounded bandwidth": dynamicSlots(odd, 26*26*26, 128+extra),
 			"dynamic hops":                     {Dynamic: &DynamicSpec{Network: ring, Trace: trace(4096, 8192+extra)}},
+			"route span": {Route: &RouteSpec{Network: NetworkSpec{Kind: "butterfly", Dim: 2},
+				Protocol: ProtocolSpec{Schedule: "doubling", MaxRounds: 21, AckLength: maxSpan - (1<<20 + 9) + extra}}},
+			"dynamic span": {Dynamic: &DynamicSpec{Network: NetworkSpec{Kind: "ring", Size: 8},
+				Trace: &workload.Trace{Version: workload.TraceVersion, Nodes: 8, Horizon: 2,
+					Arrivals: []workload.Arrival{{Dst: 1}, {Dst: 1}}},
+				Protocol: DynamicProtocolSpec{Backoff: "fixed", BackoffBase: 699040 + extra, MaxAttempts: 3}}},
 		} {
 			if err := s.Validate(); (err != nil) != (extra == 1) {
 				t.Errorf("%s, %d over the limit: Validate = %v", name, extra, err)
@@ -239,6 +292,9 @@ func FuzzSpecKey(f *testing.F) {
 	}
 	for _, n := range unbuildableNetworks {
 		seeds = append(seeds, Spec{Route: &RouteSpec{Network: n, Trials: 1}})
+	}
+	for _, name := range []string{"dynamic fixed backoff 2^22", "doubling to an unreachable output", "ack length 10^12"} {
+		seeds = append(seeds, overlongSpecs(f)[name])
 	}
 	for _, spec := range seeds {
 		b, err := json.Marshal(SubmitRequest{Spec: spec, Priority: 1})

@@ -51,13 +51,22 @@ func TestStaggeredStructure(t *testing.T) {
 	}
 }
 
+// linksOf is path p's links, by the route check.
+func linksOf(g *graph.Graph, p graph.Path) []int32 {
+	r, _, err := g.AppendRoute(nil, p)
+	if err != nil {
+		panic(err)
+	}
+	return r.Links()
+}
+
 func sharedLinks(g *graph.Graph, p, q graph.Path) int {
-	in := map[graph.LinkID]bool{}
-	for _, id := range p.Links(g) {
+	in := map[int32]bool{}
+	for _, id := range linksOf(g, p) {
 		in[id] = true
 	}
 	n := 0
-	for _, id := range q.Links(g) {
+	for _, id := range linksOf(g, q) {
 		if in[id] {
 			n++
 		}
@@ -74,7 +83,7 @@ func TestStaggeredSharedEdgeOffsets(t *testing.T) {
 	for i := 0; i+1 < 3; i++ {
 		p, q := c.Path(i), c.Path(i+1)
 		// Path i's link at offset d equals path i+1's link at offset 0.
-		pl, ql := p.Links(g), q.Links(g)
+		pl, ql := linksOf(g, p), linksOf(g, q)
 		if pl[d] != ql[0] {
 			t.Errorf("paths %d,%d: shared edge not at offsets (%d, 0)", i, i+1, d)
 		}
@@ -112,7 +121,7 @@ func TestStaggeredChainElimination(t *testing.T) {
 	// d <= L-1. So every worm except the last is eliminated.
 	worms := make([]sim.Worm, m)
 	for i := 0; i < m; i++ {
-		worms[i] = sim.Worm{ID: i, Path: c.Path(i), Length: L, Delay: 5, Wavelength: 0}
+		worms[i] = sim.Worm{ID: i, Route: c.Route(i), Length: L, Delay: 5, Wavelength: 0}
 	}
 	res, err := sim.NewEngine().Run(g, worms, sim.Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: sim.Drain,
@@ -174,7 +183,7 @@ func TestCyclicMutualElimination(t *testing.T) {
 		g := c.Graph()
 		worms := make([]sim.Worm, 3)
 		for i := 0; i < 3; i++ {
-			worms[i] = sim.Worm{ID: i, Path: c.Path(i), Length: L, Delay: 3, Wavelength: 0, Rank: i}
+			worms[i] = sim.Worm{ID: i, Route: c.Route(i), Length: L, Delay: 3, Wavelength: 0, Rank: i}
 		}
 		resSF, err := sim.NewEngine().Run(g, worms, sim.Config{
 			Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: sim.Drain,

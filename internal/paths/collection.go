@@ -19,50 +19,48 @@ import (
 	"repro/internal/graph"
 )
 
-// Collection is a multiset of validated paths in one network. Its conflict
-// structure (per-path links, the link-user index, the congestion metrics)
-// is computed at most once, under mu, and is immutable afterwards, so a
-// Collection may be shared by concurrent readers (e.g. parallel
-// Monte-Carlo trials): the first reader computes, the others wait for it.
+// Collection is a multiset of paths in one network, each checked and
+// resolved to a route once, when the collection is made. Its conflict
+// structure (the link-user index, the congestion metrics) is computed at
+// most once, under mu, and is immutable afterwards, so a Collection may be
+// shared by concurrent readers (e.g. parallel Monte-Carlo trials): the
+// first reader computes, the others wait for it.
 type Collection struct {
 	g        *graph.Graph
 	paths    []graph.Path
-	dilation int // D, computed at construction
+	routes   []graph.Route // routes[i] is paths[i] checked; their links share one table
+	dilation int           // D, computed at construction
 
 	mu sync.Mutex
-	// Built on first use: the per-path link IDs, the link-user index with
-	// the edge congestion, and PathCongestions with its maximum C-tilde.
-	links    [][]graph.LinkID //optlint:guardedby mu
-	index    *LinkIndex       //optlint:guardedby mu
-	edgeCong int              //optlint:guardedby mu
-	cong     []int            //optlint:guardedby mu
-	pathCong int              //optlint:guardedby mu
+	// Built on first use: the link-user index with the edge congestion,
+	// and PathCongestions with its maximum C-tilde.
+	index    *LinkIndex //optlint:guardedby mu
+	edgeCong int        //optlint:guardedby mu
+	cong     []int      //optlint:guardedby mu
+	pathCong int        //optlint:guardedby mu
 	// congBuilds counts congestion computations; a test pins it to 1.
 	congBuilds int //optlint:guardedby mu
 }
 
-// NewCollection validates every path against g and returns the collection.
+// NewCollection checks every path against g and returns the collection.
 // Paths of length zero (single nodes) are rejected: a worm needs at least
-// one link to traverse.
+// one link to traverse. A path that revisits a directed link is accepted;
+// the simulator refuses to route it.
 func NewCollection(g *graph.Graph, ps []graph.Path) (*Collection, error) {
-	for i, p := range ps {
-		if err := p.Validate(g); err != nil {
-			return nil, fmt.Errorf("paths: path %d invalid: %w", i, err)
-		}
-		if p.Len() == 0 {
-			return nil, fmt.Errorf("paths: path %d has zero length", i)
-		}
+	routes, err := g.Routes(ps)
+	if err != nil {
+		return nil, fmt.Errorf("paths: %w", err)
 	}
-	return newCollection(g, ps), nil
+	return newCollection(g, ps, routes), nil
 }
 
-// newCollection wraps already-validated paths.
-func newCollection(g *graph.Graph, ps []graph.Path) *Collection {
+// newCollection wraps paths with their routes.
+func newCollection(g *graph.Graph, ps []graph.Path, routes []graph.Route) *Collection {
 	d := 0
-	for _, p := range ps {
-		d = max(d, p.Len())
+	for _, r := range routes {
+		d = max(d, r.Len())
 	}
-	return &Collection{g: g, paths: ps, dilation: d}
+	return &Collection{g: g, paths: ps, routes: routes, dilation: d}
 }
 
 // MustCollection is NewCollection that panics on error; intended for
@@ -87,30 +85,8 @@ func (c *Collection) Path(i int) graph.Path { return c.paths[i] }
 // Paths returns the backing slice. The caller must not modify it.
 func (c *Collection) Paths() []graph.Path { return c.paths }
 
-// linksLocked resolves every path to its link IDs once, into one shared
-// backing array. c.mu must be held.
-//
-//optlint:locked mu
-func (c *Collection) linksLocked() [][]graph.LinkID {
-	if c.links != nil {
-		return c.links
-	}
-	total := 0
-	for _, p := range c.paths {
-		total += p.Len()
-	}
-	flat := make([]graph.LinkID, 0, total)
-	c.links = make([][]graph.LinkID, len(c.paths))
-	for i, p := range c.paths {
-		lo := len(flat)
-		for k := 0; k+1 < len(p); k++ {
-			id, _ := c.g.LinkBetween(p[k], p[k+1]) // validated at construction
-			flat = append(flat, id)
-		}
-		c.links[i] = flat[lo:len(flat):len(flat)]
-	}
-	return c.links
-}
+// Route returns path i's route, checked against the collection's graph.
+func (c *Collection) Route(i int) graph.Route { return c.routes[i] }
 
 // LinkIndex is a collection's dense link-user index in compressed sparse
 // row form: the paths using directed link l are users[userOff[l]:
@@ -118,14 +94,14 @@ func (c *Collection) linksLocked() [][]graph.LinkID {
 // twice). It is built once and never modified, so any number of goroutines
 // may read it without locking.
 type LinkIndex struct {
-	links   [][]graph.LinkID
+	routes  []graph.Route
 	userOff []int32 // NumLinks()+1 offsets into users
 	users   []int32
 }
 
 // PathLinks returns the directed link IDs of path i. The caller must not
 // modify the result.
-func (x *LinkIndex) PathLinks(i int) []graph.LinkID { return x.links[i] }
+func (x *LinkIndex) PathLinks(i int) []int32 { return x.routes[i].Links() }
 
 // Users returns the indices of the paths using directed link id. The caller
 // must not modify the result.
@@ -148,10 +124,9 @@ func (c *Collection) indexLocked() *LinkIndex {
 	if c.index != nil {
 		return c.index
 	}
-	links := c.linksLocked()
 	off := make([]int32, c.g.NumLinks()+1)
-	for _, ids := range links {
-		for _, id := range ids {
+	for _, r := range c.routes {
+		for _, id := range r.Links() {
 			off[id+1]++
 		}
 	}
@@ -162,13 +137,13 @@ func (c *Collection) indexLocked() *LinkIndex {
 	users := make([]int32, off[c.g.NumLinks()])
 	next := make([]int32, c.g.NumLinks())
 	copy(next, off)
-	for i, ids := range links {
-		for _, id := range ids {
+	for i, r := range c.routes {
+		for _, id := range r.Links() {
 			users[next[id]] = int32(i)
 			next[id]++
 		}
 	}
-	c.index = &LinkIndex{links: links, userOff: off, users: users}
+	c.index = &LinkIndex{routes: c.routes, userOff: off, users: users}
 	return c.index
 }
 
@@ -230,7 +205,7 @@ const maxCongestionBitWords = 1 << 22
 // n paths cost n/64 words per path crossing plus n/64 words of memory per
 // used link, so they win only there, and only while they stay small.
 func (x *LinkIndex) bitsCheaper() bool {
-	words := (len(x.links) + 63) / 64
+	words := (len(x.routes) + 63) / 64
 	stampCost, used := 0, 0
 	for l := 0; l+1 < len(x.userOff); l++ {
 		u := int(x.userOff[l+1] - x.userOff[l])
@@ -245,13 +220,13 @@ func (x *LinkIndex) bitsCheaper() bool {
 // congestionsByStamps counts each path's distinct co-users with a
 // generation-stamped mark (stamp i+1 for path i).
 func (x *LinkIndex) congestionsByStamps() []int {
-	cong := make([]int, len(x.links))
-	mark := make([]int32, len(x.links))
-	for i, ids := range x.links {
+	cong := make([]int, len(x.routes))
+	mark := make([]int32, len(x.routes))
+	for i, r := range x.routes {
 		stamp := int32(i + 1)
 		count := 0
-		for _, id := range ids {
-			for _, j := range x.Users(id) {
+		for _, id := range r.Links() {
+			for _, j := range x.Users(int(id)) {
 				if mark[j] != stamp {
 					mark[j] = stamp
 					count++
@@ -266,7 +241,7 @@ func (x *LinkIndex) congestionsByStamps() []int {
 // congestionsByBits gives every used link a bitset of its users and counts
 // each path's co-users as the population of the union of its links' sets.
 func (x *LinkIndex) congestionsByBits() []int {
-	n := len(x.links)
+	n := len(x.routes)
 	words := (n + 63) / 64
 	row := make([]int32, len(x.userOff)-1) // link -> bitset row, used links only
 	used := int32(0)
@@ -285,9 +260,9 @@ func (x *LinkIndex) congestionsByBits() []int {
 	}
 	cong := make([]int, n)
 	acc := make([]uint64, words)
-	for i, ids := range x.links {
+	for i, r := range x.routes {
 		clear(acc)
-		for _, id := range ids {
+		for _, id := range r.Links() {
 			set := sets[int(row[id])*words:][:words]
 			for w, b := range set {
 				acc[w] |= b
@@ -309,10 +284,10 @@ func (x *LinkIndex) congestionsByBits() []int {
 func (c *Collection) SharePairs(fn func(i, j int)) {
 	x := c.Index()
 	mark := make([]int32, len(c.paths)) // mark[j] = i+1 once pair (i, j) is reported
-	for i, ids := range x.links {
+	for i, r := range x.routes {
 		stamp := int32(i + 1)
-		for _, id := range ids {
-			for _, j := range x.Users(id) {
+		for _, id := range r.Links() {
+			for _, j := range x.Users(int(id)) {
 				if int(j) > i && mark[j] != stamp {
 					mark[j] = stamp
 					fn(i, int(j))
@@ -354,11 +329,12 @@ func (s Stats) String() string {
 
 // Subset returns a new collection containing the paths at the given
 // indices (in the given order, duplicates allowed). It shares the path
-// slices with the parent but computes its own metrics.
+// slices and routes with the parent but computes its own metrics.
 func (c *Collection) Subset(indices []int) *Collection {
 	ps := make([]graph.Path, len(indices))
+	routes := make([]graph.Route, len(indices))
 	for i, idx := range indices {
-		ps[i] = c.paths[idx]
+		ps[i], routes[i] = c.paths[idx], c.routes[idx]
 	}
-	return newCollection(c.g, ps)
+	return newCollection(c.g, ps, routes)
 }

@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,14 +21,30 @@ func TestNewCollectionValidation(t *testing.T) {
 	if _, err := NewCollection(g, []graph.Path{{0, 1, 2}}); err != nil {
 		t.Fatalf("valid collection rejected: %v", err)
 	}
-	if _, err := NewCollection(g, []graph.Path{{0, 2}}); err == nil {
-		t.Error("invalid path accepted")
-	}
-	if _, err := NewCollection(g, []graph.Path{{3}}); err == nil {
-		t.Error("zero-length path accepted")
+	for name, tc := range map[string]struct {
+		ps   []graph.Path
+		want string
+	}{
+		"missing link": {[]graph.Path{{0, 1}, {0, 2}}, "path 1: graph: path step 0: no link 0->2"},
+		"zero length":  {[]graph.Path{{3}}, "path 0: graph: zero-length path"},
+		"out of range": {[]graph.Path{{0, 1}, {1, 2}, {4, 5}}, "path 2: graph: path node 5 out of range"},
+		"empty":        {[]graph.Path{{}}, "path 0: graph: empty path"},
+	} {
+		if _, err := NewCollection(g, tc.ps); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
 	}
 	if _, err := NewCollection(g, nil); err != nil {
 		t.Errorf("empty collection rejected: %v", err)
+	}
+	// A walk that revisits a directed link is a collection path; its route
+	// says so, and the simulator refuses to route it.
+	c, err := NewCollection(g, []graph.Path{{0, 1, 2}, {1, 2, 1, 2}})
+	if err != nil {
+		t.Fatalf("revisiting walk rejected: %v", err)
+	}
+	if c.Route(0).Revisits() || !c.Route(1).Revisits() || !c.Route(1).On(g) {
+		t.Errorf("revisit flags %v %v", c.Route(0).Revisits(), c.Route(1).Revisits())
 	}
 }
 
@@ -167,16 +184,20 @@ func TestComputeStatsAndString(t *testing.T) {
 	}
 }
 
+// TestPathLinksCached pins that every reader of a path's links reads its
+// route, resolved once when the collection was made: the collection, the
+// link index and a subset share one table.
 func TestPathLinksCached(t *testing.T) {
 	g := lineGraph(3)
-	c := MustCollection(g, []graph.Path{{0, 1, 2}})
-	a := c.PathLinks(0)
-	b := c.PathLinks(0)
-	if &a[0] != &b[0] {
-		t.Error("PathLinks should return the cached slice")
+	c := MustCollection(g, []graph.Path{{0, 1}, {0, 1, 2}})
+	a := c.PathLinks(1)
+	b := c.Index().PathLinks(1)
+	r := c.Subset([]int{1}).Route(0).Links()
+	if &a[0] != &b[0] || &a[0] != &r[0] || &a[0] != &c.Route(1).Links()[0] {
+		t.Error("PathLinks should return the route's slice")
 	}
-	if len(a) != 2 {
-		t.Errorf("links = %v", a)
+	if len(a) != 2 || cap(a) != 2 {
+		t.Errorf("links = %v (cap %d)", a, cap(a))
 	}
 }
 
@@ -247,4 +268,49 @@ func TestPathCongestionConcurrentOnce(t *testing.T) {
 	if builds != 1 {
 		t.Errorf("congestion computed %d times, want 1", builds)
 	}
+}
+
+// TestCollectionBytesPerHop pins what a collection holds per routed hop
+// on the kernel-sparse shape: 2048 seeded dimension-order pairs on a
+// 256x256 torus, 265,139 hops. The heap growth across Build,
+// PathCongestion and Index covers the node paths, the routes and their
+// one link table, the link-user index and the per-path congestions:
+// 24.0 bytes per hop measured, pinned with a small margin.
+func TestCollectionBytesPerHop(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap")
+	}
+	tor := topology.NewTorus(2, 256)
+	g := tor.Graph()
+	src := rng.New(1)
+	prs := make([]Pair, 0, 2048)
+	for len(prs) < cap(prs) {
+		if s, d := src.Intn(g.NumNodes()), src.Intn(g.NumNodes()); s != d {
+			prs = append(prs, Pair{Src: s, Dst: d})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := Build(g, prs, DimOrderTorus(tor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PathCongestion()
+	c.Index()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	hops := 0
+	for _, p := range c.Paths() {
+		hops += p.Len()
+	}
+	perHop := float64(after.HeapAlloc-before.HeapAlloc) / float64(hops)
+	t.Logf("%d B over %d hops: %.1f B per hop", after.HeapAlloc-before.HeapAlloc, hops, perHop)
+	const budget = 24.5
+	if perHop > budget {
+		t.Errorf("collection holds %.1f B per hop, budget %.1f", perHop, budget)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(prs)
+	runtime.KeepAlive(tor)
 }

@@ -7,12 +7,14 @@ import (
 	"repro/internal/rng"
 )
 
-// PathLinks returns the directed link IDs of path i (cached). The caller
-// must not modify the result.
-func (c *Collection) PathLinks(i int) []graph.LinkID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.linksLocked()[i]
+// PathLinks returns the directed link IDs of path i, read from its route.
+// The caller must not modify the result.
+func (c *Collection) PathLinks(i int) []int32 { return c.routes[i].Links() }
+
+// checkPath runs the route check on p with a fresh table.
+func checkPath(g *graph.Graph, p graph.Path) error {
+	_, _, err := g.AppendRoute(nil, p)
+	return err
 }
 
 // PathCongestions returns, for every path p, the number of paths sharing a
@@ -104,7 +106,11 @@ func EdgeLoadStats(g *graph.Graph, sel Selector, trials int, src *rng.Source) (m
 			if d == s {
 				continue
 			}
-			for _, id := range sel(s, d).Links(g) {
+			r, _, err := g.AppendRoute(nil, sel(s, d))
+			if err != nil {
+				panic(err)
+			}
+			for _, id := range r.Links() {
 				counts[id]++
 			}
 		}

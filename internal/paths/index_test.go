@@ -14,14 +14,19 @@ import (
 // naiveIndex is the map-based reference the dense link index replaced:
 // link -> users in ascending path order, one entry per crossing.
 type naiveIndex struct {
-	links [][]graph.LinkID
-	users map[graph.LinkID][]int
+	links [][]int32
+	users map[int32][]int
 }
 
 func newNaiveIndex(c *paths.Collection) *naiveIndex {
-	r := &naiveIndex{users: make(map[graph.LinkID][]int)}
+	r := &naiveIndex{users: make(map[int32][]int)}
+	g := c.Graph()
 	for i, p := range c.Paths() {
-		ids := p.Links(c.Graph())
+		var ids []int32
+		for k := 0; k+1 < len(p); k++ {
+			id, _ := g.LinkBetween(p[k], p[k+1])
+			ids = append(ids, int32(id))
+		}
 		r.links = append(r.links, ids)
 		for _, id := range ids {
 			r.users[id] = append(r.users[id], i)
@@ -136,15 +141,15 @@ func TestLinkIndexMatchesNaiveReference(t *testing.T) {
 			ref := newNaiveIndex(c)
 			x := c.Index()
 			for id := 0; id < c.Graph().NumLinks(); id++ {
-				if got, want := c.LinkUsers(id), ref.users[id]; !slices.Equal(got, want) {
+				if got, want := c.LinkUsers(id), ref.users[int32(id)]; !slices.Equal(got, want) {
 					t.Fatalf("LinkUsers(%d) = %v, want %v", id, got, want)
 				}
 				var dense []int
 				for _, j := range x.Users(id) {
 					dense = append(dense, int(j))
 				}
-				if !slices.Equal(dense, ref.users[id]) {
-					t.Fatalf("Index().Users(%d) = %v, want %v", id, dense, ref.users[id])
+				if !slices.Equal(dense, ref.users[int32(id)]) {
+					t.Fatalf("Index().Users(%d) = %v, want %v", id, dense, ref.users[int32(id)])
 				}
 			}
 			for i := range ref.links {

@@ -42,7 +42,7 @@ func (c *Collection) GreedyWavelengthAssignment() (colors []int, used int) {
 		// Collect colors taken by conflicting, already-colored paths.
 		stamp := int32(i + 1)
 		for _, id := range x.PathLinks(i) {
-			for _, j := range x.Users(id) {
+			for _, j := range x.Users(int(id)) {
 				if int(j) != i && colors[j] >= 0 {
 					taken[colors[j]] = stamp
 				}

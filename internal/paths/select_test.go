@@ -37,7 +37,7 @@ func TestDimOrderMesh(t *testing.T) {
 	if p.Len() != 5 {
 		t.Fatalf("path length = %d, want 5 (L1 distance)", p.Len())
 	}
-	if err := p.Validate(m.Graph()); err != nil {
+	if err := checkPath(m.Graph(), p); err != nil {
 		t.Fatal(err)
 	}
 	// First dimension corrected first.
@@ -61,7 +61,7 @@ func TestDimOrderMeshIsShortest(t *testing.T) {
 			return true
 		}
 		p := sel(s, d)
-		return p.Validate(g) == nil && p.Len() == g.BFS(s)[d]
+		return checkPath(g, p) == nil && p.Len() == g.BFS(s)[d]
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestDimOrderTorusIsShortest(t *testing.T) {
 			return true
 		}
 		p := sel(s, d)
-		return p.Validate(g) == nil && p.Len() == g.BFS(s)[d]
+		return checkPath(g, p) == nil && p.Len() == g.BFS(s)[d]
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestBitFixing(t *testing.T) {
 	if p.Len() != 3 {
 		t.Fatalf("path length = %d, want 3 (Hamming distance)", p.Len())
 	}
-	if err := p.Validate(g); err != nil {
+	if err := checkPath(g, p); err != nil {
 		t.Fatal(err)
 	}
 	// Bits fixed lowest first.
@@ -127,7 +127,7 @@ func TestBitFixingIsShortestProperty(t *testing.T) {
 			return true
 		}
 		p := sel(s, d)
-		return p.Validate(g) == nil && p.Len() == g.BFS(s)[d]
+		return checkPath(g, p) == nil && p.Len() == g.BFS(s)[d]
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestTranslationSystemTorus(t *testing.T) {
 			return true
 		}
 		p := sel(s, d)
-		return p.Validate(g) == nil &&
+		return checkPath(g, p) == nil &&
 			p.Source() == s && p.Dest() == d &&
 			p.Len() == g.BFS(s)[d]
 	}
@@ -230,7 +230,7 @@ func TestRandomShortestPath(t *testing.T) {
 			continue
 		}
 		p := sel(s, d)
-		if err := p.Validate(g); err != nil {
+		if err := checkPath(g, p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Len() != g.BFS(s)[d] {

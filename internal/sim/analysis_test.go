@@ -35,9 +35,9 @@ func TestPairwiseCollisionProbabilityBound(t *testing.T) {
 	losses := 0
 	for i := 0; i < trials; i++ {
 		worms := []Worm{
-			{ID: 0, Path: graph.Path{0, 2, 3, 4}, Length: L,
+			{ID: 0, Route: route(g, graph.Path{0, 2, 3, 4}), Length: L,
 				Delay: src.Intn(Delta), Wavelength: src.Intn(B)},
-			{ID: 1, Path: graph.Path{1, 2, 3}, Length: L,
+			{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: L,
 				Delay: src.Intn(Delta), Wavelength: src.Intn(B)},
 		}
 		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
@@ -122,7 +122,7 @@ func TestLemma28ChainProbability(t *testing.T) {
 	}
 	g := gb.Finalize()
 	for i, p := range []graph.Path{p0, p1, p2} {
-		if err := p.Validate(g); err != nil {
+		if _, _, err := g.AppendRoute(nil, p); err != nil {
 			t.Fatalf("path %d invalid: %v", i, err)
 		}
 	}
@@ -131,9 +131,9 @@ func TestLemma28ChainProbability(t *testing.T) {
 	blockedBoth := 0
 	for i := 0; i < trials; i++ {
 		worms := []Worm{
-			{ID: 0, Path: p0, Length: L, Delay: src.Intn(Delta), Wavelength: 0},
-			{ID: 1, Path: p1, Length: L, Delay: src.Intn(Delta), Wavelength: 0},
-			{ID: 2, Path: p2, Length: L, Delay: src.Intn(Delta), Wavelength: 0},
+			{ID: 0, Route: route(g, p0), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
+			{ID: 1, Route: route(g, p1), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
+			{ID: 2, Route: route(g, p2), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
 		}
 		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 		if err != nil {
@@ -178,7 +178,7 @@ func TestCongestionHalvingStatistics(t *testing.T) {
 	for tr := 0; tr < trials; tr++ {
 		worms := make([]Worm, C)
 		for i := range worms {
-			worms[i] = Worm{ID: i, Path: p, Length: L,
+			worms[i] = Worm{ID: i, Route: route(g, p), Length: L,
 				Delay: src.Intn(delta), Wavelength: src.Intn(B)}
 		}
 		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
@@ -219,8 +219,8 @@ func TestWavelengthUniformityMatters(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			// Same delay: guaranteed temporal overlap on link 2->3.
 			worms := []Worm{
-				{ID: 0, Path: graph.Path{0, 2, 3}, Length: 2, Delay: 0, Wavelength: src.Intn(B)},
-				{ID: 1, Path: graph.Path{1, 2, 3}, Length: 2, Delay: 0, Wavelength: src.Intn(B)},
+				{ID: 0, Route: route(g, graph.Path{0, 2, 3}), Length: 2, Delay: 0, Wavelength: src.Intn(B)},
+				{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: src.Intn(B)},
 			}
 			res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 			if err != nil {

@@ -20,7 +20,7 @@ const (
 //
 // Objects live in fixed-size slabs: a handed-out pointer stays valid for
 // the Engine's lifetime (slabs are appended, never reallocated), and a
-// fragment's slab index is its identity in the occupancy table. Link,
+// fragment's slab index is its identity in the occupancy table. Ack link,
 // wavelength and key slices keep their capacity across recycles.
 type arena struct {
 	trainSlabs [][]train
@@ -39,10 +39,10 @@ func (a *arena) reset() {
 	a.freeFrags = a.freeFrags[:0]
 }
 
-// newTrain returns a recycled train whose links/waves/keys buffers keep
-// their previously grown capacity. Scalar fields are NOT zeroed: every
-// spawn site (the Run worm loop, the ack spawn in complete, the dynamic
-// launcher) assigns all of them before addTrain, and addTrain reslices
+// newTrain returns a recycled train whose ackLinks/waves/keys buffers keep
+// their previously grown capacity. Fields are NOT zeroed: every spawn site
+// (the Run worm loop, the ack spawn in complete, the dynamic launcher)
+// assigns links and the scalars before addTrain, and addTrain reslices
 // waves and sizes keys. Only the fields no site writes unconditionally
 // are reset.
 //
@@ -61,7 +61,6 @@ func (a *arena) newTrain() *train {
 		tr = &a.trainSlabs[ci][si]
 		a.nextTrain++
 	}
-	tr.links = tr.links[:0]
 	tr.isAck = false
 	tr.cut = false
 	tr.frags = 0

@@ -169,8 +169,8 @@ func TestPriorityDrainPreemption(t *testing.T) {
 	// high-rank worm B arrives at it: B preempts A mid-link.
 	g := chain(5)
 	worms := []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Delay: 0, Wavelength: 0, Rank: 1},
-		{ID: 1, Path: graph.Path{1, 2, 3, 4}, Length: 2, Delay: 2, Wavelength: 0, Rank: 9},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0, Rank: 1},
+		{ID: 1, Route: route(g, graph.Path{1, 2, 3, 4}), Length: 2, Delay: 2, Wavelength: 0, Rank: 9},
 	}
 	cfg := Config{
 		Bandwidth: 1, Rule: optical.Priority, Wreckage: Drain,
@@ -268,8 +268,8 @@ func TestAckCutRecorded(t *testing.T) {
 	gb.AddEdge(2, 3)
 	g := gb.Finalize()
 	worms := []Worm{
-		{ID: 0, Path: graph.Path{0, 2, 3}, Length: 1, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 1, Delay: 2, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 2, 3}), Length: 1, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 1, Delay: 2, Wavelength: 0},
 	}
 	cfg := Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
@@ -424,7 +424,7 @@ func denseGroups(g *graph.Graph, src *rng.Source, groups, per, bandwidth int) []
 			id := len(worms)
 			worms = append(worms, Worm{
 				ID:         id,
-				Path:       g.ShortestPath(s, d, nil),
+				Route:      route(g, g.ShortestPath(s, d, nil)),
 				Length:     1 + src.Intn(3),
 				Delay:      src.Intn(6),
 				Wavelength: src.Intn(bandwidth),
@@ -473,9 +473,9 @@ func TestDeferredEntrantJoinsReleasedSlot(t *testing.T) {
 	gb.AddEdge(4, 2)
 	g := gb.Finalize()
 	worms := []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 1, Delay: 0, Rank: 2}, // A, active first
-		{ID: 1, Path: graph.Path{2, 3}, Length: 1, Delay: 1, Rank: 1},       // X, on 2->3 at step 1
-		{ID: 2, Path: graph.Path{4, 2, 3}, Length: 1, Delay: 1, Rank: 3},    // C, after X
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 1, Delay: 0, Rank: 2}, // A, active first
+		{ID: 1, Route: route(g, graph.Path{2, 3}), Length: 1, Delay: 1, Rank: 1},       // X, on 2->3 at step 1
+		{ID: 2, Route: route(g, graph.Path{4, 2, 3}), Length: 1, Delay: 1, Rank: 3},    // C, after X
 	}
 	for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
 		for _, tie := range []optical.TiePolicy{optical.TieEliminateAll, optical.TieArbitraryWinner} {

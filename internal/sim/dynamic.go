@@ -258,8 +258,8 @@ type dynamicRun struct {
 }
 
 // launch starts attempt a of request ri at step t: it resets the
-// request's outcome slot, builds the message train from the links
-// resolved at validation with a fresh random wavelength and rank (drawn
+// request's outcome slot, builds the message train on the route resolved
+// at validation with a fresh random wavelength and rank (drawn
 // in that order), and files the attempt's exact ack deadline: the message
 // is done by t+k+L-2 and its ack (if any) by +1+k+ackLen-2, plus one step
 // of slack.
@@ -273,7 +273,7 @@ func (d *dynamicRun) launch(ri, a, t int) {
 	tr := e.arena.newTrain()
 	tr.id = d.launched
 	tr.outIdx = ri
-	tr.links = append(tr.links, e.val.links(ri)...)
+	tr.links = e.val.routes[ri].Links()
 	tr.start = t
 	tr.length = r.Length
 	tr.wavelength = d.src.Intn(e.cfg.Bandwidth)

@@ -172,7 +172,7 @@ func TestDynamicSingleAttemptMatchesReference(t *testing.T) {
 					for id, ri := range order {
 						r := reqs[ri]
 						wl := src.Intn(bw)
-						worms[ri] = Worm{ID: id, Path: r.Path, Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
+						worms[ri] = Worm{ID: id, Route: route(g, r.Path), Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
 					}
 					cfg.CheckInvariants = false
 					ref, err := RunReference(g, worms, cfg)

@@ -223,7 +223,7 @@ func TestDynamicValidation(t *testing.T) {
 		}
 	}
 	revisit := graph.Path{0, 1, 0, 1, 2}
-	_, runErr := NewEngine().Run(g, []Worm{{ID: 0, Path: revisit, Length: 2}}, Config{Bandwidth: 1})
+	_, runErr := NewEngine().Run(g, []Worm{{ID: 0, Route: route(g, revisit), Length: 2}}, Config{Bandwidth: 1})
 	_, dynErr := NewEngine().RunDynamic(g, []Request{{ID: 0, Path: revisit, Length: 2}}, DynamicConfig{Sim: Config{Bandwidth: 1}}, rng.New(1))
 	if runErr == nil || dynErr == nil || !strings.Contains(runErr.Error(), "revisits a directed link") ||
 		!strings.Contains(dynErr.Error(), "revisits a directed link") {

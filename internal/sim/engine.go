@@ -15,11 +15,13 @@ type train struct {
 	outIdx int   // index into Result.Outcomes
 	isAck  bool  //
 	frags  int32 // unretired fragments; the train is pooled when this drops to 0
-	// links holds the directed link ID of every path hop, narrowed to
-	// int32: the occupancy key space is validated to fit an int32 (see
-	// validator.begin), so link IDs trivially do, and the walk touches
-	// half the memory of a []graph.LinkID.
+	// links holds the directed link ID of every path hop, as int32 (the
+	// walk touches half the memory of a []graph.LinkID). A message train
+	// reads its route's links in place: the route table is shared and
+	// read-only, and its views have capacity equal to their length. An
+	// ack's reversed links live in ackLinks, a buffer the train owns.
 	links      []int32
+	ackLinks   []int32
 	start      int // step the head enters links[0]
 	length     int // L
 	wavelength int
@@ -396,13 +398,7 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		tr := e.arena.newTrain()
 		tr.id = w.ID
 		tr.outIdx = i
-		// The validator resolved every path hop once for its revisit check;
-		// reuse those link IDs instead of resolving the path a second time.
-		links := e.val.links(i)
-		if cap(tr.links) < len(links) {
-			tr.links = make([]int32, 0, len(links)) // one exact allocation on a fresh arena slot
-		}
-		tr.links = append(tr.links, links...)
+		tr.links = w.Route.Links()
 		tr.start = w.Delay
 		tr.length = w.Length
 		tr.wavelength = w.Wavelength
@@ -1043,9 +1039,11 @@ func (e *Engine) complete(f *fragment, t int) {
 	ack.id = tr.id
 	ack.outIdx = tr.outIdx
 	ack.isAck = true
+	ack.ackLinks = ack.ackLinks[:0]
 	for i := len(tr.links) - 1; i >= 0; i-- {
-		ack.links = append(ack.links, int32(e.g.Reverse(int(tr.links[i]))))
+		ack.ackLinks = append(ack.ackLinks, int32(e.g.Reverse(int(tr.links[i]))))
 	}
+	ack.links = ack.ackLinks
 	ack.start = deliveredAt + 1
 	ack.length = e.cfg.AckLength
 	ack.wavelength = e.waveAt(tr, len(tr.links)-1)

@@ -15,9 +15,13 @@ import (
 // eliminated on the shared link under the serve-first rule.
 func ExampleEngine_Run() {
 	g := topology.NewChain(4).Graph()
+	routes, err := g.Routes([]graph.Path{{0, 1, 2, 3}, {0, 1, 2}})
+	if err != nil {
+		panic(err)
+	}
 	worms := []sim.Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Delay: 1, Wavelength: 0},
+		{ID: 0, Route: routes[0], Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: routes[1], Length: 2, Delay: 1, Wavelength: 0},
 	}
 	res, err := sim.NewEngine().Run(g, worms, sim.Config{
 		Bandwidth: 1,
@@ -38,8 +42,12 @@ func ExampleEngine_Run() {
 // Trace renders the space-time diagram of a round.
 func ExampleTrace() {
 	g := topology.NewChain(4).Graph()
+	r, _, err := g.AppendRoute(nil, graph.Path{0, 1, 2, 3})
+	if err != nil {
+		panic(err)
+	}
 	worms := []sim.Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 0, Route: r, Length: 2, Delay: 0, Wavelength: 0},
 	}
 	_, tl, err := sim.Trace(g, worms, sim.Config{Bandwidth: 1, Rule: optical.ServeFirst})
 	if err != nil {

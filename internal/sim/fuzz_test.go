@@ -182,7 +182,7 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 		b := next()
 		worms = append(worms, Worm{
 			ID:         id,
-			Path:       p,
+			Route:      route(g, p),
 			Length:     1 + int(b&3),
 			Delay:      int(b>>2) & 7,
 			Wavelength: int(b>>5) % cfg.Bandwidth,

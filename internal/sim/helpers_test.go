@@ -11,3 +11,13 @@ func (tl *Timeline) Occupant(t int, band Band, link graph.LinkID, wave int) (wor
 
 // Steps returns the last recorded step.
 func (tl *Timeline) Steps() int { return tl.maxT }
+
+// route checks p against g for a worm literal. It panics on a path the
+// check refuses: tests of the refusals call g.AppendRoute themselves.
+func route(g *graph.Graph, p graph.Path) graph.Route {
+	r, _, err := g.AppendRoute(nil, p)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}

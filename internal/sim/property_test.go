@@ -27,7 +27,7 @@ func randomWorms(g *graph.Graph, src *rng.Source, count, maxLen, maxDelay, bandw
 		}
 		worms = append(worms, Worm{
 			ID:         id,
-			Path:       p,
+			Route:      route(g, p),
 			Length:     1 + src.Intn(maxLen),
 			Delay:      src.Intn(maxDelay + 1),
 			Wavelength: src.Intn(bandwidth),
@@ -140,7 +140,7 @@ func TestNoContentionAllDelivered(t *testing.T) {
 				continue
 			}
 			worms = append(worms, Worm{
-				ID: id, Path: g.ShortestPath(a, b, nil),
+				ID: id, Route: route(g, g.ShortestPath(a, b, nil)),
 				Length: 1 + s.Intn(3), Delay: s.Intn(4), Wavelength: id,
 			})
 		}
@@ -190,7 +190,7 @@ func TestServeFirstIncumbentNeverLoses(t *testing.T) {
 			// delay + index. The loser enters at c.Time; the blocker must
 			// have entered at or before c.Time (it was traversing).
 			_ = loser
-			idx := indexOfLink(blocker.Path.Links(g), c.Link)
+			idx := indexOfLink(blocker.Route.Links(), c.Link)
 			if idx < 0 {
 				continue // blocker hit it as an ack or ghost; skip
 			}
@@ -202,9 +202,9 @@ func TestServeFirstIncumbentNeverLoses(t *testing.T) {
 	}
 }
 
-func indexOfLink(links []graph.LinkID, id graph.LinkID) int {
+func indexOfLink(links []int32, id graph.LinkID) int {
 	for i, l := range links {
-		if l == id {
+		if int(l) == id {
 			return i
 		}
 	}
@@ -227,8 +227,8 @@ func TestAckContention(t *testing.T) {
 	gb.AddEdge(2, 3)
 	g := gb.Finalize()
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 2, 3}, Length: 1, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 1, Delay: 2, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 2, 3}), Length: 1, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 1, Delay: 2, Wavelength: 0},
 	}, Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 		AckLength: 3, RecordCollisions: true, CheckInvariants: true,
@@ -266,8 +266,8 @@ func TestAckBandSeparation(t *testing.T) {
 	// at steps 2 and 3 with delay 0... choose delay 2: B occupies 2->1 at
 	// step 2, exactly when A's ack is on 2->1 in the ack band.
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2}, Length: 1, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{2, 1, 0}, Length: 1, Delay: 2, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2}), Length: 1, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{2, 1, 0}), Length: 1, Delay: 2, Wavelength: 0},
 	}, Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 		AckLength: 2, RecordCollisions: true, CheckInvariants: true,
@@ -284,7 +284,7 @@ func TestAckBandSeparation(t *testing.T) {
 func TestMakespanCoversAcks(t *testing.T) {
 	g := chain(4)
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 1, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
 	}, Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 2, CheckInvariants: true})
 	// Delivered at 1+3+2-2 = 4; ack start 5, ack delivered at 5+3+2-2 = 8.
 	if res.Outcomes[0].AckedAt != 8 {

@@ -50,19 +50,23 @@ func runReference(g *graph.Graph, worms []Worm, cfg Config, tl *Timeline) (*Resu
 	for i := range worms {
 		w := &worms[i]
 		r.res.Outcomes[i] = newOutcome()
+		links := make([]graph.LinkID, w.Route.Len())
+		for k, id := range w.Route.Links() {
+			links[k] = int(id)
+		}
 		r.spawn(&refTrain{
 			id:         w.ID,
 			outIdx:     i,
-			links:      w.Path.Links(g),
+			links:      links,
 			start:      w.Delay,
 			length:     w.Length,
 			wavelength: w.Wavelength,
 			rank:       w.Rank,
 			band:       MessageBand,
 		})
-		end := w.Delay + w.Path.Len() + w.Length + 2
+		end := w.Delay + len(links) + w.Length + 2
 		if cfg.AckLength > 0 {
-			end += w.Path.Len() + cfg.AckLength + 2
+			end += len(links) + cfg.AckLength + 2
 		}
 		if end > maxEnd {
 			maxEnd = end

@@ -124,8 +124,10 @@ type Worm struct {
 	// ID is the caller's identifier, reported back in outcomes and
 	// collisions. IDs must be distinct and >= 0.
 	ID int
-	// Path is the node path; it must have at least one link.
-	Path graph.Path
+	// Route is the worm's path, checked against the run's graph
+	// (graph.AppendRoute, or a collection's Route) and not revisiting a
+	// directed link. The engine reads its links without copying them.
+	Route graph.Route
 	// Length is L >= 1, the number of flits.
 	Length int
 	// Delay is the startup delay s >= 0: the head enters the first link
@@ -234,32 +236,21 @@ func bandUtilization(busy, links, bandwidth, makespan int) float64 {
 
 // validator holds the scratch the worm and request checks need. Pooling
 // one on an Engine makes steady-state validation allocation-free: the ID
-// set keeps its buckets across clear(), and the per-link stamp array
-// replaces the per-path distinct-link map. The revisit check resolves
-// every path hop to its directed link anyway, so the fused pass also
-// records the resolved link IDs; Engine.Run and the dynamic launcher
-// consume them via links() instead of resolving the paths again.
+// set keeps its buckets across clear(). A worm's route was checked when
+// it was made, so the per-round check reads only the worm's own fields.
+// Requests keep their node paths; checkRequests resolves them once per
+// dynamic run into routes whose links share one table held here.
 type validator struct {
-	ids     []int32 // per-ID generation stamp (dense IDs); overflow in idsBig
-	idsBig  map[int]bool
-	idGen   int32
-	mark    []int32 // per-link generation stamp (int32 halves the footprint)
-	gen     int32
-	linkBuf []int32 // resolved links of all paths, concatenated, narrowed like train.links
-	off     []int   // off[i]..off[i+1] bounds path i's links
+	ids    []int32 // per-ID generation stamp (dense IDs); overflow in idsBig
+	idsBig map[int]bool
+	idGen  int32
+	routes []graph.Route // routes[i] is request i's route, from the last checkRequests
+	table  []int32       // the links of routes
 }
 
-// links returns the resolved directed link IDs of path i from the last
-// successful check. The slice aliases validator scratch.
-func (v *validator) links(i int) []int32 { return v.linkBuf[v.off[i]:v.off[i+1]] }
-
-// check validates a batch of worms and resolves their paths.
+// check validates a batch of worms.
 func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
-	hops := 0
-	for i := range worms {
-		hops += max(len(worms[i].Path)-1, 0)
-	}
-	if err := v.begin(g, cfg, len(worms), hops); err != nil {
+	if err := v.begin(g, cfg); err != nil {
 		return err
 	}
 	for i := range worms {
@@ -270,8 +261,11 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 		if v.markID(w.ID) {
 			return fmt.Errorf("sim: duplicate worm ID %d", w.ID)
 		}
-		if err := v.addPath(g, w.Path, "worm", w.ID); err != nil {
-			return err
+		if !w.Route.On(g) {
+			return fmt.Errorf("sim: worm %d has no route checked against this graph", w.ID)
+		}
+		if w.Route.Revisits() {
+			return fmt.Errorf("sim: worm %d revisits a directed link", w.ID)
 		}
 		if w.Length < 1 {
 			return fmt.Errorf("sim: worm %d has length %d < 1", w.ID, w.Length)
@@ -287,23 +281,26 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 }
 
 // checkRequests validates the requests of a dynamic run and resolves
-// their routes once for all of their attempts.
+// their paths once for all of their attempts, through the graph's route
+// check, into v.routes.
 func (v *validator) checkRequests(g *graph.Graph, reqs []Request, cfg Config) error {
-	hops := 0
-	for i := range reqs {
-		hops += max(len(reqs[i].Path)-1, 0)
-	}
-	if err := v.begin(g, cfg, len(reqs), hops); err != nil {
+	if err := v.begin(g, cfg); err != nil {
 		return err
 	}
+	v.routes, v.table = v.routes[:0], v.table[:0]
 	for i := range reqs {
 		r := &reqs[i]
 		if r.ID < 0 || v.markID(r.ID) {
 			return fmt.Errorf("sim: request %d has invalid or duplicate ID %d", i, r.ID)
 		}
-		if err := v.addPath(g, r.Path, "request", r.ID); err != nil {
-			return err
+		route, table, err := g.AppendRoute(v.table, r.Path)
+		if err != nil {
+			return fmt.Errorf("sim: request %d: %w", r.ID, err)
 		}
+		if route.Revisits() {
+			return fmt.Errorf("sim: request %d revisits a directed link", r.ID)
+		}
+		v.routes, v.table = append(v.routes, route), table
 		if r.Length < 1 || r.Arrival < 0 {
 			return fmt.Errorf("sim: request %d has invalid parameters", r.ID)
 		}
@@ -311,9 +308,8 @@ func (v *validator) checkRequests(g *graph.Graph, reqs []Request, cfg Config) er
 	return nil
 }
 
-// begin checks the run-wide configuration and readies the stamps and the
-// resolved-link buffers for n paths of hops links in total.
-func (v *validator) begin(g *graph.Graph, cfg Config, n, hops int) error {
+// begin checks the run-wide configuration and readies the ID stamps.
+func (v *validator) begin(g *graph.Graph, cfg Config) error {
 	if cfg.Bandwidth < 1 {
 		return fmt.Errorf("sim: bandwidth %d < 1", cfg.Bandwidth)
 	}
@@ -339,60 +335,6 @@ func (v *validator) begin(g *graph.Graph, cfg Config, n, hops int) error {
 	if v.idsBig != nil {
 		clear(v.idsBig)
 	}
-	if len(v.mark) < g.NumLinks() {
-		v.mark = make([]int32, g.NumLinks())
-		v.gen = 0
-	}
-	// Size the resolved-link buffers once for the whole batch, so a fresh
-	// validator allocates each of them once instead of growing per path.
-	if cap(v.linkBuf) < hops {
-		v.linkBuf = make([]int32, 0, hops)
-	}
-	if cap(v.off) < n+1 {
-		v.off = make([]int, 0, n+1)
-	}
-	v.linkBuf = v.linkBuf[:0]
-	v.off = append(v.off[:0], 0)
-	return nil
-}
-
-// addPath is the fused path pass for the worm or request (kind) id. It
-// does the work Path.Validate plus a revisit scan would: node bounds, link
-// resolution, and the distinct-link check (a worm occupies a contiguous
-// run of DISTINCT links, Section 1.1; a path revisiting a directed link
-// would collide with itself, which the model has no physics for). Error
-// texts match what the old wrapped Path.Validate produced.
-func (v *validator) addPath(g *graph.Graph, p graph.Path, kind string, id int) error {
-	if len(p) == 0 {
-		return fmt.Errorf("sim: %s %d: graph: empty path", kind, id)
-	}
-	if p[0] < 0 || p[0] >= g.NumNodes() {
-		return fmt.Errorf("sim: %s %d: graph: path node %d out of range [0,%d)", kind, id, p[0], g.NumNodes())
-	}
-	if len(p) == 1 {
-		return fmt.Errorf("sim: %s %d has a zero-length path", kind, id)
-	}
-	v.gen++
-	if v.gen == 0 { // stamp wrap: invalidate every stale stamp once
-		clear(v.mark)
-		v.gen = 1
-	}
-	for j := 0; j+1 < len(p); j++ {
-		u, x := p[j], p[j+1]
-		if x < 0 || x >= g.NumNodes() {
-			return fmt.Errorf("sim: %s %d: graph: path node %d out of range [0,%d)", kind, id, x, g.NumNodes())
-		}
-		l, ok := g.LinkBetween(u, x)
-		if !ok {
-			return fmt.Errorf("sim: %s %d: graph: path step %d: no link %d->%d", kind, id, j, u, x)
-		}
-		if v.mark[l] == v.gen {
-			return fmt.Errorf("sim: %s %d revisits a directed link", kind, id)
-		}
-		v.mark[l] = v.gen
-		v.linkBuf = append(v.linkBuf, int32(l))
-	}
-	v.off = append(v.off, len(v.linkBuf))
 	return nil
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func mustRun(t *testing.T, g *graph.Graph, worms []Worm, c Config) *Result {
 func TestSingleWormDelivery(t *testing.T) {
 	g := chain(5) // path 0->4: 4 links
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Delay: 2, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0},
 	}, cfg(1))
 	o := res.Outcomes[0]
 	if !o.Delivered || !o.Acked {
@@ -63,7 +64,7 @@ func TestSingleWormDelivery(t *testing.T) {
 func TestLengthOneWorm(t *testing.T) {
 	g := chain(3)
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2}, Length: 1, Delay: 0, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2}), Length: 1, Delay: 0, Wavelength: 0},
 	}, cfg(1))
 	o := res.Outcomes[0]
 	if !o.Delivered {
@@ -80,8 +81,8 @@ func TestServeFirstLaterEntrantLoses(t *testing.T) {
 	// Worm 0 occupies link 0->1 during steps [0, 1] (L=2).
 	// Worm 1 enters the same link at step 1: eliminated.
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Delay: 1, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
 	}, cfg(1))
 	if !res.Outcomes[0].Delivered {
 		t.Error("incumbent must survive under serve-first")
@@ -105,8 +106,8 @@ func TestServeFirstLaterEntrantLoses(t *testing.T) {
 func TestDisjointWavelengthsNoConflict(t *testing.T) {
 	g := chain(4)
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 1},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 1},
 	}, cfg(2))
 	if res.DeliveredCount != 2 {
 		t.Fatalf("delivered = %d, want 2 (different wavelengths)", res.DeliveredCount)
@@ -117,8 +118,8 @@ func TestTemporalSeparationNoConflict(t *testing.T) {
 	g := chain(4)
 	// Worm 0 (L=2) holds link 0 during [0,1]; worm 1 enters at 2: free.
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 2, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0},
 	}, cfg(1))
 	if res.DeliveredCount != 2 {
 		t.Fatalf("delivered = %d, want 2 (separated by L)", res.DeliveredCount)
@@ -128,8 +129,8 @@ func TestTemporalSeparationNoConflict(t *testing.T) {
 func TestOppositeDirectionsNoConflict(t *testing.T) {
 	g := chain(4)
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{3, 2, 1, 0}, Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{3, 2, 1, 0}), Length: 2, Delay: 0, Wavelength: 0},
 	}, cfg(1))
 	if res.DeliveredCount != 2 {
 		t.Fatal("opposite directions use distinct links and must not conflict")
@@ -145,8 +146,8 @@ func TestSimultaneousTieEliminatesBoth(t *testing.T) {
 	gb.AddEdge(2, 3)
 	g := gb.Finalize()
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
 	}, cfg(1))
 	if res.DeliveredCount != 0 {
 		t.Fatal("simultaneous tie must eliminate both under TieEliminateAll")
@@ -171,8 +172,8 @@ func TestSimultaneousTieArbitraryWinner(t *testing.T) {
 	c := cfg(1)
 	c.Tie = optical.TieArbitraryWinner
 	res := mustRun(t, chainlike(g), []Worm{
-		{ID: 5, Path: graph.Path{0, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 3, Path: graph.Path{1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 5, Route: route(g, graph.Path{0, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 3, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
 	}, c)
 	if !res.Outcomes[1].Delivered { // worm ID 3, smaller ID, wins
 		t.Error("smallest-ID entrant should win under TieArbitraryWinner")
@@ -192,8 +193,8 @@ func TestPriorityPreemption(t *testing.T) {
 	// link). High-rank worm 1 starts at node 1 with delay 2 and enters
 	// link 1->2 at step 2, while worm 0 (L=3) still holds it.
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Delay: 0, Wavelength: 0, Rank: 1},
-		{ID: 1, Path: graph.Path{1, 2, 3, 4}, Length: 3, Delay: 2, Wavelength: 0, Rank: 9},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0, Rank: 1},
+		{ID: 1, Route: route(g, graph.Path{1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0, Rank: 9},
 	}, c)
 	if res.Outcomes[0].Delivered {
 		t.Error("preempted incumbent must not be delivered")
@@ -211,8 +212,8 @@ func TestPriorityLowRankEntrantLoses(t *testing.T) {
 	c := cfg(1)
 	c.Rule = optical.Priority
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Delay: 0, Wavelength: 0, Rank: 9},
-		{ID: 1, Path: graph.Path{1, 2, 3, 4}, Length: 3, Delay: 2, Wavelength: 0, Rank: 1},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0, Rank: 9},
+		{ID: 1, Route: route(g, graph.Path{1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0, Rank: 1},
 	}, c)
 	if !res.Outcomes[0].Delivered || res.Outcomes[1].Delivered {
 		t.Error("high-rank incumbent survives, low-rank entrant loses")
@@ -236,15 +237,15 @@ func TestGhostBlocksDownstreamUnderDrain(t *testing.T) {
 	worms := []Worm{
 		// Victim: low-rank L=4 worm crawling 0..5; it occupies link 2->3
 		// (index 2) during steps [2, 5].
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4, 5}, Length: 4, Delay: 0, Wavelength: 0, Rank: 1},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4, 5}), Length: 4, Delay: 0, Wavelength: 0, Rank: 1},
 		// High-rank preemptor enters link 2->3 at step 5, cutting the
 		// victim's tail flit (j=3). The ghost (flits 0..2) keeps moving:
 		// it occupies link 4->5 during steps [4, 6].
-		{ID: 1, Path: graph.Path{6, 2, 3}, Length: 2, Delay: 4, Wavelength: 0, Rank: 9},
+		{ID: 1, Route: route(g, graph.Path{6, 2, 3}), Length: 2, Delay: 4, Wavelength: 0, Rank: 9},
 		// Probe enters link 4->5 at step 6, where the ghost's last flit
 		// still travels under Drain; its rank is below the ghost's worm,
 		// so it is eliminated. Under Vanish the wreckage is gone.
-		{ID: 2, Path: graph.Path{7, 4, 5}, Length: 2, Delay: 5, Wavelength: 0, Rank: 0},
+		{ID: 2, Route: route(g, graph.Path{7, 4, 5}), Length: 2, Delay: 5, Wavelength: 0, Rank: 0},
 	}
 	c := cfg(1)
 	c.Rule = optical.Priority
@@ -292,16 +293,16 @@ func TestUpstreamRemnantDrainsAndBlocks(t *testing.T) {
 	g := gb.Finalize()
 	worms := []Worm{
 		// Blocker: enters 2->3 at step 0, L=6 so holds it during [0,5].
-		{ID: 0, Path: graph.Path{5, 2, 3}, Length: 6, Delay: 0, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{5, 2, 3}), Length: 6, Delay: 0, Wavelength: 0},
 		// Victim: long worm; enters 1->2 (index 1) at 2, 2->3 (index 2) at
 		// step 3 -> eliminated (occupied). Its remnant (flits 1..5) keeps
 		// draining into link 2->3's coupler, occupying 1->2 until step
 		// 2+5 = 7.
-		{ID: 1, Path: graph.Path{0, 1, 2, 3, 4}, Length: 6, Delay: 1, Wavelength: 0},
+		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 6, Delay: 1, Wavelength: 0},
 		// Probe: enters 1->2 at step 6. Under Drain the victim's remnant
 		// still occupies 1->2 (flits j=4 at step 6: 1+1+4 = 6); under
 		// Vanish the link is free.
-		{ID: 2, Path: graph.Path{6, 1, 2}, Length: 1, Delay: 5, Wavelength: 0},
+		{ID: 2, Route: route(g, graph.Path{6, 1, 2}), Length: 1, Delay: 5, Wavelength: 0},
 	}
 	c := cfg(1)
 
@@ -335,7 +336,7 @@ func TestDeliveredIffNeverCut(t *testing.T) {
 		}
 		p := g.ShortestPath(s, d, nil)
 		worms = append(worms, Worm{
-			ID: id, Path: p, Length: 2, Delay: id % 3, Wavelength: id % 2,
+			ID: id, Route: route(g, p), Length: 2, Delay: id % 3, Wavelength: id % 2,
 		})
 		id++
 	}
@@ -353,24 +354,47 @@ func TestDeliveredIffNeverCut(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	g := chain(3)
-	okWorm := Worm{ID: 0, Path: graph.Path{0, 1}, Length: 1, Wavelength: 0}
+	okWorm := Worm{ID: 0, Route: route(g, graph.Path{0, 1}), Length: 1, Wavelength: 0}
+	with := func(f func(*Worm)) []Worm {
+		w := okWorm
+		f(&w)
+		return []Worm{w}
+	}
 	cases := map[string]struct {
 		worms []Worm
 		c     Config
+		want  string
 	}{
-		"bandwidth 0":    {[]Worm{okWorm}, Config{Bandwidth: 0}},
-		"neg ack":        {[]Worm{okWorm}, Config{Bandwidth: 1, AckLength: -1}},
-		"neg id":         {[]Worm{{ID: -1, Path: graph.Path{0, 1}, Length: 1}}, Config{Bandwidth: 1}},
-		"dup id":         {[]Worm{okWorm, okWorm}, Config{Bandwidth: 1}},
-		"bad path":       {[]Worm{{ID: 0, Path: graph.Path{0, 2}, Length: 1}}, Config{Bandwidth: 1}},
-		"empty path":     {[]Worm{{ID: 0, Path: graph.Path{1}, Length: 1}}, Config{Bandwidth: 1}},
-		"zero length":    {[]Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 0}}, Config{Bandwidth: 1}},
-		"neg delay":      {[]Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1, Delay: -1}}, Config{Bandwidth: 1}},
-		"bad wavelength": {[]Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1, Wavelength: 5}}, Config{Bandwidth: 1}},
+		"bandwidth 0":    {[]Worm{okWorm}, Config{Bandwidth: 0}, "bandwidth 0 < 1"},
+		"neg ack":        {[]Worm{okWorm}, Config{Bandwidth: 1, AckLength: -1}, "negative ack length"},
+		"neg id":         {with(func(w *Worm) { w.ID = -1 }), Config{Bandwidth: 1}, "negative ID"},
+		"dup id":         {[]Worm{okWorm, okWorm}, Config{Bandwidth: 1}, "duplicate worm ID 0"},
+		"no route":       {with(func(w *Worm) { w.Route = graph.Route{} }), Config{Bandwidth: 1}, "worm 0 has no route checked against this graph"},
+		"other graph":    {with(func(w *Worm) { w.Route = route(chain(3), graph.Path{0, 1}) }), Config{Bandwidth: 1}, "worm 0 has no route checked against this graph"},
+		"revisit":        {with(func(w *Worm) { w.Route = route(g, graph.Path{0, 1, 0, 1}) }), Config{Bandwidth: 1}, "worm 0 revisits a directed link"},
+		"zero length":    {with(func(w *Worm) { w.Length = 0 }), Config{Bandwidth: 1}, "length 0 < 1"},
+		"neg delay":      {with(func(w *Worm) { w.Delay = -1 }), Config{Bandwidth: 1}, "negative delay"},
+		"bad wavelength": {with(func(w *Worm) { w.Wavelength = 5 }), Config{Bandwidth: 1}, "wavelength 5 out of [0,1)"},
 	}
 	for name, tc := range cases {
-		if _, err := NewEngine().Run(g, tc.worms, tc.c); err == nil {
-			t.Errorf("%s: no error", name)
+		if _, err := NewEngine().Run(g, tc.worms, tc.c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+		if _, err := RunReference(g, tc.worms, tc.c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: reference err = %v, want %q", name, err, tc.want)
+		}
+	}
+	// A path is refused where its route is made, before any run.
+	for name, tc := range map[string]struct {
+		p    graph.Path
+		want string
+	}{
+		"bad path":   {graph.Path{0, 2}, "graph: path step 0: no link 0->2"},
+		"empty path": {graph.Path{1}, "graph: zero-length path"},
+		"off graph":  {graph.Path{0, 3}, "graph: path node 3 out of range [0,3)"},
+	} {
+		if _, _, err := g.AppendRoute(nil, tc.p); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
 		}
 	}
 }
@@ -404,7 +428,7 @@ func TestWreckagePolicyString(t *testing.T) {
 
 func TestMaxStepsGuard(t *testing.T) {
 	g := chain(8)
-	worms := []Worm{{ID: 0, Path: graph.Path{0, 1, 2, 3, 4, 5, 6, 7}, Length: 4, Delay: 0, Wavelength: 0}}
+	worms := []Worm{{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4, 5, 6, 7}), Length: 4, Delay: 0, Wavelength: 0}}
 	c := cfg(1)
 	c.MaxSteps = 2 // far too small
 	if _, err := NewEngine().Run(g, worms, c); err == nil {
@@ -428,7 +452,7 @@ func TestDynamicMaxStepsGuard(t *testing.T) {
 	// An aborted dynamic run leaves slots claimed and agenda entries
 	// pending. The engine's next runs must not see them, even on a graph
 	// whose occupancy table an earlier run left marked clean.
-	worms := []Worm{{ID: 0, Path: reqs[0].Path, Length: 4}}
+	worms := []Worm{{ID: 0, Route: route(g, reqs[0].Path), Length: 4}}
 	want, err := NewEngine().Run(g, worms, cfg(1))
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +484,7 @@ func TestDynamicMaxStepsGuard(t *testing.T) {
 func TestUtilizationAccounting(t *testing.T) {
 	g := chain(4)
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Delay: 0, Wavelength: 0},
+		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
 	}, cfg(1))
 	// Occupancy: 3 links x 2 steps each = 6 slot-steps.
 	if res.BusySlotSteps != 6 {
@@ -486,8 +510,9 @@ func TestValidatorStampGrowth(t *testing.T) {
 	const n = 8192
 	g := chain(3)
 	worms := make([]Worm, n)
+	r := route(g, graph.Path{0, 1, 2})
 	for i := range worms {
-		worms[i] = Worm{ID: i, Path: graph.Path{0, 1, 2}, Length: 1}
+		worms[i] = Worm{ID: i, Route: r, Length: 1}
 	}
 	stamps := testing.AllocsPerRun(3, func() {
 		var v validator
@@ -501,34 +526,33 @@ func TestValidatorStampGrowth(t *testing.T) {
 	if limit := 2 * float64(bits.Len(n)); stamps > limit {
 		t.Errorf("%d ascending IDs: %.0f stamp allocations, want <= %.0f", n, stamps, limit)
 	}
-	// The validation a fresh engine's first Run performs: every scratch
-	// buffer (ID stamps, link stamps, resolved links, offsets) grows
-	// geometrically or is sized once.
+	// The validation a fresh engine's first Run performs: the routes were
+	// checked when they were made, so only the ID stamps grow.
 	checks := testing.AllocsPerRun(3, func() {
 		var v validator
 		if err := v.check(g, worms, cfg(1)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if limit := 6 * float64(bits.Len(n)); checks > limit {
+	if limit := 2 * float64(bits.Len(n)); checks > limit {
 		t.Errorf("fresh validator over %d worms: %.0f allocations, want <= %.0f", n, checks, limit)
 	}
 	t.Logf("%d ascending IDs: %.0f stamp allocations, %.0f for the whole fresh check", n, stamps, checks)
 
-	dup := append(append([]Worm(nil), worms...), Worm{ID: n / 2, Path: graph.Path{0, 1}, Length: 1})
+	dup := append(append([]Worm(nil), worms...), Worm{ID: n / 2, Route: route(g, graph.Path{0, 1}), Length: 1})
 	if _, err := NewEngine().Run(g, dup, cfg(1)); err == nil || !strings.Contains(err.Error(), "duplicate worm ID") {
 		t.Errorf("duplicate ID after growth: err = %v", err)
 	}
 	big := []Worm{
-		{ID: idStampCap - 1, Path: graph.Path{0, 1}, Length: 1},
-		{ID: idStampCap, Path: graph.Path{1, 2}, Length: 1},
-		{ID: 1 << 40, Path: graph.Path{2, 1}, Length: 1},
+		{ID: idStampCap - 1, Route: route(g, graph.Path{0, 1}), Length: 1},
+		{ID: idStampCap, Route: route(g, graph.Path{1, 2}), Length: 1},
+		{ID: 1 << 40, Route: route(g, graph.Path{2, 1}), Length: 1},
 	}
 	eng := NewEngine()
 	if _, err := eng.Run(g, big, cfg(1)); err != nil {
 		t.Fatalf("IDs around idStampCap: %v", err)
 	}
-	if _, err := eng.Run(g, append(big, Worm{ID: 1 << 40, Path: graph.Path{1, 0}, Length: 1}), cfg(1)); err == nil || !strings.Contains(err.Error(), "duplicate worm ID") {
+	if _, err := eng.Run(g, append(big, Worm{ID: 1 << 40, Route: route(g, graph.Path{1, 0}), Length: 1}), cfg(1)); err == nil || !strings.Contains(err.Error(), "duplicate worm ID") {
 		t.Errorf("duplicate huge ID: err = %v", err)
 	}
 	if _, err := eng.Run(g, big, cfg(1)); err != nil {
@@ -536,35 +560,46 @@ func TestValidatorStampGrowth(t *testing.T) {
 	}
 }
 
-// TestValidatorLinkStampWrap pins the wrap guard on the validator's
-// per-link stamp. The stamp advances once per validated path; when it
-// returns to zero (2^32 paths on one engine), every never-marked link
-// reads as already visited and a valid worm is rejected as revisiting a
-// directed link, and the stamps of earlier paths alias the new ones. The
-// guard clears the marks and restarts.
+// TestValidatorLinkStampWrap pins that the revisit check keeps no state
+// from one path to the next. The validator once stamped each path's links
+// in a per-link array, and a stamp that wrapped aliased earlier paths'
+// marks. The route check sorts a copy of each path's links in its table's
+// spare capacity instead, so a path checked on a table that already holds
+// other routes, and the sort scratch they left behind, gets the verdict and
+// links it gets on a fresh table, and an engine that ran the earlier routes
+// runs it as a fresh engine does.
 func TestValidatorLinkStampWrap(t *testing.T) {
 	g := chain(4)
-	first := []Worm{{ID: 0, Path: graph.Path{0, 1, 2}, Length: 1}}
-	next := []Worm{{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 1}}
-	want := mustRun(t, g, next, cfg(1)).Outcomes[0]
+	paths := []graph.Path{{0, 1, 2}, {3, 2, 1, 0}, {0, 1, 2, 3}, {0, 1, 0, 1}, {1, 2, 3, 2, 1}, {2, 1, 2, 1}, {2, 3}}
+	var table []int32
+	var routes []graph.Route
+	for _, p := range paths {
+		fresh := route(g, p)
+		r, next, err := g.AppendRoute(table, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.Links(), fresh.Links()) || r.Revisits() != fresh.Revisits() {
+			t.Errorf("%v after %d routes: links %v revisit %v, fresh %v %v",
+				p, len(routes), r.Links(), r.Revisits(), fresh.Links(), fresh.Revisits())
+		}
+		table, routes = next, append(routes, r)
+	}
 	eng := NewEngine()
-	if _, err := eng.Run(g, first, cfg(1)); err != nil {
-		t.Fatal(err)
-	}
-	// The first run stamped links 0->1 and 1->2 with 1. The next path
-	// advances the stamp to 0, the value link 2->3 has never left; a
-	// restart at 1 without clearing would alias the first run's marks.
-	eng.val.gen = -1
-	res, err := eng.Run(g, next, cfg(1))
-	if err != nil {
-		t.Fatalf("valid worm after the stamp wrapped: %v", err)
-	}
-	if res.Outcomes[0] != want {
-		t.Errorf("outcome %+v after the wrap, fresh engine %+v", res.Outcomes[0], want)
-	}
-	bad := []Worm{{ID: 0, Path: graph.Path{0, 1, 0, 1}, Length: 1}}
-	eng.val.gen = -1
-	if _, err := eng.Run(g, bad, cfg(1)); err == nil || !strings.Contains(err.Error(), "revisits a directed link") {
-		t.Errorf("revisit after the wrap: err = %v", err)
+	for i, r := range routes {
+		w := []Worm{{ID: i, Route: r, Length: 1}}
+		res, err := eng.Run(g, w, cfg(1))
+		if r.Revisits() {
+			if err == nil || !strings.Contains(err.Error(), "revisits a directed link") {
+				t.Errorf("%v: err = %v, want a revisit refusal", paths[i], err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", paths[i], err)
+		}
+		if want := mustRun(t, g, w, cfg(1)).Outcomes[0]; res.Outcomes[0] != want {
+			t.Errorf("%v: outcome %+v on a reused engine, fresh engine %+v", paths[i], res.Outcomes[0], want)
+		}
 	}
 }

@@ -69,7 +69,7 @@ func TestButterflyUniquePath(t *testing.T) {
 		if p.Len() != 4 {
 			return false
 		}
-		if p.Validate(g) != nil {
+		if _, _, err := g.AppendRoute(nil, p); err != nil {
 			return false
 		}
 		if b.LevelOf(p.Source()) != 0 || b.RowOf(p.Source()) != s {
