@@ -78,3 +78,27 @@ func BenchmarkCanonResult(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeResult decodes the canonical bytes of that Result as a
+// cache hit does: decodeResult, behind Client.Result and
+// Scheduler.Result.
+//
+//	go test -run '^$' -bench BenchmarkDecodeResult -benchmem ./internal/jobs
+func BenchmarkDecodeResult(b *testing.B) {
+	res, _, err := (&Executor{}).Run(sweepBenchSpec(16, 1), sim.NewEngine(), nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := canon.Marshal(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeResult(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

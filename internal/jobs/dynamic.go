@@ -169,10 +169,9 @@ func (d *DynamicSpec) validate() error {
 func (d *DynamicSpec) span() int {
 	_, _, _, hops := d.Network.size()
 	p := d.Protocol.normalized()
-	retry := p.retry()
 	backoff := 0
 	for a := 1; a <= p.MaxAttempts; a++ {
-		backoff = max(backoff, retry.Backoff(a))
+		backoff = max(backoff, p.backoff(a))
 	}
 	window := 2*(hops+p.Length) + min(p.AckLength, maxSpan+1)
 	return d.Trace.Horizon + p.MaxAttempts*(min(backoff, maxSpan+1)+window)
@@ -184,6 +183,15 @@ func (p DynamicProtocolSpec) retry() sim.RetryPolicy {
 		return sim.FixedBackoff{Range: p.BackoffBase}
 	}
 	return sim.ExponentialBackoff{Base: p.BackoffBase, Cap: p.BackoffCap}
+}
+
+// backoff is retry().Backoff(attempt) through the concrete policy, so
+// Validate does not box the policy into an interface on every call.
+func (p DynamicProtocolSpec) backoff(attempt int) int {
+	if p.Backoff == "fixed" {
+		return sim.FixedBackoff{Range: p.BackoffBase}.Backoff(attempt)
+	}
+	return sim.ExponentialBackoff{Base: p.BackoffBase, Cap: p.BackoffCap}.Backoff(attempt)
 }
 
 // dynamicSetup is a materialized dynamic job: the graph, the trace's

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 )
@@ -150,10 +151,10 @@ func (r *Result) reload() {
 }
 
 // decodeResult decodes a result from its canonical JSON, the form the
-// store holds and the result route serves.
+// store holds and the result route serves, with canon.Unmarshal.
 func decodeResult(raw []byte) (*Result, error) {
 	var res Result
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if err := canon.Unmarshal(raw, &res); err != nil {
 		return nil, err
 	}
 	res.reload()
@@ -212,15 +213,16 @@ type Executor struct {
 	Lookup func(storeKey string) (json.RawMessage, bool)
 }
 
-// lookupJSON resolves a store key into out and returns the bytes it
-// decoded, nil on a miss: the local store first, then the cluster
-// read-repair hook. A remote hit is compacted as PutRaw stores it and
-// persisted locally, so the next lookup is a local one and returns the
-// same bytes.
+// lookupJSON resolves a store key into out, which must point to a zero
+// value, and returns the bytes it decoded, nil on a miss: the local store
+// first, then the cluster read-repair hook. A remote hit is compacted as
+// PutRaw stores it and persisted locally, so the next lookup is a local
+// one and returns the same bytes. Both are canon's bytes, written here or
+// at the record's origin, so canon.Unmarshal decodes them.
 func (e *Executor) lookupJSON(storeKey string, out any) (json.RawMessage, error) {
 	if e.Store != nil {
 		if raw, ok := e.Store.Get(storeKey); ok {
-			if err := json.Unmarshal(raw, out); err != nil {
+			if err := canon.Unmarshal(raw, out); err != nil {
 				return nil, fmt.Errorf("jobs: stored value for %s: %w", storeKey, err)
 			}
 			return raw, nil
@@ -237,7 +239,7 @@ func (e *Executor) lookupJSON(storeKey string, out any) (json.RawMessage, error)
 	if err := json.Compact(&raw, remote); err != nil {
 		return nil, fmt.Errorf("jobs: replicated value for %s: %w", storeKey, err)
 	}
-	if err := json.Unmarshal(raw.Bytes(), out); err != nil {
+	if err := canon.Unmarshal(raw.Bytes(), out); err != nil {
 		return nil, fmt.Errorf("jobs: replicated value for %s: %w", storeKey, err)
 	}
 	if e.Store != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/canon"
@@ -322,11 +323,12 @@ func TestRunExperimentReplayByteIdentical(t *testing.T) {
 }
 
 // FuzzResultJSONRoundTrip checks canon against encoding/json on the type
-// the result route serves: any input encoding/json decodes into a Result
-// has a canonical encoding b, and decoding b as a client does (decode,
-// then reload) gives a value canon encodes to b again. Seeds are route,
-// dynamic and experiment results, canonical and as encoding/json writes
-// them; the experiment's table holds HTML characters.
+// the result route serves: on any input canon.Unmarshal and json.Unmarshal
+// agree on the error and the Result; any input encoding/json decodes into
+// a Result has a canonical encoding b, and decoding b as a client does
+// (decode, then reload) gives a value canon encodes to b again. Seeds are
+// route, dynamic and experiment results, canonical and as encoding/json
+// writes them; the experiment's table holds HTML characters.
 func FuzzResultJSONRoundTrip(f *testing.F) {
 	runner := func(id string, seed uint64, trials int, quick bool) (json.RawMessage, string, error) {
 		return json.RawMessage(`{"id":"` + id + `","notes":["depth >= t"],"columns":["T&F","a<b"],"rows":[[1.5,-0.25,3e-9]]}`), "T&F <b>\n", nil
@@ -349,8 +351,12 @@ func FuzzResultJSONRoundTrip(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var res Result
-		if json.Unmarshal(data, &res) != nil {
+		var res, fast Result
+		jsonErr := json.Unmarshal(data, &res)
+		if err := canon.Unmarshal(data, &fast); (err == nil) != (jsonErr == nil) || !reflect.DeepEqual(fast, res) {
+			t.Fatalf("canon.Unmarshal gives %+v, %v; json.Unmarshal %+v, %v", fast, err, res, jsonErr)
+		}
+		if jsonErr != nil {
 			return
 		}
 		b, err := canon.Marshal(&res)
@@ -369,6 +375,59 @@ func FuzzResultJSONRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed the bytes:\n got %s\nwant %s", again, b)
 		}
 	})
+}
+
+// TestStoredFormsDecodeInOnePass: each form the store holds (a route, a
+// dynamic and an experiment result, a checkpoint, a segment line)
+// decodes with canon.Unmarshal to what json.Unmarshal gives, and in
+// canon's one pass: with fewer allocations than encoding/json makes,
+// which a fallback (a refused pass, then encoding/json) never has.
+func TestStoredFormsDecodeInOnePass(t *testing.T) {
+	runner := func(id string, seed uint64, trials int, quick bool) (json.RawMessage, string, error) {
+		return json.RawMessage(`{"id":"` + id + `","rows":[[1.5,"T&F"]]}`), "table\n", nil
+	}
+	for _, spec := range []Spec{
+		testSpec(5, 2),
+		testDynamicSpec(t, 5, 2),
+		{Experiment: &ExperimentSpec{ID: "F5", Seed: 1, Quick: true}},
+	} {
+		res, _, err := (&Executor{Experiments: runner}).Run(spec, sim.NewEngine(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := resultBytes(t, res)
+		decodesInOnePass[Result](t, b)
+		if res.Telemetry != nil {
+			ck, err := canon.Marshal(checkpoint{Key: res.Key, Done: len(res.Trials), Trials: res.Trials, Telemetry: res.Telemetry, DynamicTrials: res.DynamicTrials})
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodesInOnePass[checkpoint](t, ck)
+		}
+		line, _, err := recordLine(resultKey(res.Key), func(line []byte) ([]byte, error) { return append(line, b...), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodesInOnePass[storeRecord](t, bytes.TrimSuffix(line, []byte("\n")))
+	}
+}
+
+// decodesInOnePass fails t unless canon.Unmarshal decodes data into a T
+// as json.Unmarshal does, with fewer allocations.
+func decodesInOnePass[T any](t *testing.T, data []byte) {
+	t.Helper()
+	var got, want T
+	if err := canon.Unmarshal(data, &got); err != nil {
+		t.Fatalf("canon.Unmarshal(%T): %v", got, err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: canon.Unmarshal gives %+v, json.Unmarshal %+v (%v)", got, got, want, err)
+	}
+	one := testing.AllocsPerRun(10, func() { _ = canon.Unmarshal(data, new(T)) })
+	two := testing.AllocsPerRun(10, func() { _ = json.Unmarshal(data, new(T)) })
+	if one >= two {
+		t.Errorf("%T: canon.Unmarshal makes %.0f allocations, json.Unmarshal %.0f: the one pass fell back", got, one, two)
+	}
 }
 
 // mustKey returns the spec key or fails the test.

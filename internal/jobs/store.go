@@ -69,8 +69,10 @@ type segmentFile interface {
 	Name() string
 }
 
-// storeRecord is one JSONL line as replay decodes it: the key and its
-// (raw) value. recordLine writes the lines.
+// storeRecord is one JSONL line as replay and ImportSegment decode it:
+// the key and its (raw) value. recordLine writes the lines in canon's
+// form, so canon.Unmarshal decodes them in one pass; a line in any other
+// form decodes as encoding/json decodes it.
 type storeRecord struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v"`
@@ -174,7 +176,7 @@ func (s *Store) replay(path string) error {
 			continue
 		}
 		var rec storeRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.K == "" {
+		if err := canon.Unmarshal(line, &rec); err != nil || rec.K == "" {
 			// Torn or garbage tail: keep what parsed, skip the rest.
 			s.skippedTail++
 			return nil
@@ -208,14 +210,15 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 	return v, ok
 }
 
-// GetJSON unmarshals the latest value for key into out, reporting whether
-// the key was present.
+// GetJSON unmarshals the latest value for key into out, which must point
+// to a zero value, reporting whether the key was present. The value is
+// canon's encoding, so canon.Unmarshal decodes it.
 func (s *Store) GetJSON(key string, out any) (bool, error) {
 	raw, ok := s.Get(key)
 	if !ok {
 		return false, nil
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	if err := canon.Unmarshal(raw, out); err != nil {
 		return true, fmt.Errorf("jobs: stored value for %s: %w", key, err)
 	}
 	return true, nil
@@ -499,7 +502,7 @@ func (s *Store) ImportSegment(origin, name string, data []byte) (int, error) {
 			continue
 		}
 		var rec storeRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.K == "" {
+		if err := canon.Unmarshal(line, &rec); err != nil || rec.K == "" {
 			break
 		}
 		recs = append(recs, rec)

@@ -688,3 +688,94 @@ func FuzzStoreReplay(f *testing.F) {
 		check(r, "reopen after a put")
 	})
 }
+
+// naiveImport is the reference for segment import into a store holding
+// local: the records of data as naiveReplay reads its lines, each
+// applied only when its key is still absent and its value is not a
+// tombstone. It returns the applied records.
+func naiveImport(local map[string]string, data []byte) map[string]string {
+	applied := make(map[string]string)
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) == 0 {
+			continue
+		}
+		var rec struct {
+			K string          `json:"k"`
+			V json.RawMessage `json:"v"`
+		}
+		if json.Unmarshal(line, &rec) != nil || rec.K == "" {
+			break
+		}
+		if _, ok := local[rec.K]; ok || len(rec.V) == 0 || string(rec.V) == "null" {
+			continue
+		}
+		if _, ok := applied[rec.K]; !ok {
+			applied[rec.K] = string(rec.V)
+		}
+	}
+	return applied
+}
+
+// FuzzImportSegment imports arbitrary bytes as a peer's segment into a
+// store holding local records: the import must not fail or panic, must
+// apply exactly the records naiveImport applies, and a later Get must
+// serve each applied record's bytes while local records keep theirs.
+// Seeds are a segment written by Put and Delete, that segment cut short,
+// and the segment in encoding/json's spacing.
+func FuzzImportSegment(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, v := range []any{map[string]int{"a": 1}, "two", []int{3}, nil, 5.5} {
+		if err := s.Put(fmt.Sprintf("result/%d", i), v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Delete("result/2"); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put("local", "peer"); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-000001.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)*2/3])
+	f.Add(bytes.ReplaceAll(seg, []byte(`,"v":`), []byte(`, "v": `)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		local := map[string]string{"local": `"mine"`, "result/0": `0`}
+		for k, v := range local {
+			if err := s.PutRaw(k, json.RawMessage(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := s.ImportSegment("peer", "seg-000001.jsonl", data)
+		if err != nil {
+			t.Fatalf("ImportSegment: %v", err)
+		}
+		want := naiveImport(local, data)
+		if n != len(want) || s.Len() != len(local)+len(want) {
+			t.Fatalf("applied %d records, store holds %d keys; naive import applies %d to %d local", n, s.Len(), len(want), len(local))
+		}
+		for _, m := range []map[string]string{local, want} {
+			for k, v := range m {
+				if got, ok := s.Get(k); !ok || string(got) != v {
+					t.Fatalf("%q reads %q (present %v), want %q", k, got, ok, v)
+				}
+			}
+		}
+	})
+}

@@ -100,13 +100,16 @@ func (a *arena) newFrag(t *train, jMin, jMax, barrier, relUpTo int) *fragment {
 // retire returns fragment f to the free list, and its train with it when f
 // was the train's last fragment. The caller guarantees nothing refers to f
 // any more: it is gone (or never activated), owns no occupancy bit, and
-// no pending entry or conversion attempt of this step names it.
+// no pending entry or conversion attempt of this step names it. A pooled
+// train drops its links, which view the run's route table, so the engine
+// does not keep a finished run's routes reachable.
 //
 //optlint:hotpath
 func (a *arena) retire(f *fragment) {
 	tr := f.t
 	tr.frags--
 	if tr.frags == 0 {
+		tr.links = nil
 		a.freeTrains = append(a.freeTrains, tr)
 	}
 	a.freeFrags = append(a.freeFrags, f.self)

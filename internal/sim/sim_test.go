@@ -603,3 +603,43 @@ func TestValidatorLinkStampWrap(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledTrainsDropRoutes: a train returned to the arena drops its
+// view of the run's route table, so an engine that ran a large round
+// and then a small one keeps neither round's routes reachable.
+func TestPooledTrainsDropRoutes(t *testing.T) {
+	g := topology.NewTorus(2, 64).Graph()
+	src := rng.New(26)
+	var table []int32
+	var worms []Worm
+	for len(worms) < 2000 {
+		s, d := src.Intn(g.NumNodes()), src.Intn(g.NumNodes())
+		if s == d {
+			continue
+		}
+		r, next, err := g.AppendRoute(table, g.ShortestPath(s, d, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		table = next
+		worms = append(worms, Worm{ID: len(worms), Route: r, Length: 4, Delay: src.Intn(64), Wavelength: src.Intn(4)})
+	}
+	eng := NewEngine()
+	c := Config{Bandwidth: 4, Rule: optical.ServeFirst, AckLength: 1}
+	for _, batch := range [][]Worm{worms, {{Route: route(g, g.ShortestPath(0, 1, nil)), Length: 4}}} {
+		if _, err := eng.Run(g, batch, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	viewing := 0
+	for _, slab := range eng.arena.trainSlabs {
+		for i := range slab {
+			if slab[i].links != nil {
+				viewing++
+			}
+		}
+	}
+	if viewing > 0 {
+		t.Errorf("%d pooled train slots still view a route", viewing)
+	}
+}

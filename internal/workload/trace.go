@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/canon"
@@ -167,7 +166,7 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("workload: trace checksum mismatch (corrupted payload)")
 	}
 	var t Trace
-	if err := json.Unmarshal(payload, &t); err != nil {
+	if err := canon.Unmarshal(payload, &t); err != nil {
 		return nil, fmt.Errorf("workload: trace payload: %w", err)
 	}
 	if t.Version != version {
