@@ -209,14 +209,19 @@ func e15TopTrace(tb testing.TB) (*graph.Graph, []sim.Request) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return g, tr.Requests(paths.BFSSelector(g), 4)
+	reqs, err := tr.Requests(g, paths.BFSSelector(g), 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, reqs
 }
 
 // BenchmarkEngineDynamic measures continuous operation on a reused Engine:
 // one RunDynamic call replays E15's top-load trace under E15's protocol
-// (B=2, L=4, one-flit acks, exponential backoff, 40 attempts). A warm
-// engine reuses its routes, outcome slots, agendas and arena, so
-// allocs/op is a small constant however long the trace.
+// (B=2, L=4, one-flit acks, exponential backoff, 40 attempts). The
+// requests carry their routes and a warm engine reuses its outcome
+// slots, agendas and arena, so allocs/op is a small constant however
+// long the trace.
 func BenchmarkEngineDynamic(b *testing.B) {
 	g, reqs := e15TopTrace(b)
 	cfg := sim.DynamicConfig{

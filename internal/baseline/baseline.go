@@ -21,26 +21,6 @@ import (
 	"repro/internal/paths"
 )
 
-// Message is one store-and-forward routing job.
-type Message struct {
-	// ID identifies the message; IDs must be distinct and >= 0.
-	ID int
-	// Path is the fixed route.
-	Path graph.Path
-	// Length is L >= 1 flits; each hop takes Length steps of link time.
-	Length int
-	// Release is the step at which the message becomes available.
-	Release int
-}
-
-// Config parameterizes a store-and-forward run.
-type Config struct {
-	// Bandwidth is the number of parallel channels per directed link.
-	Bandwidth int
-	// MaxSteps bounds the simulation (0 derives a generous bound).
-	MaxSteps int
-}
-
 // Outcome reports one message's fate.
 type Outcome struct {
 	DeliveredAt int // step at which the last flit reached the destination
@@ -56,57 +36,39 @@ type Result struct {
 	PeakQueue int
 }
 
-// check validates the bandwidth and the messages of a run, resolving each
-// message's path through the graph's route check, and returns the paths'
-// links and the latest release step. Both electronic routers share it.
-func check(g *graph.Graph, msgs []Message, cfg Config) (links [][]int32, maxRelease int, err error) {
-	if cfg.Bandwidth < 1 {
-		return nil, 0, fmt.Errorf("baseline: bandwidth %d < 1", cfg.Bandwidth)
+// checkParams refuses a message length or a bandwidth the routers
+// cannot model. Both electronic routers share it; the collection checked
+// the paths when it was made.
+func checkParams(length, bandwidth int) error {
+	if bandwidth < 1 {
+		return fmt.Errorf("baseline: bandwidth %d < 1", bandwidth)
 	}
-	seen := make(map[int]bool, len(msgs))
-	links = make([][]int32, len(msgs))
-	var table []int32
-	for i, m := range msgs {
-		if m.ID < 0 || seen[m.ID] {
-			return nil, 0, fmt.Errorf("baseline: message %d has invalid or duplicate ID %d", i, m.ID)
-		}
-		seen[m.ID] = true
-		r, next, err := g.AppendRoute(table, m.Path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("baseline: message %d: %w", m.ID, err)
-		}
-		table, links[i] = next, r.Links()
-		if m.Length < 1 || m.Release < 0 {
-			return nil, 0, fmt.Errorf("baseline: message %d has invalid parameters", m.ID)
-		}
-		maxRelease = max(maxRelease, m.Release)
+	if length < 1 {
+		return fmt.Errorf("baseline: message length %d < 1", length)
 	}
-	return links, maxRelease, nil
+	return nil
 }
 
-// Run simulates the store-and-forward routing of all messages. Every
-// message is eventually delivered (buffers are unbounded), so only the
-// timing is in question. Arbitration is FIFO per link with ties broken by
-// message ID, making runs deterministic.
-func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
-	links, maxRelease, err := check(g, msgs, cfg)
-	if err != nil {
+// Run simulates the store-and-forward routing of one message of the
+// given length along every path of the collection, all released at step
+// 0, over bandwidth channels per directed link. Every message is
+// eventually delivered (buffers are unbounded), so only the timing is in
+// question. Arbitration is FIFO per link with ties broken by path index,
+// making runs deterministic.
+func Run(c *paths.Collection, length, bandwidth int) (*Result, error) {
+	if err := checkParams(length, bandwidth); err != nil {
 		return nil, err
 	}
-	totalHops := 0
-	for i, m := range msgs {
-		totalHops += len(links[i]) * m.Length
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		// Every (link, message) transfer takes Length steps and at least
-		// one transfer completes per busy step per link; a loose but safe
-		// bound is release horizon + total serialized work.
-		maxSteps = maxRelease + totalHops + 16
+	// Every (link, message) transfer takes length steps and at least one
+	// transfer completes per busy step per link; a loose but safe bound
+	// is the total serialized work.
+	maxSteps := 16
+	for i := range c.Size() {
+		maxSteps += c.Route(i).Len() * length
 	}
 
 	type job struct {
-		idx int // index into msgs / outcomes
+		idx int // path index, and index into outcomes
 		hop int // next link index to traverse
 	}
 	// queues[link] = FIFO of jobs waiting for a channel.
@@ -116,15 +78,13 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 	// completions[t] = jobs whose current transfer finishes at t.
 	completions := make(map[int][]job)
 
-	res := &Result{Outcomes: make([]Outcome, len(msgs))}
+	res := &Result{Outcomes: make([]Outcome, c.Size())}
 	for i := range res.Outcomes {
 		res.Outcomes[i] = Outcome{DeliveredAt: -1}
-	}
-	for i, m := range msgs {
-		completions[m.Release] = append(completions[m.Release], job{idx: i, hop: 0})
+		completions[0] = append(completions[0], job{idx: i, hop: 0})
 	}
 
-	pending := len(msgs)
+	pending := c.Size()
 	for t := 0; pending > 0; t++ {
 		if t > maxSteps {
 			return nil, fmt.Errorf("baseline: exceeded %d steps (internal bug guard)", maxSteps)
@@ -132,7 +92,8 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 		// 1. Jobs arriving at their next queue (released or finished a hop).
 		if js, ok := completions[t]; ok {
 			for _, j := range js {
-				if j.hop >= len(links[j.idx]) {
+				links := c.Route(j.idx).Links()
+				if j.hop >= len(links) {
 					res.Outcomes[j.idx].DeliveredAt = t
 					if t > res.Makespan {
 						res.Makespan = t
@@ -140,7 +101,7 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 					pending--
 					continue
 				}
-				l := int(links[j.idx][j.hop])
+				l := int(links[j.hop])
 				queues[l] = append(queues[l], j)
 				if q := len(queues[l]); q > res.PeakQueue {
 					res.PeakQueue = q
@@ -165,17 +126,17 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 			}
 			ch := busy[l]
 			if ch == nil {
-				ch = make([]int, cfg.Bandwidth)
+				ch = make([]int, bandwidth)
 				busy[l] = ch
 			}
-			for c := 0; c < cfg.Bandwidth && len(q) > 0; c++ {
-				if ch[c] > t {
+			for k := 0; k < bandwidth && len(q) > 0; k++ {
+				if ch[k] > t {
 					continue
 				}
 				j := q[0]
 				q = q[1:]
-				done := t + msgs[j.idx].Length
-				ch[c] = done
+				done := t + length
+				ch[k] = done
 				completions[done] = append(completions[done], job{idx: j.idx, hop: j.hop + 1})
 			}
 			if len(q) == 0 {
@@ -186,14 +147,4 @@ func Run(g *graph.Graph, msgs []Message, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunCollection routes one message of the given length along every path
-// of the collection, all released at step 0.
-func RunCollection(c *paths.Collection, length, bandwidth int) (*Result, error) {
-	msgs := make([]Message, c.Size())
-	for i := range msgs {
-		msgs[i] = Message{ID: i, Path: c.Path(i), Length: length}
-	}
-	return Run(c.Graph(), msgs, Config{Bandwidth: bandwidth})
 }

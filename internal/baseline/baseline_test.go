@@ -11,28 +11,23 @@ import (
 
 func TestSingleMessage(t *testing.T) {
 	g := topology.NewChain(5).Graph()
-	res, err := Run(g, []Message{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Release: 2},
-	}, Config{Bandwidth: 1})
+	res, err := Run(paths.MustCollection(g, []graph.Path{{0, 1, 2, 3, 4}}), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Store-and-forward: 4 hops * 3 steps each, starting at release 2.
-	if got := res.Outcomes[0].DeliveredAt; got != 2+4*3 {
-		t.Errorf("DeliveredAt = %d, want 14", got)
+	// Store-and-forward: 4 hops * 3 steps each, starting at step 0.
+	if got := res.Outcomes[0].DeliveredAt; got != 4*3 {
+		t.Errorf("DeliveredAt = %d, want 12", got)
 	}
-	if res.Makespan != 14 {
+	if res.Makespan != 12 {
 		t.Errorf("makespan = %d", res.Makespan)
 	}
 }
 
 func TestSerializationOnSharedLink(t *testing.T) {
 	// Two messages over one link with B=1: the second waits L steps.
-	g := topology.NewChain(2).Graph()
-	res, err := Run(g, []Message{
-		{ID: 0, Path: graph.Path{0, 1}, Length: 4},
-		{ID: 1, Path: graph.Path{0, 1}, Length: 4},
-	}, Config{Bandwidth: 1})
+	c := paths.MustCollection(topology.NewChain(2).Graph(), []graph.Path{{0, 1}, {0, 1}})
+	res, err := Run(c, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +41,7 @@ func TestSerializationOnSharedLink(t *testing.T) {
 		t.Errorf("peak queue = %d, want 2", res.PeakQueue)
 	}
 	// With B=2 both run in parallel.
-	res, err = Run(g, []Message{
-		{ID: 0, Path: graph.Path{0, 1}, Length: 4},
-		{ID: 1, Path: graph.Path{0, 1}, Length: 4},
-	}, Config{Bandwidth: 2})
+	res, err = Run(c, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +58,7 @@ func TestAllDeliveredEventually(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCollection(c, 4, 2)
+	res, err := Run(c, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +82,11 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunCollection(c, 3, 1)
+	a, err := Run(c, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCollection(c, 3, 1)
+	b, err := Run(c, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +98,11 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	g := topology.NewChain(3).Graph()
-	cases := map[string][]Message{
-		"dup id":      {{ID: 0, Path: graph.Path{0, 1}, Length: 1}, {ID: 0, Path: graph.Path{1, 2}, Length: 1}},
-		"bad path":    {{ID: 0, Path: graph.Path{0, 2}, Length: 1}},
-		"zero len":    {{ID: 0, Path: graph.Path{0, 1}, Length: 0}},
-		"neg release": {{ID: 0, Path: graph.Path{0, 1}, Length: 1, Release: -1}},
+	c := paths.MustCollection(topology.NewChain(3).Graph(), []graph.Path{{0, 1}})
+	if _, err := Run(c, 0, 1); err == nil {
+		t.Error("zero len accepted")
 	}
-	for name, msgs := range cases {
-		if _, err := Run(g, msgs, Config{Bandwidth: 1}); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	if _, err := Run(g, nil, Config{Bandwidth: 0}); err == nil {
+	if _, err := Run(c, 1, 0); err == nil {
 		t.Error("bandwidth 0 accepted")
 	}
 }
@@ -131,16 +115,12 @@ func TestConvoyThroughNode(t *testing.T) {
 	gb.AddEdge(2, 3)
 	gb.AddEdge(3, 4)
 	g := gb.Finalize()
-	res, err := Run(g, []Message{
-		{ID: 0, Path: graph.Path{0, 3, 4}, Length: 2},
-		{ID: 1, Path: graph.Path{1, 3, 4}, Length: 2},
-		{ID: 2, Path: graph.Path{2, 3, 4}, Length: 2},
-	}, Config{Bandwidth: 1})
+	res, err := Run(paths.MustCollection(g, []graph.Path{{0, 3, 4}, {1, 3, 4}, {2, 3, 4}}), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All reach node 3 at step 2, then serialize over 3->4: deliveries at
-	// 4, 6, 8 in FIFO (ID) order.
+	// 4, 6, 8 in FIFO (path index) order.
 	want := []int{4, 6, 8}
 	for i, o := range res.Outcomes {
 		if o.DeliveredAt != want[i] {

@@ -21,30 +21,28 @@ import (
 // a free channel (B channels per directed link; electronic routers can
 // reassign channels per hop). Released capacity becomes available on the
 // following step, so back-to-back worms travel with one-step bubbles.
-// Arbitration per link is FIFO by stall time, ties by message ID.
+// Arbitration per link is FIFO by stall time, ties by path index.
 
 // WormholeResult aggregates a buffered-wormhole run.
 type WormholeResult struct {
 	Outcomes []Outcome
 	Makespan int
-	// Deadlocked lists the messages caught in a cyclic wait when the run
-	// stopped making progress (empty = all delivered).
+	// Deadlocked lists the paths (by index) whose worms were caught in a
+	// cyclic wait when the run stopped making progress (empty = all
+	// delivered).
 	Deadlocked []int
 }
 
-// RunWormhole simulates buffered wormhole routing of all messages.
-func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, error) {
-	links, maxRelease, err := check(g, msgs, cfg)
-	if err != nil {
+// RunWormhole simulates buffered wormhole routing of one worm of the
+// given length along every path of the collection, all released at step
+// 0, over bandwidth channels per directed link.
+func RunWormhole(c *paths.Collection, length, bandwidth int) (*WormholeResult, error) {
+	if err := checkParams(length, bandwidth); err != nil {
 		return nil, err
 	}
-	total := 0
-	for i, m := range msgs {
-		total += len(links[i]) + m.Length
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = maxRelease + 4*total + 64
+	maxSteps := 64
+	for i := range c.Size() {
+		maxSteps += 4 * (c.Route(i).Len() + length)
 	}
 
 	type state struct {
@@ -53,15 +51,15 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 		waitSince int
 		done      bool
 	}
-	sts := make([]*state, len(msgs))
+	sts := make([]*state, c.Size())
 	busy := make(map[graph.LinkID]int)
-	res := &WormholeResult{Outcomes: make([]Outcome, len(msgs))}
-	for i, m := range msgs {
-		sts[i] = &state{links: links[i], p: -1, waitSince: m.Release}
+	res := &WormholeResult{Outcomes: make([]Outcome, c.Size())}
+	for i := range sts {
+		sts[i] = &state{links: c.Route(i).Links(), p: -1}
 		res.Outcomes[i] = Outcome{DeliveredAt: -1}
 	}
 
-	pending := len(msgs)
+	pending := c.Size()
 	idleSteps := 0
 	for t := 0; pending > 0; t++ {
 		if t > maxSteps {
@@ -76,7 +74,7 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 		var requests []request
 		var draining []int
 		for i, st := range sts {
-			if st.done || msgs[i].Release > t {
+			if st.done {
 				continue
 			}
 			k := len(st.links)
@@ -103,11 +101,11 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 			st := sts[i]
 			st.p++
 			moved++
-			// Tail leaves link p-Length (if it is a real link index).
-			if tail := st.p - msgs[i].Length; tail >= 0 && tail < len(st.links) {
+			// Tail leaves link p-length (if it is a real link index).
+			if tail := st.p - length; tail >= 0 && tail < len(st.links) {
 				releases = append(releases, int(st.links[tail]))
 			}
-			if st.p == len(st.links)+msgs[i].Length-2 {
+			if st.p == len(st.links)+length-2 {
 				st.done = true
 				// The tail exits the last link as the worm completes.
 				releases = append(releases, int(st.links[len(st.links)-1]))
@@ -125,12 +123,12 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 				if wa.waitSince != wb.waitSince {
 					return wa.waitSince < wb.waitSince
 				}
-				return msgs[waiters[a]].ID < msgs[waiters[b]].ID
+				return waiters[a] < waiters[b]
 			})
-			free := cfg.Bandwidth - busy[l]
+			free := bandwidth - busy[l]
 			for _, i := range waiters {
 				if free <= 0 {
-					sts[i].waitSince = minInt(sts[i].waitSince, t)
+					sts[i].waitSince = min(sts[i].waitSince, t)
 					continue
 				}
 				free--
@@ -150,10 +148,10 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 		// while work remains (bubbles clear within one step).
 		if moved == 0 && pending > 0 {
 			idleSteps++
-			if idleSteps >= 2 && t >= maxRelease {
+			if idleSteps >= 2 {
 				for i, st := range sts {
 					if !st.done {
-						res.Deadlocked = append(res.Deadlocked, msgs[i].ID)
+						res.Deadlocked = append(res.Deadlocked, i)
 					}
 				}
 				return res, nil
@@ -163,21 +161,4 @@ func RunWormhole(g *graph.Graph, msgs []Message, cfg Config) (*WormholeResult, e
 		}
 	}
 	return res, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// RunWormholeCollection routes one worm of the given length along every
-// path of the collection, all released at step 0.
-func RunWormholeCollection(c *paths.Collection, length, bandwidth int) (*WormholeResult, error) {
-	msgs := make([]Message, c.Size())
-	for i := range msgs {
-		msgs[i] = Message{ID: i, Path: c.Path(i), Length: length}
-	}
-	return RunWormhole(c.Graph(), msgs, Config{Bandwidth: bandwidth})
 }

@@ -11,16 +11,14 @@ import (
 
 func TestWormholeSingleWorm(t *testing.T) {
 	g := topology.NewChain(5).Graph()
-	res, err := RunWormhole(g, []Message{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Release: 1},
-	}, Config{Bandwidth: 1})
+	res, err := RunWormhole(paths.MustCollection(g, []graph.Path{{0, 1, 2, 3, 4}}), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pipelined: k + L - 1 = 6 advances, first at step 1 (release):
-	// delivered at step 1 + 6 - 1 = 6.
-	if got := res.Outcomes[0].DeliveredAt; got != 6 {
-		t.Errorf("DeliveredAt = %d, want 6", got)
+	// Pipelined: k + L - 1 = 6 advances, first at step 0: delivered at
+	// step 6 - 1 = 5.
+	if got := res.Outcomes[0].DeliveredAt; got != 5 {
+		t.Errorf("DeliveredAt = %d, want 5", got)
 	}
 	if len(res.Deadlocked) != 0 {
 		t.Error("unexpected deadlock")
@@ -35,12 +33,12 @@ func TestWormholePipeliningBeatsStoreAndForward(t *testing.T) {
 	for i := range p {
 		p[i] = i
 	}
-	msgs := []Message{{ID: 0, Path: p, Length: 8}}
-	wh, err := RunWormhole(g, msgs, Config{Bandwidth: 1})
+	c := paths.MustCollection(g, []graph.Path{p})
+	wh, err := RunWormhole(c, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saf, err := Run(g, msgs, Config{Bandwidth: 1})
+	saf, err := Run(c, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +54,7 @@ func TestWormholeStallInsteadOfLoss(t *testing.T) {
 	// Two worms over one shared link, B=1: the second stalls and follows;
 	// both are delivered (unlike the optical serve-first elimination).
 	g := topology.NewChain(4).Graph()
-	res, err := RunWormhole(g, []Message{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 3},
-		{ID: 1, Path: graph.Path{0, 1, 2, 3}, Length: 3},
-	}, Config{Bandwidth: 1})
+	res, err := RunWormhole(paths.MustCollection(g, []graph.Path{{0, 1, 2, 3}, {0, 1, 2, 3}}), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +78,7 @@ func TestWormholeMeshNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWormholeCollection(c, 4, 1)
+	res, err := RunWormhole(c, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +97,11 @@ func TestWormholeDeadlockDetected(t *testing.T) {
 	// the next one needs. Worm i goes two hops clockwise starting at i;
 	// with L >= 2 and B = 1 all four stall on each other forever.
 	g := topology.NewRing(4).Graph()
-	var msgs []Message
+	var ps []graph.Path
 	for i := 0; i < 4; i++ {
-		msgs = append(msgs, Message{
-			ID:     i,
-			Path:   graph.Path{i, (i + 1) % 4, (i + 2) % 4},
-			Length: 3,
-		})
+		ps = append(ps, graph.Path{i, (i + 1) % 4, (i + 2) % 4})
 	}
-	res, err := RunWormhole(g, msgs, Config{Bandwidth: 1})
+	res, err := RunWormhole(paths.MustCollection(g, ps), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +111,12 @@ func TestWormholeDeadlockDetected(t *testing.T) {
 }
 
 func TestWormholeValidation(t *testing.T) {
-	g := topology.NewChain(3).Graph()
-	if _, err := RunWormhole(g, nil, Config{Bandwidth: 0}); err == nil {
+	c := paths.MustCollection(topology.NewChain(3).Graph(), []graph.Path{{0, 1}})
+	if _, err := RunWormhole(c, 1, 0); err == nil {
 		t.Error("bandwidth 0 accepted")
 	}
-	if _, err := RunWormhole(g, []Message{{ID: 0, Path: graph.Path{0, 2}, Length: 1}}, Config{Bandwidth: 1}); err == nil {
-		t.Error("bad path accepted")
+	if _, err := RunWormhole(c, 0, 1); err == nil {
+		t.Error("zero len accepted")
 	}
 }
 
@@ -137,8 +128,8 @@ func TestWormholeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := RunWormholeCollection(c, 3, 1)
-	b, _ := RunWormholeCollection(c, 3, 1)
+	a, _ := RunWormhole(c, 3, 1)
+	b, _ := RunWormhole(c, 3, 1)
 	for i := range a.Outcomes {
 		if a.Outcomes[i] != b.Outcomes[i] {
 			t.Fatal("nondeterministic wormhole run")

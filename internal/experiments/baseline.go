@@ -70,11 +70,11 @@ func E16ElectronicBaseline(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			saf, err := baseline.RunCollection(c, L, B)
+			saf, err := baseline.Run(c, L, B)
 			if err != nil {
 				return nil, err
 			}
-			wh, err := baseline.RunWormholeCollection(c, L, B)
+			wh, err := baseline.RunWormhole(c, L, B)
 			if err != nil {
 				return nil, err
 			}
@@ -121,7 +121,7 @@ func A7Synchronization(o Options) (*Table, error) {
 		}
 		reqs := make([]sim.Request, c.Size())
 		for i := range reqs {
-			reqs[i] = sim.Request{ID: i, Path: c.Path(i), Length: L}
+			reqs[i] = sim.Request{Route: c.Route(i), Length: L}
 		}
 		eng := engines.Get().(*sim.Engine)
 		async, err := eng.RunDynamic(c.Graph(), reqs, sim.DynamicConfig{

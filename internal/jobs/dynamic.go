@@ -205,9 +205,10 @@ type dynamicSetup struct {
 }
 
 // setup materializes the (normalized) dynamic spec. Paths are fixed up
-// front by the topology's canonical selector; the per-trial streams are
-// split from the master in a fixed order so a resumed sweep continues
-// exactly where a killed run stopped.
+// front by the topology's canonical selector and checked once for every
+// trial of the job; the per-trial streams are split from the master in a
+// fixed order so a resumed sweep continues exactly where a killed run
+// stopped.
 func (d *DynamicSpec) setup() (*dynamicSetup, error) {
 	t, sel, err := d.Network.Build()
 	if err != nil {
@@ -236,10 +237,14 @@ func (d *DynamicSpec) setup() (*dynamicSetup, error) {
 		}
 		cfg.Sim.Faults = sched
 	}
+	reqs, err := d.Trace.Requests(g, sel, p.Length)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
+	}
 	master := rng.New(d.Seed)
 	return &dynamicSetup{
 		g:         g,
-		reqs:      d.Trace.Requests(sel, p.Length),
+		reqs:      reqs,
 		cfg:       cfg,
 		trialSrcs: master.SplitN(d.Trials),
 	}, nil

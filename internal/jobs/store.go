@@ -117,7 +117,7 @@ func OpenWithSegmentBytes(dir string, maxSegBytes int64) (*Store, error) {
 		if seq := segmentSeq(name); seq > s.segSeq {
 			s.segSeq = seq
 		}
-		if err := s.replay(filepath.Join(dir, name)); err != nil {
+		if err := s.replay(name); err != nil {
 			return nil, err
 		}
 	}
@@ -157,18 +157,37 @@ func segmentSeq(name string) int {
 	return seq
 }
 
-// replay loads one segment into the index, stopping at the first
-// unparseable line (a torn append) and counting the skipped tail.
+// replay loads the named segment into the index, stopping at the first
+// unparseable line (a torn append) and counting the skipped tail. A
+// local segment (seg-) replays by the full rules, tombstones included; a
+// replicated one (rep-) fills gaps as ImportSegment did when it arrived,
+// so an imported segment reads the same before and after a restart.
 //
 //optlint:locked mu
-func (s *Store) replay(path string) error {
+func (s *Store) replay(name string) error {
+	path := filepath.Join(s.dir, name)
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("jobs: replay %s: %w", path, err)
 	}
 	//optlint:allow errsink segment is opened read-only for replay; close cannot lose data
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	apply := s.apply
+	if strings.HasPrefix(name, "rep-") {
+		apply = func(rec storeRecord) { s.fill(rec) }
+	}
+	if scanRecords(f, apply) {
+		s.skippedTail++
+	}
+	return nil
+}
+
+// scanRecords calls fn on each record of a segment in order. It stops at
+// the first line that is not a record, or at an over-long or unreadable
+// one, keeping the valid prefix of a torn or garbage tail, and reports
+// whether it cut such a tail.
+func scanRecords(r io.Reader, fn func(storeRecord)) (cut bool) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -177,28 +196,41 @@ func (s *Store) replay(path string) error {
 		}
 		var rec storeRecord
 		if err := canon.Unmarshal(line, &rec); err != nil || rec.K == "" {
-			// Torn or garbage tail: keep what parsed, skip the rest.
-			s.skippedTail++
-			return nil
+			return true
 		}
-		s.apply(rec.K, rec.V)
+		fn(rec)
 	}
-	if err := sc.Err(); err != nil {
-		// An over-long or unreadable tail is the same case as a torn one.
-		s.skippedTail++
-	}
-	return nil
+	return sc.Err() != nil
 }
 
-// apply folds one record into the index (null value = tombstone).
+// apply folds one local record into the index (null value = tombstone).
 //
 //optlint:locked mu
-func (s *Store) apply(key string, value json.RawMessage) {
-	if len(value) == 0 || string(value) == "null" {
-		delete(s.index, key)
+func (s *Store) apply(rec storeRecord) {
+	if len(rec.V) == 0 || string(rec.V) == "null" {
+		delete(s.index, rec.K)
 		return
 	}
-	s.index[key] = value
+	s.index[rec.K] = rec.V
+}
+
+// fill folds one record of a replicated segment into the index by the
+// gap-fill rule and reports whether it applied it: a value fills its key
+// only where the index has none, and a tombstone is skipped, so
+// replicated data never overwrites or deletes what the index holds.
+// ImportSegment and the replay of rep- segments both apply records
+// through it.
+//
+//optlint:locked mu
+func (s *Store) fill(rec storeRecord) bool {
+	if len(rec.V) == 0 || string(rec.V) == "null" {
+		return false
+	}
+	if _, ok := s.index[rec.K]; ok {
+		return false
+	}
+	s.index[rec.K] = rec.V
+	return true
 }
 
 // Get returns the latest value stored for key. The returned bytes are
@@ -304,7 +336,7 @@ func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error)
 		return fmt.Errorf("jobs: append: %w", err)
 	}
 	s.segBytes += int64(len(line))
-	s.apply(key, value)
+	s.apply(storeRecord{K: key, V: value})
 	if local && s.Observer != nil {
 		s.Observer(key, value)
 	}
@@ -476,14 +508,14 @@ func (s *Store) ReadSegment(name string) ([]byte, error) {
 }
 
 // ImportSegment ingests a segment shipped from the named origin peer:
-// the file lands as rep-<origin>-<name> (replayed before local segments
-// on a future open) and its records fill gaps in the live index. Import
-// is strictly additive — a record is applied only when its key is absent
-// locally, and tombstones are ignored — so replicated data can never
-// overwrite or delete anything this node wrote itself. Re-importing the
-// same segment (e.g. after the origin's active segment grew) rewrites
-// the file and re-runs the gap fill, which is idempotent. Returns the
-// number of records applied to the index.
+// the file lands as rep-<origin>-<name> (replayed by the same rule before
+// local segments on a future open) and its records fill gaps in the live
+// index. Import is strictly additive — a record is applied only when its
+// key is absent locally, and tombstones are ignored — so replicated data
+// can never overwrite or delete anything this node wrote itself.
+// Re-importing the same segment (e.g. after the origin's active segment
+// grew) rewrites the file and re-runs the gap fill, which is idempotent.
+// Returns the number of records applied to the index.
 func (s *Store) ImportSegment(origin, name string, data []byte) (int, error) {
 	if !validSegmentName(name) {
 		return 0, fmt.Errorf("jobs: bad segment name %q", name)
@@ -494,19 +526,7 @@ func (s *Store) ImportSegment(origin, name string, data []byte) (int, error) {
 	// Parse outside the lock; a torn tail (origin crashed or the segment
 	// was copied mid-append) keeps the valid prefix, like replay.
 	var recs []storeRecord
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec storeRecord
-		if err := canon.Unmarshal(line, &rec); err != nil || rec.K == "" {
-			break
-		}
-		recs = append(recs, rec)
-	}
+	scanRecords(bytes.NewReader(data), func(rec storeRecord) { recs = append(recs, rec) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -518,14 +538,9 @@ func (s *Store) ImportSegment(origin, name string, data []byte) (int, error) {
 	}
 	added := 0
 	for _, rec := range recs {
-		if len(rec.V) == 0 || string(rec.V) == "null" {
-			continue // tombstone: imports never delete
+		if s.fill(rec) {
+			added++
 		}
-		if _, ok := s.index[rec.K]; ok {
-			continue // gap fill only: local data wins
-		}
-		s.index[rec.K] = rec.V
-		added++
 	}
 	return added, nil
 }

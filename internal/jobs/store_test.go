@@ -717,10 +717,49 @@ func naiveImport(local map[string]string, data []byte) map[string]string {
 	return applied
 }
 
+// TestImportedSegmentSurvivesReopen imports a replicated segment that
+// deletes one key and rewrites another: under the gap-fill rule the first
+// value of each key fills it, and a close and reopen, which replays the
+// imported file, must read the same.
+func TestImportedSegmentSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := []byte(`{"k":"x","v":1}` + "\n" + `{"k":"x","v":null}` + "\n" +
+		`{"k":"y","v":1}` + "\n" + `{"k":"y","v":2}` + "\n")
+	if n, err := s.ImportSegment("peer", "seg-000001.jsonl", seg); err != nil || n != 2 {
+		t.Fatalf("ImportSegment applied %d records (err %v), want 2", n, err)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		for _, k := range []string{"x", "y"} {
+			if got, ok := s.Get(k); !ok || string(got) != "1" {
+				t.Errorf("%s: %q reads %q (present %v), want 1", when, k, got, ok)
+			}
+		}
+		if s.Len() != 2 {
+			t.Errorf("%s: store holds %d keys, want 2", when, s.Len())
+		}
+	}
+	check(s, "after the import")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r, "after a reopen")
+}
+
 // FuzzImportSegment imports arbitrary bytes as a peer's segment into a
 // store holding local records: the import must not fail or panic, must
 // apply exactly the records naiveImport applies, and a later Get must
-// serve each applied record's bytes while local records keep theirs.
+// serve each applied record's bytes while local records keep theirs,
+// before and after a close and reopen that replays the imported file.
 // Seeds are a segment written by Put and Delete, that segment cut short,
 // and the segment in encoding/json's spacing.
 func FuzzImportSegment(f *testing.F) {
@@ -751,11 +790,11 @@ func FuzzImportSegment(f *testing.F) {
 	f.Add(seg[:len(seg)*2/3])
 	f.Add(bytes.ReplaceAll(seg, []byte(`,"v":`), []byte(`, "v": `)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Open(t.TempDir())
+		dir := t.TempDir()
+		s, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		local := map[string]string{"local": `"mine"`, "result/0": `0`}
 		for k, v := range local {
 			if err := s.PutRaw(k, json.RawMessage(v)); err != nil {
@@ -767,15 +806,31 @@ func FuzzImportSegment(f *testing.F) {
 			t.Fatalf("ImportSegment: %v", err)
 		}
 		want := naiveImport(local, data)
-		if n != len(want) || s.Len() != len(local)+len(want) {
-			t.Fatalf("applied %d records, store holds %d keys; naive import applies %d to %d local", n, s.Len(), len(want), len(local))
+		if n != len(want) {
+			t.Fatalf("applied %d records; naive import applies %d to %d local", n, len(want), len(local))
 		}
-		for _, m := range []map[string]string{local, want} {
-			for k, v := range m {
-				if got, ok := s.Get(k); !ok || string(got) != v {
-					t.Fatalf("%q reads %q (present %v), want %q", k, got, ok, v)
+		check := func(s *Store, when string) {
+			t.Helper()
+			if s.Len() != len(local)+len(want) {
+				t.Fatalf("%s: store holds %d keys; naive import applies %d to %d local", when, s.Len(), len(want), len(local))
+			}
+			for _, m := range []map[string]string{local, want} {
+				for k, v := range m {
+					if got, ok := s.Get(k); !ok || string(got) != v {
+						t.Fatalf("%s: %q reads %q (present %v), want %q", when, k, got, ok, v)
+					}
 				}
 			}
 		}
+		check(s, "import")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer r.Close()
+		check(r, "reopen")
 	})
 }

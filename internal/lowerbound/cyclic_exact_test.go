@@ -2,10 +2,12 @@ package lowerbound
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/optical"
+	"repro/internal/paths"
 	"repro/internal/sim"
 )
 
@@ -22,7 +24,7 @@ import (
 //	go test -run '^TestCyclicTripleExact$' -v ./internal/lowerbound
 //
 // regenerates them.
-var cyclicCounts = map[optical.Rule][8][8]int{
+var cyclicCounts = map[optical.Rule][][]int{
 	optical.ServeFirst: {
 		0: {0, 0, 0, 0, 0, 0, 0, 0},
 		1: {0, 8, 0, 0, 0, 0, 0, 0},
@@ -50,57 +52,171 @@ var cyclicCounts = map[optical.Rule][8][8]int{
 // transition counts: an exact engine-versus-reference check on the
 // gadget of the paper's Figure 6.
 func TestCyclicTripleExact(t *testing.T) {
-	const L, B, delta = 4, 1, 8
+	const L = 4
 	c := Cyclic(1, L/2+4, L).Collection
+	for rule, wantRuns := range map[optical.Rule]int{optical.ServeFirst: 728, optical.Priority: 3480} {
+		orders := func(active []int) [][]int { return [][]int{make([]int, len(active))} }
+		if rule == optical.Priority {
+			orders = func(active []int) [][]int { return rankOrders(len(active)) }
+		}
+		checkExact(t, rule.String(), c, rule, orders, wantRuns, cyclicCounts[rule])
+	}
+}
+
+// staggeredCounts are the exact one-round transitions of one Figure 5
+// gadget as E2 builds it, with 3 and with 4 paths: L = 4, B = 1, Δ = 2L,
+// D = 2·paths + 4, oracle acknowledgements, drain, ties eliminated, and
+// under priority the adversarial ranks of Build.Ranks (path i has rank i).
+// counts[S][A] is as in cyclicCounts, over 728 runs per rule with 3 paths
+// and 6,560 with 4. With all four worms active, none is acknowledged in 85
+// of 4,096 runs under serve-first, and under priority the top-rank worm
+// always is. The counts were computed with RunReference; the test
+// logs them in this form, so
+//
+//	go test -run '^TestStaggeredExact$' -v ./internal/lowerbound
+//
+// regenerates them.
+var staggeredCounts = map[int]map[optical.Rule][][]int{
+	3: {
+		optical.ServeFirst: {
+			0: {0, 0, 0, 0, 0, 0, 0, 0},
+			1: {0, 8, 0, 0, 0, 0, 0, 0},
+			2: {0, 0, 8, 0, 0, 0, 0, 0},
+			3: {6, 12, 22, 24, 0, 0, 0, 0},
+			4: {0, 0, 0, 0, 8, 0, 0, 0},
+			5: {0, 0, 0, 0, 0, 64, 0, 0},
+			6: {6, 0, 12, 0, 22, 0, 24, 0},
+			7: {17, 21, 33, 53, 110, 160, 64, 54},
+		},
+		optical.Priority: {
+			0: {0, 0, 0, 0, 0, 0, 0, 0},
+			1: {0, 8, 0, 0, 0, 0, 0, 0},
+			2: {0, 0, 8, 0, 0, 0, 0, 0},
+			3: {0, 0, 40, 24, 0, 0, 0, 0},
+			4: {0, 0, 0, 0, 8, 0, 0, 0},
+			5: {0, 0, 0, 0, 0, 64, 0, 0},
+			6: {0, 0, 0, 0, 40, 0, 24, 0},
+			7: {0, 0, 0, 0, 182, 138, 138, 54},
+		},
+	},
+	4: {
+		optical.ServeFirst: {
+			0:  {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			1:  {0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			2:  {0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			3:  {6, 12, 22, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			4:  {0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			5:  {0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			6:  {6, 0, 12, 0, 22, 0, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			7:  {17, 21, 33, 53, 110, 160, 64, 54, 0, 0, 0, 0, 0, 0, 0, 0},
+			8:  {0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0},
+			9:  {0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0},
+			10: {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0},
+			11: {0, 0, 0, 0, 0, 0, 0, 0, 48, 96, 176, 192, 0, 0, 0, 0},
+			12: {6, 0, 0, 0, 12, 0, 0, 0, 22, 0, 0, 0, 24, 0, 0, 0},
+			13: {0, 48, 0, 0, 0, 96, 0, 0, 0, 176, 0, 0, 0, 192, 0, 0},
+			14: {17, 0, 21, 0, 33, 0, 53, 0, 110, 0, 160, 0, 64, 0, 54, 0},
+			15: {85, 129, 57, 37, 165, 282, 147, 95, 444, 610, 434, 562, 322, 427, 138, 162},
+		},
+		optical.Priority: {
+			0:  {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			1:  {0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			2:  {0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			3:  {0, 0, 40, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			4:  {0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			5:  {0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			6:  {0, 0, 0, 0, 40, 0, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			7:  {0, 0, 0, 0, 182, 138, 138, 54, 0, 0, 0, 0, 0, 0, 0, 0},
+			8:  {0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0},
+			9:  {0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0},
+			10: {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0},
+			11: {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 320, 192, 0, 0, 0, 0},
+			12: {0, 0, 0, 0, 0, 0, 0, 0, 40, 0, 0, 0, 24, 0, 0, 0},
+			13: {0, 0, 0, 0, 0, 0, 0, 0, 0, 320, 0, 0, 0, 192, 0, 0},
+			14: {0, 0, 0, 0, 0, 0, 0, 0, 182, 0, 138, 0, 138, 0, 54, 0},
+			15: {0, 0, 0, 0, 0, 0, 0, 0, 766, 690, 834, 270, 690, 414, 270, 162},
+		},
+	},
+}
+
+// TestStaggeredExact runs a staggered structure of 3 and of 4 paths
+// exhaustively on the engine and on the reference simulator, under
+// serve-first and under priority with the adversarial ranks of Section
+// 2.2, and requires both to give the pinned transition counts.
+func TestStaggeredExact(t *testing.T) {
+	const L = 4
+	for _, tc := range []struct{ per, runs int }{{3, 728}, {4, 6560}} {
+		b := Staggered(1, tc.per, 2*tc.per+4, L)
+		adversarial := func(active []int) [][]int {
+			ranks := make([]int, len(active))
+			for j, i := range active {
+				ranks[j] = b.Ranks[i]
+			}
+			return [][]int{ranks}
+		}
+		for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
+			name := fmt.Sprintf("%d paths, %v", tc.per, rule)
+			checkExact(t, name, b.Collection, rule, adversarial, tc.runs, staggeredCounts[tc.per][rule])
+		}
+	}
+}
+
+// checkExact runs one gadget of c exhaustively as the lower-bound tables
+// run it (L = 4, B = 1, Δ = 2L, oracle acknowledgements): every active
+// subset S of its paths, every delay tuple in [0, Δ)^|S| and every rank
+// assignment orders(S) yields, ranks listed in the order of S. Both the
+// reference simulator and the engine must tally want, where want[S][A]
+// counts the runs with active set S (bit i = path i) that acknowledge
+// exactly the worms of A, over wantRuns runs. It logs the reference's
+// tally in the pinned form, under name.
+func checkExact(t *testing.T, name string, c *paths.Collection, rule optical.Rule, orders func(active []int) [][]int, wantRuns int, want [][]int) {
+	t.Helper()
+	const L, B, delta = 4, 1, 8
+	k := c.Size()
 	g := c.Graph()
 	eng := sim.NewEngine()
-	for rule, wantRuns := range map[optical.Rule]int{optical.ServeFirst: 728, optical.Priority: 3480} {
-		cfg := sim.Config{Bandwidth: B, Rule: rule}
-		var ref, got [8][8]int
-		runs := 0
-		for set := 1; set < 8; set++ {
-			var active []int
-			for i := range 3 {
-				if set>>i&1 == 1 {
-					active = append(active, i)
+	cfg := sim.Config{Bandwidth: B, Rule: rule}
+	ref, got := make([][]int, 1<<k), make([][]int, 1<<k)
+	for set := range ref {
+		ref[set], got[set] = make([]int, 1<<k), make([]int, 1<<k)
+	}
+	runs := 0
+	for set := 1; set < 1<<k; set++ {
+		var active []int
+		for i := range k {
+			if set>>i&1 == 1 {
+				active = append(active, i)
+			}
+		}
+		worms := make([]sim.Worm, len(active))
+		rankings := orders(active)
+		for tuple := range pow(delta, len(active)) {
+			for _, ranks := range rankings {
+				for j, i := range active {
+					worms[j] = sim.Worm{ID: i, Route: c.Route(i), Length: L,
+						Delay: tuple / pow(delta, j) % delta, Rank: ranks[j]}
 				}
-			}
-			orders := [][]int{make([]int, len(active))}
-			if rule == optical.Priority {
-				orders = rankOrders(len(active))
-			}
-			tuples := 1
-			for range active {
-				tuples *= delta
-			}
-			worms := make([]sim.Worm, len(active))
-			for tuple := range tuples {
-				for _, ranks := range orders {
-					for k, i := range active {
-						worms[k] = sim.Worm{ID: i, Route: c.Route(i), Length: L,
-							Delay: tuple / pow(delta, k) % delta, Rank: ranks[k]}
-					}
-					r, err := sim.RunReference(g, worms, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref[set][ackedSet(r, active)]++
-					e, err := eng.Run(g, worms, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[set][ackedSet(e, active)]++
-					runs++
+				r, err := sim.RunReference(g, worms, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				ref[set][ackedSet(r, active)]++
+				e, err := eng.Run(g, worms, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[set][ackedSet(e, active)]++
+				runs++
 			}
 		}
-		if runs != wantRuns {
-			t.Errorf("%v: %d runs, want %d", rule, runs, wantRuns)
-		}
-		t.Logf("%v counts from the reference:\n%s", rule, literal(ref))
-		if want := cyclicCounts[rule]; ref != want || got != want {
-			t.Errorf("%v: reference counts\n%s\nengine counts\n%s\npinned\n%s", rule, literal(ref), literal(got), literal(want))
-		}
+	}
+	if runs != wantRuns {
+		t.Errorf("%s: %d runs, want %d", name, runs, wantRuns)
+	}
+	t.Logf("%s counts from the reference:\n%s", name, literal(ref))
+	equal := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }
+	if !equal(ref, want) || !equal(got, want) {
+		t.Errorf("%s: reference counts\n%s\nengine counts\n%s\npinned\n%s", name, literal(ref), literal(got), literal(want))
 	}
 }
 
@@ -138,8 +254,8 @@ func pow(b, e int) int {
 	return r
 }
 
-// literal renders counts as the Go literal cyclicCounts holds.
-func literal(c [8][8]int) string {
+// literal renders counts as the Go literal the pinned tables hold.
+func literal(c [][]int) string {
 	var b strings.Builder
 	b.WriteString("{\n")
 	for set, row := range c {

@@ -19,10 +19,11 @@ import (
 
 // Request is one dynamically arriving message.
 type Request struct {
-	// ID identifies the request; IDs must be distinct and >= 0.
-	ID int
-	// Path is the fixed route (selected up front, as in the paper).
-	Path graph.Path
+	// Route is the fixed route, selected up front as in the paper and
+	// checked against the run's graph (graph.AppendRoute, Graph.Routes or
+	// a collection's Route); it must not revisit a directed link. Every
+	// attempt reads its links without copying them.
+	Route graph.Route
 	// Length is the worm length L >= 1.
 	Length int
 	// Arrival is the step at which the source may first launch.
@@ -142,24 +143,24 @@ type DynamicResult struct {
 // callers that execute many runs (trace-backed jobs, benchmarks) should
 // hold one engine per goroutine.
 //
-// Memory follows live work, not total work. Each request's route is
-// validated and resolved once for all of its attempts. A request has at
-// most one attempt in flight (the next launches only after the previous
-// attempt's exact ack deadline, by which all of its wreckage has
-// drained), so it keeps one engine outcome slot; the arena recycles each
-// attempt's trains and fragments as they drain, and arrivals and ack
-// deadlines wait on step-indexed agendas held on the engine. Attempt IDs
-// count up in launch order and break contention ties, as worm IDs do in
-// Run.
+// Memory follows live work, not total work. A request carries its
+// route, checked where its path was chosen, and every attempt reads the
+// route's links in place. A request has at most one attempt in flight
+// (the next launches only after the previous attempt's exact ack
+// deadline, by which all of its wreckage has drained), so it keeps one
+// engine outcome slot; the arena recycles each attempt's trains and
+// fragments as they drain, and arrivals and ack deadlines wait on
+// step-indexed agendas held on the engine. Attempt IDs count up in
+// launch order and break contention ties, as worm IDs do in Run.
 func (e *Engine) RunDynamic(g *graph.Graph, reqs []Request, cfg DynamicConfig, src *rng.Source) (*DynamicResult, error) {
-	if err := e.val.checkRequests(g, reqs, cfg.Sim); err != nil {
+	if err := checkRequests(g, reqs, cfg.Sim); err != nil {
 		return nil, err
 	}
 	maxArrival, maxPath, maxLen := 0, 0, 1
 	for i := range reqs {
 		r := &reqs[i]
 		maxArrival = max(maxArrival, r.Arrival)
-		maxPath = max(maxPath, r.Path.Len())
+		maxPath = max(maxPath, r.Route.Len())
 		maxLen = max(maxLen, r.Length)
 	}
 	maxAttempts := cfg.MaxAttempts
@@ -258,11 +259,10 @@ type dynamicRun struct {
 }
 
 // launch starts attempt a of request ri at step t: it resets the
-// request's outcome slot, builds the message train on the route resolved
-// at validation with a fresh random wavelength and rank (drawn
-// in that order), and files the attempt's exact ack deadline: the message
-// is done by t+k+L-2 and its ack (if any) by +1+k+ackLen-2, plus one step
-// of slack.
+// request's outcome slot, builds the message train on the request's
+// route with a fresh random wavelength and rank (drawn in that order),
+// and files the attempt's exact ack deadline: the message is done by
+// t+k+L-2 and its ack (if any) by +1+k+ackLen-2, plus one step of slack.
 //
 //optlint:hotpath
 func (d *dynamicRun) launch(ri, a, t int) {
@@ -273,7 +273,7 @@ func (d *dynamicRun) launch(ri, a, t int) {
 	tr := e.arena.newTrain()
 	tr.id = d.launched
 	tr.outIdx = ri
-	tr.links = e.val.routes[ri].Links()
+	tr.links = r.Route.Links()
 	tr.start = t
 	tr.length = r.Length
 	tr.wavelength = d.src.Intn(e.cfg.Bandwidth)

@@ -15,23 +15,35 @@ import (
 )
 
 // dynamicRequests draws n requests with shortest-path routes, lengths in
-// [1, maxLen] and arrivals in [0, horizon). Request IDs are a shuffled
-// permutation, so nothing may rely on ID order matching index order.
+// [1, maxLen] and arrivals in [0, horizon). The stream first draws a
+// permutation that no request uses: the pinned digests were recorded on
+// the draws that follow it.
 func dynamicRequests(g *graph.Graph, seed uint64, n, maxLen, horizon int) []Request {
 	src := rng.New(seed)
-	ids := src.Perm(n)
+	src.Perm(n)
+	ps := make([]graph.Path, 0, n)
 	reqs := make([]Request, 0, n)
 	for len(reqs) < n {
 		s, d := src.Intn(g.NumNodes()), src.Intn(g.NumNodes())
 		if s == d {
 			continue
 		}
-		reqs = append(reqs, Request{
-			ID:      ids[len(reqs)],
-			Path:    g.ShortestPath(s, d, nil),
-			Length:  1 + src.Intn(maxLen),
-			Arrival: src.Intn(horizon),
-		})
+		ps = append(ps, g.ShortestPath(s, d, nil))
+		reqs = append(reqs, Request{Length: 1 + src.Intn(maxLen), Arrival: src.Intn(horizon)})
+	}
+	return withRoutes(g, reqs, ps)
+}
+
+// withRoutes gives reqs[i] the route of ps[i], checked against g in one
+// Graph.Routes call, and returns reqs. It panics on a path the check
+// refuses.
+func withRoutes(g *graph.Graph, reqs []Request, ps []graph.Path) []Request {
+	routes, err := g.Routes(ps)
+	if err != nil {
+		panic(err)
+	}
+	for i := range reqs {
+		reqs[i].Route = routes[i]
 	}
 	return reqs
 }
@@ -172,7 +184,7 @@ func TestDynamicSingleAttemptMatchesReference(t *testing.T) {
 					for id, ri := range order {
 						r := reqs[ri]
 						wl := src.Intn(bw)
-						worms[ri] = Worm{ID: id, Route: route(g, r.Path), Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
+						worms[ri] = Worm{ID: id, Route: r.Route, Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
 					}
 					cfg.CheckInvariants = false
 					ref, err := RunReference(g, worms, cfg)
@@ -225,6 +237,7 @@ func gaveUp(res *DynamicResult) int {
 func e15Requests(g *graph.Graph, perStep, horizon int) []Request {
 	src := rng.New(0xe15)
 	n := g.NumNodes()
+	ps := make([]graph.Path, 0, perStep*horizon)
 	reqs := make([]Request, 0, perStep*horizon)
 	for t := 0; t < horizon; t++ {
 		for range perStep {
@@ -232,10 +245,11 @@ func e15Requests(g *graph.Graph, perStep, horizon int) []Request {
 			if d >= s {
 				d++
 			}
-			reqs = append(reqs, Request{ID: len(reqs), Path: g.ShortestPath(s, d, nil), Length: 4, Arrival: t})
+			ps = append(ps, g.ShortestPath(s, d, nil))
+			reqs = append(reqs, Request{Length: 4, Arrival: t})
 		}
 	}
-	return reqs
+	return withRoutes(g, reqs, ps)
 }
 
 // e15Config is E15's protocol: B=2, L=4, one-flit acks, 40 attempts.

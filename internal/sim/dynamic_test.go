@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestDynamicSingleRequest(t *testing.T) {
 	g := chain(5)
 	res, err := NewEngine().RunDynamic(g, []Request{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Arrival: 2},
+		{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Arrival: 2},
 	}, DynamicConfig{
 		Sim: Config{Bandwidth: 1, Rule: optical.ServeFirst, CheckInvariants: true},
 	}, rng.New(1))
@@ -38,8 +39,8 @@ func TestDynamicRetryAfterConflict(t *testing.T) {
 	// arrives; the retry succeeds once the blocker has passed.
 	g := chain(4)
 	res, err := NewEngine().RunDynamic(g, []Request{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 20, Arrival: 0},
-		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Arrival: 3},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 20, Arrival: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Arrival: 3},
 	}, DynamicConfig{
 		Sim:   Config{Bandwidth: 1, Rule: optical.ServeFirst, CheckInvariants: true},
 		Retry: FixedBackoff{Range: 8},
@@ -69,8 +70,8 @@ func TestDynamicGiveUp(t *testing.T) {
 	// Permanent blocker: a worm so long it outlasts every retry window.
 	g := chain(4)
 	res, err := NewEngine().RunDynamic(g, []Request{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 4000, Arrival: 0},
-		{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Arrival: 5},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 4000, Arrival: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Arrival: 5},
 	}, DynamicConfig{
 		Sim:         Config{Bandwidth: 1, Rule: optical.ServeFirst},
 		Retry:       FixedBackoff{Range: 4},
@@ -91,8 +92,8 @@ func TestDynamicGiveUp(t *testing.T) {
 func TestDynamicWithAcks(t *testing.T) {
 	g := chain(4)
 	res, err := NewEngine().RunDynamic(g, []Request{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Arrival: 0},
-		{ID: 1, Path: graph.Path{3, 2, 1, 0}, Length: 2, Arrival: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Arrival: 0},
+		{Route: route(g, graph.Path{3, 2, 1, 0}), Length: 2, Arrival: 0},
 	}, DynamicConfig{
 		Sim: Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 1, CheckInvariants: true},
 	}, rng.New(5))
@@ -118,7 +119,7 @@ func TestDynamicDeterministic(t *testing.T) {
 				continue
 			}
 			reqs = append(reqs, Request{
-				ID: id, Path: g.ShortestPath(s, d, nil), Length: 3, Arrival: src.Intn(60),
+				Route: route(g, g.ShortestPath(s, d, nil)), Length: 3, Arrival: src.Intn(60),
 			})
 		}
 		return reqs
@@ -158,7 +159,7 @@ func TestDynamicLoadAllDelivered(t *testing.T) {
 			d = (s + 1) % 36
 		}
 		reqs = append(reqs, Request{
-			ID: id, Path: g.ShortestPath(s, d, nil), Length: 4, Arrival: tArr,
+			Route: route(g, g.ShortestPath(s, d, nil)), Length: 4, Arrival: tArr,
 		})
 	}
 	res, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{
@@ -184,36 +185,34 @@ func TestDynamicValidation(t *testing.T) {
 		cfg  DynamicConfig
 	}{
 		"bandwidth": {
-			[]Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1}},
+			[]Request{{Route: route(g, graph.Path{0, 1}), Length: 1}},
 			DynamicConfig{},
 		},
-		"dup id": {
-			[]Request{
-				{ID: 0, Path: graph.Path{0, 1}, Length: 1},
-				{ID: 0, Path: graph.Path{1, 2}, Length: 1},
-			},
+		"no route": {
+			[]Request{{Length: 1}},
 			DynamicConfig{Sim: Config{Bandwidth: 1}},
 		},
-		"bad path": {
-			[]Request{{ID: 0, Path: graph.Path{0, 2}, Length: 1}},
+		// An identical graph is not the graph the route was checked on.
+		"route on another graph": {
+			[]Request{{Route: route(chain(3), graph.Path{0, 1}), Length: 1}},
 			DynamicConfig{Sim: Config{Bandwidth: 1}},
 		},
 		"zero length": {
-			[]Request{{ID: 0, Path: graph.Path{0, 1}, Length: 0}},
+			[]Request{{Route: route(g, graph.Path{0, 1}), Length: 0}},
 			DynamicConfig{Sim: Config{Bandwidth: 1}},
 		},
 		"negative arrival": {
-			[]Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1, Arrival: -1}},
+			[]Request{{Route: route(g, graph.Path{0, 1}), Length: 1, Arrival: -1}},
 			DynamicConfig{Sim: Config{Bandwidth: 1}},
 		},
 		// Engine.Run rejects a worm that revisits a directed link (it
 		// would collide with itself on every attempt); so must RunDynamic.
 		"revisited link": {
-			[]Request{{ID: 0, Path: graph.Path{0, 1, 0, 1, 2}, Length: 2}},
+			[]Request{{Route: route(g, graph.Path{0, 1, 0, 1, 2}), Length: 2}},
 			DynamicConfig{Sim: Config{Bandwidth: 1}},
 		},
 		"negative ack length": {
-			[]Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1}},
+			[]Request{{Route: route(g, graph.Path{0, 1}), Length: 1}},
 			DynamicConfig{Sim: Config{Bandwidth: 1, AckLength: -1}},
 		},
 	}
@@ -224,7 +223,7 @@ func TestDynamicValidation(t *testing.T) {
 	}
 	revisit := graph.Path{0, 1, 0, 1, 2}
 	_, runErr := NewEngine().Run(g, []Worm{{ID: 0, Route: route(g, revisit), Length: 2}}, Config{Bandwidth: 1})
-	_, dynErr := NewEngine().RunDynamic(g, []Request{{ID: 0, Path: revisit, Length: 2}}, DynamicConfig{Sim: Config{Bandwidth: 1}}, rng.New(1))
+	_, dynErr := NewEngine().RunDynamic(g, []Request{{Route: route(g, revisit), Length: 2}}, DynamicConfig{Sim: Config{Bandwidth: 1}}, rng.New(1))
 	if runErr == nil || dynErr == nil || !strings.Contains(runErr.Error(), "revisits a directed link") ||
 		!strings.Contains(dynErr.Error(), "revisits a directed link") {
 		t.Errorf("revisited link: Run error %v, RunDynamic error %v; want both to reject the revisit", runErr, dynErr)
@@ -282,8 +281,8 @@ func TestDynamicMaxAttemptsBoundary(t *testing.T) {
 			// window of the blocked request.
 			g := chain(4)
 			res, err := NewEngine().RunDynamic(g, []Request{
-				{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 4000, Arrival: 0},
-				{ID: 1, Path: graph.Path{0, 1, 2}, Length: 2, Arrival: 5},
+				{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 4000, Arrival: 0},
+				{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Arrival: 5},
 			}, DynamicConfig{
 				Sim:         Config{Bandwidth: 1, Rule: optical.ServeFirst, CheckInvariants: true},
 				Retry:       FixedBackoff{Range: 4},
@@ -330,7 +329,7 @@ func TestEngineRunDynamicReuse(t *testing.T) {
 			if a == b {
 				b = (b + 1) % 10
 			}
-			reqs = append(reqs, Request{ID: i, Path: g.ShortestPath(a, b, nil), Length: 3, Arrival: src.Intn(40)})
+			reqs = append(reqs, Request{Route: route(g, g.ShortestPath(a, b, nil)), Length: 3, Arrival: src.Intn(40)})
 		}
 		return reqs
 	}
@@ -396,6 +395,51 @@ func TestEngineRunDynamicReuse(t *testing.T) {
 	for _, tc := range dynamicGoldenCases[:2] {
 		if got := dynamicDigest(goldenDynamicRun(t, e, tc)); got != tc.digest {
 			t.Fatalf("%s after a batch on another graph: digest %s, want %s", tc.name, got, tc.digest)
+		}
+	}
+}
+
+// TestDynamicRequestRoutesReadOnly pins that RunDynamic reads the
+// caller's routes in place and never writes into them. The requests'
+// routes share one Graph.Routes table; one engine runs them repeatedly
+// with one-flit acks, conversion everywhere and a fault plan that forces
+// retries, and after every run each route must still equal a fresh check
+// of its path.
+func TestDynamicRequestRoutesReadOnly(t *testing.T) {
+	g := topology.NewTorus(2, 6).Graph()
+	src := rng.New(0x40)
+	var ps []graph.Path
+	var reqs []Request
+	for len(reqs) < 300 {
+		if s, d := src.Intn(g.NumNodes()), src.Intn(g.NumNodes()); s != d {
+			ps = append(ps, g.ShortestPath(s, d, nil))
+			reqs = append(reqs, Request{Length: 1 + src.Intn(6), Arrival: src.Intn(80)})
+		}
+	}
+	reqs = withRoutes(g, reqs, ps)
+	e := NewEngine()
+	for run, rule := range []optical.Rule{optical.ServeFirst, optical.Priority, optical.ServeFirst, optical.Priority} {
+		res, err := e.RunDynamic(g, reqs, DynamicConfig{
+			Sim: Config{
+				Bandwidth: 2, Rule: rule, AckLength: 1, Conversion: FullConversion,
+				Faults: goldenFaults(g, 2), CheckInvariants: true,
+			},
+			Retry:       ExponentialBackoff{Base: 4, Cap: 64},
+			MaxAttempts: 6,
+		}, rng.New(uint64(run)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalAttempts <= len(reqs) || res.FaultKills == 0 {
+			t.Fatalf("run %d: %d attempts for %d requests, %d fault kills: no retries forced",
+				run, res.TotalAttempts, len(reqs), res.FaultKills)
+		}
+		for i, r := range reqs {
+			want := route(g, ps[i])
+			if !r.Route.On(g) || r.Route.Revisits() != want.Revisits() || !slices.Equal(r.Route.Links(), want.Links()) {
+				t.Fatalf("run %d: request %d's route reads %v, a fresh check of its path %v",
+					run, i, r.Route.Links(), want.Links())
+			}
 		}
 	}
 }

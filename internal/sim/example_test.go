@@ -64,8 +64,12 @@ func ExampleTrace() {
 // RunDynamic drives continuous operation with retries.
 func ExampleEngine_RunDynamic() {
 	g := topology.NewChain(4).Graph()
+	r, _, err := g.AppendRoute(nil, graph.Path{0, 1, 2, 3})
+	if err != nil {
+		panic(err)
+	}
 	reqs := []sim.Request{
-		{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Arrival: 0},
+		{Route: r, Length: 2, Arrival: 0},
 	}
 	res, err := sim.NewEngine().RunDynamic(g, reqs, sim.DynamicConfig{
 		Sim: sim.Config{Bandwidth: 1, Rule: optical.ServeFirst},

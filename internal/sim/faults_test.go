@@ -282,7 +282,7 @@ func TestFaultRunDeterministicReplay(t *testing.T) {
 
 func TestDynamicFaultRelaunch(t *testing.T) {
 	g := chain(4)
-	reqs := []Request{{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 2, Arrival: 0}}
+	reqs := []Request{{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Arrival: 0}}
 	c := DynamicConfig{Sim: cfg(1), Retry: FixedBackoff{Range: 4}}
 	c.Sim.AckLength = 1
 	// Link 2 is dark for the first 40 steps: early attempts die to the
@@ -323,7 +323,7 @@ func TestFaultScheduleGeometryMismatch(t *testing.T) {
 	if _, err := NewEngine().Run(g4, worms, c2); err == nil {
 		t.Error("Run accepted a schedule compiled for a different bandwidth")
 	}
-	if _, err := NewEngine().RunDynamic(g5, []Request{{ID: 0, Path: graph.Path{0, 1}, Length: 1}},
+	if _, err := NewEngine().RunDynamic(g5, []Request{{Route: route(g5, graph.Path{0, 1}), Length: 1}},
 		DynamicConfig{Sim: c}, rng.New(1)); err == nil {
 		t.Error("RunDynamic accepted a mismatched schedule")
 	}

@@ -234,24 +234,28 @@ func bandUtilization(busy, links, bandwidth, makespan int) float64 {
 	return float64(busy) / (float64(links) * float64(bandwidth) * float64(makespan+1))
 }
 
-// validator holds the scratch the worm and request checks need. Pooling
-// one on an Engine makes steady-state validation allocation-free: the ID
-// set keeps its buckets across clear(). A worm's route was checked when
-// it was made, so the per-round check reads only the worm's own fields.
-// Requests keep their node paths; checkRequests resolves them once per
-// dynamic run into routes whose links share one table held here.
+// validator holds the scratch the worm check needs. Pooling one on an
+// Engine makes steady-state validation allocation-free: the ID set keeps
+// its buckets across clear(). A worm's route was checked when it was
+// made, so the per-round check reads only the worm's own fields.
 type validator struct {
 	ids    []int32 // per-ID generation stamp (dense IDs); overflow in idsBig
 	idsBig map[int]bool
 	idGen  int32
-	routes []graph.Route // routes[i] is request i's route, from the last checkRequests
-	table  []int32       // the links of routes
 }
 
 // check validates a batch of worms.
 func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
-	if err := v.begin(g, cfg); err != nil {
+	if err := checkConfig(g, cfg); err != nil {
 		return err
+	}
+	v.idGen++
+	if v.idGen == 0 { // stamp wrap: invalidate every stale stamp once
+		clear(v.ids)
+		v.idGen = 1
+	}
+	if v.idsBig != nil {
+		clear(v.idsBig)
 	}
 	for i := range worms {
 		w := &worms[i]
@@ -280,36 +284,30 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 	return nil
 }
 
-// checkRequests validates the requests of a dynamic run and resolves
-// their paths once for all of their attempts, through the graph's route
-// check, into v.routes.
-func (v *validator) checkRequests(g *graph.Graph, reqs []Request, cfg Config) error {
-	if err := v.begin(g, cfg); err != nil {
+// checkRequests validates the requests of a dynamic run as check
+// validates worms: each route was checked against g when it was made and
+// revisits no directed link, and the length and arrival are valid.
+func checkRequests(g *graph.Graph, reqs []Request, cfg Config) error {
+	if err := checkConfig(g, cfg); err != nil {
 		return err
 	}
-	v.routes, v.table = v.routes[:0], v.table[:0]
 	for i := range reqs {
 		r := &reqs[i]
-		if r.ID < 0 || v.markID(r.ID) {
-			return fmt.Errorf("sim: request %d has invalid or duplicate ID %d", i, r.ID)
+		if !r.Route.On(g) {
+			return fmt.Errorf("sim: request %d has no route checked against this graph", i)
 		}
-		route, table, err := g.AppendRoute(v.table, r.Path)
-		if err != nil {
-			return fmt.Errorf("sim: request %d: %w", r.ID, err)
+		if r.Route.Revisits() {
+			return fmt.Errorf("sim: request %d revisits a directed link", i)
 		}
-		if route.Revisits() {
-			return fmt.Errorf("sim: request %d revisits a directed link", r.ID)
-		}
-		v.routes, v.table = append(v.routes, route), table
 		if r.Length < 1 || r.Arrival < 0 {
-			return fmt.Errorf("sim: request %d has invalid parameters", r.ID)
+			return fmt.Errorf("sim: request %d has invalid parameters", i)
 		}
 	}
 	return nil
 }
 
-// begin checks the run-wide configuration and readies the ID stamps.
-func (v *validator) begin(g *graph.Graph, cfg Config) error {
+// checkConfig checks the run-wide configuration.
+func checkConfig(g *graph.Graph, cfg Config) error {
 	if cfg.Bandwidth < 1 {
 		return fmt.Errorf("sim: bandwidth %d < 1", cfg.Bandwidth)
 	}
@@ -326,14 +324,6 @@ func (v *validator) begin(g *graph.Graph, cfg Config) error {
 	}
 	if cfg.Faults != nil && !cfg.Faults.Matches(g.NumLinks(), g.NumNodes(), cfg.Bandwidth) {
 		return fmt.Errorf("sim: fault schedule compiled for a different graph or bandwidth")
-	}
-	v.idGen++
-	if v.idGen == 0 { // stamp wrap: invalidate every stale stamp once
-		clear(v.ids)
-		v.idGen = 1
-	}
-	if v.idsBig != nil {
-		clear(v.idsBig)
 	}
 	return nil
 }

@@ -441,7 +441,7 @@ func TestMaxStepsGuard(t *testing.T) {
 
 func TestDynamicMaxStepsGuard(t *testing.T) {
 	g := chain(8)
-	reqs := []Request{{ID: 0, Path: graph.Path{0, 1, 2, 3, 4, 5, 6, 7}, Length: 4}}
+	reqs := []Request{{Route: route(g, graph.Path{0, 1, 2, 3, 4, 5, 6, 7}), Length: 4}}
 	_, err := NewEngine().RunDynamic(g, reqs, DynamicConfig{
 		Sim: Config{Bandwidth: 1, MaxSteps: 2},
 	}, rng.New(1))
@@ -452,7 +452,7 @@ func TestDynamicMaxStepsGuard(t *testing.T) {
 	// An aborted dynamic run leaves slots claimed and agenda entries
 	// pending. The engine's next runs must not see them, even on a graph
 	// whose occupancy table an earlier run left marked clean.
-	worms := []Worm{{ID: 0, Route: route(g, reqs[0].Path), Length: 4}}
+	worms := []Worm{{ID: 0, Route: reqs[0].Route, Length: 4}}
 	want, err := NewEngine().Run(g, worms, cfg(1))
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/canon"
+	"repro/internal/graph"
 	"repro/internal/paths"
 	"repro/internal/sim"
 )
@@ -189,20 +190,24 @@ func Decode(data []byte) (*Trace, error) {
 }
 
 // Requests materializes the trace against a routed network: one
-// sim.Request per arrival, with the path chosen by the selector at the
-// arrival's source/destination and IDs equal to arrival indices. Paths
-// are fixed up front, as in the paper.
-func (t *Trace) Requests(sel paths.Selector, length int) []sim.Request {
+// sim.Request per arrival, in arrival order, on the route of the path
+// the selector chooses for the arrival's source and destination. Paths
+// are fixed up front, as in the paper, and checked against g once, in
+// one Graph.Routes call.
+func (t *Trace) Requests(g *graph.Graph, sel paths.Selector, length int) ([]sim.Request, error) {
+	ps := make([]graph.Path, len(t.Arrivals))
+	for i, a := range t.Arrivals {
+		ps[i] = sel(a.Src, a.Dst)
+	}
+	routes, err := g.Routes(ps)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
 	reqs := make([]sim.Request, len(t.Arrivals))
 	for i, a := range t.Arrivals {
-		reqs[i] = sim.Request{
-			ID:      i,
-			Path:    sel(a.Src, a.Dst),
-			Length:  length,
-			Arrival: a.Step,
-		}
+		reqs[i] = sim.Request{Route: routes[i], Length: length, Arrival: a.Step}
 	}
-	return reqs
+	return reqs, nil
 }
 
 // Stats summarizes a trace for inspection tooling.

@@ -305,7 +305,7 @@ func RouteStoreAndForward(n *Network, wl Workload, p Params) (*StoreAndForwardRe
 	if err != nil {
 		return nil, err
 	}
-	return baseline.RunCollection(col, p.WormLength, p.Bandwidth)
+	return baseline.Run(col, p.WormLength, p.Bandwidth)
 }
 
 // Arrival is one dynamically arriving request for RouteDynamic.
@@ -342,19 +342,24 @@ type DynamicResult = sim.DynamicResult
 // RouteDynamic runs the network in continuous operation: requests arrive
 // over time and every source retries its message independently with
 // randomized backoff until acknowledged (see sim.Engine.RunDynamic).
-// Paths are selected with the network's selector at arrival time.
+// Paths are selected with the network's selector up front and checked
+// once; an arrival whose source is its destination sends nothing.
 func RouteDynamic(n *Network, arrivals []Arrival, p DynamicParams) (*DynamicResult, error) {
+	ps := make([]graph.Path, 0, len(arrivals))
 	reqs := make([]sim.Request, 0, len(arrivals))
-	for i, a := range arrivals {
+	for _, a := range arrivals {
 		if a.Src == a.Dst {
 			continue
 		}
-		reqs = append(reqs, sim.Request{
-			ID:      i,
-			Path:    n.selector(a.Src, a.Dst),
-			Length:  p.WormLength,
-			Arrival: a.Step,
-		})
+		ps = append(ps, n.selector(a.Src, a.Dst))
+		reqs = append(reqs, sim.Request{Length: p.WormLength, Arrival: a.Step})
+	}
+	routes, err := n.Graph().Routes(ps)
+	if err != nil {
+		return nil, fmt.Errorf("optnet: %w", err)
+	}
+	for i := range reqs {
+		reqs[i].Route = routes[i]
 	}
 	return runDynamic(n, reqs, p)
 }

@@ -89,5 +89,9 @@ func ReplayTrace(n *Network, tr *Trace, p DynamicParams) (*DynamicResult, error)
 	if nn := n.Graph().NumNodes(); tr.Nodes != nn {
 		return nil, fmt.Errorf("optnet: trace drawn over %d nodes, network has %d", tr.Nodes, nn)
 	}
-	return runDynamic(n, tr.Requests(n.selector, p.WormLength), p)
+	reqs, err := tr.Requests(n.Graph(), n.selector, p.WormLength)
+	if err != nil {
+		return nil, fmt.Errorf("optnet: %w", err)
+	}
+	return runDynamic(n, reqs, p)
 }

@@ -127,6 +127,9 @@ func TestSmokeExamples(t *testing.T) {
 		{"./examples/adversarial", "Claim 2.6"},
 		{"./examples/supercomputer", "bit-reversal"},
 		{"./examples/wavelengths", "routing time"},
+		{"./examples/datacenter", "load(req/step)"},
+		{"./examples/videoconf", "wavelengths  rounds"},
+		{"./examples/faulty", "fault-free"},
 	}
 	for _, tc := range cases {
 		tc := tc
