@@ -171,21 +171,54 @@ func BenchmarkClusterStealThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := clusterBenchSpec(uint64(i)+1, 32, 16)
-		key, err := spec.Key()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := client.Submit(spec, 0); err != nil {
-			b.Fatal(err)
-		}
-		res, err := client.Result(key)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Trials) != 32 {
-			b.Fatalf("result has %d trials, want 32", len(res.Trials))
-		}
+		coldSweep(b, client, clusterBenchSpec(uint64(i)+1, 32, 16))
+	}
+}
+
+// BenchmarkClusterStealDecision decides trial-granular stealing with a
+// number: one cold 32-trial sweep on a 32² torus per iteration, on two
+// nodes with one worker each, with stealing on (StealInterval 1 ms,
+// StealBatch 4) and off (StealInterval -1). The bar, fixed in advance:
+// stealing stays if steal=on is at least 1.3x faster than steal=off by
+// medians and faster in 9 of 10 alternating pairs, each pair two runs of
+//
+//	go test -run '^$' -bench 'BenchmarkClusterStealDecision/steal=on$' -benchtime 10x .
+//
+// and the same with steal=off.
+func BenchmarkClusterStealDecision(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		tweak func(*cluster.Config)
+	}{
+		{"steal=on", func(c *cluster.Config) { c.StealInterval, c.StealBatch = time.Millisecond, 4 }},
+		{"steal=off", func(c *cluster.Config) { c.StealInterval = -1 }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			client := &jobs.Client{BaseURL: startBenchCluster(b, tc.tweak)[0].srv.URL}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				coldSweep(b, client, clusterBenchSpec(uint64(i)+1, 32, 32))
+			}
+		})
+	}
+}
+
+// coldSweep submits a route sweep the cluster has not seen and waits for
+// its result, which must hold every trial.
+func coldSweep(b *testing.B, client *jobs.Client, spec jobs.Spec) {
+	key, err := spec.Key()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := client.Submit(spec, 0); err != nil {
+		b.Fatal(err)
+	}
+	res, err := client.Result(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Trials) != spec.Route.Trials {
+		b.Fatalf("result has %d trials, want %d", len(res.Trials), spec.Route.Trials)
 	}
 }
 

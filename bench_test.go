@@ -38,7 +38,7 @@ func simRoundWorkload(tb testing.TB, side int) (*graph.Graph, []sim.Worm, sim.Co
 	worms := make([]sim.Worm, col.Size())
 	for i := range worms {
 		worms[i] = sim.Worm{
-			ID: i, Route: col.Route(i), Length: 8,
+			Route: col.Route(i), Length: 8,
 			Delay: src.Intn(64), Wavelength: src.Intn(4),
 		}
 	}
@@ -141,16 +141,13 @@ func sparseWorkload(tb testing.TB, side, worms int) (*graph.Graph, []sim.Worm, s
 	n := g.NumNodes()
 	ws := make([]sim.Worm, 0, worms)
 	ps := make([]graph.Path, 0, worms)
-	for id := 0; len(ws) < worms; id++ {
+	for len(ws) < worms {
 		s, d := src.Intn(n), src.Intn(n)
 		if s == d {
 			continue
 		}
 		ps = append(ps, sel(s, d))
-		ws = append(ws, sim.Worm{
-			ID: len(ws), Length: 8,
-			Delay: src.Intn(256), Wavelength: src.Intn(4),
-		})
+		ws = append(ws, sim.Worm{Length: 8, Delay: src.Intn(256), Wavelength: src.Intn(4)})
 	}
 	routes, err := g.Routes(ps)
 	if err != nil {

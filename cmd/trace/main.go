@@ -74,7 +74,6 @@ func main() {
 		}
 		table = next
 		worms = append(worms, sim.Worm{
-			ID:         id,
 			Route:      r,
 			Length:     *length,
 			Delay:      src.Intn(*delta),

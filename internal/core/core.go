@@ -271,7 +271,7 @@ type Result struct {
 	MeasuredTime  int  // sum of measured makespans
 	AllDelivered  bool // every worm acknowledged within MaxRounds
 	StillActive   []int
-	RoundTraces   [][]sim.Collision // per round, when RecordCollisions
+	RoundTraces   [][]sim.Collision // per round, when RecordCollisions; worms by collection index
 	ScheduleName  string
 	DuplicateAcks int // deliveries whose ack was lost (retried although delivered)
 	// TotalFaultKills and TotalRerouted sum the per-round degraded-mode
@@ -405,7 +405,6 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 		var detoured []int
 		for i, idx := range active {
 			w := sim.Worm{
-				ID:         idx,
 				Route:      c.Route(idx),
 				Length:     cfg.Length,
 				Delay:      src.Intn(delta),
@@ -488,9 +487,14 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 			})
 		}
 		if cfg.RecordCollisions {
-			// The engine owns simRes.Collisions and recycles it next round;
-			// retained traces need their own copy.
-			res.RoundTraces = append(res.RoundTraces, append([]sim.Collision(nil), simRes.Collisions...))
+			// The engine owns simRes.Collisions and recycles it next round,
+			// so retained traces need their own copy, named by collection
+			// index rather than batch index.
+			trace := append([]sim.Collision(nil), simRes.Collisions...)
+			for k := range trace {
+				trace[k].Loser, trace[k].Blocker = active[trace[k].Loser], active[trace[k].Blocker]
+			}
+			res.RoundTraces = append(res.RoundTraces, trace)
 		}
 		res.Rounds = append(res.Rounds, stats)
 		res.TotalTime += stats.AccountedTime

@@ -222,25 +222,51 @@ func TestResidualCongestionMatchesSubset(t *testing.T) {
 }
 
 func TestRecordCollisionsTraces(t *testing.T) {
-	c := torusPermCollection(t, 5, 8)
-	res, err := Run(c, Config{
-		Bandwidth: 1, Length: 2, Rule: optical.ServeFirst,
-		RecordCollisions: true,
-	}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RoundTraces) != res.TotalRounds {
-		t.Fatalf("traces %d != rounds %d", len(res.RoundTraces), res.TotalRounds)
-	}
-	total := 0
-	for i, tr := range res.RoundTraces {
-		if len(tr) != res.Rounds[i].Collisions {
-			t.Errorf("round %d trace length mismatch", i+1)
+	for _, tc := range []struct {
+		side int
+		cfg  Config
+	}{
+		{5, Config{Bandwidth: 1, Length: 2, Rule: optical.ServeFirst, RecordCollisions: true}},
+		// A short fixed delay range keeps worms colliding after round 1,
+		// where a worm's batch index and collection index differ.
+		{8, Config{Bandwidth: 1, Length: 4, Rule: optical.ServeFirst, RecordCollisions: true,
+			Schedule: FixedSchedule{Factor: 0.01}}},
+	} {
+		c := torusPermCollection(t, tc.side, 8)
+		res, err := Run(c, tc.cfg, rng.New(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += len(tr)
+		if len(res.RoundTraces) != res.TotalRounds {
+			t.Fatalf("side %d: traces %d != rounds %d", tc.side, len(res.RoundTraces), res.TotalRounds)
+		}
+		later := 0
+		for i, tr := range res.RoundTraces {
+			round := i + 1
+			if len(tr) != res.Rounds[i].Collisions {
+				t.Errorf("side %d: round %d trace length mismatch", tc.side, round)
+			}
+			if round > 1 {
+				later += len(tr)
+			}
+			// Traces name worms by collection index: a worm named in round
+			// r was still active in r, and a cut worm was not acknowledged
+			// in r.
+			for _, c := range tr {
+				for _, w := range []int{c.Loser, c.Blocker} {
+					if acked := res.WormRounds[w]; acked != 0 && acked < round {
+						t.Errorf("side %d: round %d names worm %d, acknowledged in round %d", tc.side, round, w, acked)
+					}
+				}
+				if res.WormRounds[c.Loser] == round {
+					t.Errorf("side %d: round %d: worm %d was cut and acknowledged", tc.side, round, c.Loser)
+				}
+			}
+		}
+		if tc.side == 8 && later == 0 {
+			t.Errorf("side 8: no collision after round 1; the check of collection indices is vacuous")
+		}
 	}
-	_ = total
 }
 
 func TestSchedules(t *testing.T) {

@@ -417,7 +417,7 @@ func TestWorkerEngineZeroAlloc(t *testing.T) {
 	worms := make([]sim.Worm, setup.col.Size())
 	for i := range worms {
 		worms[i] = sim.Worm{
-			ID: i, Route: setup.col.Route(i), Length: setup.cfg.Length,
+			Route: setup.col.Route(i), Length: setup.cfg.Length,
 			Delay: i % 4, Wavelength: i % setup.cfg.Bandwidth,
 		}
 	}

@@ -1,11 +1,16 @@
 package lowerbound
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/optical"
 	"repro/internal/paths"
 	"repro/internal/sim"
@@ -75,7 +80,12 @@ func TestCyclicTripleExact(t *testing.T) {
 //
 //	go test -run '^TestStaggeredExact$' -v ./internal/lowerbound
 //
-// regenerates them.
+// regenerates them. The counts for 5 and 6 paths (59,048 and 531,440 runs
+// per rule) live in testdata, one file per case (see pinFile); the
+// reference takes minutes on them, so the test runs only the engine
+// against those pins unless asked to recompute them with the reference:
+//
+//	go test ./internal/lowerbound -run '^TestStaggeredExact$' -regenerate
 var staggeredCounts = map[int]map[optical.Rule][][]int{
 	3: {
 		optical.ServeFirst: {
@@ -139,13 +149,24 @@ var staggeredCounts = map[int]map[optical.Rule][][]int{
 	},
 }
 
-// TestStaggeredExact runs a staggered structure of 3 and of 4 paths
-// exhaustively on the engine and on the reference simulator, under
-// serve-first and under priority with the adversarial ranks of Section
-// 2.2, and requires both to give the pinned transition counts.
+// regenerate makes TestStaggeredExact recompute the testdata counts of
+// its 5- and 6-path cases with the reference simulator and rewrite them.
+var regenerate = flag.Bool("regenerate", false, "recompute the staggered structures' testdata counts with RunReference")
+
+// TestStaggeredExact runs a staggered structure of 3 to 6 paths
+// exhaustively, under serve-first and under priority with the adversarial
+// ranks of Section 2.2, and requires the pinned transition counts: from
+// the engine and the reference simulator with 3 and 4 paths, and from the
+// engine against the reference's testdata counts with 5 and 6. The 6-path
+// case is skipped under the race detector, which slows the engine about
+// tenfold; it has its own non-race CI step.
 func TestStaggeredExact(t *testing.T) {
 	const L = 4
-	for _, tc := range []struct{ per, runs int }{{3, 728}, {4, 6560}} {
+	for _, tc := range []struct{ per, runs int }{{3, 728}, {4, 6560}, {5, 59048}, {6, 531440}} {
+		if tc.per == 6 && raceEnabled {
+			t.Log("6 paths: skipped under -race")
+			continue
+		}
 		b := Staggered(1, tc.per, 2*tc.per+4, L)
 		adversarial := func(active []int) [][]int {
 			ranks := make([]int, len(active))
@@ -156,31 +177,66 @@ func TestStaggeredExact(t *testing.T) {
 		}
 		for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
 			name := fmt.Sprintf("%d paths, %v", tc.per, rule)
-			checkExact(t, name, b.Collection, rule, adversarial, tc.runs, staggeredCounts[tc.per][rule])
+			if want, ok := staggeredCounts[tc.per][rule]; ok {
+				checkExact(t, name, b.Collection, rule, adversarial, tc.runs, want)
+				continue
+			}
+			got, runs := exactCounts(t, b.Collection, rule, adversarial, sim.NewEngine().Run)
+			if runs != tc.runs {
+				t.Errorf("%s: %d runs, want %d", name, runs, tc.runs)
+			}
+			file := pinFile(tc.per, rule)
+			if *regenerate {
+				ref, _ := exactCounts(t, b.Collection, rule, adversarial, sim.RunReference)
+				if err := writeCounts(file, ref); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := readCounts(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalCounts(got, want) {
+				t.Errorf("%s: engine counts differ from the reference's in %s:\n%s", name, file, literal(got))
+			}
 		}
 	}
 }
 
-// checkExact runs one gadget of c exhaustively as the lower-bound tables
-// run it (L = 4, B = 1, Δ = 2L, oracle acknowledgements): every active
-// subset S of its paths, every delay tuple in [0, Δ)^|S| and every rank
-// assignment orders(S) yields, ranks listed in the order of S. Both the
-// reference simulator and the engine must tally want, where want[S][A]
-// counts the runs with active set S (bit i = path i) that acknowledge
-// exactly the worms of A, over wantRuns runs. It logs the reference's
-// tally in the pinned form, under name.
+// checkExact requires the reference simulator and the engine to tally
+// want over wantRuns runs of one gadget of c (see exactCounts), and logs
+// the reference's tally in the pinned form, under name.
 func checkExact(t *testing.T, name string, c *paths.Collection, rule optical.Rule, orders func(active []int) [][]int, wantRuns int, want [][]int) {
+	t.Helper()
+	ref, runs := exactCounts(t, c, rule, orders, sim.RunReference)
+	got, _ := exactCounts(t, c, rule, orders, sim.NewEngine().Run)
+	if runs != wantRuns {
+		t.Errorf("%s: %d runs, want %d", name, runs, wantRuns)
+	}
+	t.Logf("%s counts from the reference:\n%s", name, literal(ref))
+	if !equalCounts(ref, want) || !equalCounts(got, want) {
+		t.Errorf("%s: reference counts\n%s\nengine counts\n%s\npinned\n%s", name, literal(ref), literal(got), literal(want))
+	}
+}
+
+// exactCounts runs one gadget of c exhaustively on run, as the
+// lower-bound tables run it (L = 4, B = 1, Δ = 2L, oracle
+// acknowledgements): every active subset S of its paths, every delay
+// tuple in [0, Δ)^|S| and every rank assignment orders(S) yields, ranks
+// listed in the order of S. counts[S][A] is the number of runs with active
+// set S (bit i = path i) that acknowledge exactly the worms of A; runs is
+// their total.
+func exactCounts(t *testing.T, c *paths.Collection, rule optical.Rule, orders func(active []int) [][]int,
+	run func(*graph.Graph, []sim.Worm, sim.Config) (*sim.Result, error)) (counts [][]int, runs int) {
 	t.Helper()
 	const L, B, delta = 4, 1, 8
 	k := c.Size()
 	g := c.Graph()
-	eng := sim.NewEngine()
 	cfg := sim.Config{Bandwidth: B, Rule: rule}
-	ref, got := make([][]int, 1<<k), make([][]int, 1<<k)
-	for set := range ref {
-		ref[set], got[set] = make([]int, 1<<k), make([]int, 1<<k)
+	counts = make([][]int, 1<<k)
+	for set := range counts {
+		counts[set] = make([]int, 1<<k)
 	}
-	runs := 0
 	for set := 1; set < 1<<k; set++ {
 		var active []int
 		for i := range k {
@@ -193,31 +249,59 @@ func checkExact(t *testing.T, name string, c *paths.Collection, rule optical.Rul
 		for tuple := range pow(delta, len(active)) {
 			for _, ranks := range rankings {
 				for j, i := range active {
-					worms[j] = sim.Worm{ID: i, Route: c.Route(i), Length: L,
+					worms[j] = sim.Worm{Route: c.Route(i), Length: L,
 						Delay: tuple / pow(delta, j) % delta, Rank: ranks[j]}
 				}
-				r, err := sim.RunReference(g, worms, cfg)
+				r, err := run(g, worms, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref[set][ackedSet(r, active)]++
-				e, err := eng.Run(g, worms, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[set][ackedSet(e, active)]++
+				counts[set][ackedSet(r, active)]++
 				runs++
 			}
 		}
 	}
-	if runs != wantRuns {
-		t.Errorf("%s: %d runs, want %d", name, runs, wantRuns)
+	return counts, runs
+}
+
+func equalCounts(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }
+
+// pinFile is the testdata file holding the reference's counts for a
+// staggered structure of per paths under rule.
+func pinFile(per int, rule optical.Rule) string {
+	return filepath.Join("testdata", fmt.Sprintf("staggered%d-%v.json", per, rule))
+}
+
+// readCounts reads a counts table written by writeCounts.
+func readCounts(file string) ([][]int, error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
 	}
-	t.Logf("%s counts from the reference:\n%s", name, literal(ref))
-	equal := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }
-	if !equal(ref, want) || !equal(got, want) {
-		t.Errorf("%s: reference counts\n%s\nengine counts\n%s\npinned\n%s", name, literal(ref), literal(got), literal(want))
+	var counts [][]int
+	if err := json.Unmarshal(data, &counts); err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
 	}
+	return counts, nil
+}
+
+// writeCounts writes a counts table as a JSON array, one row a line.
+func writeCounts(file string, counts [][]int) error {
+	var b strings.Builder
+	b.WriteString("[\n")
+	for set, row := range counts {
+		line, err := json.Marshal(row)
+		if err != nil {
+			return err
+		}
+		b.Write(line)
+		if set < len(counts)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("]\n")
+	return os.WriteFile(file, []byte(b.String()), 0o644)
 }
 
 // ackedSet is the set of active worms a run acknowledged, bit i for path i.

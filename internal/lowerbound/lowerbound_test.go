@@ -121,7 +121,7 @@ func TestStaggeredChainElimination(t *testing.T) {
 	// d <= L-1. So every worm except the last is eliminated.
 	worms := make([]sim.Worm, m)
 	for i := 0; i < m; i++ {
-		worms[i] = sim.Worm{ID: i, Route: c.Route(i), Length: L, Delay: 5, Wavelength: 0}
+		worms[i] = sim.Worm{Route: c.Route(i), Length: L, Delay: 5, Wavelength: 0}
 	}
 	res, err := sim.NewEngine().Run(g, worms, sim.Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: sim.Drain,
@@ -183,7 +183,7 @@ func TestCyclicMutualElimination(t *testing.T) {
 		g := c.Graph()
 		worms := make([]sim.Worm, 3)
 		for i := 0; i < 3; i++ {
-			worms[i] = sim.Worm{ID: i, Route: c.Route(i), Length: L, Delay: 3, Wavelength: 0, Rank: i}
+			worms[i] = sim.Worm{Route: c.Route(i), Length: L, Delay: 3, Wavelength: 0, Rank: i}
 		}
 		resSF, err := sim.NewEngine().Run(g, worms, sim.Config{
 			Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: sim.Drain,

@@ -35,9 +35,9 @@ func TestPairwiseCollisionProbabilityBound(t *testing.T) {
 	losses := 0
 	for i := 0; i < trials; i++ {
 		worms := []Worm{
-			{ID: 0, Route: route(g, graph.Path{0, 2, 3, 4}), Length: L,
+			{Route: route(g, graph.Path{0, 2, 3, 4}), Length: L,
 				Delay: src.Intn(Delta), Wavelength: src.Intn(B)},
-			{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: L,
+			{Route: route(g, graph.Path{1, 2, 3}), Length: L,
 				Delay: src.Intn(Delta), Wavelength: src.Intn(B)},
 		}
 		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
@@ -131,9 +131,9 @@ func TestLemma28ChainProbability(t *testing.T) {
 	blockedBoth := 0
 	for i := 0; i < trials; i++ {
 		worms := []Worm{
-			{ID: 0, Route: route(g, p0), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
-			{ID: 1, Route: route(g, p1), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
-			{ID: 2, Route: route(g, p2), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
+			{Route: route(g, p0), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
+			{Route: route(g, p1), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
+			{Route: route(g, p2), Length: L, Delay: src.Intn(Delta), Wavelength: 0},
 		}
 		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 		if err != nil {
@@ -178,7 +178,7 @@ func TestCongestionHalvingStatistics(t *testing.T) {
 	for tr := 0; tr < trials; tr++ {
 		worms := make([]Worm, C)
 		for i := range worms {
-			worms[i] = Worm{ID: i, Route: route(g, p), Length: L,
+			worms[i] = Worm{Route: route(g, p), Length: L,
 				Delay: src.Intn(delta), Wavelength: src.Intn(B)}
 		}
 		res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
@@ -219,8 +219,8 @@ func TestWavelengthUniformityMatters(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			// Same delay: guaranteed temporal overlap on link 2->3.
 			worms := []Worm{
-				{ID: 0, Route: route(g, graph.Path{0, 2, 3}), Length: 2, Delay: 0, Wavelength: src.Intn(B)},
-				{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: src.Intn(B)},
+				{Route: route(g, graph.Path{0, 2, 3}), Length: 2, Delay: 0, Wavelength: src.Intn(B)},
+				{Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: src.Intn(B)},
 			}
 			res, err := NewEngine().Run(g, worms, Config{Bandwidth: B, Rule: optical.ServeFirst})
 			if err != nil {

@@ -16,8 +16,8 @@ import (
 func TestConversionSavesEntrant(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 3, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2}), Length: 3, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 3, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 3, Delay: 1, Wavelength: 0},
 	}
 	// Without conversion worm 1 is eliminated entering link 0 at step 1.
 	noConv := mustRun(t, g, worms, cfg(2))
@@ -41,9 +41,9 @@ func TestConversionSavesEntrant(t *testing.T) {
 func TestConversionExhaustedStillCut(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 4, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 4, Delay: 0, Wavelength: 1},
-		{ID: 2, Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 4, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 4, Delay: 0, Wavelength: 1},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
 	}
 	c := cfg(2)
 	c.Conversion = FullConversion
@@ -60,10 +60,10 @@ func TestConversionExhaustedStillCut(t *testing.T) {
 func TestPartialConversion(t *testing.T) {
 	g := chain(5)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 6, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 6, Delay: 0, Wavelength: 0},
 		// Enters link 2->3 (from router 2) at step 3, while worm 0 holds
 		// it during [2, 7].
-		{ID: 1, Route: route(g, graph.Path{2, 3, 4}), Length: 2, Delay: 3, Wavelength: 0},
+		{Route: route(g, graph.Path{2, 3, 4}), Length: 2, Delay: 3, Wavelength: 0},
 	}
 	c := cfg(2)
 	c.Conversion = func(u graph.NodeID) bool { return u != 2 } // not at router 2
@@ -84,14 +84,14 @@ func TestConversionCarriesDownstream(t *testing.T) {
 	g := chain(5)
 	worms := []Worm{
 		// Blocker on wavelength 0 at link 0 only.
-		{ID: 0, Route: route(g, graph.Path{0, 1}), Length: 4, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1}), Length: 4, Delay: 0, Wavelength: 0},
 		// Converts to wavelength 1 at link 0, then must conflict with a
 		// wavelength-1 incumbent downstream.
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 2, Delay: 1, Wavelength: 0},
 		// Wavelength-1 incumbent on link 2->3 during [2, 7]: worm 1
 		// arrives there at step 4 on its converted wavelength... and
 		// converts again to wavelength 0 (free there), surviving.
-		{ID: 2, Route: route(g, graph.Path{2, 3}), Length: 6, Delay: 2, Wavelength: 1},
+		{Route: route(g, graph.Path{2, 3}), Length: 6, Delay: 2, Wavelength: 1},
 	}
 	c := cfg(2)
 	c.Conversion = FullConversion
@@ -116,8 +116,8 @@ func TestConversionCarriesDownstream(t *testing.T) {
 func TestConversionBandwidthOneNoEffect(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 3, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2}), Length: 3, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 3, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 3, Delay: 1, Wavelength: 0},
 	}
 	c := cfg(1)
 	c.Conversion = FullConversion

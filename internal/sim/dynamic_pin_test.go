@@ -148,11 +148,12 @@ func TestDynamicGoldenDigest(t *testing.T) {
 
 // TestDynamicSingleAttemptMatchesReference checks the dynamic bookkeeping
 // against the per-flit oracle, with and without a fault plan. With one
-// attempt per request, a dynamic run is a batch round: the worm ID is the
-// launch order (by arrival, then request index), the delay is the arrival
-// step, and the wavelength and then the rank are drawn in launch order
-// from the run's source. A request is Delivered exactly when the reference
-// acknowledges the worm, and the run's fault kills are the reference's.
+// attempt per request, a dynamic run is a batch round: the batch lists
+// the attempts in launch order (by arrival, then request index), the delay
+// is the arrival step, and the wavelength and then the rank are drawn in
+// launch order from the run's source. A request is Delivered exactly
+// when the reference acknowledges its worm, and the run's fault kills are
+// the reference's.
 func TestDynamicSingleAttemptMatchesReference(t *testing.T) {
 	g := topology.NewTorus(2, 5).Graph()
 	const bw = 2
@@ -181,10 +182,12 @@ func TestDynamicSingleAttemptMatchesReference(t *testing.T) {
 					slices.SortStableFunc(order, func(a, b int) int { return reqs[a].Arrival - reqs[b].Arrival })
 					src := rng.New(seed)
 					worms := make([]Worm, len(reqs))
-					for id, ri := range order {
+					at := make([]int, len(reqs)) // request -> batch position
+					for pos, ri := range order {
 						r := reqs[ri]
 						wl := src.Intn(bw)
-						worms[ri] = Worm{ID: id, Route: r.Route, Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
+						worms[pos] = Worm{Route: r.Route, Length: r.Length, Delay: r.Arrival, Wavelength: wl, Rank: src.Intn(1 << 30)}
+						at[ri] = pos
 					}
 					cfg.CheckInvariants = false
 					ref, err := RunReference(g, worms, cfg)
@@ -193,7 +196,7 @@ func TestDynamicSingleAttemptMatchesReference(t *testing.T) {
 					}
 					acked := 0
 					for i, o := range dres.Outcomes {
-						ro := ref.Outcomes[i]
+						ro := ref.Outcomes[at[i]]
 						wantAt := -1
 						if ro.Acked {
 							wantAt = ro.DeliveredAt

@@ -222,7 +222,7 @@ func TestDynamicValidation(t *testing.T) {
 		}
 	}
 	revisit := graph.Path{0, 1, 0, 1, 2}
-	_, runErr := NewEngine().Run(g, []Worm{{ID: 0, Route: route(g, revisit), Length: 2}}, Config{Bandwidth: 1})
+	_, runErr := NewEngine().Run(g, []Worm{{Route: route(g, revisit), Length: 2}}, Config{Bandwidth: 1})
 	_, dynErr := NewEngine().RunDynamic(g, []Request{{Route: route(g, revisit), Length: 2}}, DynamicConfig{Sim: Config{Bandwidth: 1}}, rng.New(1))
 	if runErr == nil || dynErr == nil || !strings.Contains(runErr.Error(), "revisits a directed link") ||
 		!strings.Contains(dynErr.Error(), "revisits a directed link") {
@@ -389,7 +389,8 @@ func TestEngineRunDynamicReuse(t *testing.T) {
 		}
 	}
 	if got.CollisionCount != want.CollisionCount || got.Makespan != want.Makespan ||
-		got.BusySlotSteps != want.BusySlotSteps || got.AckedCount != want.AckedCount {
+		got.MessageBusySlotSteps != want.MessageBusySlotSteps ||
+		got.AckBusySlotSteps != want.AckBusySlotSteps || got.AckedCount != want.AckedCount {
 		t.Fatalf("batch after a dynamic run: aggregates differ: reused %+v fresh %+v", got, want)
 	}
 	for _, tc := range dynamicGoldenCases[:2] {

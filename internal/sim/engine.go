@@ -11,7 +11,7 @@ import (
 
 // train is one flit train: a message worm or an acknowledgement.
 type train struct {
-	id     int   // worm ID (acks share their parent's ID)
+	id     int   // tie order: batch index in Run, launch order in RunDynamic; acks share it
 	outIdx int   // index into Result.Outcomes
 	isAck  bool  //
 	frags  int32 // unretired fragments; the train is pooled when this drops to 0
@@ -34,7 +34,7 @@ type train struct {
 	// conversion moves the train to a new wavelength at that link). Entries
 	// at indices the head has not reached yet are garbage; release only
 	// walks indices strictly behind the head, so it never reads one.
-	// int32 is safe: validator.begin bounds the whole key space to int32.
+	// int32 is safe: checkConfig bounds the whole key space to int32.
 	keys []int32
 }
 
@@ -153,7 +153,6 @@ type Engine struct {
 	blSum   []uint64 // bitmap over blWords words that are non-zero
 	bucket  []entry  // per-bucket (key, id) sort scratch
 	arena   arena
-	val     validator
 	// probe receives telemetry events when non-nil (copied from the
 	// Config each begin); every hook site guards with one nil check.
 	probe *telemetry.Collector
@@ -388,7 +387,7 @@ func newOutcome() Outcome {
 // bug, not a legitimate outcome). The returned Result is owned by the
 // engine and is only valid until the next Run call.
 func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
-	if err := e.val.check(g, worms, cfg); err != nil {
+	if err := checkWorms(g, worms, cfg); err != nil {
 		return nil, err
 	}
 	e.begin(g, cfg, len(worms))
@@ -396,7 +395,7 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 	for i := range worms {
 		w := &worms[i]
 		tr := e.arena.newTrain()
-		tr.id = w.ID
+		tr.id = i
 		tr.outIdx = i
 		tr.links = w.Route.Links()
 		tr.start = w.Delay
@@ -501,8 +500,8 @@ func (e *Engine) addTrain(tr *train) {
 // step advances the simulation by one time step. Entrants that cannot
 // claim in place are chained into per-(band,link) buckets recorded in the
 // two-level blSum/blWords bitmap and resolved in ascending band-link order
-// (TZCNT iteration over the touched words only), the same (slot key, worm
-// ID) group order the reference resolves in, at O(n) bucket pushes instead
+// (TZCNT iteration over the touched words only), the same (slot key, tie
+// order) group order the reference resolves in, at O(n) bucket pushes instead
 // of a global O(n log n) sort. In the fault-free case a single walk over
 // the active list performs releases, compaction, and entry collection at
 // once; with a fault schedule attached the walk splits into phases
@@ -588,7 +587,6 @@ func (e *Engine) step(t int) {
 		e.resolveBuckets(t)
 		e.convertPacked(t)
 	}
-	e.res.BusySlotSteps += e.occCount
 	e.res.MessageBusySlotSteps += e.occMsg
 	e.res.AckBusySlotSteps += e.occCount - e.occMsg
 	if e.probe != nil {
@@ -853,7 +851,7 @@ func (e *Engine) compactActive() {
 }
 
 // resolveGroups resolves every conflict group in list, which must be
-// sorted by (slot key, worm ID) and must contain all entrants of every
+// sorted by (slot key, train id) and must contain all entrants of every
 // key it contains. resolveBuckets passes one per-(band,link) bucket at a
 // time, in ascending band-link order, so groups resolve in ascending slot
 // key order, as in the reference.
@@ -870,7 +868,7 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 		gi = gj
 		// Follow headChild chains: a fragment split earlier this step
 		// hands its pending entry to the child holding the old head flit.
-		// Chained children keep the parent's train, so the ID order of raw
+		// Chained children keep the parent's train, so the id order of raw
 		// is preserved.
 		e.live = e.live[:0]
 		for _, en := range raw {
@@ -902,9 +900,9 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 		}
 		// A stuck coupler freezes arbitration at links leaving the node:
 		// the occupant always keeps the slot (even under Priority), a free
-		// slot goes to the lowest-ID entrant, and losers are cut outright —
-		// the stuck coupler cannot rescue them via conversion either. The
-		// nStuck guard keeps the fault-free path to one branch.
+		// slot goes to the first entrant in tie order, and losers are cut
+		// outright — the stuck coupler cannot rescue them via conversion
+		// either. The nStuck guard keeps the fault-free path to one branch.
 		if fl := e.flt; fl != nil && fl.nStuck > 0 &&
 			fl.stuck[e.g.Link(int(live[0].f.t.links[live[0].idx])).From] > 0 {
 			if hasInc {
@@ -912,7 +910,7 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 					e.cutEntrant(en.f, en.idx, t, incF.t)
 				}
 			} else {
-				win := live[0] // smallest worm ID after sorting
+				win := live[0] // first in tie order after sorting
 				e.setOcc(k, win.f, win.idx)
 				for _, en := range live[1:] {
 					e.cutEntrant(en.f, en.idx, t, win.f.t)
@@ -939,7 +937,7 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 					e.loseEntrant(en.f, en.idx, t, blocker)
 				}
 			case optical.TieArbitraryWinner:
-				win := live[0] // smallest worm ID after sorting
+				win := live[0] // first in tie order after sorting
 				e.setOcc(k, win.f, win.idx)
 				for _, en := range live[1:] {
 					e.loseEntrant(en.f, en.idx, t, win.f.t)

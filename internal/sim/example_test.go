@@ -20,8 +20,8 @@ func ExampleEngine_Run() {
 		panic(err)
 	}
 	worms := []sim.Worm{
-		{ID: 0, Route: routes[0], Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: routes[1], Length: 2, Delay: 1, Wavelength: 0},
+		{Route: routes[0], Length: 2, Delay: 0, Wavelength: 0},
+		{Route: routes[1], Length: 2, Delay: 1, Wavelength: 0},
 	}
 	res, err := sim.NewEngine().Run(g, worms, sim.Config{
 		Bandwidth: 1,
@@ -47,7 +47,7 @@ func ExampleTrace() {
 		panic(err)
 	}
 	worms := []sim.Worm{
-		{ID: 0, Route: r, Length: 2, Delay: 0, Wavelength: 0},
+		{Route: r, Length: 2, Delay: 0, Wavelength: 0},
 	}
 	_, tl, err := sim.Trace(g, worms, sim.Config{Bandwidth: 1, Rule: optical.ServeFirst})
 	if err != nil {

@@ -28,7 +28,7 @@ func sched(t *testing.T, g *graph.Graph, b int, fs ...faults.Fault) *faults.Sche
 
 func TestLinkOutageBlocksEntrantAndRepairs(t *testing.T) {
 	g := chain(5)
-	worms := []Worm{{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0}}
+	worms := []Worm{{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0}}
 	// The head enters link index 2 (link ID 4, node 2 -> 3) at step 4.
 	c := cfg(1)
 	c.Faults = sched(t, g, 1, faults.Fault{Kind: faults.LinkOutage, Link: 4, Start: 0, End: 100})
@@ -60,7 +60,7 @@ func TestLinkOutageBlocksEntrantAndRepairs(t *testing.T) {
 
 func TestLinkOutageKillsOccupant(t *testing.T) {
 	g := chain(5)
-	worms := []Worm{{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0}}
+	worms := []Worm{{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0}}
 	// At step 3 the worm (L=3, delay 0) occupies link indices 1 and 2; an
 	// outage on link ID 2 (index 1) activating then kills it mid-body.
 	c := cfg(1)
@@ -77,8 +77,8 @@ func TestLinkOutageKillsOccupant(t *testing.T) {
 func TestWavelengthOutageKillsOnlyThatWavelength(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 1},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 1},
 	}
 	c := cfg(2)
 	c.Faults = sched(t, g, 2, faults.Fault{
@@ -98,7 +98,7 @@ func TestWavelengthOutageKillsOnlyThatWavelength(t *testing.T) {
 
 func TestAckLossKillsOnlyAcks(t *testing.T) {
 	g := chain(4)
-	worms := []Worm{{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0}}
+	worms := []Worm{{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0}}
 	c := cfg(1)
 	c.AckLength = 1
 	// The ack travels the reversed links 5, 3, 1. An AckLoss on link 3
@@ -133,7 +133,7 @@ func TestAckLossKillsOnlyAcks(t *testing.T) {
 // one fault kill, and ack-band busy slots 1+2+3+1 over steps 3-6.
 func TestAckLossSparesAckOnLink(t *testing.T) {
 	g := chain(4)
-	worms := []Worm{{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 1, Delay: 0, Wavelength: 0}}
+	worms := []Worm{{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 1, Delay: 0, Wavelength: 0}}
 	c := cfg(1)
 	c.AckLength = 3
 	c.Faults = sched(t, g, 1,
@@ -157,8 +157,8 @@ func TestAckLossSparesAckOnLink(t *testing.T) {
 func TestStuckCouplerKeepsIncumbentUnderPriority(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 3, Delay: 0, Wavelength: 0, Rank: 1},
-		{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0, Rank: 10},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 3, Delay: 0, Wavelength: 0, Rank: 1},
+		{Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0, Rank: 10},
 	}
 	c := cfg(1)
 	c.Rule = optical.Priority
@@ -182,8 +182,8 @@ func TestStuckCouplerKeepsIncumbentUnderPriority(t *testing.T) {
 func TestStuckCouplerForcesTieWinner(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 3, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 7, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
 	}
 	c := cfg(1) // serve-first, TieEliminateAll
 	base := mustRun(t, g, worms, c)
@@ -195,7 +195,7 @@ func TestStuckCouplerForcesTieWinner(t *testing.T) {
 	c.Faults = sched(t, g, 1, faults.Fault{Kind: faults.StuckCoupler, Node: 1, Start: 0, End: 0})
 	res := mustRun(t, g, worms, c)
 	if !res.Outcomes[0].Delivered {
-		t.Error("stuck coupler should admit the lowest-ID entrant")
+		t.Error("stuck coupler should admit the lowest-index entrant")
 	}
 	if res.Outcomes[1].Delivered {
 		t.Error("stuck coupler admitted both entrants")
@@ -208,8 +208,8 @@ func TestStuckCouplerForcesTieWinner(t *testing.T) {
 func TestConversionSkipsDarkWavelength(t *testing.T) {
 	g := chain(4)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
 	}
 	c := cfg(2)
 	c.Conversion = FullConversion
@@ -247,7 +247,7 @@ func TestFaultRunDeterministicReplay(t *testing.T) {
 				v = src.Intn(g.NumNodes())
 			}
 			worms = append(worms, Worm{
-				ID: i, Route: route(g, g.ShortestPath(u, v, nil)), Length: 2 + src.Intn(3),
+				Route: route(g, g.ShortestPath(u, v, nil)), Length: 2 + src.Intn(3),
 				Delay: src.Intn(6), Wavelength: src.Intn(2), Rank: src.Intn(100),
 			})
 		}
@@ -311,7 +311,7 @@ func TestDynamicFaultRelaunch(t *testing.T) {
 func TestFaultScheduleGeometryMismatch(t *testing.T) {
 	g4, g5 := chain(4), chain(5)
 	s := sched(t, g4, 1, faults.Fault{Kind: faults.LinkOutage, Link: 0, Start: 0, End: 0})
-	worms := []Worm{{ID: 0, Route: route(g4, graph.Path{0, 1}), Length: 1, Wavelength: 0}}
+	worms := []Worm{{Route: route(g4, graph.Path{0, 1}), Length: 1, Wavelength: 0}}
 	c := cfg(1)
 	c.Faults = s
 	if _, err := NewEngine().Run(g5, worms, c); err == nil {
@@ -327,7 +327,7 @@ func TestFaultScheduleGeometryMismatch(t *testing.T) {
 		DynamicConfig{Sim: c}, rng.New(1)); err == nil {
 		t.Error("RunDynamic accepted a mismatched schedule")
 	}
-	one := []Worm{{ID: 0, Route: route(g4, graph.Path{0, 1}), Length: 1}}
+	one := []Worm{{Route: route(g4, graph.Path{0, 1}), Length: 1}}
 	if _, err := RunReference(g5, one, c); err == nil || !strings.Contains(err.Error(), "fault schedule") {
 		t.Errorf("RunReference accepted a schedule compiled for a different graph (err %v)", err)
 	}
@@ -367,7 +367,7 @@ func soakScenario(g *graph.Graph, seed uint64) ([]Worm, *faults.Plan) {
 			v = src.Intn(g.NumNodes())
 		}
 		worms = append(worms, Worm{
-			ID: i, Route: route(g, g.ShortestPath(u, v, nil)), Length: 1 + src.Intn(4),
+			Route: route(g, g.ShortestPath(u, v, nil)), Length: 1 + src.Intn(4),
 			Delay: src.Intn(10), Wavelength: src.Intn(2), Rank: src.Intn(64),
 		})
 	}

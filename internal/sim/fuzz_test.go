@@ -181,7 +181,6 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 		}
 		b := next()
 		worms = append(worms, Worm{
-			ID:         id,
 			Route:      route(g, p),
 			Length:     1 + int(b&3),
 			Delay:      int(b>>2) & 7,

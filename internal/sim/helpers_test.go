@@ -2,7 +2,7 @@ package sim
 
 import "repro/internal/graph"
 
-// Occupant returns the worm ID occupying (band, link, wavelength) at step
+// Occupant returns the batch index of the worm occupying (band, link, wavelength) at step
 // t, and whether the slot was occupied.
 func (tl *Timeline) Occupant(t int, band Band, link graph.LinkID, wave int) (worm int, ok bool) {
 	c, ok := tl.cells[timelineKey{band: band, link: link, wave: wave, t: t}]

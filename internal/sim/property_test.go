@@ -26,7 +26,6 @@ func randomWorms(g *graph.Graph, src *rng.Source, count, maxLen, maxDelay, bandw
 			continue
 		}
 		worms = append(worms, Worm{
-			ID:         id,
 			Route:      route(g, p),
 			Length:     1 + src.Intn(maxLen),
 			Delay:      src.Intn(maxDelay + 1),
@@ -140,7 +139,7 @@ func TestNoContentionAllDelivered(t *testing.T) {
 				continue
 			}
 			worms = append(worms, Worm{
-				ID: id, Route: route(g, g.ShortestPath(a, b, nil)),
+				Route:  route(g, g.ShortestPath(a, b, nil)),
 				Length: 1 + s.Intn(3), Delay: s.Intn(4), Wavelength: id,
 			})
 		}
@@ -166,10 +165,6 @@ func TestServeFirstIncumbentNeverLoses(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		src := rng.New(uint64(500 + trial))
 		worms := randomWorms(g, src, 24, 3, 6, 1)
-		byID := map[int]Worm{}
-		for _, w := range worms {
-			byID[w.ID] = w
-		}
 		res, err := NewEngine().Run(g, worms, Config{
 			Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 			RecordCollisions: true, CheckInvariants: true,
@@ -181,15 +176,10 @@ func TestServeFirstIncumbentNeverLoses(t *testing.T) {
 			if c.LoserIsAck {
 				continue
 			}
-			loser, okL := byID[c.Loser]
-			blocker, okB := byID[c.Blocker]
-			if !okL || !okB {
-				continue
-			}
 			// Entry step of a worm into a specific link of its path:
 			// delay + index. The loser enters at c.Time; the blocker must
 			// have entered at or before c.Time (it was traversing).
-			_ = loser
+			blocker := worms[c.Blocker]
 			idx := indexOfLink(blocker.Route.Links(), c.Link)
 			if idx < 0 {
 				continue // blocker hit it as an ack or ghost; skip
@@ -227,8 +217,8 @@ func TestAckContention(t *testing.T) {
 	gb.AddEdge(2, 3)
 	g := gb.Finalize()
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 2, 3}), Length: 1, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 1, Delay: 2, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 2, 3}), Length: 1, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{1, 2, 3}), Length: 1, Delay: 2, Wavelength: 0},
 	}, Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 		AckLength: 3, RecordCollisions: true, CheckInvariants: true,
@@ -266,8 +256,8 @@ func TestAckBandSeparation(t *testing.T) {
 	// at steps 2 and 3 with delay 0... choose delay 2: B occupies 2->1 at
 	// step 2, exactly when A's ack is on 2->1 in the ack band.
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2}), Length: 1, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{2, 1, 0}), Length: 1, Delay: 2, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 1, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{2, 1, 0}), Length: 1, Delay: 2, Wavelength: 0},
 	}, Config{
 		Bandwidth: 1, Rule: optical.ServeFirst, Wreckage: Drain,
 		AckLength: 2, RecordCollisions: true, CheckInvariants: true,
@@ -284,7 +274,7 @@ func TestAckBandSeparation(t *testing.T) {
 func TestMakespanCoversAcks(t *testing.T) {
 	g := chain(4)
 	res := mustRun(t, g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
 	}, Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 2, CheckInvariants: true})
 	// Delivered at 1+3+2-2 = 4; ack start 5, ack delivered at 5+3+2-2 = 8.
 	if res.Outcomes[0].AckedAt != 8 {

@@ -30,7 +30,7 @@ import (
 // A fault plan (cfg.Faults) follows the rules in faults.go, re-derived
 // every step from the faults active then, with no counters or event cursor.
 func RunReference(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
-	if err := validate(g, worms, cfg); err != nil {
+	if err := checkWorms(g, worms, cfg); err != nil {
 		return nil, err
 	}
 	return runReference(g, worms, cfg, nil)
@@ -55,7 +55,6 @@ func runReference(g *graph.Graph, worms []Worm, cfg Config, tl *Timeline) (*Resu
 			links[k] = int(id)
 		}
 		r.spawn(&refTrain{
-			id:         w.ID,
 			outIdx:     i,
 			links:      links,
 			start:      w.Delay,
@@ -120,8 +119,7 @@ func errTooManySteps(n int) error {
 
 // refTrain is a message or ack train in the reference simulator.
 type refTrain struct {
-	id         int
-	outIdx     int
+	outIdx     int // batch index: names the worm and orders ties
 	isAck      bool
 	links      []graph.LinkID
 	start      int
@@ -278,10 +276,11 @@ func (r *refEngine) step(t int) {
 		if len(entrants) == 0 {
 			continue
 		}
-		sort.Slice(entrants, func(a, b int) bool { return entrants[a].tr.id < entrants[b].tr.id })
+		sort.Slice(entrants, func(a, b int) bool { return entrants[a].tr.outIdx < entrants[b].tr.outIdx })
 		if en := entrants[0]; r.faulted(faults.StuckCoupler, r.g.Link(en.tr.links[en.tr.pos(en.j, t)]).From) {
-			// A stuck coupler keeps the incumbent, or admits the lowest-ID
-			// entrant to a free slot, and cuts the other entrants outright.
+			// A stuck coupler keeps the incumbent, or admits the
+			// lowest-index entrant to a free slot, and cuts the other
+			// entrants outright.
 			blocker := en.tr
 			if len(incumbents) > 0 {
 				blocker = incumbents[0].tr
@@ -382,7 +381,7 @@ func (r *refEngine) step(t int) {
 				}
 				r.prev[k][tr] = true
 				if r.tl != nil {
-					r.tl.record(t, tr.band, tr.links[p], r.waveAt(tr, p), tr.id, tr.isAck)
+					r.tl.record(t, tr.band, tr.links[p], r.waveAt(tr, p), tr.outIdx, tr.isAck)
 				}
 			}
 			if p < len(tr.links) && p < tr.barrier[j] {
@@ -402,7 +401,6 @@ func (r *refEngine) step(t int) {
 			msgBusy++
 		}
 	}
-	r.res.BusySlotSteps += len(r.prev)
 	r.res.MessageBusySlotSteps += msgBusy
 	r.res.AckBusySlotSteps += len(r.prev) - msgBusy
 	r.res.Makespan = t
@@ -494,7 +492,6 @@ func (r *refEngine) deliver(tr *refTrain, deliveredAt int) {
 		rev[len(tr.links)-1-i] = r.g.Reverse(id)
 	}
 	r.spawn(&refTrain{
-		id:         tr.id,
 		outIdx:     tr.outIdx,
 		isAck:      true,
 		links:      rev,
@@ -534,8 +531,8 @@ func (r *refEngine) cut(en refOcc, t int, blocker *refTrain) {
 			Link:       tr.links[e],
 			Wavelength: r.waveAt(tr, e),
 			Band:       tr.band,
-			Loser:      tr.id,
-			Blocker:    blocker.id,
+			Loser:      tr.outIdx,
+			Blocker:    blocker.outIdx,
 			LoserIsAck: tr.isAck,
 		})
 	}

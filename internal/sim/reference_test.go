@@ -27,15 +27,15 @@ func compareEngines(t *testing.T, g *graph.Graph, worms []Worm, cfg Config, labe
 		a, b := fast.Outcomes[i], ref.Outcomes[i]
 		if a.Delivered != b.Delivered || a.DeliveredAt != b.DeliveredAt {
 			t.Fatalf("%s: worm %d delivery differs: engine %+v vs reference %+v\nworm: %+v",
-				label, worms[i].ID, a, b, worms[i])
+				label, i, a, b, worms[i])
 		}
 		if a.Acked != b.Acked || a.AckedAt != b.AckedAt {
 			t.Fatalf("%s: worm %d ack differs: engine %+v vs reference %+v",
-				label, worms[i].ID, a, b)
+				label, i, a, b)
 		}
 		if a.CutTime != b.CutTime || a.CutLink != b.CutLink {
 			t.Fatalf("%s: worm %d cut differs: engine cut@(%d,%d) vs reference cut@(%d,%d)",
-				label, worms[i].ID, a.CutLink, a.CutTime, b.CutLink, b.CutTime)
+				label, i, a.CutLink, a.CutTime, b.CutLink, b.CutTime)
 		}
 	}
 	if fast.DeliveredCount != ref.DeliveredCount || fast.AckedCount != ref.AckedCount {
@@ -54,15 +54,15 @@ func TestReferenceEquivalenceHandcrafted(t *testing.T) {
 		cfg   Config
 	}{
 		{"single", []Worm{
-			{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0},
+			{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 2, Wavelength: 0},
 		}, cfg(1)},
 		{"entrant-loses", []Worm{
-			{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-			{ID: 1, Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
+			{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+			{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
 		}, cfg(1)},
 		{"separated", []Worm{
-			{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-			{ID: 1, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0},
+			{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+			{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0},
 		}, cfg(1)},
 	}
 	for _, sc := range scenarios {
@@ -124,7 +124,7 @@ func TestReferenceEquivalenceDense(t *testing.T) {
 				p = append(p, (p[len(p)-1]+1)%5)
 			}
 			worms = append(worms, Worm{
-				ID: id, Route: route(g, p), Length: 1 + src.Intn(5),
+				Route: route(g, p), Length: 1 + src.Intn(5),
 				Delay: src.Intn(4), Wavelength: 0, Rank: ranks[id],
 			})
 		}
@@ -141,7 +141,7 @@ func TestReferenceEquivalenceDense(t *testing.T) {
 // TestReferenceValidation: the reference must reject the same bad input.
 func TestReferenceValidation(t *testing.T) {
 	g := chain(3)
-	if _, err := RunReference(g, []Worm{{ID: 0, Route: route(g, graph.Path{0, 1}), Length: 1}}, Config{}); err == nil {
+	if _, err := RunReference(g, []Worm{{Route: route(g, graph.Path{0, 1}), Length: 1}}, Config{}); err == nil {
 		t.Error("bandwidth 0 accepted")
 	}
 }

@@ -119,11 +119,10 @@ type Config struct {
 	MaxSteps int
 }
 
-// Worm is one message to route in this round.
+// Worm is one message to route in this round. A worm is named by its
+// index in the batch passed to Run: outcomes, collisions and the
+// arbitrary-winner tie rule all use that index.
 type Worm struct {
-	// ID is the caller's identifier, reported back in outcomes and
-	// collisions. IDs must be distinct and >= 0.
-	ID int
 	// Route is the worm's path, checked against the run's graph
 	// (graph.AppendRoute, or a collection's Route) and not revisiting a
 	// directed link. The engine reads its links without copying them.
@@ -158,8 +157,8 @@ type Collision struct {
 	Link       graph.LinkID // physical directed link
 	Wavelength int
 	Band       Band
-	Loser      int  // worm ID that was cut
-	Blocker    int  // worm ID that prevented it (may also have lost, on ties)
+	Loser      int  // batch index of the worm that was cut
+	Blocker    int  // batch index of the worm that stopped it (may also have lost, on ties)
 	LoserIsAck bool // the cut train was an acknowledgement
 }
 
@@ -198,10 +197,6 @@ type Result struct {
 	FaultKillCount int
 	// Makespan is the last step at which anything happened.
 	Makespan int
-	// BusySlotSteps counts occupied (link, wavelength) slots summed over
-	// steps across BOTH bands: it is always the documented sum
-	// MessageBusySlotSteps + AckBusySlotSteps.
-	BusySlotSteps int
 	// MessageBusySlotSteps counts occupied message-band slots summed over
 	// steps — the numerator of message-band link utilization.
 	MessageBusySlotSteps int
@@ -234,57 +229,35 @@ func bandUtilization(busy, links, bandwidth, makespan int) float64 {
 	return float64(busy) / (float64(links) * float64(bandwidth) * float64(makespan+1))
 }
 
-// validator holds the scratch the worm check needs. Pooling one on an
-// Engine makes steady-state validation allocation-free: the ID set keeps
-// its buckets across clear(). A worm's route was checked when it was
-// made, so the per-round check reads only the worm's own fields.
-type validator struct {
-	ids    []int32 // per-ID generation stamp (dense IDs); overflow in idsBig
-	idsBig map[int]bool
-	idGen  int32
-}
-
-// check validates a batch of worms.
-func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
+// checkWorms validates a batch of worms: each route was checked against
+// g when it was made and revisits no directed link, and the round fields
+// are valid. Errors name a worm by its batch index.
+func checkWorms(g *graph.Graph, worms []Worm, cfg Config) error {
 	if err := checkConfig(g, cfg); err != nil {
 		return err
 	}
-	v.idGen++
-	if v.idGen == 0 { // stamp wrap: invalidate every stale stamp once
-		clear(v.ids)
-		v.idGen = 1
-	}
-	if v.idsBig != nil {
-		clear(v.idsBig)
-	}
 	for i := range worms {
 		w := &worms[i]
-		if w.ID < 0 {
-			return fmt.Errorf("sim: worm %d has negative ID %d", i, w.ID)
-		}
-		if v.markID(w.ID) {
-			return fmt.Errorf("sim: duplicate worm ID %d", w.ID)
-		}
 		if !w.Route.On(g) {
-			return fmt.Errorf("sim: worm %d has no route checked against this graph", w.ID)
+			return fmt.Errorf("sim: worm %d has no route checked against this graph", i)
 		}
 		if w.Route.Revisits() {
-			return fmt.Errorf("sim: worm %d revisits a directed link", w.ID)
+			return fmt.Errorf("sim: worm %d revisits a directed link", i)
 		}
 		if w.Length < 1 {
-			return fmt.Errorf("sim: worm %d has length %d < 1", w.ID, w.Length)
+			return fmt.Errorf("sim: worm %d has length %d < 1", i, w.Length)
 		}
 		if w.Delay < 0 {
-			return fmt.Errorf("sim: worm %d has negative delay %d", w.ID, w.Delay)
+			return fmt.Errorf("sim: worm %d has negative delay %d", i, w.Delay)
 		}
 		if w.Wavelength < 0 || w.Wavelength >= cfg.Bandwidth {
-			return fmt.Errorf("sim: worm %d wavelength %d out of [0,%d)", w.ID, w.Wavelength, cfg.Bandwidth)
+			return fmt.Errorf("sim: worm %d wavelength %d out of [0,%d)", i, w.Wavelength, cfg.Bandwidth)
 		}
 	}
 	return nil
 }
 
-// checkRequests validates the requests of a dynamic run as check
+// checkRequests validates the requests of a dynamic run as checkWorms
 // validates worms: each route was checked against g when it was made and
 // revisits no directed link, and the length and arrival are valid.
 func checkRequests(g *graph.Graph, reqs []Request, cfg Config) error {
@@ -326,42 +299,4 @@ func checkConfig(g *graph.Graph, cfg Config) error {
 		return fmt.Errorf("sim: fault schedule compiled for a different graph or bandwidth")
 	}
 	return nil
-}
-
-// idStampCap bounds the dense duplicate-ID stamp array; IDs at or above
-// it (callers with sparse, huge identifiers) fall back to a map.
-const idStampCap = 1 << 20
-
-// markID records worm ID id in the duplicate set and reports whether it
-// was already present. Small IDs use a generation-stamped array (no map
-// work in steady state); huge IDs use the overflow map. The array grows
-// geometrically, so a fresh validator meeting n ascending IDs reallocates
-// O(log n) times rather than once per ID.
-func (v *validator) markID(id int) (dup bool) {
-	if id < idStampCap {
-		if id >= len(v.ids) {
-			next := make([]int32, min(max(id+1, 2*len(v.ids)), idStampCap))
-			copy(next, v.ids)
-			v.ids = next
-		}
-		if v.ids[id] == v.idGen {
-			return true
-		}
-		v.ids[id] = v.idGen
-		return false
-	}
-	if v.idsBig == nil {
-		v.idsBig = make(map[int]bool)
-	}
-	if v.idsBig[id] {
-		return true
-	}
-	v.idsBig[id] = true
-	return false
-}
-
-// validate checks the configuration and worm specs with one-shot scratch.
-func validate(g *graph.Graph, worms []Worm, cfg Config) error {
-	var v validator
-	return v.check(g, worms, cfg)
 }

@@ -14,7 +14,7 @@ import (
 // for small scenarios — teaching, debugging, and the documentation
 // figures — and costs O(steps * flits).
 func Trace(g *graph.Graph, worms []Worm, cfg Config) (*Result, *Timeline, error) {
-	if err := validate(g, worms, cfg); err != nil {
+	if err := checkWorms(g, worms, cfg); err != nil {
 		return nil, nil, err
 	}
 	tl := &Timeline{
@@ -59,8 +59,8 @@ func (tl *Timeline) record(t int, band Band, link graph.LinkID, wave, worm int, 
 
 // Render writes an ASCII space-time diagram of the given band: one row
 // per (directed link, wavelength) that ever carried traffic, one column
-// per step. Cells show the worm ID modulo 10 ('A'+id%26 for acks), '.'
-// when free. Rows are sorted by link then wavelength.
+// per step. Cells show the worm's batch index modulo 10 ('A'+index%26
+// for acks), '.' when free. Rows are sorted by link then wavelength.
 func (tl *Timeline) Render(w io.Writer, band Band) {
 	type rowKey struct {
 		link graph.LinkID

@@ -13,7 +13,7 @@ import (
 func TestTraceSingleWorm(t *testing.T) {
 	g := chain(4)
 	res, tl, err := Trace(g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 1, Wavelength: 0},
 	}, Config{Bandwidth: 1, Rule: optical.ServeFirst})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func TestTraceSingleWorm(t *testing.T) {
 func TestTraceRenderDiagram(t *testing.T) {
 	g := chain(4)
 	_, tl, err := Trace(g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
 	}, Config{Bandwidth: 1, Rule: optical.ServeFirst})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestTraceRenderDiagram(t *testing.T) {
 func TestTraceAckBand(t *testing.T) {
 	g := chain(3)
 	res, tl, err := Trace(g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2}), Length: 1, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 1, Delay: 0, Wavelength: 0},
 	}, Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestTraceAckBand(t *testing.T) {
 func TestTraceWormEvents(t *testing.T) {
 	g := chain(4)
 	_, tl, err := Trace(g, []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3}), Length: 2, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2}), Length: 2, Delay: 1, Wavelength: 0},
 	}, Config{Bandwidth: 1, Rule: optical.ServeFirst})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +121,8 @@ func TestTraceMatchesEngine(t *testing.T) {
 	// already proves equal to the engine; spot-check here.
 	g := chain(5)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{1, 2, 3}), Length: 2, Delay: 2, Wavelength: 0},
 	}
 	cfg := Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 1}
 	res1, _, err := Trace(g, worms, cfg)
@@ -147,9 +147,9 @@ func TestTraceMatchesEngine(t *testing.T) {
 func TestTraceFaultPlan(t *testing.T) {
 	g := chain(5)
 	worms := []Worm{
-		{ID: 0, Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0},
-		{ID: 1, Route: route(g, graph.Path{1, 2, 3, 4}), Length: 2, Delay: 5, Wavelength: 0},
-		{ID: 2, Route: route(g, graph.Path{2, 3, 4}), Length: 2, Delay: 9, Wavelength: 0},
+		{Route: route(g, graph.Path{0, 1, 2, 3, 4}), Length: 3, Delay: 0, Wavelength: 0},
+		{Route: route(g, graph.Path{1, 2, 3, 4}), Length: 2, Delay: 5, Wavelength: 0},
+		{Route: route(g, graph.Path{2, 3, 4}), Length: 2, Delay: 9, Wavelength: 0},
 	}
 	cfg := Config{Bandwidth: 1, Rule: optical.ServeFirst, AckLength: 1, RecordCollisions: true}
 	cfg.Faults = sched(t, g, 1, faults.Fault{Kind: faults.LinkOutage, Link: 4, Start: 3, End: 9})
@@ -182,7 +182,7 @@ func TestTraceFaultPlan(t *testing.T) {
 
 func TestTraceValidation(t *testing.T) {
 	g := chain(3)
-	if _, _, err := Trace(g, []Worm{{ID: 0, Route: route(g, graph.Path{0, 1}), Length: 1}}, Config{}); err == nil {
+	if _, _, err := Trace(g, []Worm{{Route: route(g, graph.Path{0, 1}), Length: 1}}, Config{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

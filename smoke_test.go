@@ -75,6 +75,10 @@ func TestSmokeCommands(t *testing.T) {
 		{"./cmd/lowerbound", []string{"-kind", "cyclic", "-structures", "8", "-delta", "8"}, "all delivered: true"},
 		{"./cmd/topogen", []string{"-topo", "butterfly", "-dim", "3", "-workload", "qfunc", "-dot"}, "graph \"butterfly(3)\""},
 		{"./cmd/trace", []string{"-topo", "ring", "-size", "6", "-worms", "3", "-L", "2"}, "space-time diagram"},
+		// Seed 12 draws a self-pair, which trace skips: the diagram must
+		// still label worms as the event list numbers them ("worm 0:
+		// delivered at 5" is the worm on 5->6).
+		{"./cmd/trace", []string{"-seed", "12"}, "  5->6   w0 |...000..|"},
 		{"./cmd/optnetd", []string{"-once", "cmd/optnetd/testdata/smoke.json"}, "\"aggregate\""},
 	}
 	for _, tc := range cases {
