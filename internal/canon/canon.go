@@ -17,8 +17,8 @@
 //     the infinities are encoding errors);
 //   - strings are escaped minimally and identically on every platform
 //     (no HTML escaping);
-//   - a json.RawMessage embeds as given, compacted in the compact
-//     encoding; invalid JSON in one is an encoding error.
+//   - a json.RawMessage embeds compacted; invalid JSON in one is an
+//     encoding error.
 //
 // Each struct type's field names and order are read once and cached.
 //
@@ -61,14 +61,19 @@ func Append(dst []byte, v any) ([]byte, error) {
 	return e.buf, nil
 }
 
-// MarshalIndent returns the canonical encoding of v pretty-printed like
-// json.MarshalIndent: the same bytes modulo whitespace.
+// MarshalIndent returns the canonical encoding of v indented by
+// json.Indent, as json.MarshalIndent lays out its output: the same bytes
+// as Marshal modulo whitespace.
 func MarshalIndent(v any, prefix, indent string) ([]byte, error) {
-	e := encoder{prefix: prefix, indent: indent, pretty: true}
-	if err := e.value(reflect.ValueOf(v)); err != nil {
+	b, err := Marshal(v)
+	if err != nil {
 		return nil, err
 	}
-	return e.buf, nil
+	var out bytes.Buffer
+	if err := json.Indent(&out, b, prefix, indent); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
 // Hash returns the hex SHA-256 of the canonical compact encoding of v:
@@ -141,25 +146,9 @@ func buildPlan(t reflect.Type) *plan {
 	return p
 }
 
-// encoder accumulates the canonical encoding; pretty selects the
-// indented layout.
+// encoder accumulates the canonical encoding.
 type encoder struct {
-	buf    []byte
-	prefix string
-	indent string
-	pretty bool
-	depth  int
-}
-
-func (e *encoder) newline() {
-	if !e.pretty {
-		return
-	}
-	e.buf = append(e.buf, '\n')
-	e.buf = append(e.buf, e.prefix...)
-	for i := 0; i < e.depth; i++ {
-		e.buf = append(e.buf, e.indent...)
-	}
+	buf []byte
 }
 
 func (e *encoder) value(v reflect.Value) error {
@@ -210,19 +199,11 @@ func (e *encoder) value(v reflect.Value) error {
 	return nil
 }
 
-// raw embeds a json.RawMessage. It must hold valid JSON; the compact
-// encoding also compacts it, so a compact encoding is always one line.
-// Nothing is HTML-escaped.
+// raw embeds a json.RawMessage. It must hold valid JSON, which is
+// compacted, so an encoding is always one line. Nothing is HTML-escaped.
 func (e *encoder) raw(b []byte) error {
 	if len(b) == 0 {
 		e.buf = append(e.buf, "null"...)
-		return nil
-	}
-	if e.pretty {
-		if !json.Valid(b) {
-			return fmt.Errorf("canon: json.RawMessage is not valid JSON")
-		}
-		e.buf = append(e.buf, b...)
 		return nil
 	}
 	out := bytes.NewBuffer(e.buf)
@@ -245,12 +226,10 @@ func (e *encoder) array(v reflect.Value) error {
 		p = planFor(t)
 	}
 	e.buf = append(e.buf, '[')
-	e.depth++
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.newline()
 		var err error
 		if p != nil {
 			err = e.structValue(v.Index(i), p)
@@ -261,8 +240,6 @@ func (e *encoder) array(v reflect.Value) error {
 			return err
 		}
 	}
-	e.depth--
-	e.newline()
 	e.buf = append(e.buf, ']')
 	return nil
 }
@@ -299,29 +276,18 @@ func (e *encoder) mapValue(v reflect.Value) error {
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].name < pairs[j].name })
 	e.buf = append(e.buf, '{')
-	e.depth++
 	for i, p := range pairs {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.newline()
 		e.buf = AppendString(e.buf, p.name)
-		e.colon()
+		e.buf = append(e.buf, ':')
 		if err := e.value(p.val); err != nil {
 			return err
 		}
 	}
-	e.depth--
-	e.newline()
 	e.buf = append(e.buf, '}')
 	return nil
-}
-
-func (e *encoder) colon() {
-	e.buf = append(e.buf, ':')
-	if e.pretty {
-		e.buf = append(e.buf, ' ')
-	}
 }
 
 // structValue encodes a struct by its type's plan.
@@ -334,22 +300,15 @@ func (e *encoder) structValue(v reflect.Value, p *plan) error {
 		return nil
 	}
 	e.buf = append(e.buf, '{')
-	e.depth++
 	for i, f := range p.fields {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.newline()
 		e.buf = append(e.buf, f.name...)
-		if e.pretty {
-			e.buf = append(e.buf, ' ')
-		}
 		if err := e.value(v.Field(f.index)); err != nil {
 			return err
 		}
 	}
-	e.depth--
-	e.newline()
 	e.buf = append(e.buf, '}')
 	return nil
 }

@@ -200,9 +200,10 @@ func TestByteSlices(t *testing.T) {
 	}
 }
 
-// TestRawMessageCompactedAndValidated: the compact encoding compacts a
+// TestRawMessageCompactedAndValidated: the encoding compacts a
 // RawMessage, so it is always one line, without HTML-escaping it; the
-// pretty encoding keeps it as given. Invalid JSON fails in both.
+// indented form indents it with the rest of the value. Invalid JSON fails
+// in both.
 func TestRawMessageCompactedAndValidated(t *testing.T) {
 	v := struct {
 		Table json.RawMessage `json:"table"`
@@ -218,7 +219,8 @@ func TestRawMessageCompactedAndValidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "{\n  \"table\": " + string(v.Table) + "\n}"; string(pretty) != want {
+	const want = "{\n  \"table\": {\n    \"note\": \"depth >= t\",\n    \"cols\": [\n      \"T&F\",\n      \"a<b\"\n    ]\n  }\n}"
+	if string(pretty) != want {
 		t.Errorf("pretty form:\n got %q\nwant %q", pretty, want)
 	}
 	v.Table = json.RawMessage(`{"a":`)

@@ -21,7 +21,10 @@
 //     record ships asynchronously to R peers, sealed JSONL segments ship
 //     whole, and a store miss consults replicas before computing. A node
 //     rejoining after a crash back-fills segments from its peers, so a
-//     crash mid-sweep loses no completed trial.
+//     crash mid-sweep loses no completed trial. A received segment fills
+//     only the keys its receiver lacks, appending them to the receiver's
+//     own log, so they replay after a restart as they read before it and
+//     ship onward when that segment seals.
 package cluster
 
 import (
@@ -125,8 +128,8 @@ type Node struct {
 	exec  *jobs.Executor
 	store *jobs.Store
 	sched *jobs.Scheduler
-	live  *telemetry.Live
-	inner http.Handler // the wrapped jobs.Server handler
+	srv   *jobs.Server
+	inner http.Handler // srv's handler
 
 	steal *stealCoordinator
 	repl  *replicator
@@ -245,8 +248,8 @@ func (n *Node) Start(sched *jobs.Scheduler, live *telemetry.Live) {
 	}
 	n.started = true
 	n.sched = sched
-	n.live = live
-	n.inner = (&jobs.Server{Sched: sched, Live: live}).Handler()
+	n.srv = &jobs.Server{Sched: sched, Live: live}
+	n.inner = n.srv.Handler()
 	n.wg.Add(1)
 	go n.repl.run(&n.wg)
 	if n.store != nil && len(n.others) > 0 {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -329,6 +328,39 @@ func TestForwardedSubmitReachesOwner(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesTrailingBytes: a single node and a cluster node decode
+// a POST /jobs body the same way. A submit followed by anything but
+// whitespace gets 400 from both, and the same submit followed by a
+// newline is taken by both.
+func TestSubmitRefusesTrailingBytes(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	nodes := startCluster(t, []string{"a"}, func(c *Config) { c.StealInterval = -1 })
+	sched := jobs.NewScheduler(&jobs.Executor{}, jobs.Options{})
+	defer sched.Close()
+	single := httptest.NewServer((&jobs.Server{Sched: sched}).Handler())
+	defer single.Close()
+	body, err := json.Marshal(jobs.SubmitRequest{Spec: sweepSpec(5, 1, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{single.URL, nodes[0].srv.URL} {
+		for _, tc := range []struct {
+			tail string
+			ok   bool
+		}{{" x", false}, {" {}", false}, {"\n", true}} {
+			resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(string(body)+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if ok := resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted; ok != tc.ok ||
+				!ok && resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: a submit followed by %q got %d", url, tc.tail, resp.StatusCode)
+			}
+		}
+	}
+}
+
 // TestBodyBounds: a clustered submit one byte over jobs.MaxSubmitBytes
 // and a steal request one byte over maxStealBytes are both refused with
 // 413, and a normal steal request on an idle node still gets 204.
@@ -404,8 +436,8 @@ func TestBodyBounds(t *testing.T) {
 	if n := nodes[0].store.Len(); n != 0 {
 		t.Errorf("oversized bodies landed %d records", n)
 	}
-	if reps, err := filepath.Glob(filepath.Join(nodes[0].dir, "rep-*")); err != nil || len(reps) != 0 {
-		t.Errorf("oversized segment landed: %v %v", reps, err)
+	if segs, err := nodes[0].store.Segments(); err != nil || len(segs) != 0 {
+		t.Errorf("oversized segment landed: %v %v", segs, err)
 	}
 	if code := post("/internal/store", []byte(record)); code != http.StatusOK {
 		t.Fatalf("normal store record: status %d, want 200", code)

@@ -45,8 +45,8 @@ func newReplicator(n *Node) *replicator {
 
 // observeRecord is the Store.Observer hook: every locally originated
 // append queues a push of that record to its replica peers. Replicated
-// ingests arrive via PutRaw, which skips the observer, so copies never
-// ping-pong between nodes.
+// ingests arrive via PutRaw and ImportSegment, which skip the observer,
+// so copies never ping-pong between nodes.
 func (r *replicator) observeRecord(key string, value json.RawMessage) {
 	r.enqueue(replItem{Key: key, Value: value})
 }
@@ -147,7 +147,7 @@ func (r *replicator) pushSegment(name string) {
 
 // sendSegment posts raw segment bytes to one peer.
 func (n *Node) sendSegment(p Peer, name string, data []byte) error {
-	u := p.URL + "/internal/segments/" + url.PathEscape(name) + "?origin=" + url.QueryEscape(n.cfg.Self)
+	u := p.URL + "/internal/segments/" + url.PathEscape(name)
 	resp, err := n.send(http.MethodPost, u, "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		return err
@@ -199,9 +199,10 @@ func (n *Node) fetchRecord(p Peer, storeKey string) (json.RawMessage, bool) {
 	return json.RawMessage(data), true
 }
 
-// backfill runs once at start: fetch every peer's sealed segments this
-// node has not yet imported, so a node rejoining after a crash recovers
-// the records (checkpoints included) that replicated while it was down.
+// backfill runs once at start: fetch every peer's sealed segments and
+// import them, so a node rejoining after a crash recovers the records
+// (checkpoints included) that replicated while it was down; gap-fill
+// skips every key the node already holds.
 func (n *Node) backfill(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for _, p := range n.others {
@@ -224,7 +225,7 @@ func (n *Node) backfill(wg *sync.WaitGroup) {
 				n.cfg.Logf("cluster: %s: backfill %s from %s: %v", n.cfg.Self, info.Name, p.Name, err)
 				continue
 			}
-			added, err := n.store.ImportSegment(p.Name, info.Name, data)
+			added, err := n.store.ImportSegment(data)
 			if err != nil {
 				n.cfg.Logf("cluster: %s: import %s from %s: %v", n.cfg.Self, info.Name, p.Name, err)
 				continue

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -172,8 +171,8 @@ func TestCloseCancelsRequestsToSilentPeer(t *testing.T) {
 
 // TestBackfillRefusesOversizedSegment: a peer segment longer than
 // maxSegmentBytes fails the fetch with jobs.ErrResponseTooLarge, and
-// back-fill imports nothing from it — neither a rep-* file nor a record
-// of its valid prefix.
+// back-fill imports nothing from it — neither a segment file nor a
+// record of its valid prefix.
 func TestBackfillRefusesOversizedSegment(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const name = "seg-000001.jsonl"
@@ -217,8 +216,8 @@ func TestBackfillRefusesOversizedSegment(t *testing.T) {
 	if store.Len() != 0 {
 		t.Errorf("back-fill imported %d records from an oversized segment", store.Len())
 	}
-	if reps, err := filepath.Glob(filepath.Join(dir, "rep-*")); err != nil || len(reps) != 0 {
-		t.Errorf("oversized segment landed: %v %v", reps, err)
+	if segs, err := store.Segments(); err != nil || len(segs) != 0 {
+		t.Errorf("oversized segment landed: %v %v", segs, err)
 	}
 	if len(logs) != 1 || !strings.Contains(logs[0], "exceeds its bound") {
 		t.Errorf("back-fill logged %q, want one bound error", logs)

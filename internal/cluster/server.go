@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,58 +53,28 @@ type errorBody struct {
 
 // submit handles POST /jobs: forward to the key's owner when the hop
 // budget allows, execute locally otherwise (including when the owner is
-// unreachable — placement is best effort, availability is not).
+// unreachable — placement is best effort, availability is not). The
+// body is decoded and answered as on a single node.
 func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, jobs.MaxSubmitBytes))
-	if err != nil {
-		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: "bad request body: " + err.Error()})
+	req, ok := jobs.DecodeSubmit(w, r)
+	if !ok {
 		return
 	}
-	var req jobs.SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	key, err := req.Spec.Key()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	via := r.Header.Get(viaHeader)
-	if owner, ok := n.shouldForward(key, via); ok {
-		st, err := n.forwardSubmit(owner, via, req)
-		if err == nil {
-			code := http.StatusAccepted
-			if st.State == jobs.StateDone {
-				code = http.StatusOK
+	// A spec without a key is not forwarded: the local submit refuses it.
+	if key, err := req.Spec.Key(); err == nil {
+		via := r.Header.Get(viaHeader)
+		if owner, ok := n.shouldForward(key, via); ok {
+			st, err := n.forwardSubmit(owner, via, req)
+			if err == nil {
+				n.srv.AnswerSubmit(w, st, nil)
+				return
 			}
-			writeJSON(w, code, st)
-			return
+			n.m.forwardFallbacks.Add(1)
+			n.cfg.Logf("cluster: %s: forward %s to owner %s failed (%v); executing locally", n.cfg.Self, key, owner.Name, err)
 		}
-		n.m.forwardFallbacks.Add(1)
-		n.cfg.Logf("cluster: %s: forward %s to owner %s failed (%v); executing locally", n.cfg.Self, key, owner.Name, err)
 	}
-	n.localSubmit(w, req)
-}
-
-// localSubmit runs a submit on the local scheduler, mirroring the jobs
-// server's status mapping.
-func (n *Node) localSubmit(w http.ResponseWriter, req jobs.SubmitRequest) {
 	st, err := n.sched.Submit(req.Spec, req.Priority)
-	switch {
-	case errors.Is(err, jobs.ErrBusy):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(n.sched.RetryAfter().Seconds())))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	code := http.StatusAccepted
-	if st.State == jobs.StateDone {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	n.srv.AnswerSubmit(w, st, err)
 }
 
 // status handles GET /jobs/{key}: serve locally known jobs, otherwise
@@ -320,22 +289,21 @@ func (n *Node) handleSegmentGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSegmentPut handles POST /internal/segments/{name}?origin=peer:
-// import a shipped segment (gap fill only; local data always wins).
+// handleSegmentPut handles POST /internal/segments/{name}: import a
+// shipped segment (gap fill only; what the node holds always wins).
 func (n *Node) handleSegmentPut(w http.ResponseWriter, r *http.Request) {
 	if n.store == nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no store on this node"})
 		return
 	}
-	origin := r.URL.Query().Get("origin")
 	data, err := io.ReadAll(boundedBody(w, r, maxSegmentBytes))
 	if err != nil {
 		writeJSON(w, jobs.BodyErrorStatus(err), errorBody{Error: err.Error()})
 		return
 	}
-	added, err := n.store.ImportSegment(origin, r.PathValue("name"), data)
+	added, err := n.store.ImportSegment(data)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"applied": added})

@@ -216,9 +216,10 @@ type Executor struct {
 // lookupJSON resolves a store key into out, which must point to a zero
 // value, and returns the bytes it decoded, nil on a miss: the local store
 // first, then the cluster read-repair hook. A remote hit is compacted as
-// PutRaw stores it and persisted locally, so the next lookup is a local
-// one and returns the same bytes. Both are canon's bytes, written here or
-// at the record's origin, so canon.Unmarshal decodes them.
+// PutRaw stores it and persisted locally, and the bytes the store then
+// holds are returned, so the next lookup is a local one and returns the
+// same bytes. Both are canon's bytes, written here or at the record's
+// origin, so canon.Unmarshal decodes them.
 func (e *Executor) lookupJSON(storeKey string, out any) (json.RawMessage, error) {
 	if e.Store != nil {
 		if raw, ok := e.Store.Get(storeKey); ok {
@@ -246,6 +247,9 @@ func (e *Executor) lookupJSON(storeKey string, out any) (json.RawMessage, error)
 		if err := e.Store.PutRaw(storeKey, raw.Bytes()); err != nil {
 			return nil, err
 		}
+		if stored, ok := e.Store.Get(storeKey); ok {
+			return stored, nil
+		}
 	}
 	return raw.Bytes(), nil
 }
@@ -258,29 +262,30 @@ func (e *Executor) lookupJSON(storeKey string, out any) (json.RawMessage, error)
 // trials and stops the sweep with ErrCanceled, retaining the checkpoint.
 // The second return reports whether the result came from the store.
 func (e *Executor) Run(spec Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, bool, error) {
-	res, stored, err := e.run(spec, eng, progress, canceled)
-	return res, stored != nil, err
+	res, _, hit, err := e.run(spec, eng, progress, canceled)
+	return res, hit, err
 }
 
-// run is Run returning, for a result found in the store or through
-// Lookup, the bytes it was decoded from (nil for a computed result), so
-// one key serves one byte string even when the stored record was written
-// in an older layout.
-func (e *Executor) run(spec Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, json.RawMessage, error) {
+// run is Run returning also the result's canonical JSON as the store
+// holds it: the bytes a hit was decoded from, so one key serves one byte
+// string even when the stored record was written in an older layout, or
+// the bytes Put wrote for a computed result. They are nil for a result
+// computed without a store.
+func (e *Executor) run(spec Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, json.RawMessage, bool, error) {
 	key, err := spec.Key()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	norm := spec.Normalized()
 	if e.Store != nil || e.Lookup != nil {
 		var cached Result
 		stored, err := e.lookupJSON(resultKey(key), &cached)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
 		if stored != nil {
 			cached.reload()
-			return &cached, stored, nil
+			return &cached, stored, true, nil
 		}
 	}
 	var res *Result
@@ -292,21 +297,20 @@ func (e *Executor) run(spec Spec, eng Simulator, progress func(done, total int),
 	default:
 		res, err = e.runRoute(key, norm, eng, progress, canceled)
 	}
-	if err != nil {
-		return nil, nil, err
+	if err != nil || e.Store == nil {
+		return res, nil, false, err
 	}
-	if e.Store != nil {
-		if err := e.Store.Put(resultKey(key), res); err != nil {
-			return nil, nil, err
-		}
-		if err := e.Store.Delete(checkpointKey(key)); err != nil {
-			return nil, nil, err
-		}
-		if err := e.Store.Sync(); err != nil {
-			return nil, nil, err
-		}
+	if err := e.Store.Put(resultKey(key), res); err != nil {
+		return nil, nil, false, err
 	}
-	return res, nil, nil
+	raw, _ := e.Store.Get(resultKey(key))
+	if err := e.Store.Delete(checkpointKey(key)); err != nil {
+		return nil, nil, false, err
+	}
+	if err := e.Store.Sync(); err != nil {
+		return nil, nil, false, err
+	}
+	return res, raw, false, nil
 }
 
 // runExperiment delegates to the injected experiment harness. The

@@ -60,11 +60,12 @@ type JobStatus struct {
 
 // job is the scheduler's internal record; its mutable fields are guarded
 // by the scheduler mutex except cancel and doneTrials, which the worker
-// touches mid-run. A done job keeps its result as canonical JSON, the
-// bytes the store holds, so serving it needs no encoding.
+// touches mid-run. A job holds its spec only until a worker takes it, and
+// a done job keeps its result as canonical JSON, the bytes the store
+// holds, so serving it needs no encoding.
 type job struct {
 	key      string
-	spec     Spec
+	spec     Spec //optlint:guardedby mu
 	priority int
 	seq      uint64
 	heapIdx  int //optlint:guardedby mu
@@ -245,7 +246,7 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 	}
 	if cached != nil {
 		j := &job{
-			key: key, spec: norm, priority: priority,
+			key: key, priority: priority,
 			state: StateDone, fromCache: true,
 			totalTrials: totalTrials, result: cached,
 			done: make(chan struct{}),
@@ -302,18 +303,18 @@ func (s *Scheduler) worker() {
 		}
 		j := heap.Pop(&s.queue).(*job)
 		j.state = StateRunning
+		spec := j.spec
+		j.spec = Spec{}
 		s.running++
 		s.mu.Unlock()
 
 		progress := func(done, total int) {
 			j.doneTrials.Store(int64(done))
 		}
-		res, raw, err := s.exec.run(j.spec, eng, progress, j.cancel.Load)
-		fromCache := raw != nil
-		if err == nil && !fromCache {
-			// The same encoding Store.Put wrote, so a fresh job and a stored
-			// one serve the same bytes. A hit serves the bytes it was
-			// decoded from.
+		res, raw, fromCache, err := s.exec.run(spec, eng, progress, j.cancel.Load)
+		if err == nil && raw == nil {
+			// No store holds the result: encode it as Store.Put would, so
+			// a job serves the same bytes with a store and without one.
 			raw, err = canon.Marshal(res)
 		}
 

@@ -1,10 +1,13 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -436,5 +439,66 @@ func TestWorkerEngineZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("worker engine allocates %v times per round after jobs-layer warmup, want 0", avg)
+	}
+}
+
+// TestJobsKeepOneCopy: a finished job holds the one copy of its result
+// the store holds. With a store, a fresh job and a read-repair hit serve
+// the very bytes the store's index holds (the same backing array, so Put
+// is the only encoding); without one, a fresh job serves canon's
+// encoding, the same bytes. A job drops its spec once it has run, and a
+// cached hit never holds one.
+func TestJobsKeepOneCopy(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	spec := testDynamicSpec(t, 9, 2)
+	key := mustKey(t, spec)
+	run := func(exec *Executor, wantHit bool) json.RawMessage {
+		t.Helper()
+		s := NewScheduler(exec, Options{})
+		defer s.Close()
+		if _, err := s.Submit(spec, 0); err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, s, key); st.State != StateDone || st.FromCache != wantHit {
+			t.Fatalf("%+v, want done with from_cache %v", st, wantHit)
+		}
+		raw, _, err := s.ResultJSON(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		if j := s.jobs[key]; j.spec != (Spec{}) {
+			t.Errorf("finished job (from_cache %v) still holds its spec", wantHit)
+		}
+		s.mu.Unlock()
+		if exec.Store != nil {
+			if stored, _ := exec.Store.Get(ResultKey(key)); unsafe.SliceData(raw) != unsafe.SliceData(stored) {
+				t.Errorf("from_cache %v: the job serves a copy of the stored result, not the store's bytes", wantHit)
+			}
+		}
+		return raw
+	}
+	open := func() *Store {
+		store, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		return store
+	}
+	origin := open()
+	fresh := run(&Executor{Store: origin}, false)
+	run(&Executor{Store: origin}, true)
+	lookup := func(storeKey string) (json.RawMessage, bool) { return origin.Get(storeKey) }
+	if repaired := run(&Executor{Store: open(), Lookup: lookup}, true); !bytes.Equal(repaired, fresh) {
+		t.Errorf("read-repair hit served %d bytes, the fresh job %d", len(repaired), len(fresh))
+	}
+	plain := run(&Executor{}, false)
+	res, err := decodeResult(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, fresh) || !bytes.Equal(plain, resultBytes(t, res)) {
+		t.Errorf("without a store the job served %d bytes, with one %d", len(plain), len(fresh))
 	}
 }

@@ -105,26 +105,45 @@ func BodyErrorStatus(err error) int {
 
 // submit handles POST /jobs.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes)).Decode(&req); err != nil {
-		writeJSON(w, BodyErrorStatus(err), errorBody{Error: "bad request body: " + err.Error()})
-		return
+	if req, ok := DecodeSubmit(w, r); ok {
+		st, err := s.Sched.Submit(req.Spec, req.Priority)
+		s.AnswerSubmit(w, st, err)
 	}
-	st, err := s.Sched.Submit(req.Spec, req.Priority)
+}
+
+// DecodeSubmit reads a POST /jobs body of at most MaxSubmitBytes as one
+// SubmitRequest and nothing after it, on a single node and on a cluster
+// node alike. On failure it answers the request itself, with 413 for a
+// body over the bound and 400 otherwise, and returns false.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, bool) {
+	var req SubmitRequest
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
+		writeJSON(w, BodyErrorStatus(err), errorBody{Error: "bad request body: " + err.Error()})
+		return req, false
+	}
+	return req, true
+}
+
+// AnswerSubmit answers a POST /jobs whose submit returned st and err: 429
+// with a Retry-After hint when the queue was full, 400 for any other
+// error, and otherwise the job's status, 200 once it is done and 202
+// while it is queued or running.
+func (s *Server) AnswerSubmit(w http.ResponseWriter, st JobStatus, err error) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.Sched.RetryAfter()/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		return
 	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+	case st.State == StateDone:
+		writeJSON(w, http.StatusOK, st)
+	default:
+		writeJSON(w, http.StatusAccepted, st)
 	}
-	code := http.StatusAccepted
-	if st.State == StateDone {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
 }
 
 // status handles GET /jobs/{key}.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/canon"
@@ -304,8 +306,8 @@ func FuzzSpecKey(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req SubmitRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+		req, ok := DecodeSubmit(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if !ok {
 			return
 		}
 		key, err := req.Spec.Key()

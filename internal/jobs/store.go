@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -18,17 +17,20 @@ import (
 
 // Store is the content-addressed result store: an append-only log of
 // key/value records in JSONL segment files plus an in-memory index of the
-// latest value per key. Records are appended to the current segment until
-// it exceeds the roll threshold; the segment is then fsynced, closed and
-// a new one started, so every sealed segment is durable. A null value is
-// a tombstone removing the key.
+// latest value per key. Every write — Put, PutRaw, Delete and each record
+// an import applies — appends one line to the current segment until it
+// exceeds the roll threshold; the segment is then fsynced, closed and a
+// new one started, so every sealed segment is durable. A null value is a
+// tombstone removing the key.
 //
-// On open the store replays all segments in name order. A segment whose
-// tail fails to parse — the signature of a crash mid-append — keeps its
-// valid prefix; the corrupt tail is skipped and counted, and appends go
-// to a fresh segment, never into a possibly-torn file. A write that fails
-// partway is cut back out of the segment, so it cannot hide the records
-// appended after it.
+// On open the store replays all segments in name order by one rule: each
+// record sets its key, a tombstone removes it. The log holds every write
+// in the order the index took it, so a reopened store reads what the live
+// one read. A segment whose tail fails to parse — the signature of a
+// crash mid-append — keeps its valid prefix; the corrupt tail is skipped
+// and counted, and appends go to a fresh segment, never into a
+// possibly-torn file. A write that fails partway is cut back out of the
+// segment, so it cannot hide the records appended after it.
 //
 // Store is safe for concurrent use: reads share an RLock over the index
 // only, so lookups proceed during appends and segment rolls.
@@ -112,22 +114,42 @@ func OpenWithSegmentBytes(dir string, maxSegBytes int64) (*Store, error) {
 	// costs nothing, keeps the guardedby contract checkable, and protects
 	// any future caller that shares the store before Open returns.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, name := range names {
 		if seq := segmentSeq(name); seq > s.segSeq {
 			s.segSeq = seq
 		}
 		if err := s.replay(name); err != nil {
+			s.mu.Unlock()
 			return nil, err
+		}
+	}
+	s.mu.Unlock()
+	// A store written before imports joined the log keeps what it imported
+	// in rep-<origin>-<name> files. Each is imported once, after the
+	// store's own segments, and removed; a crash before the removal
+	// imports it again on the next open, which gap-fill makes idempotent.
+	// Such a file can refill a key the store deleted itself, but only
+	// checkpoints are deleted, once their result is stored, and every
+	// lookup reads the result first.
+	legacy, _ := filepath.Glob(filepath.Join(dir, "rep-*.jsonl"))
+	for _, path := range legacy {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			_, err = s.ImportSegment(data)
+		}
+		if err == nil {
+			err = os.Remove(path)
+		}
+		if err != nil {
+			_ = s.Close()
+			return nil, fmt.Errorf("jobs: import %s: %w", path, err)
 		}
 	}
 	return s, nil
 }
 
-// segmentNames lists the store's segment files in replay (name) order.
-// Replicated segments imported from peers (rep-<origin>-seg-NNNNNN.jsonl)
-// sort before local ones ("rep-" < "seg-"), so local appends always win
-// when both spell a value for the same key.
+// segmentNames lists the store's segment files (seg-*.jsonl) in replay
+// (name) order.
 func segmentNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -135,15 +157,10 @@ func segmentNames(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && !strings.HasSuffix(name, ".jsonl") {
-			continue
-		}
-		if !e.IsDir() && (strings.HasPrefix(name, "seg-") || strings.HasPrefix(name, "rep-")) {
+		if name := e.Name(); !e.IsDir() && strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".jsonl") {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
 	return names, nil
 }
 
@@ -158,10 +175,7 @@ func segmentSeq(name string) int {
 }
 
 // replay loads the named segment into the index, stopping at the first
-// unparseable line (a torn append) and counting the skipped tail. A
-// local segment (seg-) replays by the full rules, tombstones included; a
-// replicated one (rep-) fills gaps as ImportSegment did when it arrived,
-// so an imported segment reads the same before and after a restart.
+// unparseable line (a torn append) and counting the skipped tail.
 //
 //optlint:locked mu
 func (s *Store) replay(name string) error {
@@ -172,11 +186,7 @@ func (s *Store) replay(name string) error {
 	}
 	//optlint:allow errsink segment is opened read-only for replay; close cannot lose data
 	defer f.Close()
-	apply := s.apply
-	if strings.HasPrefix(name, "rep-") {
-		apply = func(rec storeRecord) { s.fill(rec) }
-	}
-	if scanRecords(f, apply) {
+	if scanRecords(f, s.apply) {
 		s.skippedTail++
 	}
 	return nil
@@ -203,34 +213,21 @@ func scanRecords(r io.Reader, fn func(storeRecord)) (cut bool) {
 	return sc.Err() != nil
 }
 
-// apply folds one local record into the index (null value = tombstone).
+// tombstone reports whether a record's value removes its key: null, or
+// no value at all.
+func tombstone(v json.RawMessage) bool {
+	return len(v) == 0 || string(v) == "null"
+}
+
+// apply folds one record into the index.
 //
 //optlint:locked mu
 func (s *Store) apply(rec storeRecord) {
-	if len(rec.V) == 0 || string(rec.V) == "null" {
+	if tombstone(rec.V) {
 		delete(s.index, rec.K)
 		return
 	}
 	s.index[rec.K] = rec.V
-}
-
-// fill folds one record of a replicated segment into the index by the
-// gap-fill rule and reports whether it applied it: a value fills its key
-// only where the index has none, and a tombstone is skipped, so
-// replicated data never overwrites or deletes what the index holds.
-// ImportSegment and the replay of rep- segments both apply records
-// through it.
-//
-//optlint:locked mu
-func (s *Store) fill(rec storeRecord) bool {
-	if len(rec.V) == 0 || string(rec.V) == "null" {
-		return false
-	}
-	if _, ok := s.index[rec.K]; ok {
-		return false
-	}
-	s.index[rec.K] = rec.V
-	return true
 }
 
 // Get returns the latest value stored for key. The returned bytes are
@@ -261,7 +258,8 @@ func (s *Store) GetJSON(key string, out any) (bool, error) {
 // sees the append: Put is the locally originated write path, the one
 // replication must fan out.
 func (s *Store) Put(key string, v any) error {
-	return s.append(key, func(line []byte) ([]byte, error) { return canon.Append(line, v) }, true)
+	_, err := s.append(key, func(line []byte) ([]byte, error) { return canon.Append(line, v) }, writeLocal)
+	return err
 }
 
 // PutRaw appends an already-encoded value for key without notifying the
@@ -272,7 +270,7 @@ func (s *Store) Put(key string, v any) error {
 // empty or invalid JSON is an error, as is a tombstone, and whitespace
 // is compacted away so the record stays one line.
 func (s *Store) PutRaw(key string, raw json.RawMessage) error {
-	return s.append(key, func(line []byte) ([]byte, error) {
+	_, err := s.append(key, func(line []byte) ([]byte, error) {
 		n := len(line)
 		out := bytes.NewBuffer(line)
 		if err := json.Compact(out, raw); err != nil {
@@ -282,20 +280,22 @@ func (s *Store) PutRaw(key string, raw json.RawMessage) error {
 			return nil, fmt.Errorf("jobs: PutRaw of a tombstone for %s", key)
 		}
 		return out.Bytes(), nil
-	}, false)
+	}, writeRaw)
+	return err
 }
 
 // Delete appends a tombstone for key.
 func (s *Store) Delete(key string) error {
-	return s.append(key, nil, false)
+	_, err := s.append(key, nil, writeRaw)
+	return err
 }
 
 // recordLine builds one segment line, {"k":<key>,"v":<value>}\n, for
-// Put, PutRaw and Delete alike. The key goes through canon's string
-// escaper; appendValue appends the value's JSON, which must be one line,
-// and a nil appendValue writes the tombstone null. The returned value is
-// the value's bytes inside the line: the index, the segment and the
-// Observer share that one copy.
+// every write alike. The key goes through canon's string escaper;
+// appendValue appends the value's JSON, which must be one line, and a nil
+// appendValue writes the tombstone null. The returned value is the
+// value's bytes inside the line: the index, the segment and the Observer
+// share that one copy.
 func recordLine(key string, appendValue func(line []byte) ([]byte, error)) (line []byte, value json.RawMessage, err error) {
 	line = append(line, `{"k":`...)
 	line = canon.AppendString(line, key)
@@ -311,36 +311,52 @@ func recordLine(key string, appendValue func(line []byte) ([]byte, error)) (line
 	return line, line[start:end:end], nil
 }
 
+// writeMode is what append does with a record beyond writing it.
+type writeMode int
+
+const (
+	// writeRaw writes the record as it is: PutRaw and Delete.
+	writeRaw writeMode = iota
+	// writeLocal also shows it to the Observer: Put.
+	writeLocal
+	// writeFill writes it only where its key is absent: an import.
+	writeFill
+)
+
 // append writes one record line, rolling the segment first when the
-// current one is full. local marks an Observer-visible origin write.
-func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error), local bool) error {
+// current one is full, and reports whether it wrote it (a writeFill
+// record whose key is present is not written).
+func (s *Store) append(key string, appendValue func(line []byte) ([]byte, error), mode writeMode) (bool, error) {
 	if key == "" {
-		return fmt.Errorf("jobs: empty store key")
+		return false, fmt.Errorf("jobs: empty store key")
 	}
 	line, value, err := recordLine(key, appendValue)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrStoreClosed
+		return false, ErrStoreClosed
+	}
+	if _, ok := s.index[key]; ok && mode == writeFill {
+		return false, nil
 	}
 	if s.seg == nil || s.segBytes+int64(len(line)) > s.maxSegBytes {
 		if err := s.rollLocked(); err != nil {
-			return err
+			return false, err
 		}
 	}
 	if _, err := s.seg.Write(line); err != nil {
 		s.dropTornLocked()
-		return fmt.Errorf("jobs: append: %w", err)
+		return false, fmt.Errorf("jobs: append: %w", err)
 	}
 	s.segBytes += int64(len(line))
 	s.apply(storeRecord{K: key, V: value})
-	if local && s.Observer != nil {
+	if mode == writeLocal && s.Observer != nil {
 		s.Observer(key, value)
 	}
-	return nil
+	return true, nil
 }
 
 // dropTornLocked removes what a failed write left of its line. Replay
@@ -440,9 +456,9 @@ func (s *Store) SkippedTails() int {
 	return s.skippedTail
 }
 
-// SegmentInfo describes one of the store's own (locally written) segment
-// files for replication: name, current size, and whether it is still the
-// active append target (an active segment may grow after being listed).
+// SegmentInfo describes one of the store's segment files for
+// replication: name, current size, and whether it is still the active
+// append target (an active segment may grow after being listed).
 type SegmentInfo struct {
 	// Name is the segment file name (seg-NNNNNN.jsonl).
 	Name string `json:"name"`
@@ -452,9 +468,10 @@ type SegmentInfo struct {
 	Active bool `json:"active"`
 }
 
-// Segments lists the store's locally written segments in name order.
-// Imported replica segments (rep-*) are excluded: each node serves only
-// its own data, so shipped segments never chain origins.
+// Segments lists the store's segments in name order. They hold what the
+// node imported as well as what it wrote, so a shipped segment carries
+// imported records onward; the receiver's gap-fill skips every key it
+// already holds, so the repeat changes nothing.
 func (s *Store) Segments() ([]SegmentInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -478,13 +495,12 @@ func (s *Store) Segments() ([]SegmentInfo, error) {
 		}
 		infos = append(infos, SegmentInfo{Name: name, Size: fi.Size(), Active: name == active})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos, nil
 }
 
-// validSegmentName reports whether name is a well-formed local segment
-// file name — the only names ReadSegment and ImportSegment accept, so a
-// peer-supplied name can never traverse outside the store directory.
+// validSegmentName reports whether name is a well-formed segment file
+// name — the only names ReadSegment accepts, so a peer-supplied name can
+// never traverse outside the store directory.
 func validSegmentName(name string) bool {
 	var seq int
 	_, err := fmt.Sscanf(name, "seg-%06d.jsonl", &seq)
@@ -507,40 +523,34 @@ func (s *Store) ReadSegment(name string) ([]byte, error) {
 	return data, nil
 }
 
-// ImportSegment ingests a segment shipped from the named origin peer:
-// the file lands as rep-<origin>-<name> (replayed by the same rule before
-// local segments on a future open) and its records fill gaps in the live
-// index. Import is strictly additive — a record is applied only when its
-// key is absent locally, and tombstones are ignored — so replicated data
-// can never overwrite or delete anything this node wrote itself.
-// Re-importing the same segment (e.g. after the origin's active segment
-// grew) rewrites the file and re-runs the gap fill, which is idempotent.
-// Returns the number of records applied to the index.
-func (s *Store) ImportSegment(origin, name string, data []byte) (int, error) {
-	if !validSegmentName(name) {
-		return 0, fmt.Errorf("jobs: bad segment name %q", name)
-	}
-	if origin == "" || strings.ContainsAny(origin, "/\\ \t\n") {
-		return 0, fmt.Errorf("jobs: bad segment origin %q", origin)
-	}
-	// Parse outside the lock; a torn tail (origin crashed or the segment
-	// was copied mid-append) keeps the valid prefix, like replay.
-	var recs []storeRecord
-	scanRecords(bytes.NewReader(data), func(rec storeRecord) { recs = append(recs, rec) })
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrStoreClosed
-	}
-	path := filepath.Join(s.dir, "rep-"+origin+"-"+name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return 0, fmt.Errorf("jobs: import segment: %w", err)
-	}
+// ImportSegment fills gaps in the store from a segment a peer shipped. A
+// record is applied only when its key is absent and its value is not a
+// tombstone, so the first value of a key in the segment wins and an
+// import never overwrites or deletes what the store holds; a torn tail
+// keeps its valid prefix, as in replay. Each applied record is appended
+// to the store's own log through the same write path as Put, its value
+// as the peer's line holds it and unseen by the Observer (it was observed
+// at its origin, so no copy ping-pongs between replicas). Replay thus
+// reads back what the live index held, and re-importing a segment fills
+// only keys deleted since. The appended records are synced before
+// ImportSegment returns how many it applied.
+func (s *Store) ImportSegment(data []byte) (int, error) {
 	added := 0
-	for _, rec := range recs {
-		if s.fill(rec) {
+	var err error
+	// Lines parse outside the lock; each applied record holds it only for
+	// its own append.
+	scanRecords(bytes.NewReader(data), func(rec storeRecord) {
+		if err != nil || tombstone(rec.V) {
+			return
+		}
+		var applied bool
+		applied, err = s.append(rec.K, func(line []byte) ([]byte, error) { return append(line, rec.V...), nil }, writeFill)
+		if applied {
 			added++
 		}
+	})
+	if err == nil && added > 0 {
+		err = s.Sync()
 	}
-	return added, nil
+	return added, err
 }

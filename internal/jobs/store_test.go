@@ -379,6 +379,74 @@ func TestStoreConcurrentReadersDuringRoll(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentImportsAndPuts: imports racing local puts and
+// deletes of the same keys leave a log that replays to exactly what the
+// live store reads; run with -race this is the concurrency pin for the
+// import path.
+func TestStoreConcurrentImportsAndPuts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenWithSegmentBytes(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, rounds = 20, 20
+	var seg bytes.Buffer
+	for i := 0; i < keys; i++ {
+		fmt.Fprintf(&seg, "{\"k\":\"key-%02d\",\"v\":\"peer\"}\n", i)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			if _, err := s.ImportSegment(seg.Bytes()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < keys; i++ {
+				key := fmt.Sprintf("key-%02d", i)
+				err := s.Put(key, r)
+				if (r+i)%3 == 0 {
+					err = s.Delete(key)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	live := make(map[string]string)
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("key-%02d", i)
+		if v, ok := s.Get(key); ok {
+			live[key] = string(v)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != len(live) {
+		t.Errorf("reopened store holds %d keys, the live one %d", r.Len(), len(live))
+	}
+	for k, v := range live {
+		if got, _ := r.Get(k); string(got) != v {
+			t.Errorf("%s reads %s after a reopen, %s before", k, got, v)
+		}
+	}
+}
+
 // TestStoreValueBytesSurviveReopen: the store keeps one form of each
 // value. A value holding a RawMessage with whitespace and strings with
 // HTML characters reads back the same bytes before and after a reopen,
@@ -451,7 +519,7 @@ func TestStoreRefusesWritesAfterClose(t *testing.T) {
 		"PutRaw": func() error { return s.PutRaw("b", json.RawMessage("2")) },
 		"Delete": func() error { return s.Delete("a") },
 		"ImportSegment": func() error {
-			_, err := s.ImportSegment("peer", "seg-000001.jsonl", segment)
+			_, err := s.ImportSegment(segment)
 			return err
 		},
 	} {
@@ -720,7 +788,7 @@ func naiveImport(local map[string]string, data []byte) map[string]string {
 // TestImportedSegmentSurvivesReopen imports a replicated segment that
 // deletes one key and rewrites another: under the gap-fill rule the first
 // value of each key fills it, and a close and reopen, which replays the
-// imported file, must read the same.
+// records the import appended to the log, must read the same.
 func TestImportedSegmentSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -729,7 +797,7 @@ func TestImportedSegmentSurvivesReopen(t *testing.T) {
 	}
 	seg := []byte(`{"k":"x","v":1}` + "\n" + `{"k":"x","v":null}` + "\n" +
 		`{"k":"y","v":1}` + "\n" + `{"k":"y","v":2}` + "\n")
-	if n, err := s.ImportSegment("peer", "seg-000001.jsonl", seg); err != nil || n != 2 {
+	if n, err := s.ImportSegment(seg); err != nil || n != 2 {
 		t.Fatalf("ImportSegment applied %d records (err %v), want 2", n, err)
 	}
 	check := func(s *Store, when string) {
@@ -759,7 +827,7 @@ func TestImportedSegmentSurvivesReopen(t *testing.T) {
 // store holding local records: the import must not fail or panic, must
 // apply exactly the records naiveImport applies, and a later Get must
 // serve each applied record's bytes while local records keep theirs,
-// before and after a close and reopen that replays the imported file.
+// before and after a close and reopen that replays the imported records.
 // Seeds are a segment written by Put and Delete, that segment cut short,
 // and the segment in encoding/json's spacing.
 func FuzzImportSegment(f *testing.F) {
@@ -801,7 +869,7 @@ func FuzzImportSegment(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		n, err := s.ImportSegment("peer", "seg-000001.jsonl", data)
+		n, err := s.ImportSegment(data)
 		if err != nil {
 			t.Fatalf("ImportSegment: %v", err)
 		}
@@ -833,4 +901,140 @@ func FuzzImportSegment(f *testing.F) {
 		defer r.Close()
 		check(r, "reopen")
 	})
+}
+
+// reopenKeys are the keys FuzzStoreReopen's programs write.
+var reopenKeys = []string{"k", "d", "x"}
+
+// FuzzStoreReopen runs a program of writes over three keys against a
+// store that rolls its segments often: an op byte picks the write and the
+// key, an argument byte follows. Put and PutRaw set a value, Delete
+// removes it, an import takes arg%3+1 more bytes, each one record of its
+// segment (a key and a small value, null for 0), and a reopen closes the
+// store and opens it again. After every op the store must read what a naive
+// in-order model reads, with imports by the gap-fill rule and their
+// values as the peer's line holds them, and a final close and reopen must
+// read the same. The seeds are two sequences whose reads changed across a
+// reopen when imports were kept beside the log: one key imported from
+// two peers, and a key put and deleted locally and then imported.
+func FuzzStoreReopen(f *testing.F) {
+	f.Add([]byte{3, 0, 3, 3, 0, 6})    // import k=1, then import k=2
+	f.Add([]byte{5, 1, 7, 0, 3, 0, 4}) // put d, delete d, import d=1
+	f.Add([]byte{3, 2, 3, 4, 14, 0, 9, 19, 0, 3, 1, 1, 5, 7, 0, 1, 8})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		dir := t.TempDir()
+		open := func() *Store {
+			s, err := OpenWithSegmentBytes(dir, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		s := open()
+		defer func() { s.Close() }()
+		model := make(map[string]string)
+		check := func(s *Store, when string) {
+			t.Helper()
+			if s.Len() != len(model) {
+				t.Fatalf("%s: store holds %d keys, the model %d", when, s.Len(), len(model))
+			}
+			for _, k := range reopenKeys {
+				got, ok := s.Get(k)
+				if want, held := model[k]; ok != held || string(got) != want {
+					t.Fatalf("%s: %q reads %q (present %v), the model %q (present %v)", when, k, got, ok, want, held)
+				}
+			}
+		}
+		for i := 0; i+1 < len(prog); i += 2 {
+			op, arg := prog[i], prog[i+1]
+			key := reopenKeys[op/5%3]
+			var err error
+			switch op % 5 {
+			case 0:
+				err = s.Put(key, int(arg))
+				model[key] = fmt.Sprint(arg)
+			case 1:
+				err = s.PutRaw(key, json.RawMessage(fmt.Sprintf("[ %d ]", arg)))
+				model[key] = fmt.Sprintf("[%d]", arg)
+			case 2:
+				err = s.Delete(key)
+				delete(model, key)
+			case 3:
+				var seg bytes.Buffer
+				applied := 0
+				for n := int(arg%3) + 1; n > 0 && i+2 < len(prog); n-- {
+					c := prog[i+2]
+					i++
+					k, v := reopenKeys[c%3], "null"
+					if c/3%5 > 0 {
+						v = fmt.Sprintf("[ %d ]", c/3%5)
+					}
+					fmt.Fprintf(&seg, "{\"k\":%q, \"v\": %s}\n", k, v)
+					if _, held := model[k]; !held && v != "null" {
+						model[k] = v
+						applied++
+					}
+				}
+				var n int
+				if n, err = s.ImportSegment(seg.Bytes()); err == nil && n != applied {
+					t.Fatalf("op %d: import applied %d records, the model %d:\n%s", i, n, applied, seg.Bytes())
+				}
+			case 4:
+				err = s.Close()
+				s = open()
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			check(s, fmt.Sprintf("after op %d", i))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = open()
+		check(s, "after a reopen")
+	})
+}
+
+// TestLegacyReplicaFilesImportOnce: a store written when imports were kept
+// in rep-<origin>-<name> files opens with their records imported after its
+// own segments, by gap-fill in file-name order, and the files removed; a
+// second open reads the same.
+func TestLegacyReplicaFilesImportOnce(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"seg-000001.jsonl":            `{"k":"own","v":1}` + "\n" + `{"k":"gone","v":1}` + "\n" + `{"k":"gone","v":null}` + "\n",
+		"rep-a-seg-000001.jsonl":      `{"k":"own","v":2}` + "\n" + `{"k":"peer","v":{"a": 1}}` + "\n" + `{"k":"late","v":null}` + "\n",
+		"rep-b-seg-000007.jsonl":      `{"k":"peer","v":3}` + "\n" + `{"k":"late","v":4}` + "\n" + `{"k":"torn","v":`,
+		"rep-b-seg-000008.jsonl.part": `{"k":"skipped","v":5}` + "\n",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{"own": "1", "peer": `{"a": 1}`, "late": "4"}
+	for pass := 1; pass <= 2; pass++ {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(want) {
+			t.Errorf("open %d: store holds %d keys, want %d", pass, s.Len(), len(want))
+		}
+		for k, v := range want {
+			if got, ok := s.Get(k); !ok || string(got) != v {
+				t.Errorf("open %d: %q reads %q (present %v), want %q", pass, k, got, ok, v)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if reps, err := filepath.Glob(filepath.Join(dir, "rep-*.jsonl")); err != nil || len(reps) != 0 {
+			t.Errorf("open %d left legacy files %v (%v)", pass, reps, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "rep-b-seg-000008.jsonl.part")); err != nil {
+		t.Errorf("a file that is not a legacy segment was touched: %v", err)
+	}
 }

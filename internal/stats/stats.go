@@ -1,6 +1,6 @@
 // Package stats provides the statistical helpers used by the experiment
-// harness: means, extrema and quantiles, linear regression for growth-rate
-// fits, and Welch's t-test.
+// harness: means, maxima and quantiles, and linear regression for
+// growth-rate fits.
 //
 // Everything operates on plain float64 slices and is deterministic, so the
 // experiment tables in EXPERIMENTS.md are exactly reproducible.
@@ -23,22 +23,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (zero for fewer than
-// two samples).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(n-1)
 }
 
 // Max returns the largest element of xs. It panics on an empty slice.
@@ -119,32 +103,4 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 		fit.R2 = sxy * sxy / (sxx * syy)
 	}
 	return fit, nil
-}
-
-// WelchT computes Welch's two-sample t statistic and its approximate
-// two-sided p-value (normal approximation to the t distribution, adequate
-// for the sample sizes the experiments use). It returns an error when
-// either sample has fewer than two points or both variances vanish.
-func WelchT(a, b []float64) (tStat, pValue float64, err error) {
-	if len(a) < 2 || len(b) < 2 {
-		return 0, 0, errors.New("stats: WelchT needs at least 2 samples per group")
-	}
-	ma, mb := Mean(a), Mean(b)
-	va, vb := Variance(a)/float64(len(a)), Variance(b)/float64(len(b))
-	if va+vb == 0 {
-		if ma == mb {
-			return 0, 1, nil
-		}
-		return 0, 0, errors.New("stats: WelchT with zero variance and distinct means")
-	}
-	tStat = (ma - mb) / math.Sqrt(va+vb)
-	// Two-sided p from the standard normal tail.
-	pValue = 2 * normalTail(math.Abs(tStat))
-	return tStat, pValue, nil
-}
-
-// normalTail returns P(Z > z) for a standard normal Z using the
-// complementary error function.
-func normalTail(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
 }

@@ -27,18 +27,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample variance with Bessel correction: sum sq dev = 32, n-1 = 7.
-	want := 32.0 / 7.0
-	if got := Variance(xs); !approx(got, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of single sample should be 0")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	if Min(xs) != -2 || Max(xs) != 7 {
@@ -146,42 +134,5 @@ func TestMeanBetweenMinMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWelchT(t *testing.T) {
-	r := rng.New(55)
-	same1 := make([]float64, 200)
-	same2 := make([]float64, 200)
-	for i := range same1 {
-		same1[i] = r.NormFloat64()
-		same2[i] = r.NormFloat64()
-	}
-	_, p, err := WelchT(same1, same2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.01 {
-		t.Errorf("same-distribution samples rejected: p = %v", p)
-	}
-	shifted := make([]float64, 200)
-	for i := range shifted {
-		shifted[i] = r.NormFloat64() + 1.0
-	}
-	_, p, err = WelchT(same1, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 1e-6 {
-		t.Errorf("shifted samples not detected: p = %v", p)
-	}
-	if _, _, err := WelchT([]float64{1}, same1); err == nil {
-		t.Error("tiny sample accepted")
-	}
-	if _, p, err := WelchT([]float64{2, 2}, []float64{2, 2}); err != nil || p != 1 {
-		t.Error("identical constant samples should give p = 1")
-	}
-	if _, _, err := WelchT([]float64{2, 2}, []float64{3, 3}); err == nil {
-		t.Error("zero variance with distinct means should error")
 	}
 }
