@@ -69,7 +69,7 @@ func TestClusterKillNodeMidSweep(t *testing.T) {
 	// progress, then hard-stop the owner mid-sweep.
 	waitFor(t, 10*time.Second, func() bool {
 		var ck ckptView
-		ok, err := s1.store.GetJSON(jobs.CheckpointKey(key), &ck)
+		ok, err := s1.store.GetJSON("ckpt/"+key, &ck)
 		return err == nil && ok && ck.Done >= 2
 	}, "replicated checkpoint on survivor")
 	owner.kill(t, key)
@@ -83,7 +83,7 @@ func TestClusterKillNodeMidSweep(t *testing.T) {
 	// The replicated progress at takeover: trials [0, k) must never run
 	// again.
 	var ck ckptView
-	ok, err := s1.store.GetJSON(jobs.CheckpointKey(key), &ck)
+	ok, err := s1.store.GetJSON("ckpt/"+key, &ck)
 	if err != nil || !ok {
 		t.Fatalf("survivor checkpoint vanished: ok=%v err=%v", ok, err)
 	}

@@ -235,19 +235,13 @@ type Config struct {
 	Probe *telemetry.Collector
 }
 
-// RoundStats summarizes one round of the protocol.
+// RoundStats summarizes one round of the protocol: the RoundInfo the
+// round hands its probe, plus the paper's time accounting and the
+// round's band utilizations.
 type RoundStats struct {
-	Round         int
-	DelayRange    int // Delta_t
-	ActiveBefore  int // worms active at round start
-	Delivered     int // fully delivered this round
-	Acked         int // acknowledged this round (become inactive)
-	Collisions    int
-	Makespan      int // measured steps of the round's simulation
-	AccountedTime int // Delta_t + 2*(D+L), the paper's round accounting
-	// ResidualCongestion is the path congestion of the active
-	// sub-collection at round start (-1 unless TrackCongestion).
-	ResidualCongestion int
+	telemetry.RoundInfo
+	// AccountedTime is Delta_t + 2*(D+L), the paper's round accounting.
+	AccountedTime int
 	// Utilization is the fraction of message-band (link, wavelength,
 	// step) capacity the round's message traffic occupied;
 	// acknowledgement traffic lives in the reserved band and is reported
@@ -255,11 +249,6 @@ type RoundStats struct {
 	Utilization float64
 	// AckUtilization is the ack band's occupied capacity fraction.
 	AckUtilization float64
-	// FaultKills counts trains the round's fault schedule destroyed
-	// (kept separate from Collisions; see sim.Result.FaultKillCount).
-	FaultKills int
-	// Rerouted counts active worms steered around down links this round.
-	Rerouted int
 }
 
 // Result is the full account of one protocol run.
@@ -363,11 +352,13 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 	for t := 1; len(active) > 0 && t <= maxRounds; t++ {
 		delta := sched.Range(t, params)
 		stats := RoundStats{
-			Round:              t,
-			DelayRange:         delta,
-			ActiveBefore:       len(active),
-			AccountedTime:      delta + 2*(params.Dilation+params.Length),
-			ResidualCongestion: -1,
+			RoundInfo: telemetry.RoundInfo{
+				Round:              t,
+				DelayRange:         delta,
+				ActiveBefore:       len(active),
+				ResidualCongestion: -1,
+			},
+			AccountedTime: delta + 2*(params.Dilation+params.Length),
 		}
 		if cfg.TrackCongestion {
 			stats.ResidualCongestion = residual.congestion(x, active)
@@ -473,18 +464,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 		stats.AckUtilization = simRes.AckUtilization(g.NumLinks(), cfg.Bandwidth)
 		stats.FaultKills = simRes.FaultKillCount
 		if cfg.Probe != nil {
-			cfg.Probe.RoundFinished(telemetry.RoundInfo{
-				Round:              t,
-				DelayRange:         delta,
-				Active:             stats.ActiveBefore,
-				Delivered:          stats.Delivered,
-				Acked:              stats.Acked,
-				Collisions:         stats.Collisions,
-				Makespan:           stats.Makespan,
-				ResidualCongestion: stats.ResidualCongestion,
-				FaultKills:         stats.FaultKills,
-				Rerouted:           stats.Rerouted,
-			})
+			cfg.Probe.RoundFinished(stats.RoundInfo)
 		}
 		if cfg.RecordCollisions {
 			// The engine owns simRes.Collisions and recycles it next round,

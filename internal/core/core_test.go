@@ -215,7 +215,11 @@ func TestResidualCongestionMatchesSubset(t *testing.T) {
 	s := newCongestionScratch(c.Size())
 	active := src.Perm(c.Size())
 	for len(active) > 0 {
-		if got, want := s.congestion(c.Index(), active), c.Subset(active).PathCongestion(); got != want {
+		sub := make([]graph.Path, len(active))
+		for i, idx := range active {
+			sub[i] = c.Path(idx)
+		}
+		if got, want := s.congestion(c.Index(), active), paths.MustCollection(c.Graph(), sub).PathCongestion(); got != want {
 			t.Fatalf("%d active: residual congestion %d, want %d", len(active), got, want)
 		}
 		active = active[:len(active)*2/3]

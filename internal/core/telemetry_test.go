@@ -10,8 +10,8 @@ import (
 )
 
 // TestProbeRoundHooks checks the protocol reports one RoundFinished per
-// round, in order, whose payloads agree with the RoundStats the protocol
-// itself reports, that RoundStarted attributes each acknowledgement to
+// round, in order, whose payload is the RoundInfo of the RoundStats the
+// protocol itself reports, that RoundStarted attributes each acknowledgement to
 // its round, and that attaching the probe does not perturb the run.
 func TestProbeRoundHooks(t *testing.T) {
 	c := torusPermCollection(t, 5, 11)
@@ -43,18 +43,8 @@ func TestProbeRoundHooks(t *testing.T) {
 		t.Fatalf("collector kept %d rounds, protocol ran %d", len(s.Rounds), probed.TotalRounds)
 	}
 	for i, rs := range probed.Rounds {
-		want := telemetry.RoundInfo{
-			Round:              rs.Round,
-			DelayRange:         rs.DelayRange,
-			Active:             rs.ActiveBefore,
-			Delivered:          rs.Delivered,
-			Acked:              rs.Acked,
-			Collisions:         rs.Collisions,
-			Makespan:           rs.Makespan,
-			ResidualCongestion: rs.ResidualCongestion,
-		}
-		if s.Rounds[i] != want {
-			t.Errorf("RoundFinished[%d] = %+v, want %+v", i, s.Rounds[i], want)
+		if s.Rounds[i] != rs.RoundInfo {
+			t.Errorf("RoundFinished[%d] = %+v, want %+v", i, s.Rounds[i], rs.RoundInfo)
 		}
 	}
 

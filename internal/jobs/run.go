@@ -136,10 +136,6 @@ func checkpointKey(key string) string { return "ckpt/" + key }
 // through it.
 func ResultKey(key string) string { return resultKey(key) }
 
-// CheckpointKey returns the store key of the job's mid-sweep checkpoint
-// record.
-func CheckpointKey(key string) string { return checkpointKey(key) }
-
 // reload fixes the one JSON asymmetry of a store round trip: a nil
 // RawMessage is stored as the literal null, which unmarshals as the
 // 4-byte token rather than nil. Normalizing it back keeps cached and

@@ -266,7 +266,8 @@ func TestFinishMatchesAddEdgeGraph(t *testing.T) {
 		got := b.Graph
 		var want []graph.Link
 		seen := map[[2]int]int{} // (from, to) -> link ID
-		for _, p := range b.Collection.Paths() {
+		for i := range b.Collection.Size() {
+			p := b.Collection.Path(i)
 			for k := 0; k+1 < len(p); k++ {
 				u, v := p[k], p[k+1]
 				if _, ok := seen[[2]int{u, v}]; ok {

@@ -51,16 +51,11 @@ func NewCollection(g *graph.Graph, ps []graph.Path) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("paths: %w", err)
 	}
-	return newCollection(g, ps, routes), nil
-}
-
-// newCollection wraps paths with their routes.
-func newCollection(g *graph.Graph, ps []graph.Path, routes []graph.Route) *Collection {
 	d := 0
 	for _, r := range routes {
 		d = max(d, r.Len())
 	}
-	return &Collection{g: g, paths: ps, routes: routes, dilation: d}
+	return &Collection{g: g, paths: ps, routes: routes, dilation: d}, nil
 }
 
 // MustCollection is NewCollection that panics on error; intended for
@@ -81,9 +76,6 @@ func (c *Collection) Size() int { return len(c.paths) }
 
 // Path returns the i-th path. The caller must not modify it.
 func (c *Collection) Path(i int) graph.Path { return c.paths[i] }
-
-// Paths returns the backing slice. The caller must not modify it.
-func (c *Collection) Paths() []graph.Path { return c.paths }
 
 // Route returns path i's route, checked against the collection's graph.
 func (c *Collection) Route(i int) graph.Route { return c.routes[i] }
@@ -325,16 +317,4 @@ func (c *Collection) ComputeStats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d D=%d C=%d C~=%d leveled=%t shortcutfree=%t",
 		s.N, s.Dilation, s.EdgeCongestion, s.PathCongestion, s.Leveled, s.ShortCutFree)
-}
-
-// Subset returns a new collection containing the paths at the given
-// indices (in the given order, duplicates allowed). It shares the path
-// slices and routes with the parent but computes its own metrics.
-func (c *Collection) Subset(indices []int) *Collection {
-	ps := make([]graph.Path, len(indices))
-	routes := make([]graph.Route, len(indices))
-	for i, idx := range indices {
-		ps[i], routes[i] = c.paths[idx], c.routes[idx]
-	}
-	return newCollection(c.g, ps, routes)
 }

@@ -185,15 +185,14 @@ func TestComputeStatsAndString(t *testing.T) {
 }
 
 // TestPathLinksCached pins that every reader of a path's links reads its
-// route, resolved once when the collection was made: the collection, the
-// link index and a subset share one table.
+// route, resolved once when the collection was made: the collection and
+// the link index share one table.
 func TestPathLinksCached(t *testing.T) {
 	g := lineGraph(3)
 	c := MustCollection(g, []graph.Path{{0, 1}, {0, 1, 2}})
 	a := c.PathLinks(1)
 	b := c.Index().PathLinks(1)
-	r := c.Subset([]int{1}).Route(0).Links()
-	if &a[0] != &b[0] || &a[0] != &r[0] || &a[0] != &c.Route(1).Links()[0] {
+	if &a[0] != &b[0] || &a[0] != &c.Route(1).Links()[0] {
 		t.Error("PathLinks should return the route's slice")
 	}
 	if len(a) != 2 || cap(a) != 2 {
@@ -210,28 +209,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if c.Path(1).Source() != 1 {
 		t.Error("Path accessor")
-	}
-	if len(c.Paths()) != 2 {
-		t.Error("Paths accessor")
-	}
-}
-
-func TestSubset(t *testing.T) {
-	g := lineGraph(6)
-	c := MustCollection(g, []graph.Path{{0, 1, 2}, {2, 3, 4}, {0, 1}})
-	sub := c.Subset([]int{2, 0})
-	if sub.Size() != 2 {
-		t.Fatalf("size = %d", sub.Size())
-	}
-	if sub.Path(0).Len() != 1 || sub.Path(1).Len() != 2 {
-		t.Error("wrong paths selected")
-	}
-	if sub.Dilation() != 2 {
-		t.Errorf("subset dilation = %d", sub.Dilation())
-	}
-	// Subset metrics are independent of the parent.
-	if sub.PathCongestion() != 2 { // the two paths share link 0->1
-		t.Errorf("subset path congestion = %d, want 2", sub.PathCongestion())
 	}
 }
 
@@ -301,7 +278,7 @@ func TestCollectionBytesPerHop(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	hops := 0
-	for _, p := range c.Paths() {
+	for _, p := range c.paths {
 		hops += p.Len()
 	}
 	perHop := float64(after.HeapAlloc-before.HeapAlloc) / float64(hops)

@@ -18,10 +18,19 @@ type naiveIndex struct {
 	users map[int32][]int
 }
 
+// pathsOf lists c's paths in order.
+func pathsOf(c *paths.Collection) []graph.Path {
+	ps := make([]graph.Path, c.Size())
+	for i := range ps {
+		ps[i] = c.Path(i)
+	}
+	return ps
+}
+
 func newNaiveIndex(c *paths.Collection) *naiveIndex {
 	r := &naiveIndex{users: make(map[int32][]int)}
 	g := c.Graph()
-	for i, p := range c.Paths() {
+	for i, p := range pathsOf(c) {
 		var ids []int32
 		for k := 0; k+1 < len(p); k++ {
 			id, _ := g.LinkBetween(p[k], p[k+1])
@@ -119,7 +128,7 @@ func differentialCases(t *testing.T) map[string]*paths.Collection {
 	// Staggered structures beside identical copies of their paths, as the
 	// lower-bound proofs combine type-1 and type-2 collections.
 	st := lowerbound.Staggered(2, 3, 8, 3)
-	mixed := append([]graph.Path(nil), st.Collection.Paths()...)
+	mixed := pathsOf(st.Collection)
 	for _, p := range mixed[:2] {
 		for range 4 {
 			mixed = append(mixed, p.Clone())
@@ -187,7 +196,7 @@ func TestLinkIndexMatchesNaiveReference(t *testing.T) {
 				t.Errorf("SharePairs = %v, want %v", pairs, want)
 			}
 			wantD := 0
-			for _, p := range c.Paths() {
+			for _, p := range pathsOf(c) {
 				wantD = max(wantD, p.Len())
 			}
 			if got := c.Dilation(); got != wantD {

@@ -137,9 +137,10 @@ func TestBitFixingIsShortestProperty(t *testing.T) {
 func TestButterflySelectorPanics(t *testing.T) {
 	b := topology.NewButterfly(3)
 	sel := ButterflySelector(b)
+	node := func(level, row int) graph.NodeID { return level*b.Rows() + row }
 	for name, f := range map[string]func(){
-		"src not level 0": func() { sel(b.Node(1, 0), b.Node(3, 0)) },
-		"dst not level k": func() { sel(b.Node(0, 0), b.Node(2, 0)) },
+		"src not level 0": func() { sel(node(1, 0), node(3, 0)) },
+		"dst not level k": func() { sel(node(0, 0), node(2, 0)) },
 	} {
 		func() {
 			defer func() {

@@ -9,8 +9,6 @@
 // Blackman and Vigna. Only the standard library is used.
 package rng
 
-import "math"
-
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // It is used both to seed xoshiro256** and to derive child seeds.
 func splitmix64(state *uint64) uint64 {
@@ -125,34 +123,4 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar Box-Muller transform.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Geometric returns a sample from the geometric distribution with success
-// probability p: the number of failures before the first success.
-// It panics unless 0 < p <= 1.
-func (r *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
 }

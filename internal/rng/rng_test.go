@@ -170,61 +170,6 @@ func TestSplitN(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(31)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(13)
-	const p, draws = 0.25, 100000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += r.Geometric(p)
-	}
-	mean := float64(sum) / draws
-	want := (1 - p) / p // mean of failures-before-success geometric
-	if math.Abs(mean-want) > 0.1 {
-		t.Errorf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestGeometricP1(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 100; i++ {
-		if v := r.Geometric(1); v != 0 {
-			t.Fatalf("Geometric(1) = %d, want 0", v)
-		}
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Geometric(%v) did not panic", p)
-				}
-			}()
-			New(1).Geometric(p)
-		}()
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

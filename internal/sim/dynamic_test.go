@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -144,6 +145,16 @@ func TestDynamicDeterministic(t *testing.T) {
 	}
 }
 
+// geometric draws from src the number of failures before the first
+// success of a Bernoulli(p) sequence, 0 < p < 1, by inversion.
+func geometric(src *rng.Source, p float64) int {
+	u := src.Float64()
+	for u == 0 {
+		u = src.Float64()
+	}
+	return int(math.Floor(math.Log(u) / math.Log(1-p)))
+}
+
 func TestDynamicLoadAllDelivered(t *testing.T) {
 	// Moderate Poisson-ish load on a torus: everything should eventually
 	// get through with exponential backoff.
@@ -153,7 +164,7 @@ func TestDynamicLoadAllDelivered(t *testing.T) {
 	var reqs []Request
 	tArr := 0
 	for id := 0; id < 120; id++ {
-		tArr += src.Geometric(0.25) // mean inter-arrival 3 steps
+		tArr += geometric(src, 0.25) // mean inter-arrival 3 steps
 		s, d := src.Intn(36), src.Intn(36)
 		if s == d {
 			d = (s + 1) % 36

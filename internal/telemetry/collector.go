@@ -1,43 +1,23 @@
 package telemetry
 
-import "fmt"
+import "errors"
 
 // Collector is the telemetry sink: the engine and the protocol call its
 // hooks at event points, and it folds those events into per-band
-// counters, fixed-bucket histograms and per-round summaries. Its state
-// is fixed-size, independent of the graph, so every hook is
-// allocation-free and collectors fed runs on different graphs fold into
-// one meaningful aggregate. A Collector must come from NewCollector: the
-// zero value has no histogram buckets and panics at the first delivery,
-// acknowledgement or run end it records. A Collector is
-// single-goroutine; use AddSnapshot or Live to combine collectors from
-// concurrent workers.
+// counters, fixed-bucket histograms and per-round summaries, recorded
+// straight into the Snapshot it holds. Its state is fixed-size,
+// independent of the graph, so every hook is allocation-free and
+// collectors fed runs on different graphs fold into one meaningful
+// aggregate. A Collector must come from NewCollector: the zero value has
+// no histogram buckets and panics at the first delivery, acknowledgement
+// or run end it records. A Collector is single-goroutine; use
+// AddSnapshot or Live to combine collectors from concurrent workers.
 type Collector struct {
-	runs           uint64
-	steps          uint64
-	msgBusy        uint64 // busy-slot-steps, message band (from StepAdvanced)
-	ackBusy        uint64 // busy-slot-steps, ack band
-	cuts           [NumBands]uint64
-	delivered      uint64
-	acked          uint64
-	wormsLaunched  uint64
-	roundsObserved uint64
-	faultsStarted  uint64
-	faultsEnded    uint64
-	faultKills     [NumBands]uint64
-
-	retries     Histogram // rounds before the successful one, per acked worm
-	roundsToAck Histogram // 1-based round of the acknowledgement
-	delivery    Histogram // steps from launch to full delivery
-	ackLatency  Histogram // ack-train residence steps (0 = oracle)
-	makespan    Histogram // per-run makespan
-
-	// rounds keeps the most recent per-round summaries up to its fixed
-	// capacity; older entries are dropped and counted in roundsDropped so
-	// the protocol path stays allocation-free.
-	rounds        []RoundInfo
-	roundsDropped uint64
-	curRound      int // 1-based round in flight; 0 = outside a protocol
+	// s is every observation. Its Rounds buffer has a fixed capacity:
+	// rounds beyond it are counted in RoundsDropped, so the protocol path
+	// stays allocation-free.
+	s        Snapshot
+	curRound int // 1-based round in flight; 0 = outside a protocol
 }
 
 // maxTrackedRounds bounds the per-round summary buffer of one Collector.
@@ -47,66 +27,78 @@ const maxTrackedRounds = 512
 // power-of-two buckets for latencies and makespans, linear buckets for
 // round counts.
 func NewCollector() *Collector {
-	return &Collector{
-		retries:     NewHistogram(LinearBuckets(0, 1, 16)),
-		roundsToAck: NewHistogram(LinearBuckets(1, 1, 16)),
-		delivery:    NewHistogram(ExpBuckets(1, 2, 20)),
-		ackLatency:  NewHistogram(ExpBuckets(1, 2, 20)),
-		makespan:    NewHistogram(ExpBuckets(1, 2, 24)),
-		rounds:      make([]RoundInfo, 0, maxTrackedRounds),
-	}
+	return &Collector{s: Snapshot{
+		Retries:         NewHistogram(LinearBuckets(0, 1, 16)),
+		RoundsToAck:     NewHistogram(LinearBuckets(1, 1, 16)),
+		StepsToDelivery: NewHistogram(ExpBuckets(1, 2, 20)),
+		AckResidence:    NewHistogram(ExpBuckets(1, 2, 20)),
+		Makespan:        NewHistogram(ExpBuckets(1, 2, 24)),
+		Rounds:          make([]RoundInfo, 0, maxTrackedRounds),
+	}}
 }
 
 // BeginRun opens a run of worms worms. worms is 0 for a dynamic run,
 // whose attempts launch over time.
 func (c *Collector) BeginRun(worms int) {
-	c.runs++
-	c.wormsLaunched += uint64(worms)
+	c.s.Runs++
+	c.s.WormsLaunched += uint64(worms)
 }
 
 // StepAdvanced records one executed simulation step with the number of
 // occupied (link, wavelength) slots per band at step end.
 func (c *Collector) StepAdvanced(msgBusy, ackBusy int) {
-	c.steps++
-	c.msgBusy += uint64(msgBusy)
-	c.ackBusy += uint64(ackBusy)
+	c.s.Steps++
+	c.s.MessageBusySlotSteps += uint64(msgBusy)
+	c.s.AckBusySlotSteps += uint64(ackBusy)
 }
 
 // WormCut records one lost conflict: a train of band lost a flit.
-func (c *Collector) WormCut(band int) { c.cuts[band]++ }
+func (c *Collector) WormCut(band int) {
+	if band == AckBand {
+		c.s.AckCuts++
+	} else {
+		c.s.MessageCuts++
+	}
+}
 
 // WormDelivered records a message worm whose flits all reached the
 // destination residence steps after launch.
 func (c *Collector) WormDelivered(residence int) {
-	c.delivered++
-	c.delivery.Observe(residence)
+	c.s.Delivered++
+	c.s.StepsToDelivery.Observe(residence)
 }
 
 // AckCompleted records a source learning of its delivery: residence is
 // the ack train's steps after launch (0 for oracle acks). Inside a
 // protocol round it also records the round of the acknowledgement.
 func (c *Collector) AckCompleted(residence int) {
-	c.acked++
-	c.ackLatency.Observe(residence)
+	c.s.Acked++
+	c.s.AckResidence.Observe(residence)
 	if c.curRound > 0 {
-		c.roundsToAck.Observe(c.curRound)
-		c.retries.Observe(c.curRound - 1)
+		c.s.RoundsToAck.Observe(c.curRound)
+		c.s.Retries.Observe(c.curRound - 1)
 	}
 }
 
 // FaultStarted records an injected fault becoming active.
-func (c *Collector) FaultStarted() { c.faultsStarted++ }
+func (c *Collector) FaultStarted() { c.s.FaultsStarted++ }
 
 // FaultEnded records an injected fault being repaired.
-func (c *Collector) FaultEnded() { c.faultsEnded++ }
+func (c *Collector) FaultEnded() { c.s.FaultsEnded++ }
 
 // WormKilledByFault records an injected fault destroying flits of a
 // train in band. Fault kills are never recorded as WormCut: the two
 // streams keep component failures apart from lost contentions.
-func (c *Collector) WormKilledByFault(band int) { c.faultKills[band]++ }
+func (c *Collector) WormKilledByFault(band int) {
+	if band == AckBand {
+		c.s.AckFaultKills++
+	} else {
+		c.s.MessageFaultKills++
+	}
+}
 
 // EndRun closes the run opened by BeginRun with its final makespan.
-func (c *Collector) EndRun(makespan int) { c.makespan.Observe(makespan) }
+func (c *Collector) EndRun(makespan int) { c.s.Makespan.Observe(makespan) }
 
 // RoundStarted opens protocol round round (1-based); acknowledgements
 // until RoundFinished count toward it.
@@ -115,77 +107,77 @@ func (c *Collector) RoundStarted(round int) { c.curRound = round }
 // RoundFinished records the finished round's summary, keeping the most
 // recent ones up to the retention cap.
 func (c *Collector) RoundFinished(info RoundInfo) {
-	c.roundsObserved++
+	c.s.RoundsObserved++
 	c.curRound = 0
-	if len(c.rounds) < cap(c.rounds) {
-		c.rounds = append(c.rounds, info)
+	c.keepRound(info)
+}
+
+// keepRound retains r while the rounds buffer has room and counts it
+// dropped otherwise.
+func (c *Collector) keepRound(r RoundInfo) {
+	if len(c.s.Rounds) < cap(c.s.Rounds) {
+		c.s.Rounds = append(c.s.Rounds, r)
 	} else {
-		c.roundsDropped++
+		c.s.RoundsDropped++
 	}
 }
 
 // AddSnapshot folds s's observations into c. It is the one merge:
 // another collector's delta (c.AddSnapshot(o.Snapshot())), a stored
 // checkpoint, or a peer's trial. s is checked before anything changes —
-// its histograms must have c's bucket layouts — so on error c is
-// unchanged. Nothing is sized from s. Rounds are retained up to the
-// collector's cap, the surplus counted in RoundsDropped.
+// each of its histograms must have c's bucket layout (or be empty),
+// counts that sum to its Count, and no Sum without observations — so on
+// error c is unchanged. Nothing is
+// sized from s. Rounds are retained up to the collector's cap, the
+// surplus counted in RoundsDropped.
 func (c *Collector) AddSnapshot(s *Snapshot) error {
-	if !c.retries.fits(&s.Retries) || !c.roundsToAck.fits(&s.RoundsToAck) || !c.delivery.fits(&s.StepsToDelivery) ||
-		!c.ackLatency.fits(&s.AckResidence) || !c.makespan.fits(&s.Makespan) {
-		return fmt.Errorf("telemetry: snapshot histograms have different bucket layouts")
-	}
-	c.runs += s.Runs
-	c.steps += s.Steps
-	c.wormsLaunched += s.WormsLaunched
-	c.msgBusy += s.MessageBusySlotSteps
-	c.ackBusy += s.AckBusySlotSteps
-	c.cuts[MessageBand] += s.MessageCuts
-	c.cuts[AckBand] += s.AckCuts
-	c.delivered += s.Delivered
-	c.acked += s.Acked
-	c.roundsObserved += s.RoundsObserved
-	c.faultsStarted += s.FaultsStarted
-	c.faultsEnded += s.FaultsEnded
-	c.faultKills[MessageBand] += s.MessageFaultKills
-	c.faultKills[AckBand] += s.AckFaultKills
-	c.retries.add(&s.Retries)
-	c.roundsToAck.add(&s.RoundsToAck)
-	c.delivery.add(&s.StepsToDelivery)
-	c.ackLatency.add(&s.AckResidence)
-	c.makespan.add(&s.Makespan)
-	for _, r := range s.Rounds {
-		if len(c.rounds) < cap(c.rounds) {
-			c.rounds = append(c.rounds, r)
-		} else {
-			c.roundsDropped++
+	into, from := c.s.histograms(), s.histograms()
+	for i, h := range into {
+		if !h.fits(from[i]) {
+			return errors.New("telemetry: a snapshot histogram has another bucket layout, or counts that disagree with its count and sum")
 		}
 	}
-	c.roundsDropped += s.RoundsDropped
+	c.s.Runs += s.Runs
+	c.s.Steps += s.Steps
+	c.s.WormsLaunched += s.WormsLaunched
+	c.s.MessageBusySlotSteps += s.MessageBusySlotSteps
+	c.s.AckBusySlotSteps += s.AckBusySlotSteps
+	c.s.MessageCuts += s.MessageCuts
+	c.s.AckCuts += s.AckCuts
+	c.s.Delivered += s.Delivered
+	c.s.Acked += s.Acked
+	c.s.RoundsObserved += s.RoundsObserved
+	c.s.FaultsStarted += s.FaultsStarted
+	c.s.FaultsEnded += s.FaultsEnded
+	c.s.MessageFaultKills += s.MessageFaultKills
+	c.s.AckFaultKills += s.AckFaultKills
+	for i, h := range into {
+		h.add(from[i])
+	}
+	for _, r := range s.Rounds {
+		c.keepRound(r)
+	}
+	c.s.RoundsDropped += s.RoundsDropped
 	return nil
 }
 
-// Reset zeroes all observations, keeping every buffer's capacity so the
-// collector can be reused without reallocating.
+// Reset zeroes every counter and observation, keeping each histogram's
+// bucket layout and the rounds buffer's capacity, so the collector can
+// be reused without allocating.
 func (c *Collector) Reset() {
-	c.runs, c.steps, c.msgBusy, c.ackBusy = 0, 0, 0, 0
-	c.cuts = [NumBands]uint64{}
-	c.delivered, c.acked = 0, 0
-	c.wormsLaunched, c.roundsObserved = 0, 0
-	c.faultsStarted, c.faultsEnded = 0, 0
-	c.faultKills = [NumBands]uint64{}
-	c.retries.Reset()
-	c.roundsToAck.Reset()
-	c.delivery.Reset()
-	c.ackLatency.Reset()
-	c.makespan.Reset()
-	c.rounds = c.rounds[:0]
-	c.roundsDropped = 0
+	kept := c.s
+	c.s = Snapshot{Rounds: kept.Rounds[:0]}
+	from := kept.histograms()
+	for i, h := range c.s.histograms() {
+		*h = *from[i]
+		h.Reset()
+	}
 	c.curRound = 0
 }
 
-// Snapshot is a self-contained, serializable copy of a Collector's
-// state, safe to hold after the collector moves on.
+// Snapshot is a Collector's state in its serializable form. A Collector
+// records into the Snapshot it holds; Collector.Snapshot returns a deep
+// copy, safe to hold after the collector moves on.
 type Snapshot struct {
 	// Runs counts simulation runs observed (protocol rounds each count
 	// one run).
@@ -221,46 +213,36 @@ type Snapshot struct {
 	// AckFaultKills is the ack-band fault-kill total.
 	AckFaultKills uint64 `json:"ack_fault_kills"`
 	// Retries is the per-acked-worm failed-round count distribution.
-	Retries HistogramSnapshot `json:"retries"`
+	Retries Histogram `json:"retries"`
 	// RoundsToAck is the 1-based acknowledgement round distribution.
-	RoundsToAck HistogramSnapshot `json:"rounds_to_ack"`
+	RoundsToAck Histogram `json:"rounds_to_ack"`
 	// StepsToDelivery is the launch-to-delivery residence distribution.
-	StepsToDelivery HistogramSnapshot `json:"steps_to_delivery"`
+	StepsToDelivery Histogram `json:"steps_to_delivery"`
 	// AckResidence is the ack-train residence distribution.
-	AckResidence HistogramSnapshot `json:"ack_residence"`
+	AckResidence Histogram `json:"ack_residence"`
 	// Makespan is the per-run makespan distribution.
-	Makespan HistogramSnapshot `json:"makespan"`
+	Makespan Histogram `json:"makespan"`
 	// Rounds holds the retained per-round summaries (newest runs last).
 	Rounds []RoundInfo `json:"rounds,omitempty"`
 	// RoundsDropped counts summaries dropped beyond the retention cap.
 	RoundsDropped uint64 `json:"rounds_dropped"`
 }
 
-// Snapshot copies the collector's state into a Snapshot. It allocates
+// histograms lists the snapshot's histograms in field order, for the
+// fold, reset and copy that treat them alike.
+func (s *Snapshot) histograms() [5]*Histogram {
+	return [5]*Histogram{&s.Retries, &s.RoundsToAck, &s.StepsToDelivery, &s.AckResidence, &s.Makespan}
+}
+
+// Snapshot returns a deep copy of the collector's state. It allocates
 // (it is the cold read path) and may be called between runs or after
-// AddSnapshot; it must not race with hooks on the same collector.
+// AddSnapshot; it must not race with hooks on the same collector. The
+// copy's Rounds is nil when no round is retained.
 func (c *Collector) Snapshot() *Snapshot {
-	return &Snapshot{
-		Runs:                 c.runs,
-		Steps:                c.steps,
-		WormsLaunched:        c.wormsLaunched,
-		MessageBusySlotSteps: c.msgBusy,
-		AckBusySlotSteps:     c.ackBusy,
-		MessageCuts:          c.cuts[MessageBand],
-		AckCuts:              c.cuts[AckBand],
-		Delivered:            c.delivered,
-		Acked:                c.acked,
-		RoundsObserved:       c.roundsObserved,
-		FaultsStarted:        c.faultsStarted,
-		FaultsEnded:          c.faultsEnded,
-		MessageFaultKills:    c.faultKills[MessageBand],
-		AckFaultKills:        c.faultKills[AckBand],
-		Retries:              c.retries.Snapshot(),
-		RoundsToAck:          c.roundsToAck.Snapshot(),
-		StepsToDelivery:      c.delivery.Snapshot(),
-		AckResidence:         c.ackLatency.Snapshot(),
-		Makespan:             c.makespan.Snapshot(),
-		Rounds:               append([]RoundInfo(nil), c.rounds...),
-		RoundsDropped:        c.roundsDropped,
+	s := c.s
+	for _, h := range s.histograms() {
+		*h = h.Snapshot()
 	}
+	s.Rounds = append([]RoundInfo(nil), c.s.Rounds...)
+	return &s
 }

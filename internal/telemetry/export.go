@@ -60,11 +60,11 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeHistogram emits one snapshot histogram with Prometheus cumulative
+// writeHistogram emits one histogram with Prometheus cumulative
 // le buckets. It takes the concrete *bufio.Writer rather than io.Writer
 // on purpose: buffered writes cannot fail here — errors are sticky and
 // surface at the caller's checked Flush.
-func writeHistogram(w *bufio.Writer, name, help string, h *HistogramSnapshot) {
+func writeHistogram(w *bufio.Writer, name, help string, h *Histogram) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	cum := uint64(0)
 	for i, b := range h.Bounds {

@@ -1,16 +1,24 @@
 package telemetry
 
-// Histogram is a fixed-bucket histogram of non-negative integers. The
-// bucket layout is chosen at construction and never changes, so Observe
-// is a branch-light loop with no allocation; Prometheus-style cumulative
-// buckets are materialized only at snapshot time.
+// Histogram is a fixed-bucket histogram of non-negative integers, and
+// its own serializable form. The bucket layout is chosen at construction
+// and never changes, so Observe is a branch-light loop with no
+// allocation; Prometheus-style cumulative buckets are materialized only
+// at export time.
 type Histogram struct {
-	bounds []int    // inclusive upper bounds, strictly increasing
-	counts []uint64 // len(bounds)+1; the last bucket is +Inf
-	count  uint64
-	sum    uint64
-	min    int
-	max    int
+	// Bounds are the inclusive upper bucket bounds, strictly increasing;
+	// an implicit +Inf bucket follows the last bound.
+	Bounds []int `json:"bounds"`
+	// Counts[i] counts observations in bucket i (len(Bounds)+1 buckets).
+	Counts []uint64 `json:"counts"`
+	// Count is the total number of observations.
+	Count uint64 `json:"count"`
+	// Sum is the sum of all observed values.
+	Sum uint64 `json:"sum"`
+	// Min is the smallest observed value (-1 with no observations).
+	Min int `json:"min"`
+	// Max is the largest observed value.
+	Max int `json:"max"`
 }
 
 // NewHistogram returns a histogram with the given inclusive upper bucket
@@ -26,9 +34,9 @@ func NewHistogram(bounds []int) Histogram {
 		}
 	}
 	return Histogram{
-		bounds: append([]int(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-		min:    -1,
+		Bounds: append([]int(nil), bounds...),
+		Counts: make([]uint64, len(bounds)+1),
+		Min:    -1,
 	}
 }
 
@@ -67,105 +75,90 @@ func (h *Histogram) Observe(v int) {
 		v = 0
 	}
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(h.Bounds) && v > h.Bounds[i] {
 		i++
 	}
-	h.counts[i]++
-	h.count++
-	h.sum += uint64(v)
-	if h.min < 0 || v < h.min {
-		h.min = v
+	h.Counts[i]++
+	h.Count++
+	h.Sum += uint64(v)
+	if h.Min < 0 || v < h.Min {
+		h.Min = v
 	}
-	if v > h.max {
-		h.max = v
+	if v > h.Max {
+		h.Max = v
 	}
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// fits reports whether o can be folded into h: it is empty (no bounds,
-// counts or observations), or its bucket layout is h's.
-func (h *Histogram) fits(o *HistogramSnapshot) bool {
-	if len(o.Bounds) == 0 && len(o.Counts) == 0 && o.Count == 0 {
-		return true
+// fits reports whether o can be folded into h: o is empty (no bounds,
+// counts or observations) or has h's bucket layout, and o agrees with
+// itself — its counts sum to its Count, and with no observations its Sum
+// is 0.
+func (h *Histogram) fits(o *Histogram) bool {
+	if o.Count == 0 && o.Sum != 0 {
+		return false
 	}
-	if len(o.Bounds) != len(h.bounds) || len(o.Counts) != len(h.counts) {
+	if len(o.Bounds) == 0 && len(o.Counts) == 0 {
+		return o.Count == 0
+	}
+	if len(o.Bounds) != len(h.Bounds) || len(o.Counts) != len(h.Counts) {
 		return false
 	}
 	for i, b := range o.Bounds {
-		if h.bounds[i] != b {
+		if h.Bounds[i] != b {
 			return false
 		}
 	}
-	return true
+	var n uint64
+	for _, c := range o.Counts {
+		if n+c < n {
+			return false
+		}
+		n += c
+	}
+	return n == o.Count
 }
 
 // add folds o's observations into h. It panics if o does not fit: a
-// caller's bug, since AddSnapshot checks every layout before folding.
-func (h *Histogram) add(o *HistogramSnapshot) {
+// caller's bug, since AddSnapshot checks every histogram before folding.
+func (h *Histogram) add(o *Histogram) {
 	if !h.fits(o) {
-		panic("telemetry: histogram bucket layouts differ")
+		panic("telemetry: histogram does not fit")
 	}
 	for i, c := range o.Counts {
-		h.counts[i] += c
+		h.Counts[i] += c
 	}
-	h.count += o.Count
-	h.sum += o.Sum
+	h.Count += o.Count
+	h.Sum += o.Sum
 	if o.Count > 0 {
-		if h.min < 0 || (o.Min >= 0 && o.Min < h.min) {
-			h.min = o.Min
+		if h.Min < 0 || (o.Min >= 0 && o.Min < h.Min) {
+			h.Min = o.Min
 		}
-		if o.Max > h.max {
-			h.max = o.Max
+		if o.Max > h.Max {
+			h.Max = o.Max
 		}
 	}
 }
 
 // Reset zeroes all observations, keeping the bucket layout.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count, h.sum, h.min, h.max = 0, 0, -1, 0
+	clear(h.Counts)
+	h.Count, h.Sum, h.Min, h.Max = 0, 0, -1, 0
 }
 
-// Snapshot returns a copy of the histogram's state for serialization.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Bounds: append([]int(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Count:  h.count,
-		Sum:    h.sum,
-		Min:    h.min,
-		Max:    h.max,
-	}
+// Snapshot returns a deep copy of h, safe to hold while h observes on.
+func (h *Histogram) Snapshot() Histogram {
+	s := *h
+	s.Bounds = append([]int(nil), h.Bounds...)
+	s.Counts = append([]uint64(nil), h.Counts...)
+	return s
 }
 
-// HistogramSnapshot is a serializable copy of a Histogram.
-type HistogramSnapshot struct {
-	// Bounds are the inclusive upper bucket bounds; an implicit +Inf
-	// bucket follows the last bound.
-	Bounds []int `json:"bounds"`
-	// Counts[i] counts observations in bucket i (len(Bounds)+1 buckets).
-	Counts []uint64 `json:"counts"`
-	// Count is the total number of observations.
-	Count uint64 `json:"count"`
-	// Sum is the sum of all observed values.
-	Sum uint64 `json:"sum"`
-	// Min is the smallest observed value (-1 with no observations).
-	Min int `json:"min"`
-	// Max is the largest observed value.
-	Max int `json:"max"`
-}
-
-// Mean returns the snapshot's mean observed value (0 with no
-// observations).
-func (s *HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
+// Mean returns the mean observed value (0 with no observations).
+func (h *Histogram) Mean() float64 {
+	if h.Count == 0 {
 		return 0
 	}
-	return float64(s.Sum) / float64(s.Count)
+	return float64(h.Sum) / float64(h.Count)
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
@@ -175,8 +168,8 @@ func (s *HistogramSnapshot) Mean() float64 {
 // Quantile(1) is Max, and tail quantiles landing in the +Inf bucket
 // degrade to Max instead of inventing mass beyond it. With no
 // observations it returns 0.
-func (s *HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 || len(s.Counts) != len(s.Bounds)+1 {
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.Count == 0 || len(h.Bounds) == 0 || len(h.Counts) != len(h.Bounds)+1 {
 		return 0
 	}
 	if q < 0 {
@@ -185,9 +178,9 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	rank := q * float64(h.Count)
 	cum := 0.0
-	for i, c := range s.Counts {
+	for i, c := range h.Counts {
 		prev := cum
 		cum += float64(c)
 		if cum < rank || c == 0 {
@@ -196,31 +189,31 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 		// Bucket i holds the target rank. Interpolate between its bounds;
 		// the first bucket starts at 0 and the +Inf bucket is clamped to
 		// the observed Max below.
-		lo, hi := 0.0, float64(s.Max)
+		lo, hi := 0.0, float64(h.Max)
 		if i > 0 {
-			lo = float64(s.Bounds[i-1])
+			lo = float64(h.Bounds[i-1])
 		}
-		if i < len(s.Bounds) {
-			hi = float64(s.Bounds[i])
+		if i < len(h.Bounds) {
+			hi = float64(h.Bounds[i])
 		}
 		// Tighten the interpolation range to the observed extremes.
-		if lo < float64(s.Min) {
-			lo = float64(s.Min)
+		if lo < float64(h.Min) {
+			lo = float64(h.Min)
 		}
-		if hi > float64(s.Max) {
-			hi = float64(s.Max)
+		if hi > float64(h.Max) {
+			hi = float64(h.Max)
 		}
 		v := lo
 		if c > 0 && hi > lo {
 			v = lo + (hi-lo)*(rank-prev)/float64(c)
 		}
-		if v < float64(s.Min) {
-			v = float64(s.Min)
+		if v < float64(h.Min) {
+			v = float64(h.Min)
 		}
-		if v > float64(s.Max) {
-			v = float64(s.Max)
+		if v > float64(h.Max) {
+			v = float64(h.Max)
 		}
 		return v
 	}
-	return float64(s.Max)
+	return float64(h.Max)
 }

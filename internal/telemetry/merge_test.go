@@ -26,7 +26,7 @@ func feedTrial(c *Collector, trial int) {
 		c.FaultEnded()
 		c.WormKilledByFault(MessageBand)
 	}
-	c.RoundFinished(RoundInfo{Round: trial + 1, Acked: 1, Active: 4})
+	c.RoundFinished(RoundInfo{Round: trial + 1, Acked: 1, ActiveBefore: 4})
 	c.EndRun(8 + trial)
 }
 
@@ -104,35 +104,55 @@ func TestSnapshotAddJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotAddHistogramMismatch: a histogram with another bucket
-// layout — corrupt checkpoint or peer input — is an error, not a silent
-// misfold or a panic, and leaves the collector unchanged.
+// TestSnapshotAddHistogramMismatch: a histogram that does not fit —
+// another bucket layout, or counts that contradict its own count and
+// sum, as a corrupt checkpoint or a peer's input may hold — is an error,
+// not a silent misfold or a panic, and leaves the collector unchanged.
 func TestSnapshotAddHistogramMismatch(t *testing.T) {
-	c := NewCollector()
-	feedTrial(c, 0)
-	before := canonBytes(t, c)
-	o := trialSnapshot(1)
-	o.Retries.Bounds[0]++
-	if err := c.AddSnapshot(o); err == nil {
-		t.Fatal("adding histograms with different bounds must error")
-	}
-	o2 := trialSnapshot(1)
-	o2.Makespan.Bounds = o2.Makespan.Bounds[:3]
-	o2.Makespan.Counts = o2.Makespan.Counts[:4]
-	if err := c.AddSnapshot(o2); err == nil {
-		t.Fatal("adding histograms with different layouts must error")
-	}
-	o3 := trialSnapshot(1)
-	o3.StepsToDelivery.Counts = o3.StepsToDelivery.Counts[:len(o3.StepsToDelivery.Bounds)]
-	if err := c.AddSnapshot(o3); err == nil {
-		t.Fatal("adding a histogram without its +Inf bucket must error")
-	}
-	if after := canonBytes(t, c); !bytes.Equal(after, before) {
-		t.Error("a refused snapshot changed the collector")
+	for _, tc := range []struct {
+		name string
+		snap func() *Snapshot
+	}{
+		{"different bounds", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.Retries.Bounds[0]++
+			return o
+		}},
+		{"different layout", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.Makespan.Bounds = o.Makespan.Bounds[:3]
+			o.Makespan.Counts = o.Makespan.Counts[:4]
+			return o
+		}},
+		{"no +Inf bucket", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.StepsToDelivery.Counts = o.StepsToDelivery.Counts[:len(o.StepsToDelivery.Bounds)]
+			return o
+		}},
+		{"sum without observations", func() *Snapshot {
+			return &Snapshot{Retries: Histogram{Sum: 7, Max: 9}}
+		}},
+		{"counts exceed count", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.StepsToDelivery.Counts[0] += 4
+			return o
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector()
+			feedTrial(c, 0)
+			before := canonBytes(t, c)
+			if err := c.AddSnapshot(tc.snap()); err == nil {
+				t.Fatal("the fold must error")
+			}
+			if after := canonBytes(t, c); !bytes.Equal(after, before) {
+				t.Error("a refused snapshot changed the collector")
+			}
+		})
 	}
 	h := NewHistogram([]int{1, 2})
 	other := NewHistogram([]int{1, 3})
-	if os := other.Snapshot(); h.fits(&os) {
+	if h.fits(&other) {
 		t.Error("histograms with different bounds fit")
 	}
 }
@@ -167,8 +187,9 @@ func TestSnapshotAddRoundsCap(t *testing.T) {
 // telemetry of checkpoints read from disk and of trials posted by peers —
 // into a collector that has observed one run. The fold either errors and
 // leaves the collector's canonical bytes unchanged, or succeeds; it never
-// panics, and the folded collector's snapshot, folded into an empty
-// collector, reproduces its canonical bytes. Nothing is sized from the
+// panics, every histogram of the folded collector still has counts that
+// sum to its Count, and the folded collector's snapshot, folded into an
+// empty collector, reproduces its canonical bytes. Nothing is sized from the
 // input, so every decodable input is folded. testdata/fuzz holds a
 // per-trial snapshot and the two-trial checkpoint telemetry of the golden
 // route sweep of internal/jobs, and one per-trial snapshot in the older
@@ -211,9 +232,19 @@ func FuzzCollectorAddSnapshot(f *testing.F) {
 			}
 			return
 		}
+		folded := c.Snapshot()
+		for i, h := range folded.histograms() {
+			var n uint64
+			for _, k := range h.Counts {
+				n += k
+			}
+			if n != h.Count {
+				t.Fatalf("histogram %d after the fold: counts sum to %d, count is %d", i, n, h.Count)
+			}
+		}
 		want := canonBytes(t, c)
 		again := NewCollector()
-		if err := again.AddSnapshot(c.Snapshot()); err != nil {
+		if err := again.AddSnapshot(folded); err != nil {
 			t.Fatalf("a collector's own snapshot does not fold: %v", err)
 		}
 		if got := canonBytes(t, again); !bytes.Equal(got, want) {

@@ -32,14 +32,16 @@ const (
 	NumBands = 2
 )
 
-// RoundInfo summarizes one finished protocol round for RoundFinished.
+// RoundInfo summarizes one finished protocol round: core reports it in
+// its per-round stats and hands the same value to RoundFinished.
 type RoundInfo struct {
 	// Round is the 1-based protocol round number.
 	Round int `json:"round"`
 	// DelayRange is Delta_t, the round's startup-delay range.
 	DelayRange int `json:"delay_range"`
-	// Active is the number of worms launched this round.
-	Active int `json:"active"`
+	// ActiveBefore is the number of worms active at round start, all
+	// launched this round.
+	ActiveBefore int `json:"active"`
 	// Delivered counts worms fully delivered this round.
 	Delivered int `json:"delivered"`
 	// Acked counts worms acknowledged this round (they become inactive).

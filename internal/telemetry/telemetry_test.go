@@ -24,11 +24,11 @@ func TestHistogramObserve(t *testing.T) {
 			t.Errorf("bucket %d: got %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if h.Count() != 8 {
-		t.Errorf("count = %d, want 8", h.Count())
+	if h.Count != 8 {
+		t.Errorf("count = %d, want 8", h.Count)
 	}
-	if h.Sum() != 0+1+2+3+5+9+100+0 {
-		t.Errorf("sum = %d", h.Sum())
+	if h.Sum != 0+1+2+3+5+9+100+0 {
+		t.Errorf("sum = %d", h.Sum)
 	}
 	if s.Min != 0 || s.Max != 100 {
 		t.Errorf("min/max = %d/%d, want 0/100", s.Min, s.Max)
@@ -62,8 +62,8 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatal("same layouts do not fit")
 	}
 	a.add(&bs)
-	if a.Count() != 3 || a.Sum() != 9 {
-		t.Errorf("merged count/sum = %d/%d, want 3/9", a.Count(), a.Sum())
+	if a.Count != 3 || a.Sum != 9 {
+		t.Errorf("merged count/sum = %d/%d, want 3/9", a.Count, a.Sum)
 	}
 	s := a.Snapshot()
 	if s.Min != 1 || s.Max != 5 {
@@ -156,12 +156,12 @@ func TestCollectorRoundHooks(t *testing.T) {
 	c.BeginRun(10)
 	c.AckCompleted(2)
 	c.EndRun(5)
-	c.RoundFinished(RoundInfo{Round: 1, DelayRange: 64, Active: 10, Acked: 1, Makespan: 5, ResidualCongestion: -1})
+	c.RoundFinished(RoundInfo{Round: 1, DelayRange: 64, ActiveBefore: 10, Acked: 1, Makespan: 5, ResidualCongestion: -1})
 	c.RoundStarted(2)
 	c.BeginRun(9)
 	c.AckCompleted(2)
 	c.EndRun(4)
-	c.RoundFinished(RoundInfo{Round: 2, DelayRange: 32, Active: 9, Acked: 1, Makespan: 4, ResidualCongestion: -1})
+	c.RoundFinished(RoundInfo{Round: 2, DelayRange: 32, ActiveBefore: 9, Acked: 1, Makespan: 4, ResidualCongestion: -1})
 
 	s := c.Snapshot()
 	if s.RoundsObserved != 2 || len(s.Rounds) != 2 {
@@ -231,11 +231,20 @@ func TestCollectorReset(t *testing.T) {
 }
 
 // TestCollectorHooksAllocationFree pins the collector's core promise: the
-// per-event path performs zero allocations.
+// per-event path performs zero allocations, and so does the Reset that
+// readies a collector for the next trial.
 func TestCollectorHooksAllocationFree(t *testing.T) {
 	c := NewCollector()
 	if avg := testing.AllocsPerRun(100, func() { drive(c) }); avg != 0 {
 		t.Errorf("collector hooks allocate %v allocs per run, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		c.RoundStarted(1)
+		drive(c)
+		c.RoundFinished(RoundInfo{Round: 1, ActiveBefore: 1, Acked: 1})
+		c.Reset()
+	}); avg != 0 {
+		t.Errorf("a round and Reset allocate %v allocs per run, want 0", avg)
 	}
 }
 

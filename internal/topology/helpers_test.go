@@ -17,6 +17,23 @@ func (c *CCC) Node(w, i int) graph.NodeID {
 	return c.nodeAt(w, i)
 }
 
+// Levels returns the number of distinct levels (k+1 plain, k wrapped).
+func (b *Butterfly) Levels() int {
+	if b.wrapped {
+		return b.dim
+	}
+	return b.dim + 1
+}
+
+// Node returns the butterfly node at (level, row). It panics on
+// out-of-range input.
+func (b *Butterfly) Node(level, row int) graph.NodeID {
+	if level < 0 || level >= b.Levels() || row < 0 || row >= b.rows {
+		panic(fmt.Sprintf("topology: butterfly node (%d,%d) out of range", level, row))
+	}
+	return b.nodeAt(level, row)
+}
+
 // Side returns the side length.
 func (m *Mesh) Side() int { return m.side }
 

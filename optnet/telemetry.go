@@ -22,8 +22,11 @@ func NewCollector() *Collector { return telemetry.NewCollector() }
 // JSON (WriteJSON) or Prometheus text format (WritePrometheus).
 type Snapshot = telemetry.Snapshot
 
-// HistogramSnapshot is the frozen form of one telemetry histogram.
-type HistogramSnapshot = telemetry.HistogramSnapshot
+// HistogramSnapshot is one telemetry histogram, the type of a
+// Snapshot's distributions (Retries, Makespan, ...): fixed bucket
+// bounds and counts with the observations' count, sum, min and max, read
+// through Mean and Quantile.
+type HistogramSnapshot = telemetry.Histogram
 
 // RoundInfo summarizes one protocol round to Collector.RoundFinished.
 type RoundInfo = telemetry.RoundInfo
