@@ -2,16 +2,20 @@
 // (stdlib go/ast + go/parser + go/token + go/types only) carrying the
 // repo-specific analyzers that mechanically enforce the simulator's
 // invariants. Every linted package is type-checked first (see
-// typecheck.go), so analyzers resolve selector targets and static types
-// instead of guessing from names; flow-aware analyzers additionally walk
-// an intra-function control-flow approximation (see flow.go):
+// typecheck.go), and analyzers ask the Pass's types.Info whether an
+// expression is a map or a float and which package a call resolves to;
+// none infers a type or a package from a name. Flow-aware analyzers
+// additionally walk an intra-function control-flow approximation (see
+// flow.go):
 //
-//   - mapiter: no ranging over maps in the deterministic engine packages
-//     (internal/sim, internal/core, internal/witness, internal/paths)
-//     unless the keys are collected and sorted first — the paper's
-//     guarantees are proved for a deterministic contention-resolution
-//     machine, and map iteration order would silently break the
-//     byte-for-byte engine == reference pinning.
+//   - mapiter: no ranging over maps in the deterministic packages
+//     (deterministicPackages: internal/sim, internal/core,
+//     internal/witness, internal/paths, internal/faults, internal/jobs,
+//     internal/workload, internal/cluster) unless the keys are collected
+//     and sorted first — the paper's guarantees are proved for a
+//     deterministic contention-resolution machine, and map iteration
+//     order would silently break the byte-for-byte engine == reference
+//     pinning and the content-addressed job keys.
 //   - globalrand: no math/rand, time.Now, or os.Getenv in the
 //     deterministic packages; all randomness flows through internal/rng.
 //   - hotpath: no make / new / map or slice literals / capturing closures
@@ -231,19 +235,4 @@ func walkStack(root ast.Node, f func(n ast.Node, stack []ast.Node) bool) {
 		}
 		return descend
 	})
-}
-
-// importName returns the name an import is referred to by in source.
-func importName(imp *ast.ImportSpec) string {
-	if imp.Name != nil {
-		return imp.Name.Name
-	}
-	path := imp.Path.Value
-	path = path[1 : len(path)-1] // strip quotes
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
 }

@@ -3,14 +3,16 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // FloatEq reports == and != comparisons with floating-point operands in
 // the statistics and experiment packages, where accumulated rounding makes
 // exact equality a latent bug (a threshold computed two ways can differ in
-// the last ulp and silently flip a table row). Detection is syntactic:
-// float literals, and identifiers or fields declared float32/float64 in
-// the surrounding function or package.
+// the last ulp and silently flip a table row). An operand is a float when
+// its static type's underlying type is float32, float64 or an untyped
+// float constant: literals, variables, fields, call results and named
+// float types alike.
 var FloatEq = &Analyzer{
 	Name:     "floateq",
 	Doc:      "no ==/!= on floats in stats/experiments; compare with a tolerance",
@@ -19,135 +21,22 @@ var FloatEq = &Analyzer{
 }
 
 func runFloatEq(p *Pass) {
-	fields := collectFloatFieldNames(p.Files)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			floats := collectLocalFloatNames(fn)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				be, ok := n.(*ast.BinaryExpr)
-				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-					return true
-				}
-				if isFloatOperand(be.X, floats, fields) || isFloatOperand(be.Y, floats, fields) {
-					p.Reportf(be.Pos(),
-						"%s on floating-point operands (%s %s %s): compare with a tolerance or annotate //optlint:allow floateq",
-						be.Op, exprString(be.X), be.Op, exprString(be.Y))
-				}
-				return true
-			})
-		}
+	isFloat := func(e ast.Expr) bool {
+		b, ok := p.Info.TypeOf(e).Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsFloat != 0
 	}
-}
-
-// collectFloatFieldNames gathers struct field names declared float32 or
-// float64 anywhere in the package.
-func collectFloatFieldNames(files []*ast.File) map[string]bool {
-	fields := map[string]bool{}
-	for _, f := range files {
+	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
+			be, ok := n.(*ast.BinaryExpr)
+			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
 			}
-			for _, fld := range st.Fields.List {
-				if !isFloatTypeExpr(fld.Type) {
-					continue
-				}
-				for _, name := range fld.Names {
-					fields[name.Name] = true
-				}
+			if isFloat(be.X) || isFloat(be.Y) {
+				p.Reportf(be.Pos(),
+					"%s on floating-point operands (%s %s %s): compare with a tolerance or annotate //optlint:allow floateq",
+					be.Op, exprString(be.X), be.Op, exprString(be.Y))
 			}
 			return true
 		})
 	}
-	return fields
-}
-
-// collectLocalFloatNames gathers fn's parameters, results, and locals
-// declared with an explicit float type or defined from a float literal.
-func collectLocalFloatNames(fn *ast.FuncDecl) map[string]bool {
-	floats := map[string]bool{}
-	addFieldList := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			if !isFloatTypeExpr(fld.Type) {
-				continue
-			}
-			for _, name := range fld.Names {
-				floats[name.Name] = true
-			}
-		}
-	}
-	addFieldList(fn.Type.Params)
-	addFieldList(fn.Type.Results)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok != token.DEFINE || len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && isFloatValueExpr(n.Rhs[i]) {
-					floats[id.Name] = true
-				}
-			}
-		case *ast.DeclStmt:
-			gd, ok := n.Decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || vs.Type == nil || !isFloatTypeExpr(vs.Type) {
-					continue
-				}
-				for _, name := range vs.Names {
-					floats[name.Name] = true
-				}
-			}
-		}
-		return true
-	})
-	return floats
-}
-
-func isFloatTypeExpr(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && (id.Name == "float64" || id.Name == "float32")
-}
-
-// isFloatValueExpr reports whether the expression is evidently a float:
-// a float literal or a float conversion.
-func isFloatValueExpr(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.BasicLit:
-		return v.Kind == token.FLOAT
-	case *ast.CallExpr:
-		return isFloatTypeExpr(v.Fun)
-	}
-	return false
-}
-
-// isFloatOperand resolves a comparison operand against the known float
-// names: literals, locals/params, and package struct fields.
-func isFloatOperand(e ast.Expr, locals, fields map[string]bool) bool {
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		return x.Kind == token.FLOAT
-	case *ast.Ident:
-		return locals[x.Name]
-	case *ast.SelectorExpr:
-		return fields[x.Sel.Name]
-	case *ast.ParenExpr:
-		return isFloatOperand(x.X, locals, fields)
-	case *ast.CallExpr:
-		return isFloatTypeExpr(x.Fun)
-	}
-	return false
 }

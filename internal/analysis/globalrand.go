@@ -7,10 +7,11 @@ import (
 
 // GlobalRand reports ambient-nondeterminism sources inside the
 // deterministic engine packages: importing math/rand (v1 or v2), and
-// calls to time.Now or the os environment getters. The protocol's only
-// legitimate randomness is the splittable internal/rng stream, which is
-// reproducible from a master seed; anything else would unpin the
-// differential and fuzz suites.
+// calls that resolve to time.Now or the os environment getters, however
+// the package is imported. The protocol's only legitimate randomness is
+// the splittable internal/rng stream, which is reproducible from a
+// master seed; anything else would unpin the differential and fuzz
+// suites.
 var GlobalRand = &Analyzer{
 	Name:     "globalrand",
 	Doc:      "no math/rand, time.Now, or os.Getenv in deterministic packages; use internal/rng",
@@ -18,8 +19,8 @@ var GlobalRand = &Analyzer{
 	Run:      runGlobalRand,
 }
 
-// bannedCalls maps an import path to the selector names that are banned
-// when called through that import.
+// bannedCalls maps an import path to the names of its functions that
+// deterministic packages may not call.
 var bannedCalls = map[string]map[string]bool{
 	"time": {"Now": true},
 	"os":   {"Getenv": true, "LookupEnv": true, "Environ": true},
@@ -27,8 +28,6 @@ var bannedCalls = map[string]map[string]bool{
 
 func runGlobalRand(p *Pass) {
 	for _, f := range p.Files {
-		// Import-path -> in-source package name, for the banned-call scan.
-		names := map[string]string{}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -39,27 +38,16 @@ func runGlobalRand(p *Pass) {
 					"deterministic package %s imports %s: all randomness must flow through internal/rng (reproducible from the master seed)",
 					p.PkgPath, path)
 			}
-			names[path] = importName(imp)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			for path, banned := range bannedCalls {
-				if names[path] == pkg.Name && banned[sel.Sel.Name] {
-					p.Reportf(call.Pos(),
-						"deterministic package %s calls %s.%s: ambient state breaks reproducibility; thread the value in explicitly",
-						p.PkgPath, pkg.Name, sel.Sel.Name)
-				}
+			if fn := calleeFunc(p, call); fn != nil && fn.Pkg() != nil && bannedCalls[fn.Pkg().Path()][fn.Name()] {
+				p.Reportf(call.Pos(),
+					"deterministic package %s calls %s.%s: ambient state breaks reproducibility; thread the value in explicitly",
+					p.PkgPath, fn.Pkg().Name(), fn.Name())
 			}
 			return true
 		})

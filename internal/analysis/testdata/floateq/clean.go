@@ -11,3 +11,13 @@ func near(a, b, eps float64) bool {
 func intEq(a, b int) bool {
 	return a == b
 }
+
+type tally struct {
+	Mean int
+}
+
+// An int field is not a float, whatever another struct's float field is
+// called.
+func sameTally(a, b tally) bool {
+	return a.Mean == b.Mean
+}

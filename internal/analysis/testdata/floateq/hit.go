@@ -12,3 +12,22 @@ func degenerate(x float64, s summary) bool {
 	}
 	return s.Mean != x
 }
+
+func meanOf(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+type ratio float64
+
+func degenerateDerived(xs []float64, r ratio) bool {
+	// Hit: the float comes back from a call.
+	if meanOf(xs) == 0 {
+		return true
+	}
+	// Hit: a named float type is a float all the same.
+	return r != 1
+}

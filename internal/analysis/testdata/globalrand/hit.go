@@ -1,7 +1,7 @@
-// Package fixtures exercises the globalrand analyzer: math/rand imports
-// and ambient-state calls in a deterministic package must be reported.
+// Package fixtures exercises globalrand: math/rand and ambient calls are hits.
 package fixtures
 
+import . "time" // Now() below is time.Now
 import (
 	"math/rand"
 	"os"
@@ -13,4 +13,9 @@ func seedFromAmbientState() int64 {
 		return time.Now().UnixNano()
 	}
 	return rand.Int63()
+}
+
+func dotImportedClock() int64 {
+	// Hit: time.Now reached through a dot import.
+	return Now().UnixNano()
 }

@@ -18,3 +18,21 @@ func sliceRange(xs []int) int {
 	}
 	return n
 }
+
+type index struct {
+	ids map[int]bool
+}
+
+type batch struct {
+	ids []int
+}
+
+// A slice field is not a map, whatever another struct's map field is
+// called.
+func (b *batch) sum() int {
+	n := 0
+	for _, id := range b.ids {
+		n += id
+	}
+	return n
+}

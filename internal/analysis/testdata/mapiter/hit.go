@@ -24,3 +24,30 @@ func collectedButNeverSorted() []string {
 	}
 	return out
 }
+
+type set map[string]bool
+
+type catalog struct {
+	members set
+}
+
+func (c *catalog) size() int {
+	n := 0
+	// Hit: a field of a named map type is a map all the same.
+	for range c.members {
+		n++
+	}
+	return n
+}
+
+func lookup() map[int]string {
+	return map[int]string{1: "a"}
+}
+
+func anyName() string {
+	// Hit: the map comes back from a call.
+	for _, name := range lookup() {
+		return name
+	}
+	return ""
+}

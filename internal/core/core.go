@@ -39,7 +39,7 @@ type Params struct {
 }
 
 // Log2N returns log2(max(N,2)), the "log n" of the paper's formulas.
-func (p Params) Log2N() float64 { return math.Log2(float64(maxInt(p.N, 2))) }
+func (p Params) Log2N() float64 { return math.Log2(float64(max(p.N, 2))) }
 
 // DefaultMaxRounds is the round cap a zero Config.MaxRounds takes for n
 // worms: 64 + 8*ceil(log2 n).
@@ -92,7 +92,7 @@ func (h HalvingSchedule) Range(t int, p Params) int {
 	ct := math.Max(c/math.Pow(2, float64(t-1)), logn)
 	delta := math.Max(c1*l*ct/b, math.Max(c2*l*c/(b*logn), c3*l*logn/b))
 	r := int(math.Ceil(delta)) + p.Dilation + p.Length
-	return maxInt(r, 1)
+	return max(r, 1)
 }
 
 // Name implements DelaySchedule.
@@ -111,7 +111,7 @@ func (f FixedSchedule) Range(t int, p Params) int {
 		factor = 1
 	}
 	delta := factor * float64(p.Length) * float64(p.PathCongestion) / float64(p.Bandwidth)
-	return maxInt(int(math.Ceil(delta))+p.Dilation+p.Length, 1)
+	return max(int(math.Ceil(delta))+p.Dilation+p.Length, 1)
 }
 
 // Name implements DelaySchedule.
@@ -132,7 +132,7 @@ func (d DoublingSchedule) Range(t int, p Params) int {
 	if t > 30 {
 		t = 30 // clamp the shift; ranges beyond this are absurd anyway
 	}
-	return maxInt(base<<(uint(t-1))+p.Dilation+p.Length, 1)
+	return max(base<<(uint(t-1))+p.Dilation+p.Length, 1)
 }
 
 // Name implements DelaySchedule.
@@ -145,7 +145,7 @@ type ConstantSchedule struct {
 }
 
 // Range implements DelaySchedule.
-func (c ConstantSchedule) Range(t int, p Params) int { return maxInt(c.Delta, 1) }
+func (c ConstantSchedule) Range(t int, p Params) int { return max(c.Delta, 1) }
 
 // Name implements DelaySchedule.
 func (c ConstantSchedule) Name() string { return "constant" }
@@ -547,11 +547,4 @@ func (s *congestionScratch) congestion(x *paths.LinkIndex, active []int) int {
 		best = max(best, count)
 	}
 	return best
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/paths"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/witness"
 )
@@ -56,7 +57,7 @@ func A1Schedules(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(names[i], ts.meanRounds(), ts.meanTime(), mean(ts.Measured), ts.completedStr())
+		t.AddRow(names[i], ts.meanRounds(), ts.meanTime(), stats.Mean(ts.Measured), ts.completedStr())
 	}
 	return t, nil
 }
@@ -230,17 +231,6 @@ func f4Row(t *Table, name string, c *paths.Collection, cfg core.Config, src *rng
 	t.AddRow(name, res.TotalRounds, a.TotalCycles()-a.TotalProperCycles(),
 		a.TotalProperCycles(), a.SatisfiesClaim26(), maxDepth)
 	return nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // A6WavelengthChoice compares the paper's uniformly random wavelength

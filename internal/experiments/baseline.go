@@ -82,7 +82,7 @@ func E16ElectronicBaseline(o Options) (*Table, error) {
 			if len(wh.Deadlocked) > 0 {
 				whStr += " (deadlock)"
 			}
-			measured := mean(opt.Measured)
+			measured := stats.Mean(opt.Measured)
 			t.AddRow(wl.name, L, B, measured, saf.Makespan, whStr,
 				measured/float64(wh.Makespan), opt.completedStr())
 		}

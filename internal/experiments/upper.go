@@ -145,7 +145,7 @@ func E7NodeSymmetric(o Options) (*Table, error) {
 		p := ts.Params
 		diam := g.Eccentricity(0) // = diameter for vertex-transitive graphs
 		d2 := float64(diam*diam) + log2(float64(g.NumNodes()))
-		tpred := math.Sqrt(logBase(float64(maxi(diam, 2)), float64(p.N))) +
+		tpred := math.Sqrt(logBase(float64(max(diam, 2)), float64(p.N))) +
 			math.Log2(math.Max(log2(float64(p.N)), 2))
 		bound := float64(L)*float64(diam*diam)/float64(B) +
 			tpred*float64(diam+L)
@@ -249,11 +249,4 @@ func E9ButterflyQ(o Options) (*Table, error) {
 			ts.meanTime()/math.Max(bound, 1), ts.completedStr())
 	}
 	return t, nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -68,6 +68,7 @@ func (c *Client) do(method, url string, body []byte) (*http.Response, error) {
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	//optlint:allow mapiter order-independent: each key Adds only its own values to req.Header
 	for k, vs := range c.Header {
 		for _, v := range vs {
 			req.Header.Add(k, v)

@@ -1146,7 +1146,7 @@ func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 			ghost.relUpTo = f.relUpTo
 		}
 		if ghost.lo(t) <= ghost.limit() {
-			e.reassign(f, ghost, int(ghost.relUpTo), minInt(ghost.hi(t), ghost.limit()))
+			e.reassign(f, ghost, int(ghost.relUpTo), min(ghost.hi(t), ghost.limit()))
 			e.active = append(e.active, ghost)
 			f.headChild = ghost
 		} else {
@@ -1161,7 +1161,7 @@ func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 	if jCut < int(f.jMax) {
 		rem := e.arena.newFrag(f.t, jCut+1, int(f.jMax), cutIdx, int(f.relUpTo))
 		if rem.lo(t) <= rem.limit() {
-			e.reassign(f, rem, maxInt(int(rem.relUpTo), maxInt(rem.lo(t), 0)), rem.limit())
+			e.reassign(f, rem, max(int(rem.relUpTo), max(rem.lo(t), 0)), rem.limit())
 			e.active = append(e.active, rem)
 		}
 	}
@@ -1190,20 +1190,6 @@ func (e *Engine) reassign(old, nw *fragment, from, to int) {
 			e.occ[k] = occupant{fi: nw.self, idx: int32(i)}
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // checkInvariants validates the packed occupancy words against the
@@ -1245,8 +1231,8 @@ func (e *Engine) checkInvariants(t int) error {
 			if f.gone {
 				return fmt.Errorf("sim: step %d: occupancy points at a gone fragment (worm %d)", t, f.t.id)
 			}
-			lo := maxInt(f.lo(t), 0)
-			hi := minInt(f.hi(t), f.limit())
+			lo := max(f.lo(t), 0)
+			hi := min(f.hi(t), f.limit())
 			if int(oc.idx) < lo || int(oc.idx) > hi {
 				return fmt.Errorf("sim: step %d: worm %d occupies link index %d outside window [%d,%d]",
 					t, f.t.id, oc.idx, lo, hi)
@@ -1280,8 +1266,8 @@ func (e *Engine) checkInvariants(t int) error {
 		if f.gone {
 			continue
 		}
-		lo := maxInt(int(f.relUpTo), 0)
-		hi := minInt(f.hi(t), f.limit())
+		lo := max(int(f.relUpTo), 0)
+		hi := min(f.hi(t), f.limit())
 		for i := lo; i <= hi; i++ {
 			k := int(f.t.keys[i])
 			if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) == 0 {

@@ -91,8 +91,9 @@ func (h *Histogram) Observe(v int) {
 
 // fits reports whether o can be folded into h: o is empty (no bounds,
 // counts or observations) or has h's bucket layout, and o agrees with
-// itself — its counts sum to its Count, and with no observations its Sum
-// is 0.
+// itself — its counts sum to its Count, with no observations its Sum is
+// 0, and with observations 0 <= Min <= Max, Min lies in the lowest
+// occupied bucket and Max in the highest.
 func (h *Histogram) fits(o *Histogram) bool {
 	if o.Count == 0 && o.Sum != 0 {
 		return false
@@ -109,13 +110,30 @@ func (h *Histogram) fits(o *Histogram) bool {
 		}
 	}
 	var n uint64
-	for _, c := range o.Counts {
+	lowest, highest := -1, -1
+	for i, c := range o.Counts {
 		if n+c < n {
 			return false
 		}
 		n += c
+		if c > 0 {
+			if lowest < 0 {
+				lowest = i
+			}
+			highest = i
+		}
 	}
-	return n == o.Count
+	if n != o.Count {
+		return false
+	}
+	return o.Count == 0 || (0 <= o.Min && o.Min <= o.Max &&
+		o.inBucket(o.Min, lowest) && o.inBucket(o.Max, highest))
+}
+
+// inBucket reports whether v lies in bucket i: above the previous bound
+// and at most bound i (the +Inf bucket has no upper bound).
+func (h *Histogram) inBucket(v, i int) bool {
+	return (i == 0 || v > h.Bounds[i-1]) && (i == len(h.Bounds) || v <= h.Bounds[i])
 }
 
 // add folds o's observations into h. It panics if o does not fit: a

@@ -105,9 +105,10 @@ func TestSnapshotAddJSONRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotAddHistogramMismatch: a histogram that does not fit —
-// another bucket layout, or counts that contradict its own count and
-// sum, as a corrupt checkpoint or a peer's input may hold — is an error,
-// not a silent misfold or a panic, and leaves the collector unchanged.
+// another bucket layout, counts that contradict its own count and sum,
+// or extremes that contradict its buckets, as a corrupt checkpoint or a
+// peer's input may hold — is an error, not a silent misfold or a panic,
+// and leaves the collector unchanged.
 func TestSnapshotAddHistogramMismatch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -135,6 +136,28 @@ func TestSnapshotAddHistogramMismatch(t *testing.T) {
 		{"counts exceed count", func() *Snapshot {
 			o := trialSnapshot(1)
 			o.StepsToDelivery.Counts[0] += 4
+			return o
+		}},
+		// trialSnapshot(1) delivers one worm after 5 steps, in the
+		// StepsToDelivery bucket (4, 8].
+		{"min above max", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.StepsToDelivery.Min, o.StepsToDelivery.Max = 7, 6
+			return o
+		}},
+		{"max beyond its bucket", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.StepsToDelivery.Max = 1 << 40
+			return o
+		}},
+		{"min below its bucket", func() *Snapshot {
+			o := trialSnapshot(1)
+			o.StepsToDelivery.Min = 4
+			return o
+		}},
+		{"negative min", func() *Snapshot {
+			o := trialSnapshot(0)
+			o.Retries.Min = -1
 			return o
 		}},
 	} {
@@ -188,8 +211,9 @@ func TestSnapshotAddRoundsCap(t *testing.T) {
 // into a collector that has observed one run. The fold either errors and
 // leaves the collector's canonical bytes unchanged, or succeeds; it never
 // panics, every histogram of the folded collector still has counts that
-// sum to its Count, and the folded collector's snapshot, folded into an
-// empty collector, reproduces its canonical bytes. Nothing is sized from the
+// sum to its Count and, with observations, quantiles between its Min and
+// Max, and the folded collector's snapshot, folded into an empty
+// collector, reproduces its canonical bytes. Nothing is sized from the
 // input, so every decodable input is folded. testdata/fuzz holds a
 // per-trial snapshot and the two-trial checkpoint telemetry of the golden
 // route sweep of internal/jobs, and one per-trial snapshot in the older
@@ -240,6 +264,14 @@ func FuzzCollectorAddSnapshot(f *testing.F) {
 			}
 			if n != h.Count {
 				t.Fatalf("histogram %d after the fold: counts sum to %d, count is %d", i, n, h.Count)
+			}
+			if h.Count == 0 {
+				continue
+			}
+			for _, q := range []float64{0, 0.5, 0.99, 1} {
+				if v := h.Quantile(q); v < float64(h.Min) || v > float64(h.Max) {
+					t.Fatalf("histogram %d after the fold: Quantile(%v) = %v outside [Min %d, Max %d]", i, q, v, h.Min, h.Max)
+				}
 			}
 		}
 		want := canonBytes(t, c)
