@@ -45,6 +45,48 @@ func simRoundWorkload(tb testing.TB, side int) (*graph.Graph, []sim.Worm, sim.Co
 	return g, worms, sim.Config{Bandwidth: 4, Rule: optical.ServeFirst, AckLength: 1}
 }
 
+// firstRound is the engine behind a wrapper that keeps a copy of the
+// first batch and configuration it is handed.
+type firstRound struct {
+	eng   *sim.Engine
+	worms []sim.Worm
+	cfg   sim.Config
+}
+
+func (f *firstRound) Run(g *graph.Graph, worms []sim.Worm, cfg sim.Config) (*sim.Result, error) {
+	if f.worms == nil {
+		f.worms, f.cfg = append([]sim.Worm(nil), worms...), cfg
+	}
+	return f.eng.Run(g, worms, cfg)
+}
+
+// markedRound returns the first round the protocol hands the engine for
+// simRoundWorkload's collection: its worms carry core's loner marks, and
+// some but not all are marked.
+func markedRound(tb testing.TB, side int) (*graph.Graph, []sim.Worm, sim.Config) {
+	tor := topology.NewTorus(2, side)
+	g := tor.Graph()
+	col, err := paths.Build(g, paths.RandomPermutation(g.NumNodes(), rng.New(7)), paths.DimOrderTorus(tor))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := &firstRound{eng: sim.NewEngine()}
+	cfg := core.Config{Bandwidth: 4, Length: 8, Rule: optical.ServeFirst, AckLength: 1}
+	if _, err := core.RunWithSimulator(col, cfg, rng.New(7), rec); err != nil {
+		tb.Fatal(err)
+	}
+	alone := 0
+	for _, w := range rec.worms {
+		if w.Alone {
+			alone++
+		}
+	}
+	if alone == 0 || alone == len(rec.worms) {
+		tb.Fatalf("%d of %d worms marked alone, want some of each", alone, len(rec.worms))
+	}
+	return g, rec.worms, rec.cfg
+}
+
 // steadyRounds times b.N rounds of one workload on a reused Engine,
 // warmed by one untimed round so the timed loop sees the steady state. It
 // returns the last round's result.
@@ -93,19 +135,26 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 // and fault seams: a warm engine with no probe attached performs zero
 // allocations per round, attaching a warmed Collector keeps it that way
 // (the enabled path only adds counter arithmetic), and so does attaching
-// a compiled empty fault plan (the fault path is one nil branch).
+// a compiled empty fault plan (the fault path is one nil branch), and so
+// does a round whose worms carry core's loner marks (the closed form
+// writes into tables the engine keeps).
 func TestSteadyStateAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		probe  *optnet.Collector
 		faults bool
+		loners bool
 	}{
-		{"probe=off", nil, false},
-		{"probe=on", optnet.NewCollector(), false},
-		{"faults=empty", nil, true},
+		{"probe=off", nil, false, false},
+		{"probe=on", optnet.NewCollector(), false, false},
+		{"faults=empty", nil, true, false},
+		{"loners", nil, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, worms, cfg := simRoundWorkload(t, 8)
+			if tc.loners {
+				g, worms, cfg = markedRound(t, 8)
+			}
 			if tc.probe != nil {
 				cfg.Probe = tc.probe
 			}

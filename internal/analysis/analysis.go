@@ -219,6 +219,36 @@ func exprString(e ast.Expr) string {
 	return "<expr>"
 }
 
+// termTypes lists the underlying types of the union terms a type
+// parameter's constraint names, through embedded constraints: the types
+// the parameter can stand for. It is nil for any other type, whose
+// Underlying answers instead, and for a constraint with no terms (any,
+// comparable, methods only), which names no type.
+func termTypes(t types.Type) []types.Type {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return nil
+	}
+	var out []types.Type
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Interface:
+			for i := 0; i < u.NumEmbeddeds(); i++ {
+				walk(u.EmbeddedType(i))
+			}
+		case *types.Union:
+			for i := 0; i < u.Len(); i++ {
+				walk(u.Term(i).Type())
+			}
+		default:
+			out = append(out, u)
+		}
+	}
+	walk(tp.Constraint())
+	return out
+}
+
 // walkStack visits every node under root, passing the ancestor stack
 // (outermost first, not including n itself). Return false from f to skip
 // the node's children.

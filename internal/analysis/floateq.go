@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // FloatEq reports == and != comparisons with floating-point operands in
@@ -12,7 +13,8 @@ import (
 // the last ulp and silently flip a table row). An operand is a float when
 // its static type's underlying type is float32, float64 or an untyped
 // float constant: literals, variables, fields, call results and named
-// float types alike.
+// float types alike. A type parameter is a float when one of its
+// constraint's terms is.
 var FloatEq = &Analyzer{
 	Name:     "floateq",
 	Doc:      "no ==/!= on floats in stats/experiments; compare with a tolerance",
@@ -22,8 +24,8 @@ var FloatEq = &Analyzer{
 
 func runFloatEq(p *Pass) {
 	isFloat := func(e ast.Expr) bool {
-		b, ok := p.Info.TypeOf(e).Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsFloat != 0
+		t := p.Info.TypeOf(e)
+		return isFloatType(t.Underlying()) || slices.ContainsFunc(termTypes(t), isFloatType)
 	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -39,4 +41,10 @@ func runFloatEq(p *Pass) {
 			return true
 		})
 	}
+}
+
+// isFloatType reports whether underlying type u is a float.
+func isFloatType(u types.Type) bool {
+	b, ok := u.(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

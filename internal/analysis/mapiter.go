@@ -22,7 +22,8 @@ var deterministicPackages = []string{
 
 // MapIter reports `range` statements over maps in the deterministic
 // engine packages: any range target whose static type is a map, through
-// named types, fields and call results alike. The canonical
+// named types, fields and call results alike, and a type parameter whose
+// constraint admits only maps. The canonical
 // collect-keys-then-sort idiom — a loop whose body is exactly
 // `keys = append(keys, k)` followed later in the same block by a call
 // into package sort or slices on keys — is recognized and allowed; every
@@ -43,7 +44,7 @@ func runMapIter(p *Pass) {
 				if !ok {
 					continue
 				}
-				if _, isMap := p.Info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+				if !isMap(p.Info.TypeOf(rs.X)) {
 					continue
 				}
 				if isCollectAndSort(p, rs, list[i+1:]) {
@@ -55,6 +56,21 @@ func runMapIter(p *Pass) {
 			}
 		})
 	}
+}
+
+// isMap reports whether every value of type t is a map: t's underlying
+// type is one, or t is a type parameter whose every term is one.
+func isMap(t types.Type) bool {
+	terms := termTypes(t)
+	if terms == nil {
+		terms = []types.Type{t.Underlying()}
+	}
+	for _, u := range terms {
+		if _, ok := u.(*types.Map); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // checkStmtLists invokes f on every statement list in the subtree: block

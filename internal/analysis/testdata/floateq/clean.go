@@ -21,3 +21,8 @@ type tally struct {
 func sameTally(a, b tally) bool {
 	return a.Mean == b.Mean
 }
+
+// A comparable type parameter is no float.
+func sameKey[T comparable](a, b T) bool {
+	return a == b
+}

@@ -31,3 +31,8 @@ func degenerateDerived(xs []float64, r ratio) bool {
 	// Hit: a named float type is a float all the same.
 	return r != 1
 }
+
+func sameValue[F ~float32 | ~float64](a, b F) bool {
+	// Hit: a type parameter whose constraint admits a float.
+	return a == b
+}

@@ -36,3 +36,14 @@ func (b *batch) sum() int {
 	}
 	return n
 }
+
+// A comparable type parameter is no map.
+func countEqual[T comparable](xs []T, x T) int {
+	n := 0
+	for _, y := range xs {
+		if y == x {
+			n++
+		}
+	}
+	return n
+}

@@ -51,3 +51,12 @@ func anyName() string {
 	}
 	return ""
 }
+
+func sumValues[M ~map[string]int](m M) int {
+	n := 0
+	// Hit: a type parameter whose constraint admits only maps.
+	for _, v := range m {
+		n += v
+	}
+	return n
+}

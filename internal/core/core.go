@@ -348,6 +348,12 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 		}
 		blocked = make([]bool, g.NumLinks())
 	}
+	// Worms that meet no other are resolved by the engine in closed form.
+	// Faults and conversion move trajectories, so then every worm is stepped.
+	var marks *lonerMarks
+	if cfg.Conversion == nil && !degraded {
+		marks = newLonerMarks(c.Size())
+	}
 
 	for t := 1; len(active) > 0 && t <= maxRounds; t++ {
 		delta := sched.Range(t, params)
@@ -415,6 +421,9 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 					detoured = append(detoured, i)
 				}
 			}
+		}
+		if marks != nil {
+			marks.mark(x, active, worms, cfg.Length, cfg.AckLength)
 		}
 		if len(detours) > 0 {
 			routes, err := g.Routes(detours)

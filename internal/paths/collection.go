@@ -13,6 +13,7 @@ package paths
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -45,17 +46,27 @@ type Collection struct {
 // NewCollection checks every path against g and returns the collection.
 // Paths of length zero (single nodes) are rejected: a worm needs at least
 // one link to traverse. A path that revisits a directed link is accepted;
-// the simulator refuses to route it.
+// the simulator refuses to route it. The collection copies the paths'
+// nodes into one table of exactly their size, as Graph.Routes does for
+// their links, so it keeps none of the caller's slices.
 func NewCollection(g *graph.Graph, ps []graph.Path) (*Collection, error) {
 	routes, err := g.Routes(ps)
 	if err != nil {
 		return nil, fmt.Errorf("paths: %w", err)
 	}
-	d := 0
-	for _, r := range routes {
+	d, total := 0, 0
+	for i, r := range routes {
 		d = max(d, r.Len())
+		total += len(ps[i])
 	}
-	return &Collection{g: g, paths: ps, routes: routes, dilation: d}, nil
+	table := make([]graph.NodeID, 0, total)
+	own := make([]graph.Path, len(ps))
+	for i, p := range ps {
+		lo := len(table)
+		table = append(table, p...)
+		own[i] = table[lo:len(table):len(table)]
+	}
+	return &Collection{g: g, paths: own, routes: routes, dilation: d}, nil
 }
 
 // MustCollection is NewCollection that panics on error; intended for
@@ -83,12 +94,16 @@ func (c *Collection) Route(i int) graph.Route { return c.routes[i] }
 // LinkIndex is a collection's dense link-user index in compressed sparse
 // row form: the paths using directed link l are users[userOff[l]:
 // userOff[l+1]], in ascending path order (a path crossing l twice is listed
-// twice). It is built once and never modified, so any number of goroutines
-// may read it without locking.
+// twice), and pos holds, beside each user, the hop at which it crosses l.
+// It is built once and never modified, so any number of goroutines may
+// read it without locking.
 type LinkIndex struct {
 	routes  []graph.Route
 	userOff []int32 // NumLinks()+1 offsets into users
 	users   []int32
+	pos     []uint16 // pos[k]: the hop of users[k]'s path on the link
+	load    []int32  // per path: its links' largest user count
+	shared  []int32  // the links with two or more users, ascending
 }
 
 // PathLinks returns the directed link IDs of path i. The caller must not
@@ -101,6 +116,27 @@ func (x *LinkIndex) Users(id graph.LinkID) []int32 {
 	return x.users[x.userOff[id]:x.userOff[id+1]]
 }
 
+// Positions returns, beside Users(id), the hop at which each user's path
+// crosses link id: Users(id)[k] has PathLinks(...)[Positions(id)[k]] ==
+// id. A hop is stored in 16 bits, so on a link that a path of more than
+// math.MaxUint16 hops crosses a position may be cut off; Load counts
+// such a link as unboundedly loaded, so a caller that reads positions
+// only where every user's load is under a threshold never reads one. The
+// caller must not modify the result.
+func (x *LinkIndex) Positions(id graph.LinkID) []uint16 {
+	return x.pos[x.userOff[id]:x.userOff[id+1]]
+}
+
+// SharedLinks returns the directed links that two or more paths use, in
+// ascending order. The caller must not modify the result.
+func (x *LinkIndex) SharedLinks() []int32 { return x.shared }
+
+// Load returns the largest number of paths on any one link of path i,
+// itself included. A link that a path of more than math.MaxUint16 hops
+// crosses, where Positions may be cut off, counts as carrying
+// math.MaxInt32 paths.
+func (x *LinkIndex) Load(i int) int { return int(x.load[i]) }
+
 // Index returns the collection's link-user index, building it on first use.
 func (c *Collection) Index() *LinkIndex {
 	c.mu.Lock()
@@ -109,7 +145,8 @@ func (c *Collection) Index() *LinkIndex {
 }
 
 // indexLocked builds the link-user index by one counting sort over the
-// path links, and the edge congestion with it. c.mu must be held.
+// path links, with each user's hop, the shared links and the path loads,
+// and the edge congestion with it. c.mu must be held.
 //
 //optlint:locked mu
 func (c *Collection) indexLocked() *LinkIndex {
@@ -122,20 +159,51 @@ func (c *Collection) indexLocked() *LinkIndex {
 			off[id+1]++
 		}
 	}
+	nShared := 0
 	for l := 0; l < c.g.NumLinks(); l++ {
 		c.edgeCong = max(c.edgeCong, int(off[l+1]))
+		if off[l+1] > 1 {
+			nShared++
+		}
 		off[l+1] += off[l]
 	}
-	users := make([]int32, off[c.g.NumLinks()])
-	next := make([]int32, c.g.NumLinks())
-	copy(next, off)
-	for i, r := range c.routes {
-		for _, id := range r.Links() {
-			users[next[id]] = int32(i)
-			next[id]++
+	shared := make([]int32, 0, nShared)
+	for l := 0; l < c.g.NumLinks(); l++ {
+		if off[l+1]-off[l] > 1 {
+			shared = append(shared, int32(l))
 		}
 	}
-	c.index = &LinkIndex{routes: c.routes, userOff: off, users: users}
+	users := make([]int32, off[c.g.NumLinks()])
+	pos := make([]uint16, len(users))
+	next := make([]int32, c.g.NumLinks())
+	copy(next, off)
+	var long []bool // links a path too long for 16-bit positions crosses
+	for i, r := range c.routes {
+		for p, id := range r.Links() {
+			users[next[id]] = int32(i)
+			pos[next[id]] = uint16(p)
+			next[id]++
+		}
+		if r.Len() > math.MaxUint16 {
+			if long == nil {
+				long = make([]bool, c.g.NumLinks())
+			}
+			for _, id := range r.Links() {
+				long[id] = true
+			}
+		}
+	}
+	load := make([]int32, len(c.routes))
+	for i, r := range c.routes {
+		for _, id := range r.Links() {
+			n := off[id+1] - off[id]
+			if long != nil && long[id] {
+				n = math.MaxInt32
+			}
+			load[i] = max(load[i], n)
+		}
+	}
+	c.index = &LinkIndex{routes: c.routes, userOff: off, users: users, pos: pos, load: load, shared: shared}
 	return c.index
 }
 

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -250,9 +251,10 @@ func TestPathCongestionConcurrentOnce(t *testing.T) {
 // TestCollectionBytesPerHop pins what a collection holds per routed hop
 // on the kernel-sparse shape: 2048 seeded dimension-order pairs on a
 // 256x256 torus, 265,139 hops. The heap growth across Build,
-// PathCongestion and Index covers the node paths, the routes and their
-// one link table, the link-user index and the per-path congestions:
-// 24.0 bytes per hop measured, pinned with a small margin.
+// PathCongestion and Index covers the node table, the routes and their
+// one link table, the link-user index with its hop positions, shared
+// links and path loads, and the per-path congestions: 23.8 bytes per hop
+// measured, pinned with a small margin.
 func TestCollectionBytesPerHop(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap")
@@ -290,4 +292,20 @@ func TestCollectionBytesPerHop(t *testing.T) {
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(prs)
 	runtime.KeepAlive(tor)
+}
+
+// TestCollectionOwnsItsPaths: a collection copies its paths' nodes into
+// one table of exactly their size, so a caller reusing its slices cannot
+// change it, and appending to a returned path copies it.
+func TestCollectionOwnsItsPaths(t *testing.T) {
+	g := topology.NewChain(6).Graph()
+	ps := []graph.Path{{0, 1, 2}, {3, 4, 5}}
+	c := MustCollection(g, ps)
+	ps[0][1], ps[1] = 9, graph.Path{0, 1}
+	for i, want := range []graph.Path{{0, 1, 2}, {3, 4, 5}} {
+		p := c.Path(i)
+		if !slices.Equal(p, want) || cap(p) != len(p) {
+			t.Errorf("Path(%d) = %v (cap %d), want %v at exact capacity", i, p, cap(p), want)
+		}
+	}
 }

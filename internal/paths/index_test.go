@@ -1,6 +1,7 @@
 package paths_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 type naiveIndex struct {
 	links [][]int32
 	users map[int32][]int
+	hops  map[int32][]int // beside users: the hop at which each crosses the link
 }
 
 // pathsOf lists c's paths in order.
@@ -28,7 +30,7 @@ func pathsOf(c *paths.Collection) []graph.Path {
 }
 
 func newNaiveIndex(c *paths.Collection) *naiveIndex {
-	r := &naiveIndex{users: make(map[int32][]int)}
+	r := &naiveIndex{users: make(map[int32][]int), hops: make(map[int32][]int)}
 	g := c.Graph()
 	for i, p := range pathsOf(c) {
 		var ids []int32
@@ -37,8 +39,9 @@ func newNaiveIndex(c *paths.Collection) *naiveIndex {
 			ids = append(ids, int32(id))
 		}
 		r.links = append(r.links, ids)
-		for _, id := range ids {
+		for p, id := range ids {
 			r.users[id] = append(r.users[id], i)
+			r.hops[id] = append(r.hops[id], p)
 		}
 	}
 	return r
@@ -140,7 +143,8 @@ func differentialCases(t *testing.T) map[string]*paths.Collection {
 }
 
 // TestLinkIndexMatchesNaiveReference pins every index-backed accessor,
-// including the order of LinkUsers and SharePairs, against the map-based
+// including the order of LinkUsers and SharePairs and the hop positions,
+// shared links and path loads the loner marking reads, against the map-based
 // reference on random torus, hypercube, butterfly and chain collections
 // and on the lower-bound structures. Both exact congestion methods are
 // checked on every input, whichever one the collection picks.
@@ -160,10 +164,30 @@ func TestLinkIndexMatchesNaiveReference(t *testing.T) {
 				if !slices.Equal(dense, ref.users[int32(id)]) {
 					t.Fatalf("Index().Users(%d) = %v, want %v", id, dense, ref.users[int32(id)])
 				}
+				var hops []int
+				for _, p := range x.Positions(id) {
+					hops = append(hops, int(p))
+				}
+				if !slices.Equal(hops, ref.hops[int32(id)]) {
+					t.Fatalf("Index().Positions(%d) = %v, want %v", id, hops, ref.hops[int32(id)])
+				}
+				if shared := slices.Contains(x.SharedLinks(), int32(id)); shared != (len(dense) > 1) {
+					t.Fatalf("link %d with %d users: in SharedLinks %v", id, len(dense), shared)
+				}
+			}
+			if !slices.IsSorted(x.SharedLinks()) {
+				t.Fatalf("SharedLinks not ascending: %v", x.SharedLinks())
 			}
 			for i := range ref.links {
 				if !slices.Equal(c.PathLinks(i), ref.links[i]) || !slices.Equal(x.PathLinks(i), ref.links[i]) {
 					t.Fatalf("PathLinks(%d) = %v, want %v", i, c.PathLinks(i), ref.links[i])
+				}
+				load := 0
+				for _, id := range ref.links[i] {
+					load = max(load, len(ref.users[id]))
+				}
+				if x.Load(i) != load {
+					t.Fatalf("Load(%d) = %d, want %d", i, x.Load(i), load)
 				}
 			}
 			cong := ref.pathCongestions()
@@ -203,5 +227,27 @@ func TestLinkIndexMatchesNaiveReference(t *testing.T) {
 				t.Errorf("Dilation = %d, want %d", got, wantD)
 			}
 		})
+	}
+}
+
+// TestLinkIndexLongPaths: a hop position is stored in 16 bits, so every
+// path that shares a link with a path of more than 65,535 hops reports an
+// unbounded load, and a load threshold keeps callers off the cut-off
+// positions. Paths elsewhere keep their counts.
+func TestLinkIndexLongPaths(t *testing.T) {
+	g := topology.NewChain(70_000).Graph()
+	span := func(from, to int) graph.Path {
+		p := graph.Path{}
+		for u := from; u <= to; u++ {
+			p = append(p, u)
+		}
+		return p
+	}
+	c := paths.MustCollection(g, []graph.Path{span(0, 69_999), span(69_990, 69_999), span(5, 9), {9, 8, 7, 6, 5}})
+	x := c.Index()
+	for i, want := range []int{math.MaxInt32, math.MaxInt32, math.MaxInt32, 1} {
+		if got := x.Load(i); got != want {
+			t.Errorf("Load(%d) = %d, want %d", i, got, want)
+		}
 	}
 }

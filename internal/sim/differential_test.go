@@ -75,7 +75,9 @@ var conversionModes = []struct {
 // 128 bucket bitmap words and two summary words: the message band fills
 // summary word 0 and the ack band word 1. Its dense contending groups with
 // 2-flit acks must put deferred buckets in both summary words in one step
-// (a step with a collision in each band) under every combination.
+// (a step with a collision in each band) under every combination. Every
+// scenario without conversion runs once more with its loners marked Alone
+// by the exact check, so the closed form must match the reference too.
 func TestEngineVsReferenceAllCombos(t *testing.T) {
 	for _, tc := range []struct {
 		side      int
@@ -99,6 +101,7 @@ func TestEngineVsReferenceAllCombos(t *testing.T) {
 		// matrix.
 		emptyPlan := (&faults.Plan{}).MustCompile(g, 2)
 		seed := tc.seed
+		nAlone, nMarked := 0, 0 // loners among the worms run a second time marked
 		for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
 			for _, tie := range []optical.TiePolicy{optical.TieEliminateAll, optical.TieArbitraryWinner} {
 				for _, wreck := range []WreckagePolicy{Drain, Vanish} {
@@ -129,6 +132,19 @@ func TestEngineVsReferenceAllCombos(t *testing.T) {
 								compareResults(t, label, fast, ref)
 								both = both || collidesInBothBands(fast.Collisions)
 								cfg.CheckInvariants = true
+								if conv.fn == nil {
+									// The loners of the same batch, resolved in
+									// closed form, leave every Result field as
+									// stepping them did.
+									marked, n := markAlone(g, worms, ack)
+									alone, errA := eng.Run(g, marked, cfg)
+									if errA != nil {
+										t.Fatalf("%s: marked run: %v", label, errA)
+									}
+									compareResults(t, label+"/loners", alone, ref)
+									nAlone += n
+									nMarked += len(marked)
+								}
 								cfg.Faults = emptyPlan
 								withEmpty, errE := eng.Run(g, worms, cfg)
 								if errE != nil {
@@ -146,6 +162,9 @@ func TestEngineVsReferenceAllCombos(t *testing.T) {
 					}
 				}
 			}
+		}
+		if nAlone == 0 || nAlone == nMarked {
+			t.Errorf("side %d: %d loners among %d marked worms, want some of each", tc.side, nAlone, nMarked)
 		}
 		if want := (2*g.NumLinks() + 4095) / 4096; len(eng.blSum) != want {
 			t.Fatalf("side %d: %d summary words, want %d", tc.side, len(eng.blSum), want)

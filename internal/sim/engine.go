@@ -161,6 +161,9 @@ type Engine struct {
 	// one predictable branch per consultation site.
 	flt *engineFaults
 	ef  engineFaults
+	// lone holds what the run's loners, worms resolved in closed form,
+	// add to each step (see addLoner).
+	lone loners
 }
 
 // NewEngine returns an empty engine ready for its first Run.
@@ -365,6 +368,7 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 	e.entries = e.entries[:0]
 	e.live = e.live[:0]
 	e.arena.reset()
+	e.lone.reset()
 	outs, colls := e.res.Outcomes[:0], e.res.Collisions[:0]
 	e.res = Result{Outcomes: outs, Collisions: colls}
 	for i := 0; i < nOutcomes; i++ {
@@ -382,18 +386,38 @@ func newOutcome() Outcome {
 }
 
 // Run simulates one round: every worm is launched at its delay and the
-// round proceeds until all activity has drained. It returns an error for
-// invalid input or if the safety step bound is exceeded (which indicates a
-// bug, not a legitimate outcome). The returned Result is owned by the
-// engine and is only valid until the next Run call.
+// round proceeds until all activity has drained. A worm marked Alone is
+// resolved in closed form when the run has no faults and no conversion,
+// and stepped otherwise. It returns an error for invalid input, a false
+// Alone promise under CheckInvariants, or if the safety step bound is
+// exceeded (which indicates a bug, not a legitimate outcome). The
+// returned Result is owned by the engine and is only valid until the
+// next Run call.
 func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
 	if err := checkWorms(g, worms, cfg); err != nil {
 		return nil, err
+	}
+	// Faults and conversion move trajectories off the ones an Alone
+	// promise covers, so under either every worm is stepped.
+	closed := cfg.Faults == nil && cfg.Conversion == nil
+	if closed && cfg.CheckInvariants {
+		if err := checkAlone(g, worms, cfg.AckLength); err != nil {
+			return nil, err
+		}
 	}
 	e.begin(g, cfg, len(worms))
 	maxEnd := 0
 	for i := range worms {
 		w := &worms[i]
+		end := w.Delay + w.Route.Len() + w.Length + 2
+		if cfg.AckLength > 0 {
+			end += w.Route.Len() + cfg.AckLength + 2
+		}
+		maxEnd = max(maxEnd, end)
+		if w.Alone && closed {
+			e.addLoner(i, w)
+			continue
+		}
 		tr := e.arena.newTrain()
 		tr.id = i
 		tr.outIdx = i
@@ -404,35 +428,29 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		tr.rank = w.Rank
 		tr.band = MessageBand
 		e.addTrain(tr)
-		end := w.Delay + len(tr.links) + w.Length + 2
-		if cfg.AckLength > 0 {
-			end += len(tr.links) + cfg.AckLength + 2
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
 	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = maxEnd + 4
 	}
 
-	t, err := e.cal.nextSpawnTime(0)
-	if err != nil {
-		return nil, err
-	}
-	steps := 0
-	for e.cal.pending > 0 || len(e.active) > 0 {
+	t, steps := 0, 0
+	for e.cal.pending > 0 || len(e.active) > 0 || t <= e.lone.last {
 		if steps++; steps > maxSteps {
 			e.occClean = 0
 			return nil, fmt.Errorf("sim: exceeded %d steps (internal bug guard)", maxSteps)
 		}
-		if len(e.active) == 0 {
-			// Jump over idle time to the next spawn.
-			if t, err = e.cal.nextSpawnTime(t); err != nil {
+		if len(e.active) == 0 && e.lone.live == 0 {
+			// Jump over idle time to the next spawn or loner start.
+			next, err := e.cal.nextSpawnTime(t)
+			if err != nil {
 				e.occClean = 0
 				return nil, err
 			}
+			if e.cal.pending == 0 {
+				next = e.lone.last
+			}
+			t = e.lone.next(t, next)
 		}
 		e.step(t)
 		if cfg.CheckInvariants {
@@ -512,6 +530,9 @@ func (e *Engine) addTrain(tr *train) {
 func (e *Engine) step(t int) {
 	e.entries = e.entries[:0]
 	e.entryNext = e.entryNext[:0]
+	if e.lone.last >= 0 {
+		e.lone.step(t)
+	}
 	if e.flt != nil {
 		// Phased layout. Releases run before activation so an ack spawned
 		// by a delivery completing at step t-1 starts now; fault events
@@ -577,20 +598,23 @@ func (e *Engine) step(t int) {
 		for _, f := range e.active[dst:] {
 			e.collectPacked(f, t)
 		}
-		if !did && len(e.active) == 0 {
+		if !did && len(e.active) == 0 && e.lone.live == 0 {
 			// Nothing lived, activated, or drained this step: it only ran
 			// because fragments cut in the previous step's resolution
-			// were compacted lazily. Suppress the step accounting — the
+			// were compacted lazily, or to fold in the end of a loner that
+			// was live the step before. Suppress the step accounting — the
 			// reference drops finished trains eagerly and never executes it.
 			return
 		}
 		e.resolveBuckets(t)
 		e.convertPacked(t)
 	}
-	e.res.MessageBusySlotSteps += e.occMsg
-	e.res.AckBusySlotSteps += e.occCount - e.occMsg
+	msg := e.occMsg + e.lone.busy[MessageBand]
+	ack := e.occCount - e.occMsg + e.lone.busy[AckBand]
+	e.res.MessageBusySlotSteps += msg
+	e.res.AckBusySlotSteps += ack
 	if e.probe != nil {
-		e.probe.StepAdvanced(e.occMsg, e.occCount-e.occMsg)
+		e.probe.StepAdvanced(msg, ack)
 	}
 	e.res.Makespan = t
 }

@@ -11,8 +11,10 @@ import (
 
 // FuzzEngineVsReference decodes arbitrary bytes into a routing scenario,
 // fault plan included, and asserts the engine and the per-flit reference
-// simulator produce identical Results. `go test` runs the seed corpus; `go
-// test -fuzz=FuzzEngineVsReference ./internal/sim` explores further.
+// simulator produce identical Results; without faults and conversion the
+// batch runs once more with its loners marked Alone, and must give the
+// same Result again. `go test` runs the seed corpus; `go test
+// -fuzz=FuzzEngineVsReference ./internal/sim` explores further.
 func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 1, 0, 2, 5, 1})
 	f.Add([]byte{0, 2, 0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -65,6 +67,9 @@ func FuzzEngineVsReference(f *testing.F) {
 	// an arbitrary tie winner.
 	f.Add([]byte{0x40, 0x21, 1, 2, 1, 2, 3, 0x00, 1, 1, 1, 1, 0x08, 64, 0, 1, 0x14, 64, 0, 1, 0x14})
 	f.Add([]byte{0x40, 0x35, 1, 2, 1, 2, 3, 0x00, 1, 1, 1, 1, 0x08, 64, 0, 1, 0x14, 64, 0, 1, 0x14})
+	// Loners and meeting worms mixed on chain(6), B=2, 1-flit acks: two
+	// identical worms on 0->1->2->3 meet, and one on 5->4 is alone.
+	f.Add([]byte{0, 0x21, 0, 2, 0, 1, 1, 0x05, 0, 2, 0, 1, 1, 0x05, 5, 0, 0, 0x09})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -85,6 +90,17 @@ func FuzzEngineVsReference(f *testing.F) {
 			return
 		}
 		compareResults(t, "engine-vs-reference", fast, ref)
+		if cfg.Faults == nil && cfg.Conversion == nil {
+			// Resolve the batch's loners in closed form: the Result must
+			// not move.
+			marked, _ := markAlone(g, worms, cfg.AckLength)
+			cfg.CheckInvariants = true
+			alone, err := NewEngine().Run(g, marked, cfg)
+			if err != nil {
+				t.Fatalf("marked run: %v", err)
+			}
+			compareResults(t, "loners-vs-reference", alone, ref)
+		}
 	})
 }
 

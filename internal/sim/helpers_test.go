@@ -21,3 +21,18 @@ func route(g *graph.Graph, p graph.Path) graph.Route {
 	}
 	return r
 }
+
+// markAlone returns a copy of worms with Alone set on exactly the worms
+// that meet no other (the exact check Run applies under CheckInvariants),
+// and the number it marked.
+func markAlone(g *graph.Graph, worms []Worm, ackLen int) ([]Worm, int) {
+	marked := append([]Worm(nil), worms...)
+	n := 0
+	for i, j := range meetings(g, worms, ackLen) {
+		marked[i].Alone = j < 0
+		if j < 0 {
+			n++
+		}
+	}
+	return marked, n
+}

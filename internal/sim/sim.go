@@ -136,6 +136,18 @@ type Worm struct {
 	Wavelength int
 	// Rank is the priority (higher wins) under the Priority rule.
 	Rank int
+	// Alone promises that the worm meets no other worm of the batch
+	// (DESIGN.md §10): on uncut trajectories, no other message holds one
+	// of its message's (link, wavelength) slots at a step its message
+	// holds it, and no other acknowledgement one of its acknowledgement's.
+	// With one worm length L that is: no shared link and wavelength where
+	// the two heads enter fewer than L steps apart, or the two
+	// acknowledgements fewer than AckLength. Such a worm is delivered and
+	// acknowledged under every rule, so Run writes its outcome in closed
+	// form and never steps it. Run honours the promise only without faults
+	// and conversion, which change trajectories; under CheckInvariants it
+	// verifies every promise first and refuses a false one.
+	Alone bool
 }
 
 // FullConversion enables wavelength conversion at every router.
